@@ -13,7 +13,7 @@
 //     tick burst is flushed to the moment each of its replies is read back
 //     (pipelined: one driver thread, U updates in flight per connection);
 //   * server-side counters: re-cloaks, steals, per-tick batch sizes, the
-//     encoded-artifact cache hit rate, backpressure events.
+//     encoded-artifact cache hit rate and entry count, backpressure events.
 //
 // --verify pins the wire against the in-process twin: every reply's
 // artifact bytes must equal EncodeArtifact of the twin pool's artifact for
@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
       const double wall_s = wall.ElapsedMillis() / 1000.0;
       const double wire_upd_per_s =
           wall_s > 0 ? static_cast<double>(total_updates) / wall_s : 0.0;
-      clients.clear();  // disconnect so close-time counters fold into stats
+      clients.clear();  // disconnect before the counters are read
       const auto pool_stats = pool.stats();
       const auto server_stats = server.stats();
       const auto net_stats = front.stats();
@@ -415,6 +415,8 @@ int main(int argc, char** argv) {
                static_cast<long long>(net_stats.artifact_cache_hits))
           .Int("artifact_cache_misses",
                static_cast<long long>(net_stats.artifact_cache_misses))
+          .Int("artifact_cache_entries",
+               static_cast<long long>(net_stats.artifact_cache_entries))
           .Int("bytes_in", static_cast<long long>(net_stats.bytes_in))
           .Int("bytes_out", static_cast<long long>(net_stats.bytes_out))
           .Int("auth_ok", static_cast<long long>(net_stats.auth_ok))

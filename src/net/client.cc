@@ -44,6 +44,8 @@ StatusOr<Client> Client::Connect(const std::string& host, std::uint16_t port) {
 Client::Client(Client&& other) noexcept
     : fd_(other.fd_),
       server_fingerprint_(other.server_fingerprint_),
+      bytes_sent_(other.bytes_sent_),
+      bytes_received_(other.bytes_received_),
       out_(std::move(other.out_)),
       reassembler_(std::move(other.reassembler_)) {
   other.fd_ = -1;
@@ -54,6 +56,8 @@ Client& Client::operator=(Client&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
     server_fingerprint_ = other.server_fingerprint_;
+    bytes_sent_ = other.bytes_sent_;
+    bytes_received_ = other.bytes_received_;
     out_ = std::move(other.out_);
     reassembler_ = std::move(other.reassembler_);
     other.fd_ = -1;
@@ -121,6 +125,7 @@ Status Client::Flush() {
       return Errno("send");
     }
     sent += static_cast<std::size_t>(n);
+    bytes_sent_ += static_cast<std::uint64_t>(n);
   }
   out_.clear();
   return Status::Ok();
@@ -137,6 +142,7 @@ StatusOr<Frame> Client::ReadFrame() {
       return Errno("read");
     }
     if (n == 0) return Status::DataLoss("connection closed by server");
+    bytes_received_ += static_cast<std::uint64_t>(n);
     RCLOAK_RETURN_IF_ERROR(
         reassembler_.Feed(chunk, static_cast<std::size_t>(n)));
   }

@@ -37,6 +37,9 @@ class Client {
   std::uint64_t server_fingerprint() const noexcept {
     return server_fingerprint_;
   }
+  // Bytes this client wrote to and read from its socket so far.
+  std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
+  std::uint64_t bytes_received() const noexcept { return bytes_received_; }
 
   // Appends a POSITION_UPDATE to the out buffer (no I/O until Flush).
   void QueuePositionUpdate(std::uint32_t seq, std::string_view user_id,
@@ -59,6 +62,8 @@ class Client {
 
   int fd_ = -1;
   std::uint64_t server_fingerprint_ = 0;
+  std::uint64_t bytes_sent_ = 0;
+  std::uint64_t bytes_received_ = 0;
   Bytes out_;
   FrameReassembler reassembler_;
 };

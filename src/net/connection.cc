@@ -18,7 +18,7 @@ Connection::ReadResult Connection::ReadReady() {
   for (;;) {
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n > 0) {
-      bytes_in += static_cast<std::uint64_t>(n);
+      Count(traffic_->bytes_in, static_cast<std::uint64_t>(n));
       const Status fed =
           reassembler_.Feed(chunk, static_cast<std::size_t>(n));
       if (!fed.ok()) return ReadResult::kProtocolError;
@@ -74,7 +74,7 @@ Connection::FlushResult Connection::Flush() {
       if (errno == EINTR) continue;
       return FlushResult::kError;
     }
-    bytes_out += static_cast<std::uint64_t>(n);
+    Count(traffic_->bytes_out, static_cast<std::uint64_t>(n));
     queued_bytes_ -= static_cast<std::size_t>(n);
     std::size_t written = static_cast<std::size_t>(n);
     while (written > 0) {

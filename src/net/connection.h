@@ -21,6 +21,7 @@
 //     error; a peer that never drains cannot pin unbounded memory.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -43,10 +44,24 @@ struct ConnectionLimits {
   int send_buffer_bytes = 0;
 };
 
+// Traffic totals shared by every connection on one event loop and bumped
+// where bytes and frames move (reads, vectored writes, frame decode and
+// queueing), so a stats reader never has to walk the live connections.
+// Written only by the owning loop's thread; the relaxed atomics exist so
+// another thread can read them without tearing.
+struct TrafficCounters {
+  std::atomic<std::uint64_t> bytes_in{0};
+  std::atomic<std::uint64_t> bytes_out{0};
+  std::atomic<std::uint64_t> frames_in{0};
+  std::atomic<std::uint64_t> frames_out{0};
+};
+
 class Connection {
  public:
-  Connection(int fd, std::uint64_t id, const ConnectionLimits& limits)
-      : fd_(fd), id_(id), limits_(limits),
+  // `traffic` is the owning loop's block and must outlive the connection.
+  Connection(int fd, std::uint64_t id, const ConnectionLimits& limits,
+             TrafficCounters& traffic)
+      : fd_(fd), id_(id), limits_(limits), traffic_(&traffic),
         reassembler_(limits.max_frame_payload) {}
   ~Connection();
   Connection(const Connection&) = delete;
@@ -64,13 +79,19 @@ class Connection {
 
   // Drains the socket until EAGAIN, feeding the reassembler.
   ReadResult ReadReady();
-  // Pops the next complete inbound frame.
-  std::optional<Frame> NextFrame() { return reassembler_.Next(); }
+  // Pops the next complete inbound frame (counted into frames_in).
+  std::optional<Frame> NextFrame() {
+    auto frame = reassembler_.Next();
+    if (frame) Count(traffic_->frames_in, 1);
+    return frame;
+  }
   const Status& last_error() const noexcept { return reassembler_.status(); }
 
   // Write side. Queueing never writes; the owner calls Flush after a batch.
   void QueueOwned(Bytes bytes);
   void QueueShared(std::shared_ptr<const Bytes> bytes);
+  // Counts one outbound frame (a frame may span several queued chunks).
+  void CountFrameOut() { Count(traffic_->frames_out, 1); }
 
   enum class FlushResult : std::uint8_t {
     kDrained,  // queue empty; EPOLLOUT interest can be dropped
@@ -104,12 +125,6 @@ class Connection {
   // open mode. Every session tracked through this connection binds to it.
   std::uint64_t principal = 0;
 
-  // Per-connection counters (folded into NetServerStats on close).
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t frames_in = 0;
-  std::uint64_t frames_out = 0;
-
  private:
   // Up to this many chunks are stitched into one vectored write.
   static constexpr std::size_t kFlushIov = 64;
@@ -121,9 +136,14 @@ class Connection {
     const Bytes& bytes() const noexcept { return shared ? *shared : owned; }
   };
 
+  static void Count(std::atomic<std::uint64_t>& counter, std::uint64_t n) {
+    counter.fetch_add(n, std::memory_order_relaxed);
+  }
+
   int fd_;
   std::uint64_t id_;
   ConnectionLimits limits_;
+  TrafficCounters* traffic_;
   FrameReassembler reassembler_;
   std::deque<Chunk> write_queue_;
   std::size_t queued_bytes_ = 0;

@@ -139,10 +139,10 @@ NetServerStats NetServer::SnapshotLoop(const Loop& lp) const {
   out.auth_ok = get(s.auth_ok);
   out.auth_rejected = get(s.auth_rejected);
   out.ownership_rejected = get(s.ownership_rejected);
-  out.bytes_in = get(s.bytes_in);
-  out.bytes_out = get(s.bytes_out);
-  out.frames_in = get(s.frames_in);
-  out.frames_out = get(s.frames_out);
+  out.bytes_in = get(s.traffic.bytes_in);
+  out.bytes_out = get(s.traffic.bytes_out);
+  out.frames_in = get(s.traffic.frames_in);
+  out.frames_out = get(s.traffic.frames_out);
   out.updates_decoded = get(s.updates_decoded);
   out.reduce_requests = get(s.reduce_requests);
   out.reduce_in_tick = get(s.reduce_in_tick);
@@ -151,6 +151,7 @@ NetServerStats NetServer::SnapshotLoop(const Loop& lp) const {
   out.partial_dispatches = get(s.partial_dispatches);
   out.artifact_cache_hits = get(s.artifact_cache_hits);
   out.artifact_cache_misses = get(s.artifact_cache_misses);
+  out.artifact_cache_entries = get(s.artifact_cache_entries);
   out.reads_paused = get(s.reads_paused);
   out.reads_resumed = get(s.reads_resumed);
   return out;
@@ -186,6 +187,7 @@ NetServerStats NetServer::stats() const {
     total.partial_dispatches += s.partial_dispatches;
     total.artifact_cache_hits += s.artifact_cache_hits;
     total.artifact_cache_misses += s.artifact_cache_misses;
+    total.artifact_cache_entries += s.artifact_cache_entries;
     total.reads_paused += s.reads_paused;
     total.reads_resumed += s.reads_resumed;
   }
@@ -211,7 +213,6 @@ void NetServer::LoopMain(Loop& lp) {
       }
       lp.tick_touched.clear();
     }
-    RefreshTrafficStats(lp);
   }
   // Shutdown: drop every connection (queued bytes are best-effort flushed).
   std::vector<std::uint64_t> ids;
@@ -221,7 +222,6 @@ void NetServer::LoopMain(Loop& lp) {
     lp.connections[id]->Flush();
     CloseConnection(lp, id, CloseReason::kPeer);
   }
-  RefreshTrafficStats(lp);
   // Adoptions that raced the shutdown wake: close them unserved (Stop()
   // sweeps anything that lands even later, after the join).
   std::vector<int> leftover;
@@ -271,7 +271,8 @@ void NetServer::AdoptFd(Loop& lp, int fd) {
     const int size = options_.limits.send_buffer_bytes;
     ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof(size));
   }
-  auto conn = std::make_unique<Connection>(fd, conn_id, options_.limits);
+  auto conn = std::make_unique<Connection>(fd, conn_id, options_.limits,
+                                           lp.stats.traffic);
   conn->loop_index = lp.index;
   auto added = lp.loop.Add(fd, EventLoop::kReadable,
                            [this, &lp, conn_id](std::uint32_t ready) {
@@ -321,7 +322,6 @@ void NetServer::OnConnectionEvent(Loop& lp, std::uint64_t conn_id,
 void NetServer::DrainFrames(Loop& lp, Connection& conn) {
   const std::uint64_t conn_id = conn.id();
   while (auto frame = conn.NextFrame()) {
-    ++conn.frames_in;
     HandleFrame(lp, conn, *frame);
     // The handler may have dropped the connection (hello mismatch, bad
     // frame); `conn` is dead then.
@@ -427,7 +427,7 @@ void NetServer::HandleHello(Loop& lp, Connection& conn, const Bytes& payload) {
   Bytes out;
   AppendHello(out, reply);
   conn.QueueOwned(std::move(out));
-  ++conn.frames_out;
+  conn.CountFrameOut();
 }
 
 void NetServer::HandleAuth(Loop& lp, Connection& conn, const Bytes& payload) {
@@ -457,7 +457,7 @@ void NetServer::HandleAuth(Loop& lp, Connection& conn, const Bytes& payload) {
   Bytes out;
   AppendAuthOk(out, AuthOkFrame{auth->principal});
   conn.QueueOwned(std::move(out));
-  ++conn.frames_out;
+  conn.CountFrameOut();
 }
 
 Bytes NetServer::NextNonce(Loop& lp, std::uint64_t conn_id) {
@@ -611,37 +611,17 @@ void NetServer::HandleReduceRequest(Loop& lp, Connection& conn,
   Bytes out;
   AppendReduceReply(out, reply);
   conn.QueueOwned(std::move(out));
-  ++conn.frames_out;
+  conn.CountFrameOut();
 }
 
 std::shared_ptr<const Bytes> NetServer::EncodeShared(
     Loop& lp, const server::ContinuousSessionPool::SharedArtifact& artifact) {
-  const core::CloakedArtifact* key = artifact.get();
-  const auto it = lp.encoded.find(key);
-  if (it != lp.encoded.end()) {
-    // Identity check: the weak_ptr must still resolve to THIS artifact —
-    // an expired entry whose address was reused by a new artifact misses.
-    if (const auto live = it->second.source.lock(); live.get() == key) {
-      Bump(lp.stats.artifact_cache_hits);
-      return it->second.wire;
-    }
-    lp.encoded.erase(it);
-  }
-  auto wire = std::make_shared<const Bytes>(core::EncodeArtifact(*artifact));
-  // Opportunistic prune: drop entries whose artifacts are gone before the
-  // table can grow past the loop's live-artifact count.
-  if (lp.encoded.size() >= 4096) {
-    for (auto entry = lp.encoded.begin(); entry != lp.encoded.end();) {
-      if (entry->second.source.expired()) {
-        entry = lp.encoded.erase(entry);
-      } else {
-        ++entry;
-      }
-    }
-  }
-  lp.encoded.emplace(key, EncodedEntry{artifact, wire});
-  Bump(lp.stats.artifact_cache_misses);
-  return wire;
+  auto lookup = lp.encode_cache.Encode(artifact);
+  Bump(lookup.hit ? lp.stats.artifact_cache_hits
+                  : lp.stats.artifact_cache_misses);
+  lp.stats.artifact_cache_entries.store(lp.encode_cache.size(),
+                                        std::memory_order_relaxed);
+  return std::move(lookup.wire);
 }
 
 void NetServer::DispatchBatch(Loop& lp) {
@@ -669,7 +649,7 @@ void NetServer::DispatchBatch(Loop& lp) {
       AppendArtifactError(out, pending.seq, results[i].status());
       conn.QueueOwned(std::move(out));
     }
-    ++conn.frames_out;
+    conn.CountFrameOut();
   }
   Bump(lp.stats.batches);
   if (lp.tick_updates.size() >
@@ -738,7 +718,7 @@ void NetServer::SendError(Connection& conn, std::uint32_t seq, ErrorCode code,
   Bytes out;
   AppendError(out, ErrorFrame{seq, code, std::move(message)});
   conn.QueueOwned(std::move(out));
-  ++conn.frames_out;
+  conn.CountFrameOut();
 }
 
 void NetServer::CloseConnection(Loop& lp, std::uint64_t conn_id,
@@ -759,31 +739,7 @@ void NetServer::CloseConnection(Loop& lp, std::uint64_t conn_id,
       Bump(lp.stats.connections_dropped_backpressure);
       break;
   }
-  lp.closed_bytes_in += conn.bytes_in;
-  lp.closed_bytes_out += conn.bytes_out;
-  lp.closed_frames_in += conn.frames_in;
-  lp.closed_frames_out += conn.frames_out;
   lp.connections.erase(it);  // Connection dtor closes the fd
-}
-
-void NetServer::RefreshTrafficStats(Loop& lp) {
-  // Traffic counters live on the connections (loop-thread-only); publish
-  // closed + live totals once per loop round so stats() readers see the
-  // in-flight traffic, not just what already disconnected.
-  std::uint64_t bytes_in = lp.closed_bytes_in;
-  std::uint64_t bytes_out = lp.closed_bytes_out;
-  std::uint64_t frames_in = lp.closed_frames_in;
-  std::uint64_t frames_out = lp.closed_frames_out;
-  for (const auto& [id, conn] : lp.connections) {
-    bytes_in += conn->bytes_in;
-    bytes_out += conn->bytes_out;
-    frames_in += conn->frames_in;
-    frames_out += conn->frames_out;
-  }
-  lp.stats.bytes_in.store(bytes_in, std::memory_order_relaxed);
-  lp.stats.bytes_out.store(bytes_out, std::memory_order_relaxed);
-  lp.stats.frames_in.store(frames_in, std::memory_order_relaxed);
-  lp.stats.frames_out.store(frames_out, std::memory_order_relaxed);
 }
 
 }  // namespace rcloak::net

@@ -27,10 +27,10 @@
 //     lock find), and the update travels as IdPositionUpdate — no
 //     std::string materializes per update.
 //   * Zero-copy replies. An artifact in force is EncodeArtifact'd once
-//     per loop into a refcounted buffer (cache keyed by artifact
-//     identity) and queued BY REFERENCE on every connection it is served
-//     to; the vectored write joins the owned frame prefix and the shared
-//     body on the wire.
+//     per loop into a refcounted buffer (EncodeCache: keyed by artifact
+//     identity, dead entries swept in O(1) amortized per miss) and queued
+//     BY REFERENCE on every connection it is served to; the vectored write
+//     joins the owned frame prefix and the shared body on the wire.
 //   * Syscall batching: reads drain to EAGAIN, writes go through
 //     sendmsg(iovec[64]), EPOLLOUT is registered only while a write queue
 //     is non-empty.
@@ -72,6 +72,7 @@
 #include <vector>
 
 #include "net/connection.h"
+#include "net/encode_cache.h"
 #include "net/event_loop.h"
 #include "net/frame_codec.h"
 #include "server/continuous_session_pool.h"
@@ -173,6 +174,10 @@ struct NetServerStats {
   // Reply encode cache: hits serve a shared buffer, misses encode once.
   std::uint64_t artifact_cache_hits = 0;
   std::uint64_t artifact_cache_misses = 0;
+  // Gauge: entries the encode caches hold right now, live and not yet
+  // swept. Per loop it stays within max(4096, 1.25x the live artifacts its
+  // last sweep kept); see net/encode_cache.h.
+  std::uint64_t artifact_cache_entries = 0;
   std::uint64_t reads_paused = 0;
   std::uint64_t reads_resumed = 0;
 };
@@ -218,14 +223,6 @@ class NetServer {
     std::uint32_t seq = 0;
   };
 
-  // One encoded artifact, alive as long as the artifact it mirrors. The
-  // weak_ptr guards against pointer reuse: a cache hit requires the live
-  // artifact at that address to still be the one we encoded.
-  struct EncodedEntry {
-    std::weak_ptr<const core::CloakedArtifact> source;
-    std::shared_ptr<const Bytes> wire;
-  };
-
   // One loop's statistics block. Every field is written only by the
   // owning loop thread; the relaxed atomics exist solely so stats() can
   // read the block from another thread without tearing — there is no
@@ -242,10 +239,8 @@ class NetServer {
     std::atomic<std::uint64_t> auth_ok{0};
     std::atomic<std::uint64_t> auth_rejected{0};
     std::atomic<std::uint64_t> ownership_rejected{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-    std::atomic<std::uint64_t> frames_in{0};
-    std::atomic<std::uint64_t> frames_out{0};
+    // Bumped by the loop's connections as bytes and frames move.
+    TrafficCounters traffic;
     std::atomic<std::uint64_t> updates_decoded{0};
     std::atomic<std::uint64_t> reduce_requests{0};
     std::atomic<std::uint64_t> reduce_in_tick{0};
@@ -254,6 +249,7 @@ class NetServer {
     std::atomic<std::uint64_t> partial_dispatches{0};
     std::atomic<std::uint64_t> artifact_cache_hits{0};
     std::atomic<std::uint64_t> artifact_cache_misses{0};
+    std::atomic<std::uint64_t> artifact_cache_entries{0};
     std::atomic<std::uint64_t> reads_paused{0};
     std::atomic<std::uint64_t> reads_resumed{0};
   };
@@ -289,16 +285,10 @@ class NetServer {
     // the loop sat idle in epoll_wait.
     Stopwatch tick_timer;
     std::vector<std::uint64_t> tick_touched;
-    std::unordered_map<const core::CloakedArtifact*, EncodedEntry> encoded;
+    EncodeCache encode_cache;
     // Per-loop reduce session: REDUCE_REQUEST runs inline on the loop
     // thread, so each loop carries its own context-sharing Deanonymizer.
     core::Deanonymizer deanonymizer;
-    // Traffic from connections that already closed (live connections are
-    // summed on top by RefreshTrafficStats).
-    std::uint64_t closed_bytes_in = 0;
-    std::uint64_t closed_bytes_out = 0;
-    std::uint64_t closed_frames_in = 0;
-    std::uint64_t closed_frames_out = 0;
 
     // Fallback accept handoff: loop 0 pushes accepted fds here and wakes
     // the loop; the owner adopts them at the top of its next round.
@@ -341,9 +331,6 @@ class NetServer {
                  std::string message);
   enum class CloseReason : std::uint8_t { kPeer, kError, kBackpressure };
   void CloseConnection(Loop& lp, std::uint64_t conn_id, CloseReason reason);
-  // Publishes closed + live traffic totals into lp.stats (loop thread
-  // only).
-  void RefreshTrafficStats(Loop& lp);
   NetServerStats SnapshotLoop(const Loop& lp) const;
   core::ContinuousCloak::KeyProvider KeyProviderFor(std::string_view user);
   // Fresh unpredictable challenge (owning loop thread only; conn ids are

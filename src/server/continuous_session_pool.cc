@@ -919,27 +919,34 @@ void ContinuousSessionPool::SpillWriterLoop() {
       continue;
     }
     lock.unlock();
-    Status status;
-    {
-      // Shared like every other spill producer: generation retirement
-      // (cold unique) can never overlap an append resolving names.
-      std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-      status = spill_->AppendBatch(batch);
-    }
+    // Shared like every other spill producer: generation retirement
+    // (cold unique) can never overlap an append resolving names. Held
+    // through the bookkeeping below (cold before queue, the pool-wide
+    // order) so a record orphaned mid-write is erased before any reader
+    // can find it on disk.
+    std::shared_lock<std::shared_mutex> cold(cold_mutex_);
+    const Status status = spill_->AppendBatch(batch);
     lock.lock();
     if (status.ok()) {
       writer_status_ = Status::Ok();
       ++async_appends_;
-      async_spilled_ += batch.size();
       for (const SpillQueueEntry& entry : valid) {
         const InFlightSpill* slot = in_flight_.Find(entry.user);
         if (slot != nullptr && slot->seq == entry.seq) {
           queue_bytes_ -= std::min(queue_bytes_, slot->state.size());
           in_flight_.Erase(entry.user);
+          ++async_spilled_;
+        } else if (slot == nullptr) {
+          // Invalidated while we wrote (a restore or re-track won): the
+          // session is resident again, so the record that just landed is
+          // stale. Already counted as absorbed.
+          spill_->Erase(entry.user);
         }
-        // A mismatch = superseded while we wrote: the newer entry stays
-        // queued and will supersede this record on disk too.
+        // A seq mismatch = superseded while we wrote (counted as absorbed
+        // then): the newer entry stays queued and will supersede this
+        // record on disk too.
       }
+      cold.unlock();
       queue_cv_.notify_all();
       if (!shutting_down && spill_queue_.empty() && CompactionDue()) {
         lock.unlock();
@@ -947,6 +954,7 @@ void ContinuousSessionPool::SpillWriterLoop() {
         lock.lock();
       }
     } else {
+      cold.unlock();
       writer_status_ = status;
       // Requeue at the FRONT in original order: nothing is dropped, and
       // FIFO (so last-write-wins) is preserved for the retry.

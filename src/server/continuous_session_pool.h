@@ -161,9 +161,12 @@ struct SessionPoolStats {
   // ---- async spill pipeline ----------------------------------------------
   std::uint64_t write_stalls = 0;   // sweeps that yielded on a full queue
   std::uint64_t async_appends = 0;  // writer-thread group appends landed
-  std::uint64_t async_spilled = 0;  // records the writer wrote to disk
-  // Queued records that never reached disk: superseded by a newer spill or
-  // invalidated by a restore/re-track — the write was absorbed in memory.
+  // Records the writer landed on disk that were still current when the
+  // append completed.
+  std::uint64_t async_spilled = 0;
+  // Queued records superseded by a newer spill or invalidated by a
+  // restore/re-track before their append completed — the write was
+  // absorbed in memory. Each swept envelope counts once, here or above.
   std::uint64_t async_absorbed = 0;
   // Subset of restored_on_miss served from the in-flight queue.
   std::uint64_t restored_in_flight = 0;

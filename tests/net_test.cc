@@ -11,12 +11,14 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "crypto/sha256.h"
 #include "net/client.h"
+#include "net/encode_cache.h"
 #include "net/net_server.h"
 #include "roadnet/generators.h"
 
@@ -237,6 +239,76 @@ TEST(FrameCodecTest, TruncatedPayloadsRejected) {
   EXPECT_FALSE(net::DecodeReduceRequest({0x01}).ok());
   EXPECT_FALSE(net::DecodeArtifactReply({}).ok());
   EXPECT_FALSE(net::DecodeError({0x00}).ok());
+}
+
+// -------------------------------------------------------- encode cache
+
+// The cache keys on the artifact's address but holds it weakly: a new
+// artifact placed at a dead one's address while the dead one's entry is
+// still in the table must miss and be encoded afresh, never served the old
+// bytes.
+TEST(EncodeCacheTest, HitRequiresTheSameLiveArtifact) {
+  net::EncodeCache cache;
+  alignas(core::CloakedArtifact) unsigned char
+      storage[sizeof(core::CloakedArtifact)];
+  const auto place = [&storage](std::string context) {
+    auto* artifact = new (storage) core::CloakedArtifact();
+    artifact->context = std::move(context);
+    return std::shared_ptr<const core::CloakedArtifact>(
+        artifact,
+        [](const core::CloakedArtifact* dead) { dead->~CloakedArtifact(); });
+  };
+
+  auto first = place("first");
+  const auto encoded = cache.Encode(first);
+  EXPECT_FALSE(encoded.hit);
+  EXPECT_EQ(*encoded.wire, core::EncodeArtifact(*first));
+  EXPECT_TRUE(cache.Encode(first).hit);
+  const core::CloakedArtifact* address = first.get();
+  first.reset();
+
+  auto second = place("second");
+  ASSERT_EQ(second.get(), address);
+  const auto reused = cache.Encode(second);
+  EXPECT_FALSE(reused.hit);
+  EXPECT_EQ(*reused.wire, core::EncodeArtifact(*second));
+  EXPECT_NE(*reused.wire, *encoded.wire);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.Encode(second).hit);
+}
+
+// Dead entries wait for the sweep trigger instead of being swept on every
+// miss: the first sweep fires at the floor, and each sweep re-arms the
+// trigger at kept + kept / 4.
+TEST(EncodeCacheTest, SweepsDeadEntriesOnAnAmortizedSchedule) {
+  using net::EncodeCache;
+  EncodeCache cache;
+  std::vector<std::shared_ptr<const core::CloakedArtifact>> live;
+  int minted = 0;
+  const auto add = [&] {
+    auto artifact = std::make_shared<core::CloakedArtifact>();
+    artifact->context = std::to_string(minted++);
+    live.push_back(artifact);
+    EXPECT_FALSE(cache.Encode(live.back()).hit);
+  };
+  for (std::size_t i = 0; i < EncodeCache::kPruneFloor; ++i) add();
+  EXPECT_EQ(cache.size(), EncodeCache::kPruneFloor);
+
+  // At the floor the next miss sweeps; everything is alive, so the
+  // trigger moves to 4096 + 1024.
+  add();
+  EXPECT_EQ(cache.size(), 4097u);
+  live.erase(live.begin(), live.begin() + 2000);  // 2000 entries go stale
+  while (cache.size() < 5120u) add();
+  EXPECT_EQ(cache.size(), 5120u);  // nothing swept below the trigger
+
+  // At the trigger the stale entries go: 3120 kept + the new one.
+  add();
+  EXPECT_EQ(live.size(), 3121u);
+  EXPECT_EQ(cache.size(), 3121u);
+  // 3120 kept is under the floor, so the next sweep waits for 4096.
+  while (cache.size() < EncodeCache::kPruneFloor) add();
+  EXPECT_EQ(cache.size(), EncodeCache::kPruneFloor);
 }
 
 // ------------------------------------------------------------ loopback
@@ -461,6 +533,186 @@ TEST(NetServerTest, PartialDispatchRepliesByteIdenticalToSingleDispatch) {
   EXPECT_EQ(seqs[0], seqs[1]);
   // The budget actually fired — this run really did split ticks.
   EXPECT_GT(partials, 0u);
+}
+
+// The reply encode cache past its 4096-entry prune floor: one loop serves
+// 6000 live artifacts (one per user), then two churn ticks move every user
+// far away so most re-cloak and their old artifacts die. Every reply must
+// equal the in-process pool's bytes, every distinct artifact must be
+// encoded exactly once, and the table must stay within live + live/4 +
+// 4096 entries throughout. The churn frees artifact blocks whose stale
+// entries the amortized prune leaves in the table for a while, so new
+// artifacts land at addresses the table still holds: a hit that trusted
+// the address without the weak_ptr identity check would serve old bytes.
+TEST(NetServerTest, EncodeCachePastPruneFloorByteIdenticalAndBounded) {
+  const RoadNetwork net = roadnet::MakeGrid({20, 20, 100.0});
+  constexpr std::uint32_t kUsers = 6000;
+  constexpr int kTicks = 3;
+  // Updates in flight per round trip: keeps the reply queue under the
+  // connection's soft write budget and the batch under max_queue.
+  constexpr std::uint32_t kWindow = 500;
+  const std::uint32_t segments =
+      static_cast<std::uint32_t>(net.segment_count());
+  const auto position = [segments](std::uint32_t user, int tick) {
+    return SegmentId{(user * 7919u + static_cast<std::uint32_t>(tick) *
+                                         (segments / 3 + 11)) %
+                     segments};
+  };
+  const auto name = [](std::uint32_t user) {
+    return "c" + std::to_string(user);
+  };
+
+  auto rig = StartLoopback(net, /*workers=*/2);
+  auto client = net::Client::Connect("127.0.0.1", rig.front->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Hello(rig.front->map_fingerprint()).ok());
+
+  std::vector<std::vector<std::string>> wire_seqs(kUsers);
+  std::set<std::string> distinct;
+  for (int t = 0; t < kTicks; ++t) {
+    for (std::uint32_t begin = 0; begin < kUsers; begin += kWindow) {
+      const std::uint32_t end = std::min(kUsers, begin + kWindow);
+      for (std::uint32_t u = begin; u < end; ++u) {
+        client->QueuePositionUpdate(u, name(u), static_cast<double>(t),
+                                    position(u, t));
+      }
+      ASSERT_TRUE(client->Flush().ok());
+      for (std::uint32_t u = begin; u < end; ++u) {
+        const auto reply = client->ReadArtifactReply();
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        ASSERT_EQ(reply->seq, u);
+        const std::string sha = Sha(reply->artifact_wire);
+        wire_seqs[u].push_back(sha);
+        distinct.insert(sha);
+      }
+      // Every user served so far holds exactly one live artifact.
+      const std::uint64_t live = t == 0 ? end : kUsers;
+      EXPECT_LE(rig.front->stats().artifact_cache_entries,
+                live + live / 4 + 4096)
+          << "tick " << t << " after user " << end;
+    }
+  }
+  rig.front->Stop();
+  const auto stats = rig.front->stats();
+  EXPECT_EQ(stats.artifact_cache_misses, distinct.size());
+  EXPECT_EQ(stats.artifact_cache_hits + stats.artifact_cache_misses,
+            std::uint64_t{kUsers} * kTicks);
+  // The churn really did outgrow the bound: without pruning, the table
+  // would hold every artifact ever served.
+  EXPECT_GT(distinct.size(), kUsers + kUsers / 4 + 4096);
+
+  const net::NetServerOptions defaults;
+  core::Anonymizer engine(rig.ctx, OnePerSegment(net));
+  server::ServerOptions direct_options;
+  direct_options.max_queue = kUsers;
+  AnonymizationServer direct_server(std::move(engine), direct_options);
+  ContinuousSessionPool direct(direct_server);
+  std::vector<util::UserId> ids(kUsers);
+  for (std::uint32_t u = 0; u < kUsers; ++u) {
+    auto tracked = direct.Track(
+        name(u), defaults.profile, defaults.algorithm,
+        net::DeterministicKeyProvider(defaults.key_seed_base, name(u),
+                                      defaults.profile.num_levels()),
+        defaults.continuous);
+    ASSERT_TRUE(tracked.ok());
+    ids[u] = *tracked;
+  }
+  std::vector<std::vector<std::string>> direct_seqs(kUsers);
+  for (int t = 0; t < kTicks; ++t) {
+    std::vector<ContinuousSessionPool::IdPositionUpdate> batch;
+    for (std::uint32_t u = 0; u < kUsers; ++u) {
+      batch.push_back({ids[u], static_cast<double>(t), position(u, t)});
+    }
+    const auto results = direct.UpdateBatch(batch);
+    for (std::uint32_t u = 0; u < kUsers; ++u) {
+      ASSERT_TRUE(results[u].ok());
+      direct_seqs[u].push_back(Sha(core::EncodeArtifact(**results[u])));
+    }
+  }
+  EXPECT_EQ(wire_seqs, direct_seqs);
+}
+
+// The traffic counters are bumped where bytes and frames move, not summed
+// over the live connections: they must still equal, byte for byte and
+// frame for frame, what the clients wrote and read — across two loops, a
+// connection that closes mid-run, an error reply and a reduce round trip.
+TEST(NetServerTest, TrafficCountersEqualClientBytes) {
+  const RoadNetwork net = roadnet::MakeGrid({8, 8, 100.0});
+  auto rig = StartLoopback(net, /*workers=*/1, /*decode_budget_ms=*/0.0,
+                           /*auth_secret=*/{}, /*loops=*/2);
+  std::uint64_t sent = 0, received = 0, frames_sent = 0, frames_received = 0;
+  std::uint32_t seq = 0;
+  const auto drive = [&](net::Client& client, const std::string& user,
+                         int updates) {
+    for (int i = 0; i < updates; ++i) {
+      client.QueuePositionUpdate(
+          ++seq, user, static_cast<double>(i),
+          SegmentId{static_cast<std::uint32_t>(i * 5) % 40});
+    }
+    ASSERT_TRUE(client.Flush().ok());
+    for (int i = 0; i < updates; ++i) {
+      ASSERT_TRUE(client.ReadArtifactReply().ok());
+    }
+    frames_sent += static_cast<std::uint64_t>(updates);
+    frames_received += static_cast<std::uint64_t>(updates);
+  };
+
+  {
+    // Closes before the others finish: its traffic must survive the close.
+    auto early = net::Client::Connect("127.0.0.1", rig.front->port());
+    ASSERT_TRUE(early.ok());
+    ASSERT_TRUE(early->Hello().ok());
+    frames_sent += 1;
+    frames_received += 1;
+    drive(*early, "early", 7);
+    sent += early->bytes_sent();
+    received += early->bytes_received();
+  }
+  std::vector<net::Client> clients;
+  for (int c = 0; c < 3; ++c) {
+    auto client = net::Client::Connect("127.0.0.1", rig.front->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client->Hello().ok());
+    frames_sent += 1;
+    frames_received += 1;
+    clients.push_back(std::move(client).value());
+  }
+  for (int c = 0; c < 3; ++c) {
+    drive(clients[static_cast<std::size_t>(c)], "t" + std::to_string(c),
+          10 + c);
+  }
+  // An error reply and a reduce round trip count like any other frame.
+  clients[0].QueuePositionUpdate(
+      ++seq, "t0", 20.0,
+      SegmentId{static_cast<std::uint32_t>(net.segment_count()) + 1});
+  ASSERT_TRUE(clients[0].Flush().ok());
+  EXPECT_FALSE(clients[0].ReadArtifactReply().ok());
+  net::ReduceRequestFrame request;
+  request.seq = ++seq;
+  request.artifact_wire = {1, 2, 3};
+  ASSERT_TRUE(clients[1].SendReduceRequest(request).ok());
+  const auto reduced = clients[1].ReadReduceReply();
+  ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
+  EXPECT_FALSE(reduced->status.ok());
+  frames_sent += 2;
+  frames_received += 2;
+
+  rig.front->Stop();
+  for (const net::Client& client : clients) {
+    sent += client.bytes_sent();
+    received += client.bytes_received();
+  }
+  const auto stats = rig.front->stats();
+  EXPECT_EQ(stats.bytes_in, sent);
+  EXPECT_EQ(stats.bytes_out, received);
+  EXPECT_EQ(stats.frames_in, frames_sent);
+  EXPECT_EQ(stats.frames_out, frames_received);
+  // The aggregate is the sum of the per-loop blocks.
+  std::uint64_t loop_bytes_in = 0;
+  for (const auto& loop : rig.front->per_loop_stats()) {
+    loop_bytes_in += loop.bytes_in;
+  }
+  EXPECT_EQ(loop_bytes_in, stats.bytes_in);
 }
 
 TEST(NetServerTest, ReduceRequestOverTheWireRecoversExactSegment) {
