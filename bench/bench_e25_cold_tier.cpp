@@ -24,23 +24,20 @@
 //
 // Update-path latency is timed bench-side around each UpdateBatch call
 // (the pool's own update_latency_ms covers only the classify/re-cloak
-// round, NOT the sweep where sync spill writes and compactions happen),
-// one tick-amortized per-update sample per tick — the p99 is the metric
-// the async pipeline exists to improve.
+// round, NOT the sweep where spill writes and compactions happen), one
+// tick-amortized per-update sample per tick.
 //
 // Usage: bench_e25 [fleet_size] [workers] [flags]
 //   --budget-sessions N   resident calibration set (default fleet/10)
 //   --ticks N             churn ticks after calibration (default 40)
 //   --updates-per-tick N  zipfian draws per tick (default fleet/5)
 //   --spill PATH          spill file (default bench_e25.spill, recreated)
-//   --async-spill         background writer + off-path compaction (vs the
-//                         sync under-the-shard-lock append, the default)
 //   --spill-shards N      SpillFileSet members (default 1)
 //   --verify              twin-pool byte verification (hard exit on loss)
 //
-// Headline configuration (docs/PERFORMANCE.md), run once per mode:
+// Headline configuration (docs/PERFORMANCE.md):
 //   bench_e25 1000000 2 --budget-sessions 100000 --updates-per-tick 150000
-//             --ticks 30 --verify [--async-spill --spill-shards 4]
+//             --ticks 30 --verify [--spill-shards 4]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -95,15 +92,12 @@ int main(int argc, char** argv) {
   std::uint32_t updates_per_tick = 0;
   int ticks = 40;
   bool verify = false;
-  bool async_spill = false;
   int spill_shards = 1;
   std::string spill_path = "bench_e25.spill";
   int positional = 0;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--verify") == 0) {
       verify = true;
-    } else if (std::strcmp(argv[a], "--async-spill") == 0) {
-      async_spill = true;
     } else if (std::strcmp(argv[a], "--spill-shards") == 0 && a + 1 < argc) {
       spill_shards = std::max(1, std::atoi(argv[++a]));
     } else if (std::strcmp(argv[a], "--budget-sessions") == 0 &&
@@ -137,11 +131,8 @@ int main(int argc, char** argv) {
       std::to_string(fleet_size) + " users, zipfian churn, ~" +
           std::to_string(budget_sessions) +
           " resident under the calibrated budget; clock sweep spills to " +
-          spill_path +
-          (async_spill ? " via the background writer (" +
-                             std::to_string(spill_shards) + " spill shard" +
-                             (spill_shards == 1 ? ")" : "s)")
-                       : " synchronously") +
+          spill_path + " (" + std::to_string(spill_shards) +
+          " spill shard" + (spill_shards == 1 ? ")" : "s)") +
           ", updates for spilled users restore on miss" +
           (verify ? "; every artifact byte-compared to an unbudgeted twin"
                   : "") +
@@ -175,7 +166,6 @@ int main(int argc, char** argv) {
   // hover just under the default 50% threshold; compact a little earlier
   // so the run exercises the compaction + generation-retirement path.
   cold_options.spill_compact_dead_fraction = 0.35;
-  cold_options.async_spill = async_spill;
   cold_options.spill_shards = spill_shards;
   server::ContinuousSessionPool pool(cold_server, cold_options);
   const auto remove_spill_files = [&] {
@@ -277,8 +267,7 @@ int main(int argc, char** argv) {
   Stopwatch wall;
   std::uint64_t updates_sent = 0;
   // Tick-amortized update-path latency, timed around the whole UpdateBatch
-  // call (sweep + sync spill writes + sync compaction included — that is
-  // the cost the async pipeline moves off this path).
+  // call, sweep + spill writes + compaction included.
   Samples update_us;
   for (int t = 1; t <= ticks; ++t) {
     const double now_s = static_cast<double>(t);
@@ -326,19 +315,6 @@ int main(int argc, char** argv) {
         if (!result.ok()) ++not_found;
       }
     }
-    // Async mode can end a tick above budget legitimately: the sweep
-    // yields on a saturated queue instead of blocking. Catch up — drain
-    // the writer and re-run the sweep (an empty UpdateBatch runs
-    // MaybeSweep) — before judging the budget.
-    if (async_spill && pool.memory_bytes() > budget) {
-      const std::vector<server::ContinuousSessionPool::IdPositionUpdate>
-          empty;
-      for (int retry = 0; retry < 5 && pool.memory_bytes() > budget;
-           ++retry) {
-        (void)pool.FlushSpillQueue();
-        (void)pool.UpdateBatch(empty);
-      }
-    }
     if (pool.memory_bytes() > budget) ++budget_violations;
   }
   const double wall_s = wall.ElapsedMillis() / 1000.0;
@@ -353,12 +329,12 @@ int main(int argc, char** argv) {
           : 0.0;
 
   TableWriter table(
-      {"mode", "fleet", "budget_mb", "resident", "mem_mb", "spilled",
+      {"spill_shards", "fleet", "budget_mb", "resident", "mem_mb", "spilled",
        "restored", "update_p50_us", "update_p99_us", "restore_p50_us",
        "restore_p99_us", "updates_per_s", "spill_rec_per_s", "stalls",
        "compactions", "file_mb", "under_budget"});
   table.AddRow(
-      {async_spill ? "async" : "sync",
+      {TableWriter::Int(spill_shards),
        TableWriter::Int(static_cast<long long>(fleet_size)),
        TableWriter::Fixed(static_cast<double>(budget) / 1e6, 1),
        TableWriter::Int(static_cast<long long>(stats.active_sessions)),
@@ -391,7 +367,6 @@ int main(int argc, char** argv) {
                  static_cast<long long>(updates_per_tick));
   report.MetaInt("ticks", ticks);
   report.MetaBool("verify", verify);
-  report.MetaBool("async_spill", async_spill);
   report.MetaInt("spill_shards", spill_shards);
   report.MetaInt("budget_bytes", static_cast<long long>(budget));
   report.AddRow()
@@ -422,13 +397,6 @@ int main(int argc, char** argv) {
       .Num("spill_records_per_s", spilled_per_s)
       .Num("spill_mb_per_s", spill_mb_per_s)
       .Int("write_stalls", static_cast<long long>(stats.write_stalls))
-      .Int("spill_queue_peak",
-           static_cast<long long>(stats.spill_queue_peak))
-      .Int("async_appends", static_cast<long long>(stats.async_appends))
-      .Int("async_spilled", static_cast<long long>(stats.async_spilled))
-      .Int("async_absorbed", static_cast<long long>(stats.async_absorbed))
-      .Int("restored_in_flight",
-           static_cast<long long>(stats.restored_in_flight))
       .Int("budget_violations", static_cast<long long>(budget_violations))
       .Int("mismatches", static_cast<long long>(mismatches))
       .Int("not_found", static_cast<long long>(not_found))
@@ -439,10 +407,8 @@ int main(int argc, char** argv) {
   }
   remove_spill_files();
 
-  std::cout << "\ncold tier (" << (async_spill ? "async" : "sync")
-            << "): " << stats.budget_spilled << " spilled, "
-            << stats.restored_on_miss << " restored on miss ("
-            << stats.restored_in_flight << " from the writer queue), "
+  std::cout << "\ncold tier: " << stats.budget_spilled << " spilled, "
+            << stats.restored_on_miss << " restored on miss, "
             << stats.restore_failures << " restore failures, "
             << budget_violations << " budget violations";
   if (verify) {

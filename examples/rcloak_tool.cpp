@@ -13,14 +13,14 @@
 //             --passphrase PW --level L
 //   serve     --map map.rcmap [--port P] [--workers N] [--loops N]
 //             [--duration SECS] [--trace trace.txt] [--spill spill.rcsf]
-//             [--budget BYTES] [--async-spill] [--spill-shards N]
+//             [--budget BYTES] [--spill-shards N]
 //             [--secret S]         (0s / no duration = run until killed)
 //   sendto    --host H --port P --user NAME --segments "3,17,42"
 //             [--interval SECS] [--secret S] [--principal NAME]
 //   spill     --map map.rcmap --trace trace.txt --out spill.rcsf
-//             [--workers N] [--async-spill] [--spill-shards N]
+//             [--workers N] [--spill-shards N]
 //   restore   --map map.rcmap --spill spill.rcsf [--workers N]
-//             [--async-spill] [--spill-shards N]
+//             [--spill-shards N]
 //
 // Everything the Anonymizer / De-anonymizer GUIs do, scriptable — plus the
 // networked front door (`serve` binds the epoll server on a map, `sendto`
@@ -36,7 +36,7 @@
 // `serve --loops N` shards the front door across N event-loop threads
 // (SO_REUSEPORT kernel accept sharding; connections stay pinned to their
 // loop, so per-user streams and artifact bytes are unchanged). Composes
-// with --spill/--secret/--async-spill — the pool underneath is shared and
+// with --spill/--secret — the pool underneath is shared and
 // thread-safe.
 //
 // `serve --secret S` turns on challenge–response authentication: every
@@ -77,8 +77,7 @@ class Args {
   Args(int argc, char** argv) {
     // Valueless flags must not swallow the next --key as their "value".
     const auto is_bool_flag = [](const char* arg) {
-      return std::strcmp(arg, "--print") == 0 ||
-             std::strcmp(arg, "--async-spill") == 0;
+      return std::strcmp(arg, "--print") == 0;
     };
     for (int i = 2; i < argc; ++i) {
       if (std::strncmp(argv[i], "--", 2) != 0) continue;
@@ -348,11 +347,9 @@ server::SessionPoolOptions ServePoolOptions() {
   return options;
 }
 
-// --async-spill / --spill-shards N, shared by serve/spill/restore: the
-// background writer thread and the per-shard spill file fan. Attach an
-// existing set with the member count it was written with.
+// --spill-shards N, shared by serve/spill/restore: the spill file fan.
+// Attach an existing set with the member count it was written with.
 void ApplySpillFlags(const Args& args, server::SessionPoolOptions& options) {
-  options.async_spill = args.Has("async-spill");
   options.spill_shards = static_cast<int>(args.Int("spill-shards", 1));
 }
 
@@ -367,13 +364,6 @@ void PrintColdTierStats(const server::ContinuousSessionPool& pool) {
               << file.live_records << " live records, " << file.file_bytes
               << " B (" << file.dead_bytes << " B dead), "
               << file.compactions << " compactions\n";
-  }
-  if (stats.async_appends > 0 || stats.spill_queue_peak > 0) {
-    std::cout << "  async writer: " << stats.async_spilled
-              << " records in " << stats.async_appends << " appends, "
-              << stats.async_absorbed << " absorbed in memory, queue peak "
-              << stats.spill_queue_peak << ", " << stats.write_stalls
-              << " write stalls\n";
   }
 }
 

@@ -500,13 +500,12 @@ void NetServer::HandlePositionUpdate(Loop& lp, Connection& conn,
   util::UserId user{};
   const auto known = pool_->UserIdOf(decoded->user_id);
   // A known handle covers the cold tier too: a reconnecting HELLO for a
-  // user spilled to the file — or still sitting on the async writer's
-  // in-flight queue (StateOf consults it) — enqueues like any resident
-  // one, and the pool's restore-on-miss adopts the session inside the
-  // tick batch instead of re-tracking over it. The principal-checked
-  // StateOf overload is the front-door ownership gate: a session (or
-  // spill envelope) owned by a different principal is refused HERE,
-  // before the update can touch the pool or trigger a restore.
+  // user spilled to the file enqueues like any resident one, and the
+  // pool's restore-on-miss adopts the session inside the tick batch
+  // instead of re-tracking over it. The principal-checked StateOf
+  // overload is the front-door ownership gate: a session (or spill
+  // record) owned by a different principal is refused HERE, before the
+  // update can touch the pool or trigger a restore.
   bool adoptable = false;
   if (known.ok()) {
     const auto state = pool_->StateOf(known.value(), conn.principal);

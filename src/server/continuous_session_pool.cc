@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <unordered_set>
 #include <utility>
 
@@ -27,11 +26,6 @@ namespace {
 //   varint blob size | policy blob | u64le clock bits | varint segment
 constexpr std::uint8_t kSpillEnvelopeVersion = 3;
 constexpr std::uint8_t kSpillEnvelopeVersionV2 = 2;
-
-// Upper bound on records per writer-thread group append: keeps one drain
-// cycle's write (and the cold_mutex_ shared hold around it) bounded while
-// the queue refills behind it.
-constexpr std::size_t kWriterGroupMax = 1024;
 
 Bytes EncodeSpillEnvelope(const Bytes& policy_blob, double last_update_s,
                           roadnet::SegmentId last_segment,
@@ -136,8 +130,6 @@ ContinuousSessionPool::ContinuousSessionPool(AnonymizationServer& server,
                              std::memory_order_relaxed);
 }
 
-ContinuousSessionPool::~ContinuousSessionPool() { StopSpillWriter(); }
-
 std::size_t ContinuousSessionPool::SessionFootprint(const Session& session) {
   // The policy's own estimate plus provider storage; the Session struct
   // itself is counted once more through the shard table's slot array —
@@ -145,34 +137,38 @@ std::size_t ContinuousSessionPool::SessionFootprint(const Session& session) {
   return session.policy.MemoryFootprint() + sizeof(KeyProvider);
 }
 
-StatusOr<util::UserId> ContinuousSessionPool::TrackPolicy(
-    core::ContinuousPolicy policy, KeyProvider key_provider, double now_s,
-    roadnet::SegmentId last_segment, bool restored, std::uint64_t owner) {
-  const util::UserId id = interner_.Intern(policy.user_id());
+Bytes ContinuousSessionPool::EnvelopeOf(const Session& session) const {
+  return EncodeSpillEnvelope(session.policy.Serialize(),
+                             session.last_update_s, session.last_segment,
+                             map_fingerprint_, session.policy.algorithm(),
+                             session.owner);
+}
+
+std::pair<ContinuousSessionPool::Session*, bool>
+ContinuousSessionPool::InsertLocked(Shard& shard, util::UserId id,
+                                    Session session, bool restored) {
+  const auto [slot, inserted] =
+      shard.sessions.TryEmplace(id, std::move(session));
+  if (!inserted) return {slot, false};
+  slot->referenced = true;
+  slot->mem_bytes = SessionFootprint(*slot);
+  shard.resident_bytes += slot->mem_bytes;
+  shard.OccupancyAdd(slot->last_segment);
+  if (restored) ++shard.restored;
+  // A fresh insert supersedes any cold-tier copy of this user.
+  shard.parked_keys.Erase(id);
+  if (spill_ != nullptr) spill_->Erase(id);
+  return {slot, true};
+}
+
+StatusOr<util::UserId> ContinuousSessionPool::TrackPolicy(Session session,
+                                                          bool restored) {
+  const util::UserId id = interner_.Intern(session.policy.user_id());
   Shard& shard = *shards_[ShardIndexFor(id)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto [session, inserted] = shard.sessions.TryEmplace(
-      id, Session(std::move(policy), std::move(key_provider)));
-  if (!inserted) {
+  if (!InsertLocked(shard, id, std::move(session), restored).second) {
     return Status::FailedPrecondition("track: user already tracked: " +
                                       interner_.NameCopyOf(id));
-  }
-  session->owner = owner;
-  // Registration counts as activity: EvictIdle must not reap a session
-  // that was tracked late in simulation time but never updated yet.
-  session->last_update_s = now_s;
-  session->last_segment = last_segment;
-  session->referenced = true;
-  session->mem_bytes = SessionFootprint(*session);
-  shard.resident_bytes += session->mem_bytes;
-  shard.OccupancyAdd(last_segment);
-  if (restored) ++shard.restored;
-  // A fresh insert supersedes any cold-tier copy of this user — the file
-  // record AND the envelope still sitting on the writer queue.
-  shard.parked_keys.Erase(id);
-  if (spill_ != nullptr) {
-    if (options_.async_spill) InvalidateInFlight(id);
-    spill_->Erase(id);
   }
   return id;
 }
@@ -186,12 +182,15 @@ StatusOr<util::UserId> ContinuousSessionPool::Track(
   if (!key_provider) {
     return Status::InvalidArgument("track: key provider must be callable");
   }
-  ContinuousPolicy policy(std::string(user_id), std::move(profile), algorithm,
-                          options);
+  Session session(ContinuousPolicy(std::string(user_id), std::move(profile),
+                                   algorithm, options),
+                  std::move(key_provider));
+  session.owner = owner;
+  // Registration counts as activity: EvictIdle must not reap a session
+  // that was tracked late in simulation time but never updated yet.
+  session.last_update_s = now_s;
   std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-  auto tracked = TrackPolicy(std::move(policy), std::move(key_provider),
-                             now_s, roadnet::kInvalidSegment,
-                             /*restored=*/false, owner);
+  auto tracked = TrackPolicy(std::move(session), /*restored=*/false);
   // A track flood can pass the budget without a single update.
   if (tracked.ok()) MaybeSweep();
   return tracked;
@@ -257,10 +256,7 @@ StatusOr<ContinuousSessionPool::SpilledSession> ContinuousSessionPool::Spill(
   }
   SpilledSession spilled;
   spilled.user_id = std::string(user_id);
-  spilled.state = EncodeSpillEnvelope(
-      session->policy.Serialize(), session->last_update_s,
-      session->last_segment, map_fingerprint_, session->policy.algorithm(),
-      session->owner);
+  spilled.state = EnvelopeOf(*session);
   shard.OccupancyRemove(session->last_segment);
   shard.resident_bytes -= session->mem_bytes;
   shard.sessions.Erase(id);
@@ -278,10 +274,7 @@ ContinuousSessionPool::EvictIdleSpill(double now_s, double idle_s) {
       if (now_s - session.last_update_s <= idle_s) return false;
       SpilledSession out;
       out.user_id = interner_.NameCopyOf(id);
-      out.state = EncodeSpillEnvelope(
-          session.policy.Serialize(), session.last_update_s,
-          session.last_segment, map_fingerprint_, session.policy.algorithm(),
-          session.owner);
+      out.state = EnvelopeOf(session);
       spilled.push_back(std::move(out));
       shard->OccupancyRemove(session.last_segment);
       shard->resident_bytes -= session.mem_bytes;
@@ -327,9 +320,11 @@ StatusOr<util::UserId> ContinuousSessionPool::Restore(
     return Status::InvalidArgument(
         "restore: envelope and policy disagree on the algorithm id");
   }
-  return TrackPolicy(std::move(policy), std::move(key_provider),
-                     envelope.last_update_s, envelope.last_segment,
-                     /*restored=*/true, envelope.owner);
+  Session session(std::move(policy), std::move(key_provider));
+  session.owner = envelope.owner;
+  session.last_update_s = envelope.last_update_s;
+  session.last_segment = envelope.last_segment;
+  return TrackPolicy(std::move(session), /*restored=*/true);
 }
 
 // ---- cold tier ------------------------------------------------------------
@@ -347,7 +342,6 @@ Status ContinuousSessionPool::AttachSpillFile(const std::string& path) {
       store::SpillFileSet::Attach(path, members, map_fingerprint_, interner_);
   if (!files.ok()) return files.status();
   spill_ = std::move(*files);
-  if (options_.async_spill) StartSpillWriter();
   return Status::Ok();
 }
 
@@ -358,12 +352,6 @@ ContinuousSessionPool::UserState ContinuousSessionPool::StateOf(
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.sessions.Find(user) != nullptr) return UserState::kResident;
-  }
-  // The in-flight queue counts as spilled: a victim unlinked by the async
-  // sweep is findable before its write lands (the net front door's
-  // adoption check rides on this).
-  if (options_.async_spill && InFlightContains(user)) {
-    return UserState::kSpilled;
   }
   if (spill_ != nullptr && spill_->Contains(user)) return UserState::kSpilled;
   return UserState::kUntracked;
@@ -384,18 +372,6 @@ StatusOr<ContinuousSessionPool::UserState> ContinuousSessionPool::StateOf(
       return UserState::kResident;
     }
   }
-  // Same lookup order as restore-on-miss: the in-flight queue holds the
-  // freshest envelope for a victim whose write has not landed yet.
-  Bytes state;
-  if (options_.async_spill && LookupInFlight(user, &state)) {
-    RCLOAK_ASSIGN_OR_RETURN(const std::uint64_t owner,
-                            DecodeSpillOwner(state));
-    if (owner != 0 && owner != principal) {
-      return Status::PermissionDenied(
-          "user is owned by a different principal");
-    }
-    return UserState::kSpilled;
-  }
   if (spill_ != nullptr) {
     auto blob = spill_->ReadRecord(user);
     if (blob.ok()) {
@@ -412,60 +388,44 @@ StatusOr<ContinuousSessionPool::UserState> ContinuousSessionPool::StateOf(
   return UserState::kUntracked;
 }
 
-ContinuousSessionPool::RestoreOutcome ContinuousSessionPool::RestoreFromSpill(
-    util::UserId user, bool count_on_miss, std::uint64_t principal,
-    bool enforce_owner) {
-  if (spill_ == nullptr) return RestoreOutcome::kMiss;
+StatusOr<ContinuousSessionPool::Session>
+ContinuousSessionPool::RestoreFromSpill(util::UserId user,
+                                        std::uint64_t principal,
+                                        bool enforce_owner) {
+  if (spill_ == nullptr) return Status::NotFound("no spill file attached");
   Shard& shard = *shards_[ShardIndexFor(user)];
-  Stopwatch timer;
-  // In-flight queue first: a victim the async sweep unlinked restores
-  // from the very bytes the writer would land — served from memory,
-  // byte-identical to the disk round trip.
-  Bytes state;
-  bool from_queue =
-      options_.async_spill && LookupInFlight(user, &state);
-  if (!from_queue) {
-    auto blob = spill_->ReadRecord(user);
-    if (!blob.ok()) {
-      if (blob.status().code() != ErrorCode::kNotFound) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        ++shard.restore_failures;
-      }
-      return RestoreOutcome::kMiss;
-    }
-    state = std::move(*blob);
-  }
-  double last_update_s = 0.0;
-  roadnet::SegmentId last_segment = roadnet::kInvalidSegment;
-  std::uint64_t owner = 0;
-  auto restore = [&]() -> StatusOr<ContinuousPolicy> {
-    RCLOAK_ASSIGN_OR_RETURN(SpillEnvelope envelope,
-                            DecodeSpillEnvelope(state));
-    RCLOAK_RETURN_IF_ERROR(ValidateEnvelopeHeader(envelope.map_fingerprint,
-                                                  envelope.algorithm));
-    RCLOAK_ASSIGN_OR_RETURN(
-        ContinuousPolicy policy,
-        ContinuousPolicy::Deserialize(envelope.policy_blob,
-                                      server_->engine().network()));
-    last_update_s = envelope.last_update_s;
-    last_segment = envelope.last_segment;
-    owner = envelope.owner;
-    return policy;
-  };
-  StatusOr<ContinuousPolicy> policy = restore();
-  if (!policy.ok()) {
+  const auto fail = [&shard](Status status) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     ++shard.restore_failures;
-    return RestoreOutcome::kMiss;
+    return status;
+  };
+  Stopwatch timer;
+  auto blob = spill_->ReadRecord(user);
+  if (!blob.ok()) {
+    if (blob.status().code() == ErrorCode::kNotFound) return blob.status();
+    return fail(blob.status());
   }
+  auto envelope = DecodeSpillEnvelope(*blob);
+  if (!envelope.ok()) return fail(envelope.status());
+  if (Status valid = ValidateEnvelopeHeader(envelope->map_fingerprint,
+                                            envelope->algorithm);
+      !valid.ok()) {
+    return fail(std::move(valid));
+  }
+  auto policy = ContinuousPolicy::Deserialize(envelope->policy_blob,
+                                              server_->engine().network());
+  if (!policy.ok()) return fail(policy.status());
   // Ownership gate: an envelope carrying a different principal's owner is
   // never adopted into this caller's batch — the spilled state stays put
   // (v2 envelopes decode as owner 0 = unowned, so pre-auth spill files
   // restore for everyone, matching their open-mode provenance).
-  if (enforce_owner && owner != 0 && owner != principal) {
+  if (enforce_owner && envelope->owner != 0 &&
+      envelope->owner != principal) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     ++shard.ownership_rejected;
-    return RestoreOutcome::kDenied;
+    return Status::PermissionDenied(
+        "user is owned by a different principal: " +
+        interner_.NameCopyOf(user));
   }
   // Key source: the provider parked at budget-spill time, else the
   // configured factory (the only option for files attached cross-run).
@@ -480,33 +440,37 @@ ContinuousSessionPool::RestoreOutcome ContinuousSessionPool::RestoreFromSpill(
   if (!provider && options_.key_provider_factory) {
     provider = options_.key_provider_factory(interner_.NameCopyOf(user));
   }
-  if (!provider) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    ++shard.restore_failures;
-    return RestoreOutcome::kMiss;
-  }
-  auto tracked = TrackPolicy(std::move(*policy), std::move(provider),
-                             last_update_s, last_segment,
-                             /*restored=*/true, owner);
-  if (!tracked.ok()) {
-    // FailedPrecondition = the user raced back in already: resident is
-    // resident, the caller proceeds.
-    return tracked.status().code() == ErrorCode::kFailedPrecondition
-               ? RestoreOutcome::kRestored
-               : RestoreOutcome::kMiss;
-  }
-  if (count_on_miss) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    ++shard.restored_on_miss;
-  }
-  if (from_queue) {
-    restored_in_flight_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (!provider) return fail(Status::NotFound("restore: no key source"));
+  Session session(std::move(*policy), std::move(provider));
+  session.owner = envelope->owner;
+  session.last_update_s = envelope->last_update_s;
+  session.last_segment = envelope->last_segment;
   {
     std::lock_guard<std::mutex> lock(latency_mutex_);
     restore_latency_ms_.Add(timer.ElapsedMillis());
   }
-  return RestoreOutcome::kRestored;
+  return session;
+}
+
+Status ContinuousSessionPool::SpillVictimsLocked(
+    Shard& shard, const std::vector<util::UserId>& victims) {
+  std::vector<store::SpillFileSet::Record> batch;
+  batch.reserve(victims.size());
+  for (const util::UserId id : victims) {
+    batch.push_back({id, EnvelopeOf(*shard.sessions.Find(id))});
+  }
+  RCLOAK_RETURN_IF_ERROR(spill_->AppendBatch(batch));
+  for (const util::UserId id : victims) {
+    Session* session = shard.sessions.Find(id);
+    if (!options_.key_provider_factory) {
+      shard.parked_keys.TryEmplace(id, std::move(session->key_provider));
+    }
+    shard.OccupancyRemove(session->last_segment);
+    shard.resident_bytes -= session->mem_bytes;
+    shard.sessions.Erase(id);
+    ++shard.spilled;
+  }
+  return Status::Ok();
 }
 
 std::size_t ContinuousSessionPool::SweepStep(std::size_t quota) {
@@ -514,38 +478,6 @@ std::size_t ContinuousSessionPool::SweepStep(std::size_t quota) {
       sweep_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (options_.async_spill) {
-    // Unlink-and-enqueue: the serialized envelope goes on the in-flight
-    // queue (inserted before the shard unlink becomes visible, so the
-    // user is always resident or findable) and the victim leaves the
-    // resident table immediately — no disk write under the shard lock.
-    // The writer thread lands the bytes; restore-on-miss serves them from
-    // memory until then.
-    return shard.sessions.SweepFrom(
-        &shard.clock_hand, quota, [&](util::UserId id, Session& session) {
-          if (session.referenced) {
-            session.referenced = false;
-            return false;
-          }
-          EnqueueSpill(id,
-                       EncodeSpillEnvelope(session.policy.Serialize(),
-                                           session.last_update_s,
-                                           session.last_segment,
-                                           map_fingerprint_,
-                                           session.policy.algorithm(),
-                                           session.owner));
-          if (!options_.key_provider_factory) {
-            shard.parked_keys.TryEmplace(id,
-                                         std::move(session.key_provider));
-          }
-          shard.OccupancyRemove(session.last_segment);
-          shard.resident_bytes -= session.mem_bytes;
-          ++shard.spilled;
-          ++shard.budget_spilled;
-          return true;  // erased in place by SweepFrom
-        });
-  }
-  std::vector<store::SpillFileSet::Record> batch;
   std::vector<util::UserId> victims;
   const std::size_t visited = shard.sessions.SweepFrom(
       &shard.clock_hand, quota, [&](util::UserId id, Session& session) {
@@ -554,31 +486,17 @@ std::size_t ContinuousSessionPool::SweepStep(std::size_t quota) {
           session.referenced = false;
           return false;
         }
-        batch.push_back(store::SpillFileSet::Record{
-            id, EncodeSpillEnvelope(session.policy.Serialize(),
-                                    session.last_update_s,
-                                    session.last_segment, map_fingerprint_,
-                                    session.policy.algorithm(),
-                                    session.owner)});
         victims.push_back(id);
-        return false;  // erased below, only once the append landed
+        return false;  // unlinked below, only once the append landed
       });
-  if (!victims.empty() && spill_->AppendBatch(batch).ok()) {
-    for (const util::UserId id : victims) {
-      Session* session = shard.sessions.Find(id);
-      if (session == nullptr) continue;
-      if (!options_.key_provider_factory) {
-        shard.parked_keys.TryEmplace(id, std::move(session->key_provider));
-      }
-      shard.OccupancyRemove(session->last_segment);
-      shard.resident_bytes -= session->mem_bytes;
-      shard.sessions.Erase(id);
-      ++shard.spilled;
-      ++shard.budget_spilled;
-    }
+  if (victims.empty()) return visited;
+  if (SpillVictimsLocked(shard, victims).ok()) {
+    shard.budget_spilled += victims.size();
+  } else {
+    // The sessions simply stay resident; the budget stays exceeded and the
+    // next sweep retries.
+    ++shard.write_stalls;
   }
-  // On append failure the sessions simply stay resident; the budget stays
-  // exceeded and the next sweep retries.
   return visited;
 }
 
@@ -595,10 +513,6 @@ void ContinuousSessionPool::MaybeSweep() {
   // exceeds the budget after that, yield to the next batch.
   std::size_t allowance = 2 * (session_count() + shards_.size());
   while (allowance > 0 && memory_bytes() > budget) {
-    // Async mode: a saturated in-flight queue means the disk is behind.
-    // Yield rather than block the update path — the budget stays
-    // exceeded and the next batch retries once the writer drains.
-    if (options_.async_spill && SweepStalledOnQueue()) break;
     const std::size_t visited = SweepStep(quota);
     allowance -= std::min(allowance, std::max<std::size_t>(visited, 1));
   }
@@ -623,10 +537,9 @@ void ContinuousSessionPool::MaybeCompactColdTier() {
 
 Status ContinuousSessionPool::CompactColdTierLocked() {
   // Generation protocol: open a fresh generation, move every name that
-  // must survive into it (resident sessions, parked providers, queued
-  // in-flight spills, live spill records as compaction sees them), then
-  // retire everything older — churned users' names are the only thing
-  // left behind.
+  // must survive into it (resident sessions, parked providers, live spill
+  // records as compaction sees them), then retire everything older —
+  // churned users' names are the only thing left behind.
   const std::uint32_t fresh = interner_.BeginGeneration();
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
@@ -635,47 +548,7 @@ Status ContinuousSessionPool::CompactColdTierLocked() {
     shard->parked_keys.ForEach(
         [&](util::UserId id, KeyProvider&) { interner_.Touch(id); });
   }
-  {
-    // In-flight victims are in no shard and not yet in any file; their
-    // names must survive or the writer's deferred append could not
-    // resolve them. Stable under cold unique: every producer holds
-    // cold_mutex_ shared to enqueue.
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    in_flight_.ForEach(
-        [&](util::UserId id, InFlightSpill&) { interner_.Touch(id); });
-  }
   RCLOAK_RETURN_IF_ERROR(spill_->Compact());
-  for (const util::UserId user : spill_->LiveUsers()) interner_.Touch(user);
-  interner_.RetireGenerationsBefore(fresh);
-  spill_compactions_.fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
-}
-
-Status ContinuousSessionPool::CompactColdTierOffPath() {
-  // Phase 1 — the long part, WITHOUT the cold lock: rewrite members
-  // carrying dead bytes. Only appends/restores routed to the member being
-  // rewritten block (on its own mutex); the update path keeps running.
-  // Records appended to a member after its rewrite land behind the new
-  // tail and stay indexed, so nothing is lost to the race.
-  RCLOAK_RETURN_IF_ERROR(spill_->Compact());
-  // Phase 2 — the short part, under cold unique: generation retirement.
-  // Touch everything live (resident, parked, in-flight, on disk as of
-  // now — a superset of what phase 1 saw), then retire the rest. Any name
-  // interned before this lock is live somewhere or legitimately retirable.
-  std::unique_lock<std::shared_mutex> cold(cold_mutex_);
-  const std::uint32_t fresh = interner_.BeginGeneration();
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->sessions.ForEach(
-        [&](util::UserId id, Session&) { interner_.Touch(id); });
-    shard->parked_keys.ForEach(
-        [&](util::UserId id, KeyProvider&) { interner_.Touch(id); });
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    in_flight_.ForEach(
-        [&](util::UserId id, InFlightSpill&) { interner_.Touch(id); });
-  }
   for (const util::UserId user : spill_->LiveUsers()) interner_.Touch(user);
   interner_.RetireGenerationsBefore(fresh);
   spill_compactions_.fetch_add(1, std::memory_order_relaxed);
@@ -694,38 +567,16 @@ StatusOr<std::size_t> ContinuousSessionPool::SpillAllToFile() {
   if (spill_ == nullptr) {
     return Status::FailedPrecondition("no spill file attached");
   }
-  // Async mode: land the queued envelopes first so the file carries every
-  // spilled user, not just the residents written below.
-  if (options_.async_spill) RCLOAK_RETURN_IF_ERROR(FlushSpillQueue());
   std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   std::size_t written = 0;
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mutex);
-    std::vector<store::SpillFileSet::Record> batch;
     std::vector<util::UserId> victims;
-    shard.sessions.ForEach([&](util::UserId id, Session& session) {
-      batch.push_back(store::SpillFileSet::Record{
-          id, EncodeSpillEnvelope(session.policy.Serialize(),
-                                  session.last_update_s, session.last_segment,
-                                  map_fingerprint_,
-                                  session.policy.algorithm(),
-                                  session.owner)});
-      victims.push_back(id);
-    });
-    if (batch.empty()) continue;
-    RCLOAK_RETURN_IF_ERROR(spill_->AppendBatch(batch));
-    for (const util::UserId id : victims) {
-      Session* session = shard.sessions.Find(id);
-      if (session == nullptr) continue;
-      if (!options_.key_provider_factory) {
-        shard.parked_keys.TryEmplace(id, std::move(session->key_provider));
-      }
-      shard.OccupancyRemove(session->last_segment);
-      shard.resident_bytes -= session->mem_bytes;
-      shard.sessions.Erase(id);
-      ++shard.spilled;
-    }
+    shard.sessions.ForEach(
+        [&](util::UserId id, Session&) { victims.push_back(id); });
+    if (victims.empty()) continue;
+    RCLOAK_RETURN_IF_ERROR(SpillVictimsLocked(shard, victims));
     written += victims.size();
   }
   return written;
@@ -735,18 +586,19 @@ StatusOr<std::size_t> ContinuousSessionPool::RestoreAllFromFile() {
   if (spill_ == nullptr) {
     return Status::FailedPrecondition("no spill file attached");
   }
-  // Async mode: queued victims are not in the file's live set yet — flush
-  // so the LiveUsers walk below sees them.
-  if (options_.async_spill) RCLOAK_RETURN_IF_ERROR(FlushSpillQueue());
   std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   std::size_t restored = 0;
   for (const util::UserId user : spill_->LiveUsers()) {
     // Warm-boot tooling restores every record regardless of owner (the
     // envelope's owner survives onto the session, so the ownership gate
     // still holds for subsequent updates).
-    if (RestoreFromSpill(user, /*count_on_miss=*/false, /*principal=*/0,
-                         /*enforce_owner=*/false) ==
-        RestoreOutcome::kRestored) {
+    auto session = RestoreFromSpill(user, /*principal=*/0,
+                                    /*enforce_owner=*/false);
+    if (!session.ok()) continue;
+    Shard& shard = *shards_[ShardIndexFor(user)];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    if (InsertLocked(shard, user, std::move(*session), /*restored=*/true)
+            .second) {
       ++restored;
     }
   }
@@ -770,204 +622,6 @@ StatusOr<std::size_t> ContinuousSessionPool::OwnedSpillRecords() const {
     if (owner != 0) ++owned;
   }
   return owned;
-}
-
-// ---- async spill pipeline --------------------------------------------------
-
-void ContinuousSessionPool::EnqueueSpill(util::UserId user, Bytes state) {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  const std::uint64_t seq = ++queue_seq_;
-  const std::size_t size = state.size();
-  auto [slot, inserted] = in_flight_.TryEmplace(user, InFlightSpill{});
-  if (!inserted) {
-    // A fresher spill supersedes the queued envelope; the older write is
-    // absorbed in memory (its deque entry dies by seq mismatch).
-    queue_bytes_ -= std::min(queue_bytes_, slot->state.size());
-    ++async_absorbed_;
-  }
-  slot->state = std::move(state);
-  slot->seq = seq;
-  queue_bytes_ += size;
-  spill_queue_.push_back({user, seq});
-  queue_peak_ = std::max(queue_peak_, spill_queue_.size());
-  queue_cv_.notify_all();
-}
-
-bool ContinuousSessionPool::LookupInFlight(util::UserId user,
-                                           Bytes* state) const {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  const InFlightSpill* slot = in_flight_.Find(user);
-  if (slot == nullptr) return false;
-  *state = slot->state;
-  return true;
-}
-
-bool ContinuousSessionPool::InFlightContains(util::UserId user) const {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  return in_flight_.Find(user) != nullptr;
-}
-
-void ContinuousSessionPool::InvalidateInFlight(util::UserId user) {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  InFlightSpill* slot = in_flight_.Find(user);
-  if (slot == nullptr) return;
-  queue_bytes_ -= std::min(queue_bytes_, slot->state.size());
-  ++async_absorbed_;
-  in_flight_.Erase(user);
-  queue_cv_.notify_all();  // a flush waiting on this entry can finish
-}
-
-bool ContinuousSessionPool::SweepStalledOnQueue() {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  if (spill_queue_.size() < options_.spill_queue_max_records &&
-      queue_bytes_ < options_.spill_queue_max_bytes) {
-    return false;
-  }
-  ++write_stalls_;
-  queue_cv_.notify_all();  // kick the writer
-  return true;
-}
-
-void ContinuousSessionPool::StartSpillWriter() {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  if (writer_running_) return;
-  writer_running_ = true;
-  spill_writer_ = std::thread([this] { SpillWriterLoop(); });
-}
-
-void ContinuousSessionPool::StopSpillWriter() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!writer_running_) return;
-    writer_running_ = false;
-    queue_cv_.notify_all();
-  }
-  if (spill_writer_.joinable()) spill_writer_.join();
-}
-
-Status ContinuousSessionPool::FlushSpillQueue() {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  if (!writer_running_) {
-    return spill_queue_.empty()
-               ? Status::Ok()
-               : Status::FailedPrecondition("spill writer not running");
-  }
-  ++flush_waiters_;  // overrides a test pause for the duration of the wait
-  queue_cv_.notify_all();
-  queue_cv_.wait(lock, [&] {
-    return (spill_queue_.empty() && in_flight_.empty()) ||
-           !writer_status_.ok() || !writer_running_;
-  });
-  --flush_waiters_;
-  return writer_status_;
-}
-
-void ContinuousSessionPool::PauseSpillWriterForTest(bool paused) {
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  writer_paused_ = paused;
-  queue_cv_.notify_all();
-}
-
-void ContinuousSessionPool::SpillWriterLoop() {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  for (;;) {
-    // Timed wait: dead bytes can grow without queue traffic (re-tracks
-    // erasing file records), and compaction is the writer's job here.
-    queue_cv_.wait_for(lock, std::chrono::milliseconds(250), [&] {
-      return !writer_running_ ||
-             ((!writer_paused_ || flush_waiters_ > 0) &&
-              !spill_queue_.empty());
-    });
-    const bool shutting_down = !writer_running_;
-    if (spill_queue_.empty()) {
-      if (shutting_down) return;  // final drain done (flush on Detach)
-      if (!writer_paused_ && CompactionDue()) {
-        lock.unlock();
-        // Failure leaves the dead bytes; retried on a later cycle.
-        (void)CompactColdTierOffPath();
-        lock.lock();
-      }
-      continue;
-    }
-    // Shutdown overrides the pause; so does a flush waiter.
-    if (writer_paused_ && flush_waiters_ == 0 && !shutting_down) continue;
-
-    // Pop one group, keeping FIFO order (last-write-wins on disk needs
-    // appends in enqueue order), and copy out the still-valid states.
-    // Entries whose seq no longer matches were superseded or invalidated
-    // — their writes are absorbed. The in_flight_ slots stay until the
-    // append lands so concurrent restores keep being served from memory.
-    const std::size_t take = std::min(spill_queue_.size(), kWriterGroupMax);
-    std::vector<SpillQueueEntry> popped(
-        spill_queue_.begin(),
-        spill_queue_.begin() + static_cast<std::ptrdiff_t>(take));
-    spill_queue_.erase(
-        spill_queue_.begin(),
-        spill_queue_.begin() + static_cast<std::ptrdiff_t>(take));
-    std::vector<store::SpillFileSet::Record> batch;
-    std::vector<SpillQueueEntry> valid;
-    batch.reserve(popped.size());
-    valid.reserve(popped.size());
-    for (const SpillQueueEntry& entry : popped) {
-      const InFlightSpill* slot = in_flight_.Find(entry.user);
-      if (slot == nullptr || slot->seq != entry.seq) continue;
-      batch.push_back({entry.user, slot->state});
-      valid.push_back(entry);
-    }
-    if (batch.empty()) {
-      queue_cv_.notify_all();
-      continue;
-    }
-    lock.unlock();
-    // Shared like every other spill producer: generation retirement
-    // (cold unique) can never overlap an append resolving names. Held
-    // through the bookkeeping below (cold before queue, the pool-wide
-    // order) so a record orphaned mid-write is erased before any reader
-    // can find it on disk.
-    std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-    const Status status = spill_->AppendBatch(batch);
-    lock.lock();
-    if (status.ok()) {
-      writer_status_ = Status::Ok();
-      ++async_appends_;
-      for (const SpillQueueEntry& entry : valid) {
-        const InFlightSpill* slot = in_flight_.Find(entry.user);
-        if (slot != nullptr && slot->seq == entry.seq) {
-          queue_bytes_ -= std::min(queue_bytes_, slot->state.size());
-          in_flight_.Erase(entry.user);
-          ++async_spilled_;
-        } else if (slot == nullptr) {
-          // Invalidated while we wrote (a restore or re-track won): the
-          // session is resident again, so the record that just landed is
-          // stale. Already counted as absorbed.
-          spill_->Erase(entry.user);
-        }
-        // A seq mismatch = superseded while we wrote (counted as absorbed
-        // then): the newer entry stays queued and will supersede this
-        // record on disk too.
-      }
-      cold.unlock();
-      queue_cv_.notify_all();
-      if (!shutting_down && spill_queue_.empty() && CompactionDue()) {
-        lock.unlock();
-        (void)CompactColdTierOffPath();
-        lock.lock();
-      }
-    } else {
-      cold.unlock();
-      writer_status_ = status;
-      // Requeue at the FRONT in original order: nothing is dropped, and
-      // FIFO (so last-write-wins) is preserved for the retry.
-      for (auto it = valid.rbegin(); it != valid.rend(); ++it) {
-        spill_queue_.push_front(*it);
-      }
-      queue_cv_.notify_all();  // flush waiters observe writer_status_
-      if (shutting_down) return;  // exiting anyway; the error is recorded
-      // Backoff before retrying the disk.
-      queue_cv_.wait_for(lock, std::chrono::milliseconds(10),
-                         [&] { return !writer_running_; });
-    }
-  }
 }
 
 std::size_t ContinuousSessionPool::memory_bytes() const {
@@ -1045,82 +699,63 @@ void ContinuousSessionPool::RunRound(
     core::AnonymizeRequest request;
     KeyProvider provider;
     bool needs_recloak = false;
-    bool missing = false;
-    bool denied = false;
-    // Ownership gate, under the shard lock with the session in hand: an
-    // owned session only moves for its principal; an unowned one is
-    // claimed by the first authenticated principal that updates it (the
-    // open-mode -> auth-mode migration path). Must return true before
-    // classify touches the session.
-    const auto owner_guard = [&](Shard& shard_ref, Session& session) {
+    // Requires the shard lock. Ownership gate first, with the session in
+    // hand: an owned session only moves for its principal; an unowned one
+    // is claimed by the first authenticated principal that updates it (the
+    // open-mode -> auth-mode migration path). Then classify.
+    const auto admit = [&](Session& session) {
       if (session.owner != 0 && session.owner != update.principal) {
-        ++shard_ref.ownership_rejected;
+        ++shard.ownership_rejected;
         results[idx] = Status::PermissionDenied(
             "user is owned by a different principal: " +
             interner_.NameCopyOf(update.user));
-        denied = true;
-        return false;
+        return;
       }
       if (session.owner == 0 && update.principal != 0) {
         session.owner = update.principal;
       }
-      return true;
+      needs_recloak = classify(shard, shard_index, session, idx, update,
+                               recloak, request, provider);
     };
+    bool missing = false;
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
       ++shard.updates;
       Session* session = shard.sessions.Find(update.user);
-      if (session == nullptr) {
-        missing = true;
-      } else if (owner_guard(shard, *session)) {
-        needs_recloak = classify(shard, shard_index, *session, idx, update,
-                                 recloak, request, provider);
-      }
+      missing = session == nullptr;
+      if (!missing) admit(*session);
     }
-    if (denied) continue;
     if (missing) {
       // The cold-tier fast path: an update for a spilled user reads the
-      // record back, deserializes, and proceeds in the SAME batch — no
-      // NotFound, byte-identical to a session that never left memory.
-      //
-      // Retried: while the budget is still exceeded, a concurrent sweep
-      // (two clock laps in one MaybeSweep) can clear the fresh session's
-      // referenced bit and re-spill it between the restore returning and
-      // the shard lock below — the session is live the whole time, just
-      // moving, so adopt again. Every round trips the same bytes; any
-      // attempt that sticks is byte-identical.
-      for (int attempt = 0; attempt < 4 && missing; ++attempt) {
-        const RestoreOutcome outcome =
-            RestoreFromSpill(update.user, /*count_on_miss=*/attempt == 0,
-                             update.principal, /*enforce_owner=*/true);
-        if (outcome == RestoreOutcome::kDenied) {
-          results[idx] = Status::PermissionDenied(
-              "user is owned by a different principal: " +
-              interner_.NameCopyOf(update.user));
-          denied = true;
-          break;
-        }
-        if (outcome == RestoreOutcome::kMiss) break;
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        Session* session = shard.sessions.Find(update.user);
-        if (session != nullptr) {
-          // Re-checked resident: kRestored can mean "raced back in", and
-          // the session that won the race may belong to someone else.
-          if (owner_guard(shard, *session)) {
-            needs_recloak = classify(shard, shard_index, *session, idx,
-                                     update, recloak, request, provider);
-          }
-          missing = false;
-        }
+      // record back and deserializes it with no shard lock held, then
+      // proceeds in the SAME batch — no NotFound, byte-identical to a
+      // session that never left memory. Insert, owner gate and classify
+      // share one critical section, and classify sets the referenced bit
+      // before the lock drops, so no concurrent sweep can re-spill the
+      // session in between.
+      auto restored = RestoreFromSpill(update.user, update.principal,
+                                       /*enforce_owner=*/true);
+      if (restored.status().code() == ErrorCode::kPermissionDenied) {
+        results[idx] = restored.status();
+        continue;
       }
-      if (denied) continue;
-      if (missing) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      Session* session = shard.sessions.Find(update.user);
+      if (restored.ok()) {
+        // A session that raced back in meanwhile wins (and is re-gated:
+        // it may belong to someone else); ours is dropped.
+        const auto [resident, inserted] = InsertLocked(
+            shard, update.user, std::move(*restored), /*restored=*/true);
+        if (inserted) ++shard.restored_on_miss;
+        session = resident;
+      }
+      if (session == nullptr) {
         ++shard.unknown_user;
         results[idx] = Status::NotFound("untracked user: " +
                                         interner_.NameCopyOf(update.user));
         continue;
       }
+      admit(*session);
     }
     if (!needs_recloak) continue;
     recloak.keys = provider(recloak.epoch);
@@ -1210,7 +845,7 @@ void ContinuousSessionPool::RunRound(
 }
 
 std::vector<StatusOr<ContinuousSessionPool::SharedArtifact>>
-ContinuousSessionPool::UpdateBatchImpl(
+ContinuousSessionPool::RunRounds(
     const std::vector<IdPositionUpdate>& updates) {
   std::vector<StatusOr<SharedArtifact>> results;
   results.reserve(updates.size());
@@ -1262,19 +897,24 @@ ContinuousSessionPool::UpdateBatchImpl(
   return results;
 }
 
+template <typename Resolve>
 std::vector<StatusOr<ContinuousSessionPool::SharedArtifact>>
-ContinuousSessionPool::UpdateBatch(
-    const std::vector<IdPositionUpdate>& updates) {
+ContinuousSessionPool::UpdateBatchBody(Resolve resolve) {
   std::vector<StatusOr<SharedArtifact>> results;
   {
     std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-    results = UpdateBatchImpl(updates);
+    results = RunRounds(resolve());
     MaybeSweep();
   }
-  // Async mode: compaction belongs to the writer thread (off the update
-  // path); sync mode keeps the PR 7 behavior for A/B comparison.
-  if (!options_.async_spill) MaybeCompactColdTier();
+  MaybeCompactColdTier();
   return results;
+}
+
+std::vector<StatusOr<ContinuousSessionPool::SharedArtifact>>
+ContinuousSessionPool::UpdateBatch(
+    const std::vector<IdPositionUpdate>& updates) {
+  return UpdateBatchBody(
+      [&]() -> const std::vector<IdPositionUpdate>& { return updates; });
 }
 
 std::vector<StatusOr<core::CloakedArtifact>>
@@ -1283,17 +923,14 @@ ContinuousSessionPool::UpdateBatch(const std::vector<PositionUpdate>& updates) {
   // handles are resolved inside the id batch).
   std::vector<IdPositionUpdate> ids;
   ids.reserve(updates.size());
-  std::vector<StatusOr<SharedArtifact>> shared;
-  {
-    std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-    for (const PositionUpdate& update : updates) {
-      ids.push_back({interner_.Find(update.user_id), update.now_s,
-                     update.segment, update.principal});
-    }
-    shared = UpdateBatchImpl(ids);
-    MaybeSweep();
-  }
-  if (!options_.async_spill) MaybeCompactColdTier();
+  const auto shared =
+      UpdateBatchBody([&]() -> const std::vector<IdPositionUpdate>& {
+        for (const PositionUpdate& update : updates) {
+          ids.push_back({interner_.Find(update.user_id), update.now_s,
+                         update.segment, update.principal});
+        }
+        return ids;
+      });
   // Compatibility boundary: copy each served artifact out by value.
   std::vector<StatusOr<core::CloakedArtifact>> results;
   results.reserve(shared.size());
@@ -1412,6 +1049,7 @@ SessionPoolStats ContinuousSessionPool::stats() const {
     stats.restored_on_miss += shard->restored_on_miss;
     stats.restore_failures += shard->restore_failures;
     stats.ownership_rejected += shard->ownership_rejected;
+    stats.write_stalls += shard->write_stalls;
     stats.active_sessions += shard->sessions.size();
   }
   stats.reduce_fanouts = reduce_fanouts_.load(std::memory_order_relaxed);
@@ -1426,18 +1064,6 @@ SessionPoolStats ContinuousSessionPool::stats() const {
     stats.spill_dead_bytes = spill.dead_bytes;
     stats.spill_live_records = spill.live_records;
   }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    stats.write_stalls = write_stalls_;
-    stats.async_appends = async_appends_;
-    stats.async_spilled = async_spilled_;
-    stats.async_absorbed = async_absorbed_;
-    stats.spill_queue_depth = spill_queue_.size();
-    stats.spill_queue_bytes = queue_bytes_;
-    stats.spill_queue_peak = queue_peak_;
-  }
-  stats.restored_in_flight =
-      restored_in_flight_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(latency_mutex_);
   stats.update_latency_ms = update_latency_ms_;
   stats.restore_latency_ms = restore_latency_ms_;

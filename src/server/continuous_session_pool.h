@@ -31,16 +31,14 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/continuous.h"
@@ -83,29 +81,11 @@ struct SessionPoolOptions {
   std::function<core::ContinuousCloak::KeyProvider(std::string_view user_id)>
       key_provider_factory;
 
-  // ---- async spill pipeline ----------------------------------------------
-  // When true, the clock sweep unlinks each victim from its shard and
-  // enqueues the serialized envelope on a bounded in-flight queue; a
-  // dedicated writer thread drains the queue in group appends and runs
-  // compaction off the update path. Restore-on-miss serves queued records
-  // straight from memory (byte-identical to the disk round trip). When
-  // false (default), the sweep appends synchronously under the shard lock
-  // and compaction runs on the update path — the PR 7 behavior, kept for
-  // A/B measurement (bench_e25 --async-spill).
-  bool async_spill = false;
   // Spill-file members the cold tier fans across (store::SpillFileSet) so
   // restores on one member never contend with appends or compaction on
   // another. Member 0 is the attach path itself (single-file compatible);
   // attach an existing set with the count it was written with.
   int spill_shards = 1;
-  // Bounds on the async in-flight queue (records and envelope bytes). A
-  // sweep that finds the queue saturated yields instead of blocking — the
-  // budget stays exceeded, the next batch retries — counted as a write
-  // stall. Queued envelopes are deliberately NOT part of memory_bytes():
-  // charging them would make spilling look like no progress to the sweep;
-  // the true ceiling is budget + spill_queue_max_bytes.
-  std::size_t spill_queue_max_records = 4096;
-  std::size_t spill_queue_max_bytes = 32u << 20;
 };
 
 struct SessionPoolStats {
@@ -155,24 +135,13 @@ struct SessionPoolStats {
   std::uint64_t spill_file_bytes = 0;
   std::uint64_t spill_dead_bytes = 0;
   std::size_t spill_live_records = 0;
-  // Wall time of each restore-on-miss (read + deserialize + re-insert).
+  // Sweep batches whose spill append failed, so their victims stayed
+  // resident (the budget stays exceeded and the next sweep retries).
+  std::uint64_t write_stalls = 0;
+  // Wall time of each restore (read + validate + deserialize), on miss and
+  // by RestoreAllFromFile alike.
   Samples restore_latency_ms;
 
-  // ---- async spill pipeline ----------------------------------------------
-  std::uint64_t write_stalls = 0;   // sweeps that yielded on a full queue
-  std::uint64_t async_appends = 0;  // writer-thread group appends landed
-  // Records the writer landed on disk that were still current when the
-  // append completed.
-  std::uint64_t async_spilled = 0;
-  // Queued records superseded by a newer spill or invalidated by a
-  // restore/re-track before their append completed — the write was
-  // absorbed in memory. Each swept envelope counts once, here or above.
-  std::uint64_t async_absorbed = 0;
-  // Subset of restored_on_miss served from the in-flight queue.
-  std::uint64_t restored_in_flight = 0;
-  std::size_t spill_queue_depth = 0;  // records queued at call time
-  std::size_t spill_queue_bytes = 0;
-  std::size_t spill_queue_peak = 0;  // high-water record depth
 };
 
 class ContinuousSessionPool {
@@ -216,10 +185,6 @@ class ContinuousSessionPool {
   // server engine's MapContext, so no index or table is rebuilt.
   explicit ContinuousSessionPool(AnonymizationServer& server,
                                  const SessionPoolOptions& options = {});
-  // Stops the spill writer thread first, flushing any queued envelopes to
-  // the spill file (shutdown is a Detach: nothing in flight is dropped
-  // unless the disk itself fails).
-  ~ContinuousSessionPool();
 
   ContinuousSessionPool(const ContinuousSessionPool&) = delete;
   ContinuousSessionPool& operator=(const ContinuousSessionPool&) = delete;
@@ -283,25 +248,22 @@ class ContinuousSessionPool {
   // members; a set of one is the single file PR 7 wrote) and activates the
   // cold tier: budget-driven clock eviction sweeps spill into it, and an
   // update for a spilled user restores transparently inside UpdateBatch.
-  // With options.async_spill this also starts the writer thread. An
-  // existing set must carry this pool's map fingerprint; its records'
+  // An existing set must carry this pool's map fingerprint; its records'
   // names are re-interned so spilled users keep resolvable handles across
   // runs (restore-on-miss then needs options.key_provider_factory). At
   // most one set per pool; attach before concurrent use.
   Status AttachSpillFile(const std::string& path);
 
-  // Resident / spilled (in the file set OR on the in-flight queue) /
-  // untracked, for one handle. The net front door uses this to distinguish
-  // "enqueue and let restore-on-miss adopt the session" from "track
-  // fresh" — a victim sitting in the writer queue must read as spilled or
-  // a reconnect would re-track over it.
+  // Resident / spilled / untracked, for one handle. The net front door
+  // uses this to distinguish "enqueue and let restore-on-miss adopt the
+  // session" from "track fresh". A swept victim is in the file before it
+  // leaves its shard.
   UserState StateOf(util::UserId user) const;
 
   // The ownership-checked variant: same classification, but a resident
-  // session (or spill envelope, wherever it sits — file or in-flight
-  // queue) owned by a different principal returns kPermissionDenied
-  // instead of a state, so the front door can refuse an update before it
-  // touches the pool or triggers a restore.
+  // session or spill record owned by a different principal returns
+  // kPermissionDenied instead of a state, so the front door can refuse an
+  // update before it touches the pool or triggers a restore.
   StatusOr<UserState> StateOf(util::UserId user,
                               std::uint64_t principal) const;
 
@@ -311,16 +273,6 @@ class ContinuousSessionPool {
   // sessions, so `rcloak_tool serve --spill` refuses when this is > 0 and
   // no secret is configured.
   StatusOr<std::size_t> OwnedSpillRecords() const;
-
-  // Blocks until the writer thread has landed every queued envelope (or
-  // hit a write error, returned here). Overrides a test pause. No-op in
-  // sync mode.
-  Status FlushSpillQueue();
-
-  // Holds the writer thread idle so tests can pin the in-flight window
-  // deterministically (restore-from-queue, shutdown flush). Shutdown and
-  // FlushSpillQueue override the pause.
-  void PauseSpillWriterForTest(bool paused);
 
   // Writes every resident session to the spill file regardless of budget
   // (tooling, shutdown persistence); returns how many were written.
@@ -447,6 +399,7 @@ class ContinuousSessionPool {
     std::uint64_t budget_spilled = 0;
     std::uint64_t restored_on_miss = 0;
     std::uint64_t restore_failures = 0;
+    std::uint64_t write_stalls = 0;
 
     // Sum of Session::mem_bytes over this shard (under `mutex`).
     std::size_t resident_bytes = 0;
@@ -501,14 +454,16 @@ class ContinuousSessionPool {
     return util::MixId(user.value) % shards_.size();
   }
 
-  // Registers `policy` (fresh or restored) under its interned id, charging
-  // the memory accounting and dropping any cold-tier leftovers (spill
-  // record, parked provider) the insert supersedes. `owner` is the
-  // session's ownership token (0 = unowned).
-  StatusOr<util::UserId> TrackPolicy(core::ContinuousPolicy policy,
-                                     KeyProvider key_provider, double now_s,
-                                     roadnet::SegmentId last_segment,
-                                     bool restored, std::uint64_t owner);
+  // Requires shard.mutex. Inserts `session` under `id` unless a session is
+  // resident there already, charging the memory accounting and dropping
+  // the cold-tier leftovers (spill record, parked provider) the insert
+  // supersedes. Returns the resident session and whether it is `session`.
+  std::pair<Session*, bool> InsertLocked(Shard& shard, util::UserId id,
+                                         Session session, bool restored);
+
+  // Registers a fresh or caller-restored session under its interned name;
+  // FailedPrecondition if the user is resident already.
+  StatusOr<util::UserId> TrackPolicy(Session session, bool restored);
 
   // Runs one round (at most one update per user) end to end: classify,
   // batch re-cloak, fanned validity regions, commit.
@@ -516,30 +471,42 @@ class ContinuousSessionPool {
                 const std::vector<std::size_t>& round,
                 std::vector<StatusOr<SharedArtifact>>& results);
 
-  // The id-overload body; callers hold cold_mutex_ (shared).
-  std::vector<StatusOr<SharedArtifact>> UpdateBatchImpl(
+  // Splits a batch into rounds and runs them; callers hold cold_mutex_
+  // (shared).
+  std::vector<StatusOr<SharedArtifact>> RunRounds(
       const std::vector<IdPositionUpdate>& updates);
+
+  // The one UpdateBatch body. Under a single shared cold_mutex_ hold,
+  // `resolve()` yields the id batch (the string overload interns its names
+  // there, so compaction cannot retire a handle between lookup and use),
+  // the rounds run and the sweep follows; compaction runs after the hold.
+  template <typename Resolve>
+  std::vector<StatusOr<SharedArtifact>> UpdateBatchBody(Resolve resolve);
 
   // ---- cold tier internals (callers hold cold_mutex_ shared unless
   // noted) -----------------------------------------------------------------
+  // Lock order: cold_mutex_ -> shard.mutex -> spill member mutex.
 
   // Heap behind one session: the policy state (artifact, region, stats)
   // plus provider storage. The struct itself rides in the shard table.
   static std::size_t SessionFootprint(const Session& session);
 
-  // Synchronous single-record restore: read, validate, deserialize, re-
-  // insert, erase the file record. kRestored means the user is resident
-  // afterwards; kDenied means the envelope is owned by a different
-  // principal and was left untouched (counted in ownership_rejected);
-  // kMiss covers everything else (no record, rot, no key source).
-  // `count_on_miss` labels the restore as a transparent update-path one in
-  // the stats; `enforce_owner` false bypasses the ownership gate (warm-
-  // boot tooling via RestoreAllFromFile — the restored session still
-  // carries its envelope owner).
-  enum class RestoreOutcome : std::uint8_t { kRestored, kMiss, kDenied };
-  RestoreOutcome RestoreFromSpill(util::UserId user, bool count_on_miss,
-                                  std::uint64_t principal,
-                                  bool enforce_owner);
+  // The spill envelope of one session (policy blob, clocks, owner).
+  Bytes EnvelopeOf(const Session& session) const;
+
+  // Reads, validates and deserializes one spill record with no shard lock
+  // held, and hands back the session to insert: policy, key provider
+  // (parked or from the factory), clocks and owner. The caller inserts it
+  // with InsertLocked in the same critical section that uses it, so no
+  // sweep can take it in between. PermissionDenied means the envelope is
+  // owned by a different principal and was left untouched (counted in
+  // ownership_rejected); any other error is a miss (no record, or rot / no
+  // key source, counted in restore_failures). `enforce_owner` false
+  // bypasses the ownership gate (warm-boot tooling via RestoreAllFromFile —
+  // the restored session still carries its envelope owner).
+  StatusOr<Session> RestoreFromSpill(util::UserId user,
+                                     std::uint64_t principal,
+                                     bool enforce_owner);
 
   // Clock/second-chance eviction until the accounting is back under
   // budget (bounded by two laps — every referenced bit gets one pass of
@@ -549,51 +516,19 @@ class ContinuousSessionPool {
   // sessions, spilling the cold ones in one batched append. Returns
   // sessions visited.
   std::size_t SweepStep(std::size_t quota);
+  // Requires shard.mutex. Appends the victims' envelopes in one batch and,
+  // once it landed, unlinks them (parking their key providers unless the
+  // factory re-derives keys). On failure every victim stays resident.
+  Status SpillVictimsLocked(Shard& shard,
+                            const std::vector<util::UserId>& victims);
 
   bool CompactionDue() const;
   // Takes cold_mutex_ unique when due, then compacts + retires names.
   void MaybeCompactColdTier();
   // Requires cold_mutex_ unique (no interning or spill traffic in
-  // flight): touch resident + live-record names, compact, retire the rest.
+  // flight): touch resident + parked + live-record names, compact, retire
+  // the rest.
   Status CompactColdTierLocked();
-  // The writer-thread variant: compacts the members WITHOUT the cold lock
-  // (only appends/restores to the member being rewritten block — the
-  // update path keeps running), then takes cold_mutex_ unique just for
-  // the short generation-retirement pass.
-  Status CompactColdTierOffPath();
-
-  // ---- async spill pipeline internals ------------------------------------
-  // Lock order: shard.mutex -> queue_mutex_; cold_mutex_ -> shard.mutex ->
-  // queue_mutex_; shard.mutex -> spill member mutex. queue_mutex_ is
-  // always innermost — nothing is called out of it.
-
-  struct SpillQueueEntry {
-    util::UserId user;
-    std::uint64_t seq = 0;
-  };
-  // The envelope a queued victim restores from until the write lands.
-  // `seq` ties the in_flight_ slot to the newest deque entry for the
-  // user: a popped entry whose seq no longer matches was superseded (a
-  // fresher spill) or invalidated (restored / re-tracked) — its write is
-  // absorbed.
-  struct InFlightSpill {
-    Bytes state;
-    std::uint64_t seq = 0;
-  };
-
-  // All under queue_mutex_. Enqueue is called from the sweep callback
-  // (shard lock held): insertion into in_flight_ happens before the shard
-  // unlink becomes visible, so a user is always resident or findable.
-  void EnqueueSpill(util::UserId user, Bytes state);
-  bool LookupInFlight(util::UserId user, Bytes* state) const;
-  bool InFlightContains(util::UserId user) const;
-  // Drops the queued envelope (the deque entry dies by seq mismatch).
-  void InvalidateInFlight(util::UserId user);
-  // True (and counted as a write stall) when the queue is at its bounds.
-  bool SweepStalledOnQueue();
-  void StartSpillWriter();
-  void StopSpillWriter();  // final drain (flush on Detach), then join
-  void SpillWriterLoop();
 
   // Envelope pre-checks against this pool's context (satellite of the
   // cross-run spill story: a version byte alone is not enough).
@@ -619,31 +554,6 @@ class ContinuousSessionPool {
   std::atomic<std::size_t> sweep_shard_{0};
   std::atomic<std::uint64_t> sweeps_{0};
   std::atomic<std::uint64_t> spill_compactions_{0};
-
-  // ---- async spill pipeline (state under queue_mutex_) ----
-  mutable std::mutex queue_mutex_;
-  // One condition for everything queued: the writer waits for work, flush
-  // callers wait for drain, the writer's retry backoff waits for shutdown.
-  std::condition_variable queue_cv_;
-  std::deque<SpillQueueEntry> spill_queue_;
-  util::IdMap<InFlightSpill> in_flight_;
-  std::size_t queue_bytes_ = 0;
-  std::size_t queue_peak_ = 0;
-  std::uint64_t queue_seq_ = 0;
-  std::uint64_t write_stalls_ = 0;
-  std::uint64_t async_appends_ = 0;
-  std::uint64_t async_spilled_ = 0;
-  std::uint64_t async_absorbed_ = 0;
-  // The last append failure (cleared on success); FlushSpillQueue returns
-  // it instead of waiting forever on a dead disk.
-  Status writer_status_ = Status::Ok();
-  bool writer_running_ = false;
-  bool writer_paused_ = false;
-  // Callers blocked in FlushSpillQueue; a non-zero count overrides a test
-  // pause so a flush always makes progress.
-  std::size_t flush_waiters_ = 0;
-  std::atomic<std::uint64_t> restored_in_flight_{0};
-  std::thread spill_writer_;
 
   mutable std::mutex latency_mutex_;
   Samples update_latency_ms_;

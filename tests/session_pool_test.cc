@@ -5,6 +5,7 @@
 // cases and a concurrency smoke the TSAN CI job runs race-clean.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -737,59 +738,73 @@ ContinuousSessionPool::KeyProvider CarKeys(std::string_view user_id) {
   return KeysFor(std::stoull(std::string(user_id.substr(3))));
 }
 
-// The ISSUE acceptance pin: with a spill file attached and a budget that
-// cannot hold the fleet, the clock sweep spills cold sessions mid-run and
-// updates for spilled users restore transparently inside UpdateBatch —
-// and every served artifact is still byte-identical to the never-evicted
-// oracle pool.
+void RemoveSpillShards(const std::string& path, int shards) {
+  for (int i = 0; i < shards; ++i) {
+    const std::string member =
+        store::SpillFileSet::MemberPath(path, static_cast<std::size_t>(i));
+    std::remove(member.c_str());
+    std::remove((member + ".tmp").c_str());
+  }
+}
+
+// With a spill file attached and a budget that cannot hold the fleet, the
+// clock sweep spills cold sessions mid-run and updates for spilled users
+// restore transparently inside UpdateBatch — and every served artifact is
+// still byte-identical to the never-evicted oracle pool, whether the
+// spill log is one file or fanned across four members.
 TEST(SessionPoolTest, ColdTierRestoreOnMissMatchesOracle) {
   const auto traces = MakeFleetTraces(/*num_cars=*/10, /*duration_s=*/60.0);
   const auto ctx = core::MapContext::Create(traces.net);
   const auto occupancy = OnePerSegment(traces.net);
   const auto oracle = RunPool(ctx, occupancy, traces, /*workers=*/2);
 
-  const std::string path = "session_pool_cold_test.rcsf";
-  std::remove(path.c_str());
-  core::Anonymizer engine(ctx, occupancy);
-  AnonymizationServer server(std::move(engine), {});
-  server::SessionPoolOptions options;
-  options.key_provider_factory = CarKeys;
-  options.sweep_batch = 64;
-  ContinuousSessionPool pool(server, options);
-  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
-  for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
-    ASSERT_TRUE(pool.Track("car" + std::to_string(car), FleetProfile(),
-                           Algorithm::kRge, KeysFor(car), FleetOptions())
-                    .ok());
+  for (const int spill_shards : {1, 4}) {
+    SCOPED_TRACE("spill_shards=" + std::to_string(spill_shards));
+    const std::string path = "session_pool_cold_test.rcsf";
+    RemoveSpillShards(path, spill_shards);
+    core::Anonymizer engine(ctx, occupancy);
+    AnonymizationServer server(std::move(engine), {});
+    server::SessionPoolOptions options;
+    options.key_provider_factory = CarKeys;
+    options.sweep_batch = 64;
+    options.spill_shards = spill_shards;
+    ContinuousSessionPool pool(server, options);
+    ASSERT_TRUE(pool.AttachSpillFile(path).ok());
+    for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
+      ASSERT_TRUE(pool.Track("car" + std::to_string(car), FleetProfile(),
+                             Algorithm::kRge, KeysFor(car), FleetOptions())
+                      .ok());
+    }
+    std::map<std::string, std::vector<std::string>> sequences;
+    bool budget_set = false;
+    for (const auto& tick : traces.ticks) {
+      std::vector<ContinuousSessionPool::PositionUpdate> batch;
+      for (const auto& rec : tick) {
+        batch.push_back({"car" + std::to_string(rec.car_id), rec.time_s,
+                         rec.segment});
+      }
+      const auto results = pool.UpdateBatch(batch);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        ASSERT_TRUE(results[i].ok())
+            << batch[i].user_id << ": " << results[i].status().ToString();
+        sequences[batch[i].user_id].push_back(ArtifactSha256(*results[i]));
+      }
+      if (!budget_set) {
+        // Half the warmed-up footprint: from here on every tick runs the
+        // sweep and part of the fleet lives in the file between updates.
+        pool.set_memory_budget_bytes(pool.memory_bytes() / 2);
+        budget_set = true;
+      }
+    }
+    EXPECT_EQ(sequences, oracle);
+    const auto stats = pool.stats();
+    EXPECT_GT(stats.budget_spilled, 0u);
+    EXPECT_GT(stats.restored_on_miss, 0u);
+    EXPECT_EQ(stats.restore_failures, 0u);
+    EXPECT_EQ(stats.write_stalls, 0u);
+    EXPECT_GT(stats.sweeps, 0u);
+    RemoveSpillShards(path, spill_shards);
   }
-  std::map<std::string, std::vector<std::string>> sequences;
-  bool budget_set = false;
-  for (const auto& tick : traces.ticks) {
-    std::vector<ContinuousSessionPool::PositionUpdate> batch;
-    for (const auto& rec : tick) {
-      batch.push_back({"car" + std::to_string(rec.car_id), rec.time_s,
-                       rec.segment});
-    }
-    const auto results = pool.UpdateBatch(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_TRUE(results[i].ok())
-          << batch[i].user_id << ": " << results[i].status().ToString();
-      sequences[batch[i].user_id].push_back(ArtifactSha256(*results[i]));
-    }
-    if (!budget_set) {
-      // Half the warmed-up footprint: from here on every tick runs the
-      // sweep and part of the fleet lives in the file between updates.
-      pool.set_memory_budget_bytes(pool.memory_bytes() / 2);
-      budget_set = true;
-    }
-  }
-  EXPECT_EQ(sequences, oracle);
-  const auto stats = pool.stats();
-  EXPECT_GT(stats.budget_spilled, 0u);
-  EXPECT_GT(stats.restored_on_miss, 0u);
-  EXPECT_EQ(stats.restore_failures, 0u);
-  EXPECT_GT(stats.sweeps, 0u);
-  std::remove(path.c_str());
 }
 
 TEST(SessionPoolTest, StateOfTracksSpillAndTransparentRestore) {
@@ -878,145 +893,13 @@ TEST(SessionPoolTest, RestoreRejectsFingerprintAndAlgorithmMismatch) {
   EXPECT_EQ(pool.session_count(), 0u);
 }
 
-// ---- async spill pipeline --------------------------------------------------
-
-void RemoveSpillShards(const std::string& path, int shards) {
-  for (int i = 0; i < shards; ++i) {
-    const std::string member =
-        store::SpillFileSet::MemberPath(path, static_cast<std::size_t>(i));
-    std::remove(member.c_str());
-    std::remove((member + ".tmp").c_str());
-  }
-}
-
-// The async twin of ColdTierRestoreOnMissMatchesOracle: the background
-// writer, the in-flight queue, and the per-shard fan must be invisible to
-// the artifact stream — byte-identical to the never-evicted oracle pool.
-TEST(SessionPoolTest, AsyncColdTierMatchesOracleAcrossShards) {
-  const auto traces = MakeFleetTraces(/*num_cars=*/10, /*duration_s=*/60.0);
-  const auto ctx = core::MapContext::Create(traces.net);
-  const auto occupancy = OnePerSegment(traces.net);
-  const auto oracle = RunPool(ctx, occupancy, traces, /*workers=*/2);
-
-  const std::string path = "session_pool_async_test.rcsf";
-  RemoveSpillShards(path, 4);
-  core::Anonymizer engine(ctx, occupancy);
-  AnonymizationServer server(std::move(engine), {});
-  server::SessionPoolOptions options;
-  options.key_provider_factory = CarKeys;
-  options.sweep_batch = 64;
-  options.async_spill = true;
-  options.spill_shards = 4;
-  ContinuousSessionPool pool(server, options);
-  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
-  for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
-    ASSERT_TRUE(pool.Track("car" + std::to_string(car), FleetProfile(),
-                           Algorithm::kRge, KeysFor(car), FleetOptions())
-                    .ok());
-  }
-  std::map<std::string, std::vector<std::string>> sequences;
-  bool budget_set = false;
-  for (const auto& tick : traces.ticks) {
-    std::vector<ContinuousSessionPool::PositionUpdate> batch;
-    for (const auto& rec : tick) {
-      batch.push_back({"car" + std::to_string(rec.car_id), rec.time_s,
-                       rec.segment});
-    }
-    const auto results = pool.UpdateBatch(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_TRUE(results[i].ok())
-          << batch[i].user_id << ": " << results[i].status().ToString();
-      sequences[batch[i].user_id].push_back(ArtifactSha256(*results[i]));
-    }
-    if (!budget_set) {
-      pool.set_memory_budget_bytes(pool.memory_bytes() / 2);
-      budget_set = true;
-    }
-  }
-  ASSERT_TRUE(pool.FlushSpillQueue().ok());
-  EXPECT_EQ(sequences, oracle);
-  const auto stats = pool.stats();
-  EXPECT_GT(stats.budget_spilled, 0u);
-  EXPECT_GT(stats.restored_on_miss, 0u);
-  EXPECT_EQ(stats.restore_failures, 0u);
-  // Every swept envelope either reached a shard file or was absorbed in
-  // memory by a fresher spill / a restore that beat the writer.
-  EXPECT_EQ(stats.async_spilled + stats.async_absorbed, stats.budget_spilled);
-  EXPECT_EQ(stats.spill_queue_depth, 0u);
-  RemoveSpillShards(path, 4);
-}
-
-// The in-flight race the ISSUE names: a restore-on-miss while the record
-// still sits in the writer queue must be served byte-identical FROM MEMORY
-// (the shard files have never seen the user) and must invalidate the
-// queued write so it never lands afterwards.
-TEST(SessionPoolTest, RestoreOnMissServedFromWriterQueue) {
+// Warm boot across pool lifetimes: sessions the budget sweep wrote into a
+// two-member spill set come back in full through a fresh pool's
+// RestoreAllFromFile once the first pool is gone.
+TEST(SessionPoolTest, SweptShardFilesWarmBootIntoFreshPool) {
   const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
   const auto ctx = core::MapContext::Create(net);
-  core::Anonymizer engine(ctx, OnePerSegment(net));
-  AnonymizationServer server(std::move(engine), {});
-  server::SessionPoolOptions options;
-  options.key_provider_factory = CarKeys;
-  options.async_spill = true;
-  options.spill_shards = 2;
-  ContinuousSessionPool pool(server, options);
-  const std::string path = "session_pool_inflight_test.rcsf";
-  RemoveSpillShards(path, 2);
-  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
-  pool.PauseSpillWriterForTest(true);  // queue fills, disk stays empty
-
-  std::vector<util::UserId> ids;
-  for (int u = 0; u < 8; ++u) {
-    const std::string user = "car" + std::to_string(u);
-    const auto id = pool.Track(user, FleetProfile(), Algorithm::kRge,
-                               KeysFor(u), FleetOptions());
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-    ASSERT_TRUE(pool.Update(user, 1.0, SegmentId{static_cast<std::uint32_t>(u)})
-                    .ok());
-  }
-  pool.set_memory_budget_bytes(pool.memory_bytes() / 4);
-  ASSERT_TRUE(pool.Update("car0", 2.0, SegmentId{11}).ok());  // runs the sweep
-
-  int spilled = -1;
-  for (int u = 0; u < 8; ++u) {
-    if (pool.StateOf(ids[static_cast<std::size_t>(u)]) ==
-        ContinuousSessionPool::UserState::kSpilled) {
-      spilled = u;
-      break;
-    }
-  }
-  ASSERT_GE(spilled, 0) << "sweep spilled nobody";
-  // The paused writer proves where the bytes live: queued in memory, with
-  // not a single record on any shard file.
-  EXPECT_GT(pool.stats().spill_queue_depth, 0u);
-  ASSERT_NE(pool.spill_files(), nullptr);
-  EXPECT_EQ(pool.spill_files()->stats().live_records, 0u);
-
-  // Lift the budget so the restore is not immediately re-swept (the pool
-  // is still over budget; a sweep may victimize even the fresh restore).
-  pool.set_memory_budget_bytes(0);
-  const std::string victim = "car" + std::to_string(spilled);
-  const auto artifact = pool.Update(victim, 3.0, SegmentId{21});
-  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-  EXPECT_EQ(pool.StateOf(ids[static_cast<std::size_t>(spilled)]),
-            ContinuousSessionPool::UserState::kResident);
-  const auto stats = pool.stats();
-  EXPECT_GE(stats.restored_in_flight, 1u);
-  EXPECT_GE(stats.async_absorbed, 1u);  // the queued write was invalidated
-
-  pool.PauseSpillWriterForTest(false);
-  ASSERT_TRUE(pool.FlushSpillQueue().ok());
-  RemoveSpillShards(path, 2);
-}
-
-// Writer-thread shutdown with a non-empty queue: the destructor must drain
-// every queued envelope to its shard file (flush on detach) so a warm boot
-// of a fresh pool sees the full fleet.
-TEST(SessionPoolTest, WriterShutdownDrainsQueueToShardFiles) {
-  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
-  const auto ctx = core::MapContext::Create(net);
-  const std::string path = "session_pool_shutdown_test.rcsf";
+  const std::string path = "session_pool_warmboot_test.rcsf";
   RemoveSpillShards(path, 2);
   std::size_t spilled_count = 0;
   {
@@ -1024,11 +907,9 @@ TEST(SessionPoolTest, WriterShutdownDrainsQueueToShardFiles) {
     AnonymizationServer server(std::move(engine), {});
     server::SessionPoolOptions options;
     options.key_provider_factory = CarKeys;
-    options.async_spill = true;
     options.spill_shards = 2;
     ContinuousSessionPool pool(server, options);
     ASSERT_TRUE(pool.AttachSpillFile(path).ok());
-    pool.PauseSpillWriterForTest(true);
     std::vector<util::UserId> ids;
     for (int u = 0; u < 8; ++u) {
       const std::string user = "car" + std::to_string(u);
@@ -1048,9 +929,9 @@ TEST(SessionPoolTest, WriterShutdownDrainsQueueToShardFiles) {
       }
     }
     ASSERT_GT(spilled_count, 0u);
-    EXPECT_EQ(pool.spill_files()->stats().live_records, 0u);
-    // Pool destroyed here with the writer still paused and the queue full:
-    // the shutdown drain must flush it all regardless.
+    // The sweep appends before it unlinks: every spilled user is on disk.
+    EXPECT_EQ(pool.spill_files()->stats().live_records, spilled_count);
+    EXPECT_EQ(pool.stats().budget_spilled, spilled_count);
   }
   core::Anonymizer engine(ctx, OnePerSegment(net));
   AnonymizationServer server(std::move(engine), {});
@@ -1062,14 +943,18 @@ TEST(SessionPoolTest, WriterShutdownDrainsQueueToShardFiles) {
   const auto restored = pool.RestoreAllFromFile();
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(*restored, spilled_count);
+  EXPECT_EQ(pool.session_count(), spilled_count);
   EXPECT_EQ(pool.stats().restore_failures, 0u);
   RemoveSpillShards(path, 2);
 }
 
-// TSAN smoke for the full async machine: driver threads whose updates
-// trigger sweeps (and restore-on-miss against their own spilled users)
-// race the background writer, an off-path compactor, and a flusher.
-TEST(SessionPoolTest, AsyncSweepRacesDriversAndFlush) {
+// TSAN smoke for the spill path: updating threads under a budget so tight
+// that every tick sweeps their users out and the next tick restores them
+// on miss, racing each other's sweeps and a thread that compacts the cold
+// tier and reads stats. A restored session is inserted, gated and
+// classified in one shard-lock critical section, so no sweep can take it
+// between restore and use: every update must succeed.
+TEST(SessionPoolTest, SweepRacesRestoresAndCompaction) {
   const RoadNetwork net = roadnet::MakeGrid({12, 12, 100.0});
   const auto ctx = core::MapContext::Create(net);
   core::Anonymizer engine(ctx, OnePerSegment(net));
@@ -1078,17 +963,19 @@ TEST(SessionPoolTest, AsyncSweepRacesDriversAndFlush) {
   AnonymizationServer server(std::move(engine), server_options);
   server::SessionPoolOptions options;
   options.key_provider_factory = CarKeys;
-  options.async_spill = true;
   options.spill_shards = 2;
   options.sweep_batch = 8;
+  // One session shard: every sweep step of every thread visits the shard
+  // each restore lands in, which keeps the race window as wide as it gets.
+  options.num_shards = 1;
   ContinuousSessionPool pool(server, options);
-  const std::string path = "session_pool_asyncrace_test.rcsf";
+  const std::string path = "session_pool_sweeprace_test.rcsf";
   RemoveSpillShards(path, 2);
   ASSERT_TRUE(pool.AttachSpillFile(path).ok());
 
   constexpr int kThreads = 3;
   constexpr int kUsersPerThread = 8;
-  constexpr int kUpdates = 20;
+  constexpr int kUpdates = 60;
   for (int t = 0; t < kThreads; ++t) {
     for (int u = 0; u < kUsersPerThread; ++u) {
       const int car = t * kUsersPerThread + u;
@@ -1100,12 +987,14 @@ TEST(SessionPoolTest, AsyncSweepRacesDriversAndFlush) {
                       .ok());
     }
   }
-  // From here on every driver tick runs the sweep against the writer.
-  pool.set_memory_budget_bytes(pool.memory_bytes() / 2);
+  // No resident set fits: every sweep runs both clock laps and spills
+  // every session the tick left behind.
+  pool.set_memory_budget_bytes(1);
 
+  std::atomic<int> updaters_running{kThreads};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, t, &net] {
+    threads.emplace_back([&pool, &updaters_running, t, &net] {
       for (int step = 1; step <= kUpdates; ++step) {
         std::vector<ContinuousSessionPool::PositionUpdate> batch;
         for (int u = 0; u < kUsersPerThread; ++u) {
@@ -1116,25 +1005,27 @@ TEST(SessionPoolTest, AsyncSweepRacesDriversAndFlush) {
                    (car * 7 + step * 5) % net.segment_count())}});
         }
         for (const auto& result : pool.UpdateBatch(batch)) {
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_TRUE(result.ok()) << result.status().ToString();
         }
       }
+      updaters_running.fetch_sub(1);
     });
   }
-  threads.emplace_back([&pool] {
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(pool.FlushSpillQueue().ok());
-      ASSERT_TRUE(pool.CompactColdTier().ok());
+  threads.emplace_back([&pool, &updaters_running] {
+    do {
+      EXPECT_TRUE(pool.CompactColdTier().ok());
       (void)pool.stats();
       std::this_thread::yield();
-    }
+    } while (updaters_running.load() > 0);
   });
   for (auto& thread : threads) thread.join();
-  ASSERT_TRUE(pool.FlushSpillQueue().ok());
   const auto stats = pool.stats();
-  EXPECT_EQ(stats.recloak_failures, 0u);
+  EXPECT_EQ(stats.unknown_user, 0u);
   EXPECT_EQ(stats.restore_failures, 0u);
-  EXPECT_EQ(stats.spill_queue_depth, 0u);
+  EXPECT_EQ(stats.recloak_failures, 0u);
+  EXPECT_EQ(stats.write_stalls, 0u);
+  EXPECT_GT(stats.restored_on_miss, 0u);
+  EXPECT_GT(stats.budget_spilled, 0u);
   RemoveSpillShards(path, 2);
 }
 
