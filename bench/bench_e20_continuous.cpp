@@ -2,11 +2,11 @@
 // server-side ContinuousSessionPool over the sharded anonymization server.
 // Per tick, the whole fleet's position updates go through the id fast path
 // of UpdateBatch: in-region updates resolve in the session shards without
-// touching the engine, region exits re-cloak in one server batch and their
-// validity regions fan out across the workers (ReduceOnWorkers). Reported
-// per configuration: sustained updates/s, the re-cloak rate, p50/p95/p99
+// touching the engine, region exits re-cloak in one server batch, each
+// sealing its own validity region in the anonymizer. Reported per
+// configuration: sustained updates/s, the re-cloak rate, p50/p95/p99
 // per-update latency, the mean wall time of the burst (mass region exit)
-// ticks, and the server's steal/fan-out counters.
+// ticks, and the server's steal counter.
 //
 // Two fleet modes:
 //   * default — GTMobiSim-style traces routed by ALT over the MapContext's
@@ -14,7 +14,7 @@
 //   * --skew  — synthetic zipfian fleet: car homes concentrate on hot
 //     "downtown" segments and every 10th tick a 25% cohort teleports,
 //     slamming one mass region-exit round into the servers (the skewed
-//     workload the work-stealing shards and the reduce fan-out target).
+//     workload the work-stealing shards target).
 //
 // Flags (after the positional [fleet_size] [workers...]):
 //   --skew              synthetic zipfian fleet (scales to 100k+ users)
@@ -22,8 +22,6 @@
 //   --dynamic-occupancy occupancy epochs rebuilt per tick from the fleet's
 //                       own positions (ContinuousSessionPool::BuildOccupancy)
 //                       instead of a static snapshot
-//   --serial-reduce     validity regions on the calling thread (the PR 5
-//                       baseline; default fans them across the workers)
 //   --string-updates    drive the string-keyed API boundary (a string
 //                       built + hashed per update, the pre-interner caller
 //                       shape) instead of the UserId fast path
@@ -34,10 +32,9 @@
 //                       (reduce to L0 with all keys, compare the segment);
 //                       any mismatch exits nonzero — CI smoke relies on it
 //
-// Expectation: re-cloaks << updates (validity regions amortize), and at
-// 10k+ fleets the fanned reduce beats --serial-reduce on the burst ticks
-// while the artifact stream stays byte-identical
-// (pinned by tests/session_pool_test.cc).
+// Expectation: re-cloaks << updates (validity regions amortize), and the
+// artifact stream is byte-identical for every worker count (pinned by
+// tests/session_pool_test.cc).
 //
 // Usage: bench_e20 [fleet_size] [workers...] [flags]
 //   (defaults: fleet 200, worker sweep 1 2 4)
@@ -160,7 +157,7 @@ int main(int argc, char** argv) {
   std::uint32_t fleet_size = 200;
   int ticks = 120;
   bool skew = false, dynamic_occupancy = false, verify = false,
-       serial_reduce = false, string_updates = false, freeze = false;
+       string_updates = false, freeze = false;
   std::vector<int> worker_counts;
   bool fleet_set = false;
   for (int a = 1; a < argc; ++a) {
@@ -170,8 +167,6 @@ int main(int argc, char** argv) {
       dynamic_occupancy = true;
     } else if (std::strcmp(argv[a], "--verify") == 0) {
       verify = true;
-    } else if (std::strcmp(argv[a], "--serial-reduce") == 0) {
-      serial_reduce = true;
     } else if (std::strcmp(argv[a], "--string-updates") == 0) {
       string_updates = true;
     } else if (std::strcmp(argv[a], "--freeze") == 0) {
@@ -196,9 +191,7 @@ int main(int argc, char** argv) {
           (skew ? "zipfian skew + teleport bursts" : "ALT-routed traces") +
           (dynamic_occupancy ? ", occupancy from fleet positions" : "") +
           "); updates/s, re-cloak rate, latency percentiles and steal "
-          "counts vs worker count; validity regions " +
-          (serial_reduce ? "serial on the caller" : "fanned across workers") +
-          ".");
+          "counts vs worker count.");
 
   const auto net = [] {
     roadnet::PerturbedGridOptions options;
@@ -225,14 +218,13 @@ int main(int argc, char** argv) {
   }
 
   std::uint64_t verify_failures = 0;
-  TableWriter table({"fleet", "workers", "reduce", "updates", "recloaks",
+  TableWriter table({"fleet", "workers", "updates", "recloaks",
                      "recloak_rate", "updates_per_s", "p50_us", "p95_us",
                      "p99_us", "burst_tick_ms", "steals"});
   JsonReport report("e20");
   report.MetaInt("fleet", static_cast<long long>(fleet_size));
   report.MetaInt("ticks", ticks);
   report.Meta("workload", skew ? "skew" : "routed");
-  report.Meta("reduce", serial_reduce ? "serial" : "fanout");
   report.MetaBool("dynamic_occupancy", dynamic_occupancy);
   report.MetaBool("string_updates", string_updates);
   report.MetaBool("verify", verify);
@@ -242,9 +234,7 @@ int main(int argc, char** argv) {
     server_options.num_workers = workers;
     server_options.max_queue = 1 << 18;
     server::AnonymizationServer server(std::move(engine), server_options);
-    server::SessionPoolOptions pool_options;
-    if (serial_reduce) pool_options.min_reduce_fanout = 0;
-    server::ContinuousSessionPool pool(server, pool_options);
+    server::ContinuousSessionPool pool(server);
 
     core::ContinuousOptions continuous;
     continuous.validity_level = 1;
@@ -353,7 +343,6 @@ int main(int argc, char** argv) {
     table.AddRow(
         {TableWriter::Int(static_cast<long long>(fleet_size)),
          TableWriter::Int(workers),
-         serial_reduce ? "serial" : "fanout",
          TableWriter::Int(static_cast<long long>(ok_updates)),
          TableWriter::Int(static_cast<long long>(stats.recloaks)),
          TableWriter::Fixed(stats.updates

@@ -1,9 +1,9 @@
 // E22 — Reduce fan-out: serial Deanonymizer::ReduceBatch on the calling
 // thread vs AnonymizationServer::ReduceOnWorkers (per-worker ReduceSession
 // reuse, stealable fan-out lanes, the caller as an extra lane), swept over
-// batch size and worker count. This isolates the validity-region audit
-// step of the continuous session pool's region-exit round — the piece PR 5
-// moved off the calling thread.
+// batch size and worker count: a data requester reducing many granted
+// artifacts to one level at once. (The session pool does not reduce: it
+// takes its validity regions from the anonymizer.)
 //
 // Every fanned region is byte-compared against its serial twin; any
 // mismatch exits nonzero (CI smoke relies on the hard exit code).
@@ -104,8 +104,7 @@ int main(int argc, char** argv) {
       }
       artifacts.push_back(std::move(result->artifact));
     }
-    // Grant the outer level only: reduce to the validity level (1), the
-    // exact shape of the session pool's audit step.
+    // Grant the outer level only: reduce to level 1.
     std::vector<std::map<int, crypto::AccessKey>> granted(num_artifacts);
     for (std::size_t i = 0; i < num_artifacts; ++i) {
       granted[i].emplace(2, chains[i].LevelKey(2));

@@ -4,7 +4,7 @@
 //   traces  ->  ContinuousSessionPool::UpdateBatch  ->  artifacts
 //                 |  in-region: resolved in the session shard
 //                 |  region exit: batched re-cloak on the server,
-//                 |  validity regions via one ReduceBatch
+//                 |  each sealing its own validity region
 //
 // Every user's artifact stream is byte-identical to what a single-user
 // core::ContinuousCloak would have produced for the same trace — the pool

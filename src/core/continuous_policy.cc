@@ -64,22 +64,22 @@ ContinuousPolicy::Action ContinuousPolicy::OnUpdate(
 
 void ContinuousPolicy::CommitRecloak(double now_s, CloakedArtifact artifact,
                                      CloakRegion validity_region) {
+  // Keep only the segment set: the CloakRegion engine state (bitmap,
+  // frontier caches) is per-network-sized and dies here.
   CommitRecloak(now_s,
                 std::make_shared<const CloakedArtifact>(std::move(artifact)),
-                std::move(validity_region));
+                ValidityRegion(validity_region.segments_by_id()));
 }
 
 void ContinuousPolicy::CommitRecloak(
     double now_s, std::shared_ptr<const CloakedArtifact> artifact,
-    CloakRegion validity_region) {
+    ValidityRegion validity_region) {
   if (artifact_) {
     stats_.validity_duration_s.Add(now_s - artifact_created_s_);
   }
   ++epoch_;
   artifact_ = std::move(artifact);
-  // Keep only the segment set: the CloakRegion engine state (bitmap,
-  // frontier caches) is per-network-sized and dies here.
-  validity_region_ = ValidityRegion(validity_region.segments_by_id());
+  validity_region_ = std::move(validity_region);
   artifact_created_s_ = now_s;
   stats_.last_recloak_time_s = now_s;
   ++stats_.recloaks;

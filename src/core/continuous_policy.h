@@ -121,13 +121,15 @@ class ContinuousPolicy {
 
   // Installs the artifact cut for `next_epoch()` and its validity region,
   // advancing the epoch and the re-cloak statistics. The shared overload
-  // adopts an already-wrapped artifact without re-copying (the session
-  // pool shares one wrapping between the commit and the serve result).
+  // adopts an already-wrapped artifact without re-copying and a region
+  // already reduced to its segment set (the session pool shares one
+  // wrapping between the commit and the serve result, and hands in the
+  // region the anonymizer sealed, so no per-network CloakRegion is built).
   void CommitRecloak(double now_s, CloakedArtifact artifact,
                      CloakRegion validity_region);
   void CommitRecloak(double now_s,
                      std::shared_ptr<const CloakedArtifact> artifact,
-                     CloakRegion validity_region);
+                     ValidityRegion validity_region);
 
   // Spill/restore: serializes the complete session state — identity,
   // profile, options, epoch counter, artifact in force, validity region,

@@ -18,6 +18,9 @@ std::string RequestCache::CacheKey(const std::string& user,
                   req.delta_l, req.sigma_s);
     key += buf;
   }
+  if (request.sealed_level != 0) {
+    key += "\x1fsealed/" + std::to_string(request.sealed_level);
+  }
   return key;
 }
 

@@ -73,6 +73,9 @@ StatusOr<AnonymizeResult> Anonymizer::Anonymize(
     return Status::InvalidArgument(
         "anonymize: key chain has fewer keys than profile levels");
   }
+  if (request.sealed_level < 0 || request.sealed_level > num_levels) {
+    return Status::InvalidArgument("anonymize: sealed level out of range");
+  }
   const CloakAlgorithm* algorithm = FindAlgorithm(request.algorithm);
   if (algorithm == nullptr) {
     return Status::InvalidArgument("anonymize: unknown algorithm id " +
@@ -112,12 +115,18 @@ StatusOr<AnonymizeResult> Anonymizer::Anonymize(
   RCLOAK_RETURN_IF_ERROR(algorithm->Begin(*ctx_, session, rple_T_));
 
   AnonymizeResult result;
+  const int sealed_level = algorithm->reversible() ? request.sealed_level : 0;
   for (int level = 1; level <= num_levels; ++level) {
     StatusOr<LevelRecord> record = algorithm->AnonymizeLevel(
         *ctx_, session, keys.LevelKey(level), request.context, level,
         request.profile.level(level));
     if (!record.ok()) return record.status();
     result.artifact.levels.push_back(std::move(record).value());
+    // The region now holds exactly level `level`; the next expansion only
+    // adds to it, so this is the set the keyed peel recovers.
+    if (level == sealed_level) {
+      result.sealed_region = session.region.segments_by_id();
+    }
   }
 
   result.artifact.algorithm = request.algorithm;

@@ -44,6 +44,12 @@ struct AnonymizeRequest {
   // Public request context (binds the PRNG streams; must be unique per
   // request, e.g. "user42/2017-03-02T10:11:12/7").
   std::string context;
+  // A level (1..N) whose region the result copies out the moment it is
+  // sealed (AnonymizeResult::sealed_region); 0 = none. The anonymizer grows
+  // every level inside the next one itself, so the owner of the keys gets
+  // an inner region here without replaying the artifact through
+  // Deanonymizer::Reduce.
+  int sealed_level = 0;
 };
 
 struct AnonymizeResult {
@@ -52,6 +58,12 @@ struct AnonymizeResult {
   RpleStats rple_stats;
   GridStats grid_stats;
   std::uint64_t baseline_expansions = 0;
+  // The id-sorted segment set of request.sealed_level's region, copied as
+  // that level was sealed: equal to Reduce(artifact, keys of levels
+  // sealed_level+1..N, sealed_level).segments_by_id(). Empty when no level
+  // was requested or the backend is not reversible (there is no keyed
+  // reduce for it to stand in for).
+  std::vector<SegmentId> sealed_region;
 };
 
 class Anonymizer {
@@ -162,8 +174,8 @@ class Deanonymizer {
   // byte-identical to Reduce(*jobs[i].artifact, ...). Per-artifact setup
   // (strategy lookup, BeginReduce table resolution) is amortized by
   // reusing one ReduceSession per (algorithm, rple_T) run instead of
-  // paying the context's memo lock once per artifact — the hot path of
-  // the session pool's epoch-rollover audit (validity-region) step.
+  // paying the context's memo lock once per artifact — the shape of a data
+  // requester reducing many granted artifacts at once.
   std::vector<StatusOr<CloakRegion>> ReduceBatch(
       const std::vector<ReduceJob>& jobs) const;
 

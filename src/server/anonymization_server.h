@@ -19,9 +19,9 @@
 // (pinned by tests/server_determinism_test.cc and session_pool_test.cc).
 //
 // Fan-out: RunOnWorkers posts one generic stealable task per worker and
-// ReduceOnWorkers layers the session pool's validity-region ReduceBatch on
-// top of it, with per-worker ReduceSession reuse and the calling thread as
-// an extra lane (so progress never depends on queue depth).
+// ReduceOnWorkers layers a keyed ReduceBatch on top of it, with per-worker
+// ReduceSession reuse and the calling thread as an extra lane (so progress
+// never depends on queue depth).
 #pragma once
 
 #include <condition_variable>
@@ -105,8 +105,8 @@ class AnonymizationServer {
   // through a common atomic cursor, as ReduceOnWorkers does.
   int RunOnWorkers(const FanoutFn& fn);
 
-  // The session pool's region-exit audit step, fanned across the workers:
-  // element i of the result is byte-identical to deanonymizer.Reduce on
+  // A batch of keyed reduces fanned across the workers: element i of the
+  // result is byte-identical to deanonymizer.Reduce on
   // jobs[i]. Jobs are drawn from a shared cursor by the worker lanes (each
   // reusing its shard's long-lived ReduceSession) *and* by the calling
   // thread, so the call completes even when every worker queue is deep.

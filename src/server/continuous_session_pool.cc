@@ -115,7 +115,6 @@ StatusOr<std::uint64_t> DecodeSpillOwner(const Bytes& data) {
 ContinuousSessionPool::ContinuousSessionPool(AnonymizationServer& server,
                                              const SessionPoolOptions& options)
     : server_(&server),
-      deanonymizer_(server.engine().context()),
       options_(options),
       map_fingerprint_(server.engine().context()->fingerprint()) {
   const int shards =
@@ -481,6 +480,8 @@ std::size_t ContinuousSessionPool::SweepStep(std::size_t quota) {
   std::vector<util::UserId> victims;
   const std::size_t visited = shard.sessions.SweepFrom(
       &shard.clock_hand, quota, [&](util::UserId id, Session& session) {
+        // Its commit must find it: the fresh epoch is in flight.
+        if (session.recloak_pending) return false;
         if (session.referenced) {
           // Second chance: touched since the last lap.
           session.referenced = false;
@@ -683,6 +684,11 @@ void ContinuousSessionPool::RunRound(
         request.profile = recloak.profile;
         request.algorithm = session.policy.algorithm();
         request.context = session.policy.EpochContext(recloak.epoch);
+        // The outermost level is the published region itself.
+        if (recloak.validity_level < recloak.profile.num_levels()) {
+          request.sealed_level = recloak.validity_level;
+        }
+        session.recloak_pending = true;
         // Copied so the user-supplied provider runs OUTSIDE the shard
         // lock: it may be slow (KMS round-trips) or call back into the
         // pool, and either must not stall or deadlock the shard.
@@ -774,53 +780,17 @@ void ContinuousSessionPool::RunRound(
     pending[i].result = futures[i]->get();
   }
 
-  // ---- phase 3: validity regions for the fresh artifacts -----------------
-  // The per-epoch granted key maps live here so the reduce jobs can borrow.
-  std::vector<std::map<int, crypto::AccessKey>> granted(pending.size());
-  std::vector<core::Deanonymizer::ReduceJob> reduce_jobs;
-  std::vector<std::size_t> reduce_owner;  // reduce job -> pending index
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    PendingRecloak& recloak = pending[i];
-    if (!recloak.result.ok()) continue;
-    const int num_levels = recloak.profile.num_levels();
-    for (int level = recloak.validity_level + 1; level <= num_levels;
-         ++level) {
-      granted[i].emplace(level, recloak.keys.LevelKey(level));
-    }
-    reduce_jobs.push_back({&recloak.result->artifact, &granted[i],
-                           recloak.validity_level});
-    reduce_owner.push_back(i);
-  }
-  // Large exit rounds fan the audit step across the server workers (per-
-  // worker ReduceSession reuse, the calling thread as an extra lane);
-  // small ones stay serial — byte-identical either way.
-  std::vector<StatusOr<core::CloakRegion>> regions;
-  if (options_.min_reduce_fanout > 0 &&
-      reduce_jobs.size() >= options_.min_reduce_fanout &&
-      server_->num_workers() > 1) {
-    regions = server_->ReduceOnWorkers(deanonymizer_, std::move(reduce_jobs));
-    reduce_fanouts_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    regions = deanonymizer_.ReduceBatch(reduce_jobs);
-  }
-
-  // ---- phase 4: commit under the shard locks -----------------------------
-  std::vector<StatusOr<core::CloakRegion>*> region_of(pending.size(),
-                                                      nullptr);
-  for (std::size_t j = 0; j < reduce_owner.size(); ++j) {
-    region_of[reduce_owner[j]] = &regions[j];
-  }
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    PendingRecloak& recloak = pending[i];
+  // ---- phase 3: commit under the shard locks -----------------------------
+  for (PendingRecloak& recloak : pending) {
     const std::size_t idx = recloak.update_index;
+    StatusOr<core::ValidityRegion> region =
+        recloak.result.ok() ? ValidityRegionOf(recloak)
+                            : StatusOr<core::ValidityRegion>(
+                                  recloak.result.status());
     Shard& shard = *shards_[recloak.shard];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (!recloak.result.ok()) {
-      ++shard.recloak_failures;
-      results[idx] = recloak.result.status();
-      continue;
-    }
-    StatusOr<core::CloakRegion>& region = *region_of[i];
+    Session* session = shard.sessions.Find(recloak.user);
+    if (session != nullptr) session->recloak_pending = false;
     if (!region.ok()) {
       ++shard.recloak_failures;
       results[idx] = region.status();
@@ -831,8 +801,9 @@ void ContinuousSessionPool::RunRound(
     auto artifact = std::make_shared<const core::CloakedArtifact>(
         std::move(recloak.result).value().artifact);
     results[idx] = artifact;
-    Session* session = shard.sessions.Find(recloak.user);
-    if (session == nullptr) continue;  // evicted in flight
+    // Gone only if explicitly evicted or spilled meanwhile: the clock
+    // sweep skips sessions with a re-cloak pending.
+    if (session == nullptr) continue;
     if (session->policy.next_epoch() != recloak.epoch) continue;  // raced
     shard.resident_bytes -= session->mem_bytes;
     session->policy.CommitRecloak(updates[idx].now_s, std::move(artifact),
@@ -842,6 +813,25 @@ void ContinuousSessionPool::RunRound(
     session->referenced = true;
     ++shard.recloaks;
   }
+}
+
+StatusOr<core::ValidityRegion> ContinuousSessionPool::ValidityRegionOf(
+    PendingRecloak& recloak) const {
+  core::AnonymizeResult& result = *recloak.result;
+  if (recloak.validity_level == recloak.profile.num_levels()) {
+    return core::ValidityRegion(result.artifact.region_segments);
+  }
+  if (!result.sealed_region.empty()) {
+    return core::ValidityRegion(std::move(result.sealed_region));
+  }
+  // The backend sealed no inner region (it is not reversible): the keyed
+  // reduce reports why, exactly as the single-user oracle does.
+  RCLOAK_ASSIGN_OR_RETURN(
+      const core::CloakRegion region,
+      core::ComputeValidityRegion(
+          core::Deanonymizer(server_->engine().context()), result.artifact,
+          recloak.keys, recloak.profile, recloak.validity_level));
+  return core::ValidityRegion(region.segments_by_id());
 }
 
 std::vector<StatusOr<ContinuousSessionPool::SharedArtifact>>
@@ -1052,7 +1042,6 @@ SessionPoolStats ContinuousSessionPool::stats() const {
     stats.write_stalls += shard->write_stalls;
     stats.active_sessions += shard->sessions.size();
   }
-  stats.reduce_fanouts = reduce_fanouts_.load(std::memory_order_relaxed);
   stats.sweeps = sweeps_.load(std::memory_order_relaxed);
   stats.spill_compactions =
       spill_compactions_.load(std::memory_order_relaxed);

@@ -13,18 +13,19 @@
 // never touched.
 //
 // Region exits batch into one AnonymizationServer::SubmitBatch round of
-// re-cloaks; the fresh artifacts' validity regions (the epoch-rollover
-// audit step) then fan out across the server workers via ReduceOnWorkers —
-// per-worker ReduceSession reuse, the calling thread as an extra lane —
-// instead of a serial ReduceBatch on the caller, and are committed back
-// under the shard locks.
+// re-cloaks and are committed back under the shard locks. Each re-cloak
+// asks the anonymizer for its validity level's region as that level is
+// sealed (AnonymizeRequest::sealed_level), so the pool never replays a
+// fresh artifact through the keyed Deanonymizer::Reduce: the anonymizer
+// already holds every inner region, the keyed peel is for data requesters.
 //
 // Determinism: artifacts are a pure function of (request, keys, map,
 // occupancy epoch) and every policy decision is a pure function of the
 // user's own update sequence, so per-user artifact sequences are
 // byte-identical to the single-user core::ContinuousCloak oracle and
-// independent of the server's worker count, of work stealing and of the
-// reduce fan-out (tests/session_pool_test.cc pins all of it by SHA-256).
+// independent of the server's worker count and of work stealing; the
+// oracle derives validity regions with the keyed reduce, so these pins
+// check both routes (tests/session_pool_test.cc, by SHA-256).
 // Updates for one user must be fed in order (one UpdateBatch round never
 // reorders them; batches containing several updates for one user are
 // split into ordered rounds).
@@ -53,12 +54,6 @@ struct SessionPoolOptions {
   // Session shards (<= 0: one per server worker). Independent of the
   // server's shard count — sessions shard by user id, jobs by round-robin.
   int num_shards = 0;
-  // Fan the validity-region reduce of a region-exit round across the
-  // server workers once at least this many re-cloaks are pending; smaller
-  // rounds (and 0 = never) run the serial ReduceBatch on the calling
-  // thread. Purely a performance knob — artifacts are byte-identical
-  // either way.
-  std::size_t min_reduce_fanout = 4;
 
   // ---- cold tier (active once AttachSpillFile succeeds) ------------------
   // Soft budget over resident session state, session tables, interner
@@ -106,8 +101,8 @@ struct SessionPoolStats {
   // NOT folded into the retired_* counters.
   std::uint64_t spilled = 0;
   std::uint64_t restored = 0;
-  // Region-exit rounds whose validity regions ran fanned across the
-  // server workers (vs the serial ReduceBatch path).
+  // Always 0: validity regions come from the anonymizer, so the pool has
+  // no reduce to fan out. Kept so readers of the stats keep compiling.
   std::uint64_t reduce_fanouts = 0;
   // Lifetime totals folded in from evicted sessions at eviction time, so
   // dropping a session never silently discards its per-user statistics.
@@ -181,8 +176,7 @@ class ContinuousSessionPool {
     Bytes state;
   };
 
-  // The server must outlive the pool. The pool's deanonymizer shares the
-  // server engine's MapContext, so no index or table is rebuilt.
+  // The server must outlive the pool.
   explicit ContinuousSessionPool(AnonymizationServer& server,
                                  const SessionPoolOptions& options = {});
 
@@ -314,11 +308,11 @@ class ContinuousSessionPool {
                                          roadnet::SegmentId segment);
 
   // The fleet tick path: classifies every update under its shard lock,
-  // re-cloaks all region exits in one server batch, fans the fresh
-  // validity regions across the workers, and commits. Element i of the
-  // result corresponds to updates[i]. The string overload copies each
-  // artifact out (API compatibility); the id overload serves shared
-  // references — the allocation-free fast path.
+  // re-cloaks all region exits in one server batch (each sealing its own
+  // validity region), and commits. Element i of the result corresponds to
+  // updates[i]. The string overload copies each artifact out (API
+  // compatibility); the id overload serves shared references — the
+  // allocation-free fast path.
   std::vector<StatusOr<core::CloakedArtifact>> UpdateBatch(
       const std::vector<PositionUpdate>& updates);
   std::vector<StatusOr<SharedArtifact>> UpdateBatch(
@@ -373,6 +367,10 @@ class ContinuousSessionPool {
     // Second-chance bit: set on every touch, cleared by one clock pass, so
     // a session updated since the last sweep lap is never spilled.
     bool referenced = true;
+    // Set from a re-cloak's classify to its commit (success or failure);
+    // the clock sweep skips such a session, so no concurrent sweep can make
+    // the commit drop its fresh epoch.
+    bool recloak_pending = false;
     // Cached footprint (SessionFootprint at last commit), so the sweep's
     // budget check never re-walks artifact internals.
     std::size_t mem_bytes = 0;
@@ -466,10 +464,17 @@ class ContinuousSessionPool {
   StatusOr<util::UserId> TrackPolicy(Session session, bool restored);
 
   // Runs one round (at most one update per user) end to end: classify,
-  // batch re-cloak, fanned validity regions, commit.
+  // batch re-cloak, commit.
   void RunRound(const std::vector<IdPositionUpdate>& updates,
                 const std::vector<std::size_t>& round,
                 std::vector<StatusOr<SharedArtifact>>& results);
+
+  // A successful re-cloak's validity region: the published region at the
+  // outermost level, else the one the anonymizer sealed (moved out). A
+  // backend that seals none (not reversible) gets the keyed reduce, which
+  // fails exactly as the single-user oracle's does.
+  StatusOr<core::ValidityRegion> ValidityRegionOf(
+      PendingRecloak& recloak) const;
 
   // Splits a batch into rounds and runs them; callers hold cold_mutex_
   // (shared).
@@ -536,12 +541,10 @@ class ContinuousSessionPool {
                                 std::uint8_t algorithm) const;
 
   AnonymizationServer* server_;
-  core::Deanonymizer deanonymizer_;
   SessionPoolOptions options_;
   std::uint64_t map_fingerprint_ = 0;
   util::StringInterner interner_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> reduce_fanouts_{0};
 
   // ---- cold tier ----
   // Guards the interner's generation lifecycle: anything that interns or

@@ -319,8 +319,8 @@ TEST(GridServerTest, ByteIdenticalAcrossWorkerCounts) {
 }
 
 // The session layer needs zero changes for the new backend: a grid-tracked
-// fleet re-cloaks through SubmitBatch/ReduceBatch (validity region = the
-// cloak's cell set) exactly like the road backends.
+// fleet re-cloaks through SubmitBatch (validity region = the level-1 cell
+// set the anonymizer sealed) exactly like the road backends.
 TEST(GridSessionPoolTest, ContinuousTrackingWorksUnchanged) {
   const RoadNetwork net = roadnet::MakeGrid({12, 12, 100.0});
   const auto ctx = core::MapContext::Create(net);

@@ -2,6 +2,7 @@
 // Deanonymizer, both algorithms, all reduction levels, failure modes.
 #include <gtest/gtest.h>
 
+#include "core/algorithm.h"
 #include "core/artifact.h"
 #include "core/reversecloak.h"
 #include "mobility/simulator.h"
@@ -172,6 +173,139 @@ TEST(AnonymizerTest, ValidatesInputs) {
     // Three levels but only two keys.
     EXPECT_FALSE(anonymizer.Anonymize(bad, keys).ok());
   }
+  for (const int sealed_level : {-1, 2}) {
+    AnonymizeRequest bad = request;
+    bad.sealed_level = sealed_level;  // the profile has one level
+    EXPECT_EQ(anonymizer.Anonymize(bad, keys).status().code(),
+              ErrorCode::kInvalidArgument);
+  }
+}
+
+// An out-of-tree reversible backend: RGE's strategy under a wire id of its
+// own, registered the way third-party backends are.
+class RegisteredRge final : public CloakAlgorithm {
+ public:
+  static constexpr Algorithm kId = static_cast<Algorithm>(42);
+
+  Algorithm id() const noexcept override { return kId; }
+  std::string_view name() const noexcept override { return "RegisteredRge"; }
+  Status Begin(const MapContext& ctx, EngineSession& session,
+               std::uint32_t rple_T) const override {
+    return Rge().Begin(ctx, session, rple_T);
+  }
+  StatusOr<LevelRecord> AnonymizeLevel(
+      const MapContext& ctx, EngineSession& session,
+      const crypto::AccessKey& key, const std::string& request_context,
+      int level_index, const LevelRequirement& requirement) const override {
+    return Rge().AnonymizeLevel(ctx, session, key, request_context,
+                                level_index, requirement);
+  }
+  Status BeginReduce(const MapContext& ctx, const CloakedArtifact& artifact,
+                     ReduceSession& session) const override {
+    return Rge().BeginReduce(ctx, artifact, session);
+  }
+  Status DeanonymizeLevel(const MapContext& ctx,
+                          const CloakedArtifact& artifact,
+                          ReduceSession& session, CloakRegion& region,
+                          const crypto::AccessKey& key, int level_index,
+                          const LevelRecord& record,
+                          std::uint32_t prev_region_size) const override {
+    return Rge().DeanonymizeLevel(ctx, artifact, session, region, key,
+                                  level_index, record, prev_region_size);
+  }
+
+ private:
+  static const CloakAlgorithm& Rge() { return *FindAlgorithm(Algorithm::kRge); }
+};
+
+Algorithm RegisteredRgeId() {
+  static const RegisteredRge algorithm;
+  static const bool registered = RegisterAlgorithm(&algorithm).ok();
+  EXPECT_TRUE(registered);
+  return RegisteredRge::kId;
+}
+
+// The region Anonymize copies out as it seals level L is exactly what the
+// keyed reduce recovers from the artifact with keys L+1..N: every
+// reversible backend (built-in or registered), profiles of 2-4 levels,
+// every inner level, many origins and contexts. Asking for it changes no
+// artifact byte.
+TEST(SealedRegionTest, EqualsKeyedReduceForEveryInnerLevel) {
+  const RoadNetwork net = roadnet::MakeGrid({14, 14, 100.0});
+  const auto ctx = MapContext::Create(net);
+  Anonymizer anonymizer(ctx, OnePerSegment(net), /*rple_T=*/6);
+  Deanonymizer deanonymizer(ctx);
+  const std::vector<PrivacyProfile> profiles = {
+      PrivacyProfile({{5, 3, 1e9}, {14, 6, 1e9}}),
+      PrivacyProfile({{4, 2, 1e9}, {12, 4, 1e9}, {30, 8, 1e9}}),
+      PrivacyProfile(
+          {{3, 2, 1e9}, {8, 3, 1e9}, {16, 5, 1e9}, {32, 8, 1e9}}),
+  };
+  std::size_t checked = 0;
+  for (const Algorithm algorithm : {Algorithm::kRge, Algorithm::kRple,
+                                    Algorithm::kGrid, RegisteredRgeId()}) {
+    for (const PrivacyProfile& profile : profiles) {
+      const int levels = profile.num_levels();
+      for (std::uint32_t i = 0; i < 10; ++i) {
+        const SegmentId origin{static_cast<std::uint32_t>(
+            (11 + 47 * i) % net.segment_count())};
+        for (int sealed = 1; sealed < levels; ++sealed) {
+          SCOPED_TRACE(std::string(AlgorithmName(algorithm)) + " levels=" +
+                       std::to_string(levels) + " origin=" +
+                       std::to_string(roadnet::Index(origin)) +
+                       " sealed=" + std::to_string(sealed));
+          const auto keys =
+              crypto::KeyChain::FromSeed(7000 + 100 * i + sealed, levels);
+          AnonymizeRequest request;
+          request.origin = origin;
+          request.profile = profile;
+          request.algorithm = algorithm;
+          request.context = "sealed/" + std::to_string(levels) + "/" +
+                            std::to_string(i) + "/" + std::to_string(sealed);
+          const auto plain = anonymizer.Anonymize(request, keys);
+          ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+          EXPECT_TRUE(plain->sealed_region.empty());
+          request.sealed_level = sealed;
+          const auto result = anonymizer.Anonymize(request, keys);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_EQ(EncodeArtifact(result->artifact),
+                    EncodeArtifact(plain->artifact));
+
+          std::map<int, crypto::AccessKey> granted;
+          for (int level = sealed + 1; level <= levels; ++level) {
+            granted.emplace(level, keys.LevelKey(level));
+          }
+          const auto reduced =
+              deanonymizer.Reduce(result->artifact, granted, sealed);
+          ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
+          EXPECT_EQ(result->sealed_region, reduced->segments_by_id());
+          // Exact-size, like a copy out of a CloakRegion: a session's
+          // budgeted footprint counts the region's capacity.
+          EXPECT_EQ(result->sealed_region.capacity(),
+                    result->sealed_region.size());
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4u * 10u * (1u + 2u + 3u));
+}
+
+// A non-reversible backend has no keyed reduce for a sealed region to
+// stand in for, so it seals none.
+TEST(SealedRegionTest, NonReversibleBackendSealsNothing) {
+  const RoadNetwork net = roadnet::MakeGrid({12, 12, 100.0});
+  Anonymizer anonymizer(net, OnePerSegment(net));
+  AnonymizeRequest request;
+  request.origin = SegmentId{40};
+  request.profile = PrivacyProfile({{5, 3, 1e9}, {14, 6, 1e9}});
+  request.algorithm = Algorithm::kRandomExpand;
+  request.context = "baseline/sealed";
+  request.sealed_level = 1;
+  const auto result =
+      anonymizer.Anonymize(request, crypto::KeyChain::FromSeed(5, 2));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->sealed_region.empty());
 }
 
 TEST(AnonymizerTest, RealisticOccupancyFromSimulator) {

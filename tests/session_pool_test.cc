@@ -40,9 +40,10 @@ mobility::OccupancySnapshot OnePerSegment(const RoadNetwork& net) {
 
 // Per-user, per-epoch key chains: derived from the user's numeric id so
 // the pool and the oracle agree without shared state.
-ContinuousSessionPool::KeyProvider KeysFor(std::uint64_t user_seed) {
-  return [user_seed](std::uint64_t epoch) {
-    return crypto::KeyChain::FromSeed(user_seed * 1000 + epoch, 2);
+ContinuousSessionPool::KeyProvider KeysFor(std::uint64_t user_seed,
+                                           int levels = 2) {
+  return [user_seed, levels](std::uint64_t epoch) {
+    return crypto::KeyChain::FromSeed(user_seed * 1000 + epoch, levels);
   };
 }
 
@@ -92,12 +93,46 @@ core::ContinuousOptions FleetOptions() {
   return options;
 }
 
+// What every car of a fleet run is tracked with.
+struct FleetSetup {
+  PrivacyProfile profile = FleetProfile();
+  Algorithm algorithm = Algorithm::kRge;
+  core::ContinuousOptions options = FleetOptions();
+};
+
+// Drives every car through its own single-user ContinuousCloak oracle and
+// returns, per user, the SHA-256 of every served artifact in update order.
+std::map<std::string, std::vector<std::string>> RunOracle(
+    const std::shared_ptr<const core::MapContext>& ctx,
+    const mobility::OccupancySnapshot& occupancy, const FleetTraces& traces,
+    const FleetSetup& setup = {}) {
+  core::Anonymizer anonymizer(ctx, occupancy);
+  core::Deanonymizer deanonymizer(ctx);
+  std::map<std::string, std::vector<std::string>> oracle;
+  for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
+    const std::string user = "car" + std::to_string(car);
+    core::ContinuousCloak continuous(
+        anonymizer, deanonymizer, setup.profile, setup.algorithm, user,
+        KeysFor(car, setup.profile.num_levels()), setup.options);
+    for (const auto& tick : traces.ticks) {
+      for (const auto& rec : tick) {
+        if (rec.car_id != car) continue;
+        const auto artifact = continuous.Update(rec.time_s, rec.segment);
+        EXPECT_TRUE(artifact.ok()) << artifact.status().ToString();
+        if (artifact.ok()) oracle[user].push_back(ArtifactSha256(*artifact));
+      }
+    }
+    EXPECT_GE(continuous.stats().recloaks, 1u);
+  }
+  return oracle;
+}
+
 // Drives the fleet through a pool over `workers` server workers and
 // returns, per user, the SHA-256 of every served artifact in update order.
 std::map<std::string, std::vector<std::string>> RunPool(
     const std::shared_ptr<const core::MapContext>& ctx,
     const mobility::OccupancySnapshot& occupancy, const FleetTraces& traces,
-    int workers) {
+    int workers, const FleetSetup& setup = {}) {
   core::Anonymizer engine(ctx, occupancy);
   server::ServerOptions server_options;
   server_options.num_workers = workers;
@@ -105,8 +140,10 @@ std::map<std::string, std::vector<std::string>> RunPool(
   AnonymizationServer server(std::move(engine), server_options);
   ContinuousSessionPool pool(server);
   for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
-    EXPECT_TRUE(pool.Track("car" + std::to_string(car), FleetProfile(),
-                           Algorithm::kRge, KeysFor(car), FleetOptions())
+    EXPECT_TRUE(pool.Track("car" + std::to_string(car), setup.profile,
+                           setup.algorithm,
+                           KeysFor(car, setup.profile.num_levels()),
+                           setup.options)
                     .ok());
   }
   std::map<std::string, std::vector<std::string>> sequences;
@@ -133,25 +170,7 @@ TEST(SessionPoolTest, MatchesSingleUserOracleByteForByte) {
   const auto occupancy = OnePerSegment(traces.net);
 
   // Oracle: one ContinuousCloak per car over the same context/occupancy.
-  core::Anonymizer anonymizer(ctx, occupancy);
-  core::Deanonymizer deanonymizer(ctx);
-  std::map<std::string, std::vector<std::string>> oracle;
-  for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
-    const std::string user = "car" + std::to_string(car);
-    core::ContinuousCloak continuous(anonymizer, deanonymizer,
-                                     FleetProfile(), Algorithm::kRge, user,
-                                     KeysFor(car), FleetOptions());
-    for (const auto& tick : traces.ticks) {
-      for (const auto& rec : tick) {
-        if (rec.car_id != car) continue;
-        const auto artifact = continuous.Update(rec.time_s, rec.segment);
-        ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-        oracle[user].push_back(ArtifactSha256(*artifact));
-      }
-    }
-    ASSERT_GE(continuous.stats().recloaks, 1u);
-  }
-
+  const auto oracle = RunOracle(ctx, occupancy, traces);
   const auto pooled = RunPool(ctx, occupancy, traces, /*workers=*/2);
   EXPECT_EQ(pooled, oracle);
 }
@@ -476,50 +495,71 @@ TEST(SessionPoolTest, IdFastPathMatchesStringPath) {
   EXPECT_EQ(bad_results[0].status().code(), ErrorCode::kNotFound);
 }
 
-// Fanning the validity-region reduce across the workers must not change a
-// byte relative to the serial ReduceBatch path, and must actually run.
-TEST(SessionPoolTest, FannedReduceByteIdenticalToSerial) {
+// The pool commits the region the anonymizer sealed as each re-cloak's
+// validity region; the oracle derives it with the keyed reduce. The two
+// routes must serve the same bytes for every reversible backend and every
+// validity level of a 3-level profile (level 3 is the published region).
+TEST(SessionPoolTest, SealedValidityRegionsMatchOracleAcrossBackends) {
   const auto traces = MakeFleetTraces(/*num_cars=*/8, /*duration_s=*/40.0);
   const auto ctx = core::MapContext::Create(traces.net);
   const auto occupancy = OnePerSegment(traces.net);
-
-  auto run = [&](std::size_t min_reduce_fanout) {
-    core::Anonymizer engine(ctx, occupancy);
-    server::ServerOptions server_options;
-    server_options.num_workers = 4;
-    server_options.max_queue = 4096;
-    AnonymizationServer server(std::move(engine), server_options);
-    server::SessionPoolOptions pool_options;
-    pool_options.min_reduce_fanout = min_reduce_fanout;
-    ContinuousSessionPool pool(server, pool_options);
-    for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
-      EXPECT_TRUE(pool.Track("car" + std::to_string(car), FleetProfile(),
-                             Algorithm::kRge, KeysFor(car), FleetOptions())
-                      .ok());
+  for (const Algorithm algorithm :
+       {Algorithm::kRge, Algorithm::kRple, Algorithm::kGrid}) {
+    for (const int validity_level : {1, 2, 3}) {
+      SCOPED_TRACE(std::string(core::AlgorithmName(algorithm)) +
+                   " validity_level=" + std::to_string(validity_level));
+      FleetSetup setup;
+      setup.profile = PrivacyProfile({{4, 2, 1e9}, {10, 4, 1e9}, {24, 6, 1e9}});
+      setup.algorithm = algorithm;
+      setup.options.validity_level = validity_level;
+      const auto oracle = RunOracle(ctx, occupancy, traces, setup);
+      ASSERT_EQ(oracle.size(), traces.num_cars);
+      EXPECT_EQ(RunPool(ctx, occupancy, traces, /*workers=*/4, setup),
+                oracle);
     }
-    std::map<std::string, std::vector<std::string>> sequences;
-    for (const auto& tick : traces.ticks) {
-      std::vector<ContinuousSessionPool::PositionUpdate> batch;
-      for (const auto& rec : tick) {
-        batch.push_back({"car" + std::to_string(rec.car_id), rec.time_s,
-                         rec.segment});
-      }
-      const auto results = pool.UpdateBatch(batch);
-      for (std::size_t j = 0; j < batch.size(); ++j) {
-        EXPECT_TRUE(results[j].ok());
-        sequences[batch[j].user_id].push_back(ArtifactSha256(*results[j]));
-      }
-    }
-    return std::make_pair(std::move(sequences), pool.stats().reduce_fanouts);
-  };
+  }
+}
 
-  const auto [serial, serial_fanouts] = run(/*min_reduce_fanout=*/0);
-  const auto [fanned, fanned_fanouts] = run(/*min_reduce_fanout=*/1);
-  EXPECT_EQ(fanned, serial);
-  EXPECT_EQ(serial_fanouts, 0u);
-  // Every tick re-cloaks at least the first round's exits; with the
-  // threshold at 1 every such round fans out.
-  EXPECT_GT(fanned_fanouts, 0u);
+// A non-reversible backend seals no region, so below the outermost level
+// the re-cloak fails exactly as the oracle's keyed reduce does (same code,
+// same message) and leaves the session as it was; at the outermost level
+// it serves like any other backend.
+TEST(SessionPoolTest, NonReversibleBackendFailsAndServesLikeTheOracle) {
+  const auto traces = MakeFleetTraces(/*num_cars=*/4, /*duration_s=*/10.0);
+  const auto ctx = core::MapContext::Create(traces.net);
+  const auto occupancy = OnePerSegment(traces.net);
+  FleetSetup setup;
+  setup.algorithm = Algorithm::kRandomExpand;
+
+  setup.options.validity_level = 1;
+  core::Anonymizer anonymizer(ctx, occupancy);
+  core::Deanonymizer deanonymizer(ctx);
+  core::ContinuousCloak oracle(anonymizer, deanonymizer, setup.profile,
+                               setup.algorithm, "car0", KeysFor(0),
+                               setup.options);
+  const auto expected = oracle.Update(0.0, SegmentId{60});
+  ASSERT_FALSE(expected.ok());
+  EXPECT_EQ(expected.status().code(), ErrorCode::kUnimplemented);
+
+  core::Anonymizer engine(ctx, occupancy);
+  AnonymizationServer server(std::move(engine), {});
+  ContinuousSessionPool pool(server);
+  ASSERT_TRUE(pool.Track("car0", setup.profile, setup.algorithm, KeysFor(0),
+                         setup.options)
+                  .ok());
+  const auto pooled = pool.Update("car0", 0.0, SegmentId{60});
+  ASSERT_FALSE(pooled.ok());
+  EXPECT_EQ(pooled.status().code(), expected.status().code());
+  EXPECT_EQ(pooled.status().message(), expected.status().message());
+  EXPECT_EQ(pool.stats().recloak_failures, 1u);
+  EXPECT_EQ(pool.stats().recloaks, 0u);
+  ASSERT_TRUE(pool.UserEpoch("car0").ok());
+  EXPECT_EQ(*pool.UserEpoch("car0"), 0u);
+
+  setup.options.validity_level = setup.profile.num_levels();
+  const auto served = RunOracle(ctx, occupancy, traces, setup);
+  ASSERT_EQ(served.size(), traces.num_cars);
+  EXPECT_EQ(RunPool(ctx, occupancy, traces, /*workers=*/2, setup), served);
 }
 
 // Spill/restore: a session serialized out of the pool and restored later
@@ -1027,6 +1067,97 @@ TEST(SessionPoolTest, SweepRacesRestoresAndCompaction) {
   EXPECT_GT(stats.restored_on_miss, 0u);
   EXPECT_GT(stats.budget_spilled, 0u);
   RemoveSpillShards(path, 2);
+}
+
+// A concurrent sweep must never take a session between its round's
+// classify and commit: the commit would find nothing, drop the fresh epoch,
+// and the user's next restore would resume from before the re-cloak. Three
+// drivers on disjoint users, a budget that holds nothing and one session
+// shard, so every driver's sweep walks every other driver's sessions while
+// their re-cloaks are in the engine; each user's artifact sequence must
+// still equal its single-user oracle's.
+TEST(SessionPoolTest, ConcurrentSweepsKeepEveryUserOnTheOracle) {
+  const RoadNetwork net = roadnet::MakeGrid({12, 12, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  const auto occupancy = OnePerSegment(net);
+  constexpr int kThreads = 3;
+  constexpr int kUsersPerThread = 8;
+  constexpr int kUpdates = 40;
+  const auto position = [&net](int car, int step) {
+    return SegmentId{static_cast<std::uint32_t>(
+        static_cast<std::size_t>(car * 7 + step * 5) % net.segment_count())};
+  };
+  const auto user_of = [](int car) { return "car" + std::to_string(car); };
+
+  std::map<std::string, std::vector<std::string>> oracle;
+  {
+    core::Anonymizer anonymizer(ctx, occupancy);
+    core::Deanonymizer deanonymizer(ctx);
+    for (int car = 0; car < kThreads * kUsersPerThread; ++car) {
+      core::ContinuousCloak continuous(
+          anonymizer, deanonymizer, FleetProfile(), Algorithm::kRge,
+          user_of(car), KeysFor(static_cast<std::uint64_t>(car)),
+          FleetOptions());
+      for (int step = 0; step < kUpdates; ++step) {
+        const auto artifact = continuous.Update(step, position(car, step));
+        ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+        oracle[user_of(car)].push_back(ArtifactSha256(*artifact));
+      }
+    }
+  }
+
+  core::Anonymizer engine(ctx, occupancy);
+  server::ServerOptions server_options;
+  server_options.num_workers = 4;
+  AnonymizationServer server(std::move(engine), server_options);
+  server::SessionPoolOptions options;
+  options.key_provider_factory = CarKeys;
+  options.num_shards = 1;
+  options.memory_budget_bytes = 1;
+  ContinuousSessionPool pool(server, options);
+  const std::string path = "session_pool_pending_test.rcsf";
+  RemoveSpillShards(path, 1);
+  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
+  for (int car = 0; car < kThreads * kUsersPerThread; ++car) {
+    ASSERT_TRUE(pool.Track(user_of(car), FleetProfile(), Algorithm::kRge,
+                           KeysFor(static_cast<std::uint64_t>(car)),
+                           FleetOptions())
+                    .ok());
+  }
+
+  std::vector<std::map<std::string, std::vector<std::string>>> served(
+      kThreads);
+  std::vector<std::thread> drivers;
+  for (int t = 0; t < kThreads; ++t) {
+    drivers.emplace_back([&, t] {
+      for (int step = 0; step < kUpdates; ++step) {
+        std::vector<ContinuousSessionPool::PositionUpdate> batch;
+        for (int u = 0; u < kUsersPerThread; ++u) {
+          const int car = t * kUsersPerThread + u;
+          batch.push_back({user_of(car), static_cast<double>(step),
+                           position(car, step)});
+        }
+        const auto results = pool.UpdateBatch(batch);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          EXPECT_TRUE(results[i].ok()) << results[i].status().ToString();
+          if (results[i].ok()) {
+            served[static_cast<std::size_t>(t)][batch[i].user_id].push_back(
+                ArtifactSha256(*results[i]));
+          }
+        }
+      }
+    });
+  }
+  for (auto& driver : drivers) driver.join();
+  std::map<std::string, std::vector<std::string>> pooled;
+  for (auto& part : served) pooled.merge(part);
+  EXPECT_EQ(pooled, oracle);
+  const auto stats = pool.stats();
+  EXPECT_GT(stats.budget_spilled, 0u);
+  EXPECT_GT(stats.restored_on_miss, 0u);
+  EXPECT_EQ(stats.recloak_failures, 0u);
+  EXPECT_EQ(stats.restore_failures, 0u);
+  RemoveSpillShards(path, 1);
 }
 
 }  // namespace
