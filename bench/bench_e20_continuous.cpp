@@ -1,7 +1,7 @@
 // E20 — Continuous fleet tracking: N moving users driven through the
 // server-side ContinuousSessionPool over the sharded anonymization server.
-// Per tick, the whole fleet's position updates go through the id fast path
-// of UpdateBatch: in-region updates resolve in the session shards without
+// Per tick, the whole fleet's position updates go through one id-keyed
+// UpdateBatch: in-region updates resolve in the session shards without
 // touching the engine, region exits re-cloak in one server batch, each
 // sealing its own validity region in the anonymizer. Reported per
 // configuration: sustained updates/s, the re-cloak rate, p50/p95/p99
@@ -22,9 +22,6 @@
 //   --dynamic-occupancy occupancy epochs rebuilt per tick from the fleet's
 //                       own positions (ContinuousSessionPool::BuildOccupancy)
 //                       instead of a static snapshot
-//   --string-updates    drive the string-keyed API boundary (a string
-//                       built + hashed per update, the pre-interner caller
-//                       shape) instead of the UserId fast path
 //   --freeze            cars never move after the first tick: isolates the
 //                       steady-state in-region path (pure session-layer
 //                       constants, zero engine work after the first cloak)
@@ -156,8 +153,7 @@ FleetTicks MakeSimulatedTicks(const roadnet::RoadNetwork& net,
 int main(int argc, char** argv) {
   std::uint32_t fleet_size = 200;
   int ticks = 120;
-  bool skew = false, dynamic_occupancy = false, verify = false,
-       string_updates = false, freeze = false;
+  bool skew = false, dynamic_occupancy = false, verify = false, freeze = false;
   std::vector<int> worker_counts;
   bool fleet_set = false;
   for (int a = 1; a < argc; ++a) {
@@ -167,8 +163,6 @@ int main(int argc, char** argv) {
       dynamic_occupancy = true;
     } else if (std::strcmp(argv[a], "--verify") == 0) {
       verify = true;
-    } else if (std::strcmp(argv[a], "--string-updates") == 0) {
-      string_updates = true;
     } else if (std::strcmp(argv[a], "--freeze") == 0) {
       freeze = true;
     } else if (std::strcmp(argv[a], "--ticks") == 0 && a + 1 < argc) {
@@ -226,7 +220,6 @@ int main(int argc, char** argv) {
   report.MetaInt("ticks", ticks);
   report.Meta("workload", skew ? "skew" : "routed");
   report.MetaBool("dynamic_occupancy", dynamic_occupancy);
-  report.MetaBool("string_updates", string_updates);
   report.MetaBool("verify", verify);
   for (const int workers : worker_counts) {
     core::Anonymizer engine(ctx, occupancy);
@@ -279,45 +272,15 @@ int main(int argc, char** argv) {
         batch.push_back({ids[car], now_s, positions[car]});
         batch_car.push_back(car);
       }
-      std::vector<server::ContinuousSessionPool::PositionUpdate> named;
-      if (string_updates) {
-        // The pre-interner caller shape: a string built (and boundary-
-        // hashed by the pool) per update.
-        named.reserve(batch.size());
-        for (const std::uint32_t car : batch_car) {
-          named.push_back({"car" + std::to_string(car), now_s,
-                           positions[car]});
-        }
-      }
       Stopwatch tick_timer;
-      std::uint64_t tick_failed = 0;
-      std::vector<const core::CloakedArtifact*> served(batch.size(),
-                                                       nullptr);
-      std::vector<server::ContinuousSessionPool::SharedArtifact> shared;
-      if (string_updates) {
-        const auto results = pool.UpdateBatch(named);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          if (!results[i].ok()) ++tick_failed;
-        }
-        // Copies die with `results`; verify in string mode re-reads below.
-      } else {
-        auto results = pool.UpdateBatch(batch);
-        shared.reserve(results.size());
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          if (!results[i].ok()) {
-            ++tick_failed;
-            shared.emplace_back();
-            continue;
-          }
-          shared.push_back(std::move(*results[i]));
-          served[i] = shared.back().get();
-        }
-      }
+      const auto results = pool.UpdateBatch(batch);
       if (fleet_ticks.is_burst[t]) burst_ms.Add(tick_timer.ElapsedMillis());
-      failed += tick_failed;
-      if (verify && !string_updates) {
+      for (const auto& result : results) {
+        if (!result.ok()) ++failed;
+      }
+      if (verify) {
         for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (served[i] == nullptr) continue;
+          if (!results[i].ok()) continue;
           const std::uint32_t car = batch_car[i];
           const auto epoch = pool.UserEpoch(ids[car]);
           if (!epoch.ok() || *epoch == last_epoch[car]) continue;
@@ -328,7 +291,7 @@ int main(int argc, char** argv) {
           const auto keys =
               crypto::KeyChain::FromSeed(50000 + car * 1000 + *epoch, 2);
           const auto region =
-              deanonymizer.Reduce(*served[i], AllKeys(keys), 0);
+              deanonymizer.Reduce(**results[i], AllKeys(keys), 0);
           if (!region.ok() || region->size() != 1 ||
               !region->Contains(positions[car])) {
             ++verify_failures;

@@ -264,7 +264,6 @@ int main(int argc, char** argv) {
       net_options.profile = profile;
       net_options.continuous = continuous;
       net_options.key_seed_base = kSeedBase;
-      net_options.poll_timeout_ms = 5;
       net_options.loop_threads = loops;
       if (auth) net_options.auth_secret = auth_secret;
       net::NetServer front(pool, net_options);
@@ -364,7 +363,6 @@ int main(int argc, char** argv) {
       const auto server_stats = server.stats();
       const auto net_stats = front.stats();
       const auto loop_stats = front.per_loop_stats();
-      const bool sharded = front.accept_sharded();
       front.Stop();
       if (wire_failed != 0) {
         std::fprintf(stderr, "wire run reported %llu failed updates\n",
@@ -397,7 +395,6 @@ int main(int argc, char** argv) {
       auto& row = report.AddRow();
       row.Int("workers", workers)
           .Int("loops", loops)
-          .Bool("accept_sharded", sharded)
           .Int("updates", static_cast<long long>(total_updates))
           .Num("wire_updates_per_s", wire_upd_per_s)
           .Num("inproc_updates_per_s", inproc_upd_per_s)
@@ -409,8 +406,6 @@ int main(int argc, char** argv) {
           .Int("batches", static_cast<long long>(net_stats.batches))
           .Int("largest_batch",
                static_cast<long long>(net_stats.largest_batch))
-          .Int("accept_handoffs",
-               static_cast<long long>(net_stats.accept_handoffs))
           .Int("artifact_cache_hits",
                static_cast<long long>(net_stats.artifact_cache_hits))
           .Int("artifact_cache_misses",
@@ -426,9 +421,8 @@ int main(int argc, char** argv) {
                static_cast<long long>(net_stats.ownership_rejected))
           .Int("verify_mismatches",
                static_cast<long long>(verify_mismatches));
-      // Per-loop update share: how evenly the kernel (or the fallback
-      // round-robin) spread the fleet across loops. loopK_updates sums to
-      // the row's decoded updates.
+      // Per-loop update share: how evenly the kernel spread the fleet
+      // across loops. loopK_updates sums to the row's decoded updates.
       for (std::size_t k = 0; k < loop_stats.size(); ++k) {
         row.Int("loop" + std::to_string(k) + "_updates",
                 static_cast<long long>(loop_stats[k].updates_decoded));

@@ -52,8 +52,10 @@ int main() {
   core::ContinuousOptions continuous;
   continuous.validity_level = 1;       // re-cloak when leaving the L1 region
   continuous.min_recloak_interval_s = 2.0;
+  // Track hands back each user's id handle; updates carry the handle.
+  std::vector<util::UserId> ids;
   for (std::uint32_t car = 0; car < spawn.num_cars; ++car) {
-    const auto status = pool.Track(
+    const auto tracked = pool.Track(
         "car" + std::to_string(car),
         core::PrivacyProfile({{6, 3, 1e9}, {20, 6, 1e9}}),
         core::Algorithm::kRge,
@@ -61,10 +63,11 @@ int main() {
           return crypto::KeyChain::FromSeed(7000 + car * 100 + epoch, 2);
         },
         continuous);
-    if (!status.ok()) {
-      std::printf("track failed: %s\n", status.status().ToString().c_str());
+    if (!tracked.ok()) {
+      std::printf("track failed: %s\n", tracked.status().ToString().c_str());
       return 1;
     }
+    ids.push_back(*tracked);
   }
   std::printf("tracking %zu users over %d server workers / %d shards\n",
               pool.session_count(), server.num_workers(), pool.num_shards());
@@ -73,10 +76,9 @@ int main() {
   std::map<double, std::vector<mobility::TraceRecord>> ticks;
   for (const auto& rec : simulator.trace()) ticks[rec.time_s].push_back(rec);
   for (const auto& [time, records] : ticks) {
-    std::vector<server::ContinuousSessionPool::PositionUpdate> batch;
+    std::vector<server::ContinuousSessionPool::IdPositionUpdate> batch;
     for (const auto& rec : records) {
-      batch.push_back({"car" + std::to_string(rec.car_id), rec.time_s,
-                       rec.segment});
+      batch.push_back({ids[rec.car_id], rec.time_s, rec.segment});
     }
     for (const auto& result : pool.UpdateBatch(batch)) {
       if (!result.ok()) {

@@ -531,10 +531,6 @@ int Serve(const Args& args) {
             << " (map fingerprint " << std::hex << front.map_fingerprint()
             << std::dec << ", " << server_options.num_workers << " workers, "
             << front.loop_count() << " loop(s)"
-            << (front.loop_count() > 1
-                    ? (front.accept_sharded() ? " [SO_REUSEPORT sharded]"
-                                              : " [handoff fallback]")
-                    : "")
             << (secret.empty() ? "" : ", auth required") << ")\n";
   const long duration = args.Int("duration", 0);
   if (duration > 0) {

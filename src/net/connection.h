@@ -118,7 +118,6 @@ class Connection {
   bool handshaken = false;       // handshake complete (HELLO, + AUTH if on)
   bool awaiting_auth = false;    // HELLO done, challenge outstanding
   std::uint64_t loop_token = 0;  // EventLoop registration
-  std::uint32_t loop_index = 0;  // which loop owns this connection, for life
   // Challenge issued in the HELLO reply; compared against the AUTH tag.
   Bytes auth_nonce;
   // Ownership token of the authenticated principal (PrincipalToken); 0 in

@@ -1,7 +1,6 @@
 #include "net/net_server.h"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <random>
@@ -13,6 +12,10 @@
 namespace rcloak::net {
 
 namespace {
+
+// Idle poll timeout. Stop() wakes every loop through its eventfd and all
+// other work is event-driven, so no behavior depends on this value.
+constexpr int kPollTimeoutMs = 100;
 
 // Per-loop counters are written only by the owning loop thread; relaxed is
 // enough for the cross-thread sum in stats().
@@ -59,38 +62,23 @@ Status NetServer::Start() {
   for (const auto& lp : loops_) {
     RCLOAK_RETURN_IF_ERROR(lp->loop.status());
   }
-  const std::size_t count = loops_.size();
-  // Loop 0 binds first; with more than one loop it asks for SO_REUSEPORT
-  // so the siblings can share the (address, port) and the kernel shards
-  // accepts. The ephemeral port it got is what the siblings bind.
-  bool sharded = count > 1;
-  auto first = Acceptor::Listen(options_.bind_address, options_.port, 128,
-                                /*reuse_port=*/sharded);
-  if (!first.ok() && sharded) {
-    // No SO_REUSEPORT on this kernel: single acceptor on loop 0, accepted
-    // fds round-robin to the other loops via their inboxes.
-    sharded = false;
-    first = Acceptor::Listen(options_.bind_address, options_.port, 128);
-  }
-  RCLOAK_RETURN_IF_ERROR(first.status());
-  loops_[0]->acceptor = std::make_unique<Acceptor>(std::move(first).value());
-  port_ = loops_[0]->acceptor->port();
-  for (std::size_t k = 1; sharded && k < count; ++k) {
-    auto sibling = Acceptor::Listen(options_.bind_address, port_, 128,
-                                    /*reuse_port=*/true);
-    if (!sibling.ok()) {
-      // A sibling bind can still lose (policy, uid checks): fall back to
-      // the handoff path rather than serving with a partial shard.
-      for (std::size_t j = 1; j < k; ++j) loops_[j]->acceptor.reset();
-      sharded = false;
-      break;
+  // Every loop owns an acceptor on the shared address. With more than one
+  // loop they bind with SO_REUSEPORT so the kernel shards accepts; loop 0
+  // binds first and its siblings bind the (possibly ephemeral) port it got.
+  const bool reuse_port = loops_.size() > 1;
+  for (std::size_t k = 0; k < loops_.size(); ++k) {
+    auto acceptor =
+        Acceptor::Listen(options_.bind_address, k == 0 ? options_.port : port_,
+                         128, reuse_port);
+    if (!acceptor.ok()) {
+      for (const auto& lp : loops_) lp->acceptor.reset();
+      return acceptor.status();
     }
     loops_[k]->acceptor =
-        std::make_unique<Acceptor>(std::move(sibling).value());
+        std::make_unique<Acceptor>(std::move(acceptor).value());
+    port_ = loops_[k]->acceptor->port();
   }
-  accept_sharded_ = sharded;
   for (const auto& lp : loops_) {
-    if (!lp->acceptor) continue;
     Loop* raw = lp.get();
     auto added =
         lp->loop.Add(lp->acceptor->fd(), EventLoop::kReadable,
@@ -112,13 +100,6 @@ void NetServer::Stop() {
   for (const auto& lp : loops_) {
     if (lp->thread.joinable()) lp->thread.join();
   }
-  // An fd handed over after its target loop's final drain would leak the
-  // socket; with every thread joined the inboxes are quiescent.
-  for (const auto& lp : loops_) {
-    std::lock_guard<std::mutex> lock(lp->inbox_mutex);
-    for (const int fd : lp->inbox) ::close(fd);
-    lp->inbox.clear();
-  }
 }
 
 NetServerStats NetServer::SnapshotLoop(const Loop& lp) const {
@@ -133,7 +114,6 @@ NetServerStats NetServer::SnapshotLoop(const Loop& lp) const {
   out.connections_dropped_error = get(s.connections_dropped_error);
   out.connections_dropped_backpressure =
       get(s.connections_dropped_backpressure);
-  out.accept_handoffs = get(s.accept_handoffs);
   out.protocol_errors = get(s.protocol_errors);
   out.hello_rejected = get(s.hello_rejected);
   out.auth_ok = get(s.auth_ok);
@@ -148,7 +128,6 @@ NetServerStats NetServer::SnapshotLoop(const Loop& lp) const {
   out.reduce_in_tick = get(s.reduce_in_tick);
   out.batches = get(s.batches);
   out.largest_batch = get(s.largest_batch);
-  out.partial_dispatches = get(s.partial_dispatches);
   out.artifact_cache_hits = get(s.artifact_cache_hits);
   out.artifact_cache_misses = get(s.artifact_cache_misses);
   out.artifact_cache_entries = get(s.artifact_cache_entries);
@@ -167,7 +146,6 @@ NetServerStats NetServer::stats() const {
     total.connections_dropped_error += s.connections_dropped_error;
     total.connections_dropped_backpressure +=
         s.connections_dropped_backpressure;
-    total.accept_handoffs += s.accept_handoffs;
     total.protocol_errors += s.protocol_errors;
     total.hello_rejected += s.hello_rejected;
     total.auth_ok += s.auth_ok;
@@ -184,7 +162,6 @@ NetServerStats NetServer::stats() const {
     // A batch never spans loops, so the fleet-wide largest single batch is
     // the max, not the sum.
     total.largest_batch = std::max(total.largest_batch, s.largest_batch);
-    total.partial_dispatches += s.partial_dispatches;
     total.artifact_cache_hits += s.artifact_cache_hits;
     total.artifact_cache_misses += s.artifact_cache_misses;
     total.artifact_cache_entries += s.artifact_cache_entries;
@@ -203,8 +180,7 @@ std::vector<NetServerStats> NetServer::per_loop_stats() const {
 
 void NetServer::LoopMain(Loop& lp) {
   while (running_.load(std::memory_order_acquire)) {
-    lp.loop.PollOnce(options_.poll_timeout_ms);
-    DrainInbox(lp);
+    lp.loop.PollOnce(kPollTimeoutMs);
     if (!lp.tick_updates.empty()) DispatchBatch(lp);
     if (!lp.tick_touched.empty()) {
       for (const std::uint64_t conn_id : lp.tick_touched) {
@@ -222,46 +198,10 @@ void NetServer::LoopMain(Loop& lp) {
     lp.connections[id]->Flush();
     CloseConnection(lp, id, CloseReason::kPeer);
   }
-  // Adoptions that raced the shutdown wake: close them unserved (Stop()
-  // sweeps anything that lands even later, after the join).
-  std::vector<int> leftover;
-  {
-    std::lock_guard<std::mutex> lock(lp.inbox_mutex);
-    leftover.swap(lp.inbox);
-  }
-  for (const int fd : leftover) ::close(fd);
 }
 
 void NetServer::OnAcceptable(Loop& lp) {
-  lp.acceptor->AcceptReady([this, &lp](int fd) {
-    if (accept_sharded_ || loops_.size() == 1) {
-      AdoptFd(lp, fd);
-      return;
-    }
-    // Fallback accept path: only loop 0 listens; spread connections
-    // round-robin so the loops still share the decode/dispatch load.
-    Loop& target = *loops_[accept_rr_++ % loops_.size()];
-    if (&target == &lp) {
-      AdoptFd(lp, fd);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(target.inbox_mutex);
-      target.inbox.push_back(fd);
-    }
-    Bump(lp.stats.accept_handoffs);
-    target.loop.Wakeup();
-  });
-}
-
-void NetServer::DrainInbox(Loop& lp) {
-  if (loops_.size() == 1 || accept_sharded_) return;
-  std::vector<int> adopted;
-  {
-    std::lock_guard<std::mutex> lock(lp.inbox_mutex);
-    adopted.swap(lp.inbox);
-  }
-  for (const int fd : adopted) AdoptFd(lp, fd);
+  lp.acceptor->AcceptReady([this, &lp](int fd) { AdoptFd(lp, fd); });
 }
 
 void NetServer::AdoptFd(Loop& lp, int fd) {
@@ -273,7 +213,6 @@ void NetServer::AdoptFd(Loop& lp, int fd) {
   }
   auto conn = std::make_unique<Connection>(fd, conn_id, options_.limits,
                                            lp.stats.traffic);
-  conn->loop_index = lp.index;
   auto added = lp.loop.Add(fd, EventLoop::kReadable,
                            [this, &lp, conn_id](std::uint32_t ready) {
                              OnConnectionEvent(lp, conn_id, ready);
@@ -326,16 +265,6 @@ void NetServer::DrainFrames(Loop& lp, Connection& conn) {
     // The handler may have dropped the connection (hello mismatch, bad
     // frame); `conn` is dead then.
     if (lp.connections.find(conn_id) == lp.connections.end()) return;
-    // Decode latency budget: when the oldest update accumulated this tick
-    // has waited past the budget, dispatch what we have instead of
-    // delaying the whole batch behind the rest of the round.
-    if (options_.decode_latency_budget_ms > 0.0 && !lp.tick_updates.empty() &&
-        lp.tick_timer.ElapsedMillis() > options_.decode_latency_budget_ms) {
-      DispatchPartial(lp);
-      // The flush inside may have dropped this connection (write error,
-      // hard cap).
-      if (lp.connections.find(conn_id) == lp.connections.end()) return;
-    }
   }
   lp.tick_touched.push_back(conn_id);
 }
@@ -563,8 +492,6 @@ void NetServer::HandlePositionUpdate(Loop& lp, Connection& conn,
   pending.update = {user, decoded->now_s, decoded->segment, conn.principal};
   pending.conn_id = conn.id();
   pending.seq = decoded->seq;
-  // The decode budget clock starts with the tick's first update.
-  if (lp.tick_updates.empty()) lp.tick_timer.Restart();
   lp.tick_updates.push_back(pending);
   Bump(lp.stats.updates_decoded);
 }
@@ -572,21 +499,9 @@ void NetServer::HandlePositionUpdate(Loop& lp, Connection& conn,
 void NetServer::HandleReduceRequest(Loop& lp, Connection& conn,
                                     const Bytes& payload) {
   Bump(lp.stats.reduce_requests);
-  const std::uint64_t conn_id = conn.id();
-  // Inline reduce work runs on the loop thread, so it shares — and counts
-  // toward — the tick's decode latency budget window: a batch whose
-  // budget is already blown is dispatched BEFORE the reduce runs (queued
-  // updates never wait behind it), and the post-frame check in
-  // DrainFrames accounts for the time the reduce itself consumed.
-  if (!lp.tick_updates.empty()) {
-    Bump(lp.stats.reduce_in_tick);
-    if (options_.decode_latency_budget_ms > 0.0 &&
-        lp.tick_timer.ElapsedMillis() > options_.decode_latency_budget_ms) {
-      DispatchPartial(lp);
-      // The flush inside may have dropped this connection.
-      if (lp.connections.find(conn_id) == lp.connections.end()) return;
-    }
-  }
+  // Inline reduce work runs on the loop thread: a pending tick batch waits
+  // behind it.
+  if (!lp.tick_updates.empty()) Bump(lp.stats.reduce_in_tick);
   const auto decoded = DecodeReduceRequest(payload);
   if (!decoded.ok()) {
     SendError(conn, kConnectionSeq, decoded.status().code(),
@@ -657,25 +572,6 @@ void NetServer::DispatchBatch(Loop& lp) {
                                  std::memory_order_relaxed);
   }
   lp.tick_updates.clear();
-}
-
-void NetServer::DispatchPartial(Loop& lp) {
-  // Snapshot the reply targets before DispatchBatch clears the tick, then
-  // flush them immediately — the point of the early dispatch is that
-  // these replies leave NOW, not after the remaining connections drain.
-  std::vector<std::uint64_t> touched;
-  touched.reserve(lp.tick_updates.size());
-  for (const PendingUpdate& pending : lp.tick_updates) {
-    touched.push_back(pending.conn_id);
-  }
-  DispatchBatch(lp);
-  Bump(lp.stats.partial_dispatches);
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (const std::uint64_t conn_id : touched) {
-    const auto it = lp.connections.find(conn_id);
-    if (it != lp.connections.end()) FlushAndUpdate(lp, *it->second);
-  }
 }
 
 void NetServer::UpdateInterest(Loop& lp, Connection& conn, bool want_write) {

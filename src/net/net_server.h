@@ -6,16 +6,14 @@
 //
 //   * N independent loops (`loop_threads`). Each loop owns its own epoll
 //     fd, eventfd wakeup, acceptor on a shared SO_REUSEPORT listening
-//     socket (the kernel shards incoming connections across the loops;
-//     when SO_REUSEPORT binding is unavailable, loop 0 accepts alone and
-//     round-robin-hands fds to the other loops through their eventfd-
-//     signaled inboxes), connection map, frame-reassembly buffers, tick
-//     accumulator, artifact-encode cache and reduce Deanonymizer session.
-//     Zero cross-loop locks on the steady path: a connection is pinned to
-//     the loop that owns it for its whole lifetime, so a user's update
-//     stream (one connection) stays ordered and its artifact bytes stay
-//     byte-identical at any loop count (pinned at 1/2/4 loops in
-//     tests/net_test.cc and bench_e23 --verify).
+//     socket (the kernel shards incoming connections across the loops),
+//     connection map, frame-reassembly buffers, tick accumulator,
+//     artifact-encode cache and reduce Deanonymizer session. Zero
+//     cross-loop locks: a connection is pinned to the loop that accepted
+//     it for its whole lifetime, so a user's update stream (one
+//     connection) stays ordered and its artifact bytes stay byte-identical
+//     at any loop count (pinned at 1/2/4 loops in tests/net_test.cc and
+//     bench_e23 --verify).
 //   * Per-tick batch formation, per loop. One PollOnce round drains every
 //     readable connection on that loop; every POSITION_UPDATE decoded in
 //     the round is accumulated and handed to the pool as ONE UpdateBatch
@@ -56,15 +54,13 @@
 // auto-tracks unknown users under the server's profile and a
 // deterministic per-user key provider, so a fleet driver is just
 // "connect, hello, stream updates". REDUCE_REQUEST runs inline on the
-// owning loop thread through that loop's context-sharing Deanonymizer and
-// counts toward the loop's decode latency budget window.
+// owning loop thread through that loop's context-sharing Deanonymizer.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -76,7 +72,6 @@
 #include "net/event_loop.h"
 #include "net/frame_codec.h"
 #include "server/continuous_session_pool.h"
-#include "util/stopwatch.h"
 
 namespace rcloak::net {
 
@@ -96,7 +91,8 @@ struct NetServerOptions {
   // the whole wire path — accept, decode, batch dispatch, reply encode,
   // inline reduce — across N independent loops with no cross-loop locks;
   // per-user ordering is preserved because a connection is pinned to one
-  // loop for life.
+  // loop for life. The loops share the port through SO_REUSEPORT (Linux
+  // 3.9+); Start() fails if that bind does.
   int loop_threads = 1;
 
   // Session parameters applied when a POSITION_UPDATE names an untracked
@@ -120,21 +116,6 @@ struct NetServerOptions {
   Bytes auth_secret;
 
   ConnectionLimits limits;
-  // Poll timeout while idle; Stop() wakes every loop, so this only bounds
-  // shutdown latency when the eventfd write itself is lost (it is not).
-  int poll_timeout_ms = 100;
-  // Latency budget on one tick's decode round, applied PER LOOP and
-  // measured from the moment the loop's tick decodes its FIRST update.
-  // When a decode round runs past it (a burst of readable connections, a
-  // slow restore mid-drain, an inline REDUCE_REQUEST — reduce work counts
-  // toward the window, and an already-blown budget dispatches the pending
-  // batch before the reduce runs), the accumulated batch is dispatched
-  // and flushed EARLY instead of waiting for the round to finish. 0
-  // (default) = one dispatch per tick, the original behavior. Replies are
-  // byte-identical either way: artifacts are a pure function of each
-  // user's own update sequence, and a partial dispatch never reorders a
-  // user's updates (pinned in tests/net_test.cc).
-  double decode_latency_budget_ms = 0.0;
 };
 
 struct NetServerStats {
@@ -143,9 +124,6 @@ struct NetServerStats {
   std::uint64_t connections_closed_peer = 0;
   std::uint64_t connections_dropped_error = 0;
   std::uint64_t connections_dropped_backpressure = 0;
-  // Accepted fds handed from loop 0 to another loop's inbox (only the
-  // non-SO_REUSEPORT fallback accept path; 0 when the kernel shards).
-  std::uint64_t accept_handoffs = 0;
   std::uint64_t protocol_errors = 0;
   std::uint64_t hello_rejected = 0;
   // Challenge-response outcomes (auth mode only).
@@ -162,15 +140,12 @@ struct NetServerStats {
   std::uint64_t updates_decoded = 0;
   std::uint64_t reduce_requests = 0;
   // Subset of `reduce_requests` that ran while the loop already had a
-  // tick batch pending — inline reduce work that shares (and counts
-  // toward) the decode latency budget window.
+  // tick batch pending — inline reduce work that batch waits behind.
   std::uint64_t reduce_in_tick = 0;
   // Batch formation: ticks that carried at least one update, and the
   // largest single-tick batch handed to the pool (max over loops).
   std::uint64_t batches = 0;
   std::uint64_t largest_batch = 0;
-  // Subset of `batches` dispatched mid-tick by the decode latency budget.
-  std::uint64_t partial_dispatches = 0;
   // Reply encode cache: hits serve a shared buffer, misses encode once.
   std::uint64_t artifact_cache_hits = 0;
   std::uint64_t artifact_cache_misses = 0;
@@ -207,9 +182,6 @@ class NetServer {
   std::uint16_t port() const noexcept { return port_; }
   std::uint64_t map_fingerprint() const noexcept { return map_fingerprint_; }
   int loop_count() const noexcept { return static_cast<int>(loops_.size()); }
-  // True when every loop owns its own SO_REUSEPORT acceptor (set by
-  // Start(); false before Start and in the round-robin fallback).
-  bool accept_sharded() const noexcept { return accept_sharded_; }
   // Aggregated over the per-loop stat blocks.
   NetServerStats stats() const;
   // One snapshot per loop, same fields — the per-loop update share for
@@ -233,7 +205,6 @@ class NetServer {
     std::atomic<std::uint64_t> connections_closed_peer{0};
     std::atomic<std::uint64_t> connections_dropped_error{0};
     std::atomic<std::uint64_t> connections_dropped_backpressure{0};
-    std::atomic<std::uint64_t> accept_handoffs{0};
     std::atomic<std::uint64_t> protocol_errors{0};
     std::atomic<std::uint64_t> hello_rejected{0};
     std::atomic<std::uint64_t> auth_ok{0};
@@ -246,7 +217,6 @@ class NetServer {
     std::atomic<std::uint64_t> reduce_in_tick{0};
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> largest_batch{0};
-    std::atomic<std::uint64_t> partial_dispatches{0};
     std::atomic<std::uint64_t> artifact_cache_hits{0};
     std::atomic<std::uint64_t> artifact_cache_misses{0};
     std::atomic<std::uint64_t> artifact_cache_entries{0};
@@ -255,45 +225,33 @@ class NetServer {
   };
 
   // Everything one event loop owns. No other loop thread ever touches a
-  // Loop's members, with two deliberate exceptions: `inbox`/`inbox_mutex`
-  // (the fallback accept handoff, written by loop 0, drained by the
-  // owner) and the relaxed-atomic `stats` block (read by stats()).
+  // Loop's members, except the relaxed-atomic `stats` block (read by
+  // stats()).
   struct Loop {
     Loop(std::uint32_t index, std::uint32_t stride,
          std::shared_ptr<const core::MapContext> ctx)
-        : index(index),
-          next_conn_id(index + 1),
+        : next_conn_id(index + 1),
           conn_id_stride(stride),
           deanonymizer(std::move(ctx)) {}
 
-    const std::uint32_t index;
     EventLoop loop;
-    std::unique_ptr<Acceptor> acceptor;  // null on loops 1.. in fallback
+    std::unique_ptr<Acceptor> acceptor;
     std::thread thread;
 
     // Loop-thread state. Connection ids are globally unique: loop k mints
-    // index+1, index+1+stride, ... so a reply or close can always be
-    // attributed to its owning loop.
+    // k+1, k+1+stride, ... so a reply or close can always be attributed
+    // to its owning loop.
     std::uint64_t next_conn_id;
     const std::uint64_t conn_id_stride;
     std::uint64_t nonce_counter = 0;
     std::unordered_map<std::uint64_t, std::unique_ptr<Connection>>
         connections;
     std::vector<PendingUpdate> tick_updates;
-    // Restarted when a tick's first update lands in tick_updates — the
-    // decode budget bounds how long that first update waits, not how long
-    // the loop sat idle in epoll_wait.
-    Stopwatch tick_timer;
     std::vector<std::uint64_t> tick_touched;
     EncodeCache encode_cache;
     // Per-loop reduce session: REDUCE_REQUEST runs inline on the loop
     // thread, so each loop carries its own context-sharing Deanonymizer.
     core::Deanonymizer deanonymizer;
-
-    // Fallback accept handoff: loop 0 pushes accepted fds here and wakes
-    // the loop; the owner adopts them at the top of its next round.
-    std::mutex inbox_mutex;
-    std::vector<int> inbox;
 
     LoopStats stats;
   };
@@ -302,8 +260,6 @@ class NetServer {
   void OnAcceptable(Loop& lp);
   // Registers an accepted fd as a connection owned by `lp`.
   void AdoptFd(Loop& lp, int fd);
-  // Adopts any fds loop 0 handed over since the last round.
-  void DrainInbox(Loop& lp);
   void OnConnectionEvent(Loop& lp, std::uint64_t conn_id, std::uint32_t ready);
   // Decodes every complete frame buffered on `conn`; position updates land
   // in lp.tick_updates, everything else is handled inline.
@@ -316,11 +272,6 @@ class NetServer {
   // End-of-tick: one pool.UpdateBatch over lp.tick_updates, replies queued
   // per connection, every touched connection flushed once.
   void DispatchBatch(Loop& lp);
-  // Mid-tick early dispatch (decode_latency_budget_ms exceeded): runs
-  // DispatchBatch over what accumulated so far and flushes the touched
-  // connections immediately, so their replies leave before the rest of
-  // the round is drained.
-  void DispatchPartial(Loop& lp);
   // Flush + EPOLLOUT/backpressure bookkeeping for one connection.
   void FlushAndUpdate(Loop& lp, Connection& conn);
   void UpdateInterest(Loop& lp, Connection& conn, bool want_write);
@@ -343,9 +294,6 @@ class NetServer {
   std::size_t segment_count_ = 0;
 
   std::vector<std::unique_ptr<Loop>> loops_;
-  bool accept_sharded_ = false;
-  // Round-robin cursor for the fallback handoff; loop 0's thread only.
-  std::uint64_t accept_rr_ = 0;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
 

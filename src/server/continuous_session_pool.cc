@@ -146,6 +146,10 @@ Bytes ContinuousSessionPool::EnvelopeOf(const Session& session) const {
 std::pair<ContinuousSessionPool::Session*, bool>
 ContinuousSessionPool::InsertLocked(Shard& shard, util::UserId id,
                                     Session session, bool restored) {
+  if (restored && !spill_->Contains(id)) {
+    // Evicted between the record read and this insert: the user stays gone.
+    return {shard.sessions.Find(id), false};
+  }
   const auto [slot, inserted] =
       shard.sessions.TryEmplace(id, std::move(session));
   if (!inserted) return {slot, false};
@@ -158,18 +162,6 @@ ContinuousSessionPool::InsertLocked(Shard& shard, util::UserId id,
   shard.parked_keys.Erase(id);
   if (spill_ != nullptr) spill_->Erase(id);
   return {slot, true};
-}
-
-StatusOr<util::UserId> ContinuousSessionPool::TrackPolicy(Session session,
-                                                          bool restored) {
-  const util::UserId id = interner_.Intern(session.policy.user_id());
-  Shard& shard = *shards_[ShardIndexFor(id)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (!InsertLocked(shard, id, std::move(session), restored).second) {
-    return Status::FailedPrecondition("track: user already tracked: " +
-                                      interner_.NameCopyOf(id));
-  }
-  return id;
 }
 
 StatusOr<util::UserId> ContinuousSessionPool::Track(
@@ -189,10 +181,19 @@ StatusOr<util::UserId> ContinuousSessionPool::Track(
   // that was tracked late in simulation time but never updated yet.
   session.last_update_s = now_s;
   std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-  auto tracked = TrackPolicy(std::move(session), /*restored=*/false);
+  const util::UserId id = interner_.Intern(user_id);
+  {
+    Shard& shard = *shards_[ShardIndexFor(id)];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    if (!InsertLocked(shard, id, std::move(session), /*restored=*/false)
+             .second) {
+      return Status::FailedPrecondition("track: user already tracked: " +
+                                        std::string(user_id));
+    }
+  }
   // A track flood can pass the budget without a single update.
-  if (tracked.ok()) MaybeSweep();
-  return tracked;
+  MaybeSweep();
+  return id;
 }
 
 StatusOr<util::UserId> ContinuousSessionPool::UserIdOf(
@@ -211,12 +212,17 @@ bool ContinuousSessionPool::Evict(std::string_view user_id) {
   if (!id.valid()) return false;
   Shard& shard = *shards_[ShardIndexFor(id)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  Session* session = shard.sessions.Find(id);
-  if (session == nullptr) return false;
-  shard.RetireSession(*session);
-  shard.OccupancyRemove(session->last_segment);
-  shard.resident_bytes -= session->mem_bytes;
-  shard.sessions.Erase(id);
+  if (Session* session = shard.sessions.Find(id)) {
+    shard.RetireSession(*session);
+    shard.OccupancyRemove(session->last_segment);
+    shard.resident_bytes -= session->mem_bytes;
+    shard.sessions.Erase(id);
+  } else {
+    // A spilled user goes with its record and parked provider. Its per-user
+    // statistics were never in the live counters, so nothing is retired.
+    if (spill_ == nullptr || !spill_->Erase(id)) return false;
+    shard.parked_keys.Erase(id);
+  }
   ++shard.evicted;
   return true;
 }
@@ -240,50 +246,6 @@ std::size_t ContinuousSessionPool::EvictIdle(double now_s, double idle_s) {
   return evicted;
 }
 
-StatusOr<ContinuousSessionPool::SpilledSession> ContinuousSessionPool::Spill(
-    std::string_view user_id) {
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-  const util::UserId id = interner_.Find(user_id);
-  if (!id.valid()) {
-    return Status::NotFound("untracked user: " + std::string(user_id));
-  }
-  Shard& shard = *shards_[ShardIndexFor(id)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  Session* session = shard.sessions.Find(id);
-  if (session == nullptr) {
-    return Status::NotFound("untracked user: " + std::string(user_id));
-  }
-  SpilledSession spilled;
-  spilled.user_id = std::string(user_id);
-  spilled.state = EnvelopeOf(*session);
-  shard.OccupancyRemove(session->last_segment);
-  shard.resident_bytes -= session->mem_bytes;
-  shard.sessions.Erase(id);
-  ++shard.spilled;
-  return spilled;
-}
-
-std::vector<ContinuousSessionPool::SpilledSession>
-ContinuousSessionPool::EvictIdleSpill(double now_s, double idle_s) {
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-  std::vector<SpilledSession> spilled;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->sessions.EraseIf([&](util::UserId id, Session& session) {
-      if (now_s - session.last_update_s <= idle_s) return false;
-      SpilledSession out;
-      out.user_id = interner_.NameCopyOf(id);
-      out.state = EnvelopeOf(session);
-      spilled.push_back(std::move(out));
-      shard->OccupancyRemove(session.last_segment);
-      shard->resident_bytes -= session.mem_bytes;
-      ++shard->spilled;
-      return true;
-    });
-  }
-  return spilled;
-}
-
 Status ContinuousSessionPool::ValidateEnvelopeHeader(
     std::uint64_t map_fingerprint, std::uint8_t algorithm) const {
   if (map_fingerprint != map_fingerprint_) {
@@ -297,33 +259,6 @@ Status ContinuousSessionPool::ValidateEnvelopeHeader(
         "restore: unknown algorithm id in spilled session");
   }
   return Status::Ok();
-}
-
-StatusOr<util::UserId> ContinuousSessionPool::Restore(
-    const SpilledSession& spilled, KeyProvider key_provider) {
-  if (!key_provider) {
-    return Status::InvalidArgument("restore: key provider must be callable");
-  }
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-  RCLOAK_ASSIGN_OR_RETURN(SpillEnvelope envelope,
-                          DecodeSpillEnvelope(spilled.state));
-  // Context checks come BEFORE the deserialize: a blob from another map or
-  // an unregistered algorithm must not be parsed blind.
-  RCLOAK_RETURN_IF_ERROR(ValidateEnvelopeHeader(envelope.map_fingerprint,
-                                                envelope.algorithm));
-  RCLOAK_ASSIGN_OR_RETURN(
-      ContinuousPolicy policy,
-      ContinuousPolicy::Deserialize(envelope.policy_blob,
-                                    server_->engine().network()));
-  if (static_cast<std::uint8_t>(policy.algorithm()) != envelope.algorithm) {
-    return Status::InvalidArgument(
-        "restore: envelope and policy disagree on the algorithm id");
-  }
-  Session session(std::move(policy), std::move(key_provider));
-  session.owner = envelope.owner;
-  session.last_update_s = envelope.last_update_s;
-  session.last_segment = envelope.last_segment;
-  return TrackPolicy(std::move(session), /*restored=*/true);
 }
 
 // ---- cold tier ------------------------------------------------------------
@@ -887,62 +822,17 @@ ContinuousSessionPool::RunRounds(
   return results;
 }
 
-template <typename Resolve>
 std::vector<StatusOr<ContinuousSessionPool::SharedArtifact>>
-ContinuousSessionPool::UpdateBatchBody(Resolve resolve) {
+ContinuousSessionPool::UpdateBatch(
+    const std::vector<IdPositionUpdate>& updates) {
   std::vector<StatusOr<SharedArtifact>> results;
   {
     std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-    results = RunRounds(resolve());
+    results = RunRounds(updates);
     MaybeSweep();
   }
   MaybeCompactColdTier();
   return results;
-}
-
-std::vector<StatusOr<ContinuousSessionPool::SharedArtifact>>
-ContinuousSessionPool::UpdateBatch(
-    const std::vector<IdPositionUpdate>& updates) {
-  return UpdateBatchBody(
-      [&]() -> const std::vector<IdPositionUpdate>& { return updates; });
-}
-
-std::vector<StatusOr<core::CloakedArtifact>>
-ContinuousSessionPool::UpdateBatch(const std::vector<PositionUpdate>& updates) {
-  // One boundary hash per update; unknown names fail fast below (invalid
-  // handles are resolved inside the id batch).
-  std::vector<IdPositionUpdate> ids;
-  ids.reserve(updates.size());
-  const auto shared =
-      UpdateBatchBody([&]() -> const std::vector<IdPositionUpdate>& {
-        for (const PositionUpdate& update : updates) {
-          ids.push_back({interner_.Find(update.user_id), update.now_s,
-                         update.segment, update.principal});
-        }
-        return ids;
-      });
-  // Compatibility boundary: copy each served artifact out by value.
-  std::vector<StatusOr<core::CloakedArtifact>> results;
-  results.reserve(shared.size());
-  for (std::size_t i = 0; i < shared.size(); ++i) {
-    if (!ids[i].user.valid()) {
-      results.emplace_back(
-          Status::NotFound("untracked user: " + updates[i].user_id));
-    } else if (!shared[i].ok()) {
-      results.emplace_back(shared[i].status());
-    } else {
-      results.emplace_back(**shared[i]);
-    }
-  }
-  return results;
-}
-
-StatusOr<core::CloakedArtifact> ContinuousSessionPool::Update(
-    std::string_view user_id, double now_s, roadnet::SegmentId segment) {
-  std::vector<PositionUpdate> one;
-  one.push_back({std::string(user_id), now_s, segment});
-  auto results = UpdateBatch(one);
-  return std::move(results.front());
 }
 
 mobility::OccupancySnapshot ContinuousSessionPool::BuildOccupancy() const {

@@ -2,13 +2,12 @@
 // anonymization server.
 //
 // One pool owns the core::ContinuousPolicy state of up to millions of
-// moving users. User-id strings are interned once at the API boundary
-// (util::StringInterner) into stable 32-bit UserId handles; sessions live
-// in per-shard open-addressed id tables (own mutex each), so the
-// steady-state in-region update path does no allocation, no string
-// hashing and no string compares — one FNV hash at the boundary (zero for
-// callers holding IdPositionUpdate handles), then integer probes. A
-// position update that stays inside the user's validity region resolves
+// moving users. User-id strings are interned once, at Track, into stable
+// 32-bit UserId handles (util::StringInterner); updates carry the handle
+// (IdPositionUpdate) and sessions live in per-shard open-addressed id
+// tables (own mutex each), so the steady-state in-region update path does
+// no allocation, no string hashing and no string compares — integer probes
+// only. A position update that stays inside the user's validity region resolves
 // entirely in its shard — policy check plus artifact copy, the engine is
 // never touched.
 //
@@ -96,9 +95,9 @@ struct SessionPoolStats {
   std::uint64_t evicted = 0;
   // Subset of `evicted` reaped by EvictIdle (vs explicit Evict).
   std::uint64_t evicted_idle = 0;
-  // Sessions serialized out of / back into the pool (spill/restore). A
-  // spilled session's per-user statistics travel in the blob, so they are
-  // NOT folded into the retired_* counters.
+  // Sessions written to / read back from the spill file. A spilled
+  // session's per-user statistics travel in its record, so they are NOT
+  // folded into the retired_* counters.
   std::uint64_t spilled = 0;
   std::uint64_t restored = 0;
   // Always 0: validity regions come from the anonymizer, so the pool has
@@ -147,8 +146,10 @@ class ContinuousSessionPool {
   // (and so never allocates). Callers needing an owned copy dereference.
   using SharedArtifact = std::shared_ptr<const core::CloakedArtifact>;
 
-  struct PositionUpdate {
-    std::string user_id;
+  // One position update, keyed by the UserId handle Track returned (or
+  // UserIdOf looks up once).
+  struct IdPositionUpdate {
+    util::UserId user;
     double now_s = 0.0;
     roadnet::SegmentId segment = roadnet::kInvalidSegment;
     // Ownership token of the caller (net::PrincipalToken); 0 = open-mode
@@ -156,24 +157,6 @@ class ContinuousSessionPool {
     // refused with kPermissionDenied (and an unowned session is claimed by
     // the first non-zero principal that drives it).
     std::uint64_t principal = 0;
-  };
-
-  // The allocation-free fast path: callers that kept the UserId handle
-  // Track returned (or looked it up once via UserIdOf) skip the boundary
-  // hash entirely.
-  struct IdPositionUpdate {
-    util::UserId user;
-    double now_s = 0.0;
-    roadnet::SegmentId segment = roadnet::kInvalidSegment;
-    std::uint64_t principal = 0;  // see PositionUpdate::principal
-  };
-
-  // A session serialized out of the pool (Spill / EvictIdleSpill). The
-  // blob is self-contained (core::ContinuousPolicy::Serialize) except for
-  // key material: Restore takes the KeyProvider again.
-  struct SpilledSession {
-    std::string user_id;
-    Bytes state;
   };
 
   // The server must outlive the pool.
@@ -206,7 +189,8 @@ class ContinuousSessionPool {
   // fresh if it ever returns).
   StatusOr<util::UserId> UserIdOf(std::string_view user_id) const;
 
-  // Removes a user session; false if the user was not tracked.
+  // Removes a user session, resident or spilled (a spilled user's record
+  // and parked key provider go with it); false if the user was neither.
   bool Evict(std::string_view user_id);
 
   // Evicts every session whose last update is older than `idle_s` seconds
@@ -216,25 +200,12 @@ class ContinuousSessionPool {
   // shard's evicted + evicted_idle counters.
   std::size_t EvictIdle(double now_s, double idle_s);
 
-  // Spill/restore: the full-fidelity alternative to dropping a session.
-  // Spill removes the session and serializes its complete policy state —
-  // epoch chain, artifact in force, validity region, clocks, statistics —
-  // so Restore resumes it bit-for-bit (the artifact sequence continues
-  // exactly as if the session never left; pinned against the oracle in
-  // tests/session_pool_test.cc).
-  StatusOr<SpilledSession> Spill(std::string_view user_id);
-  // Spills every session idle longer than `idle_s` (EvictIdle's criterion)
-  // instead of dropping them. Superseded by the budget-driven clock sweep
-  // when a spill file is attached; kept for caller-held blobs.
-  std::vector<SpilledSession> EvictIdleSpill(double now_s, double idle_s);
-  // Re-registers a spilled session under a fresh KeyProvider. Fails with
-  // InvalidArgument if the blob's map fingerprint or algorithm id does not
-  // match this pool's context, and if the user is tracked again already or
-  // the blob does not parse.
-  StatusOr<util::UserId> Restore(const SpilledSession& spilled,
-                                 KeyProvider key_provider);
-
   // ---- cold tier ---------------------------------------------------------
+  // A spill record holds a session's complete policy state — epoch chain,
+  // artifact in force, validity region, clocks, statistics — so a restore
+  // resumes it bit-for-bit (the artifact sequence continues exactly as if
+  // the session never left; pinned against the oracle in
+  // tests/session_pool_test.cc).
 
   enum class UserState : std::uint8_t { kUntracked, kResident, kSpilled };
 
@@ -301,20 +272,12 @@ class ContinuousSessionPool {
     return spill_.get();
   }
 
-  // Feeds one position update for a tracked user. Returns the artifact in
-  // force (freshly re-cloaked if the user left its validity region).
-  StatusOr<core::CloakedArtifact> Update(std::string_view user_id,
-                                         double now_s,
-                                         roadnet::SegmentId segment);
-
-  // The fleet tick path: classifies every update under its shard lock,
+  // The update path: classifies every update under its shard lock,
   // re-cloaks all region exits in one server batch (each sealing its own
-  // validity region), and commits. Element i of the result corresponds to
-  // updates[i]. The string overload copies each artifact out (API
-  // compatibility); the id overload serves shared references — the
-  // allocation-free fast path.
-  std::vector<StatusOr<core::CloakedArtifact>> UpdateBatch(
-      const std::vector<PositionUpdate>& updates);
+  // validity region), and commits. Element i of the result is the
+  // artifact in force for updates[i] (freshly re-cloaked if the user left
+  // its validity region), served as a shared reference; an invalid or
+  // unknown handle is kNotFound.
   std::vector<StatusOr<SharedArtifact>> UpdateBatch(
       const std::vector<IdPositionUpdate>& updates);
 
@@ -455,13 +418,11 @@ class ContinuousSessionPool {
   // Requires shard.mutex. Inserts `session` under `id` unless a session is
   // resident there already, charging the memory accounting and dropping
   // the cold-tier leftovers (spill record, parked provider) the insert
-  // supersedes. Returns the resident session and whether it is `session`.
+  // supersedes. A restored session goes in only while its spill record is
+  // still live, so an Evict between the read and the insert wins. Returns
+  // the resident session and whether it is `session`.
   std::pair<Session*, bool> InsertLocked(Shard& shard, util::UserId id,
                                          Session session, bool restored);
-
-  // Registers a fresh or caller-restored session under its interned name;
-  // FailedPrecondition if the user is resident already.
-  StatusOr<util::UserId> TrackPolicy(Session session, bool restored);
 
   // Runs one round (at most one update per user) end to end: classify,
   // batch re-cloak, commit.
@@ -480,13 +441,6 @@ class ContinuousSessionPool {
   // (shared).
   std::vector<StatusOr<SharedArtifact>> RunRounds(
       const std::vector<IdPositionUpdate>& updates);
-
-  // The one UpdateBatch body. Under a single shared cold_mutex_ hold,
-  // `resolve()` yields the id batch (the string overload interns its names
-  // there, so compaction cannot retire a handle between lookup and use),
-  // the rounds run and the sweep follows; compaction runs after the hold.
-  template <typename Resolve>
-  std::vector<StatusOr<SharedArtifact>> UpdateBatchBody(Resolve resolve);
 
   // ---- cold tier internals (callers hold cold_mutex_ shared unless
   // noted) -----------------------------------------------------------------

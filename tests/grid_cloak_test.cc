@@ -335,11 +335,13 @@ TEST(GridSessionPoolTest, ContinuousTrackingWorksUnchanged) {
       return crypto::KeyChain::FromSeed(user * 1000 + epoch, 2);
     };
   };
+  std::vector<util::UserId> ids;
   for (std::uint64_t u = 0; u < 3; ++u) {
-    ASSERT_TRUE(pool.Track("car-" + std::to_string(u),
-                           PrivacyProfile({{6, 3, 1e9}, {18, 6, 1e9}}),
-                           Algorithm::kGrid, keys_for(u))
-                    .ok());
+    const auto tracked = pool.Track(
+        "car-" + std::to_string(u), PrivacyProfile({{6, 3, 1e9}, {18, 6, 1e9}}),
+        Algorithm::kGrid, keys_for(u));
+    ASSERT_TRUE(tracked.ok());
+    ids.push_back(*tracked);
   }
   // Walk each user across the map so at least one re-cloak fires.
   std::uint64_t recloaks_seen = 0;
@@ -348,10 +350,9 @@ TEST(GridSessionPoolTest, ContinuousTrackingWorksUnchanged) {
       const SegmentId where{static_cast<std::uint32_t>(
           (u * 40 + static_cast<std::uint64_t>(tick) * 60) %
           net.segment_count())};
-      const auto artifact =
-          pool.Update("car-" + std::to_string(u), tick * 10.0, where);
-      ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-      EXPECT_EQ(artifact->algorithm, Algorithm::kGrid);
+      const auto served = pool.UpdateBatch({{ids[u], tick * 10.0, where}});
+      ASSERT_TRUE(served[0].ok()) << served[0].status().ToString();
+      EXPECT_EQ((*served[0])->algorithm, Algorithm::kGrid);
     }
   }
   recloaks_seen = pool.stats().recloaks;

@@ -321,7 +321,6 @@ struct LoopbackRig {
 };
 
 LoopbackRig StartLoopback(const RoadNetwork& net, int workers,
-                          double decode_budget_ms = 0.0,
                           const Bytes& auth_secret = {}, int loops = 1) {
   LoopbackRig rig;
   rig.ctx = core::MapContext::Create(net);
@@ -333,8 +332,6 @@ LoopbackRig StartLoopback(const RoadNetwork& net, int workers,
                                                      server_options);
   rig.pool = std::make_unique<ContinuousSessionPool>(*rig.server);
   net::NetServerOptions options;
-  options.poll_timeout_ms = 5;
-  options.decode_latency_budget_ms = decode_budget_ms;
   options.auth_secret = auth_secret;
   options.loop_threads = loops;
   rig.front = std::make_unique<net::NetServer>(*rig.pool, options);
@@ -470,71 +467,6 @@ TEST(NetServerTest, WireArtifactsByteIdenticalToDirectPool) {
   }
 }
 
-// The decode-latency-budget pin: a server forced into mid-tick partial
-// dispatches by a near-zero budget serves byte-identical replies to one
-// that dispatches once per tick — early flushes change WHEN replies leave,
-// never their bytes.
-TEST(NetServerTest, PartialDispatchRepliesByteIdenticalToSingleDispatch) {
-  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
-  constexpr int kConns = 3;
-  constexpr int kUsersPerConn = 4;
-  constexpr int kTicks = 8;
-  const auto position = [&net](std::uint32_t user, int tick) {
-    return SegmentId{(user * 11 + static_cast<std::uint32_t>(tick) * 17) %
-                     net.segment_count()};
-  };
-  const auto name = [](std::uint32_t user) {
-    return "p" + std::to_string(user);
-  };
-
-  std::map<std::string, std::vector<std::string>> seqs[2];
-  std::uint64_t partials = 0;
-  for (int mode = 0; mode < 2; ++mode) {
-    // mode 0: one dispatch per tick. mode 1: a ~zero budget, so every
-    // frame decoded after the tick's first update forces a partial flush.
-    auto rig = StartLoopback(net, /*workers=*/2,
-                             /*decode_budget_ms=*/mode == 1 ? 1e-4 : 0.0);
-    std::vector<net::Client> clients;
-    for (int c = 0; c < kConns; ++c) {
-      auto client = net::Client::Connect("127.0.0.1", rig.front->port());
-      ASSERT_TRUE(client.ok());
-      ASSERT_TRUE(client->Hello(rig.front->map_fingerprint()).ok());
-      clients.push_back(std::move(client).value());
-    }
-    for (int t = 0; t < kTicks; ++t) {
-      for (int c = 0; c < kConns; ++c) {
-        for (int k = 0; k < kUsersPerConn; ++k) {
-          const std::uint32_t user =
-              static_cast<std::uint32_t>(c * kUsersPerConn + k);
-          clients[static_cast<std::size_t>(c)].QueuePositionUpdate(
-              static_cast<std::uint32_t>(t * 100 + static_cast<int>(user)),
-              name(user), static_cast<double>(t), position(user, t));
-        }
-        ASSERT_TRUE(clients[static_cast<std::size_t>(c)].Flush().ok());
-      }
-      for (int c = 0; c < kConns; ++c) {
-        for (int k = 0; k < kUsersPerConn; ++k) {
-          const auto reply =
-              clients[static_cast<std::size_t>(c)].ReadArtifactReply();
-          ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-          const std::uint32_t user =
-              static_cast<std::uint32_t>(c * kUsersPerConn + k);
-          ASSERT_EQ(reply->seq,
-                    static_cast<std::uint32_t>(t * 100 +
-                                               static_cast<int>(user)));
-          seqs[mode][name(user)].push_back(Sha(reply->artifact_wire));
-        }
-      }
-    }
-    if (mode == 1) partials = rig.front->stats().partial_dispatches;
-    clients.clear();
-    rig.front->Stop();
-  }
-  EXPECT_EQ(seqs[0], seqs[1]);
-  // The budget actually fired — this run really did split ticks.
-  EXPECT_GT(partials, 0u);
-}
-
 // The reply encode cache past its 4096-entry prune floor: one loop serves
 // 6000 live artifacts (one per user), then two churn ticks move every user
 // far away so most re-cloak and their old artifacts die. Every reply must
@@ -638,8 +570,8 @@ TEST(NetServerTest, EncodeCachePastPruneFloorByteIdenticalAndBounded) {
 // connection that closes mid-run, an error reply and a reduce round trip.
 TEST(NetServerTest, TrafficCountersEqualClientBytes) {
   const RoadNetwork net = roadnet::MakeGrid({8, 8, 100.0});
-  auto rig = StartLoopback(net, /*workers=*/1, /*decode_budget_ms=*/0.0,
-                           /*auth_secret=*/{}, /*loops=*/2);
+  auto rig = StartLoopback(net, /*workers=*/1, /*auth_secret=*/{},
+                           /*loops=*/2);
   std::uint64_t sent = 0, received = 0, frames_sent = 0, frames_received = 0;
   std::uint32_t seq = 0;
   const auto drive = [&](net::Client& client, const std::string& user,
@@ -816,7 +748,6 @@ TEST(NetServerTest, SpilledUserAdoptedOnReconnect) {
   ContinuousSessionPool pool(server, pool_options);
   ASSERT_TRUE(pool.AttachSpillFile(spill_path).ok());
   net::NetServerOptions net_options;
-  net_options.poll_timeout_ms = 5;
   net::NetServer front(pool, net_options);
   ASSERT_TRUE(front.Start().ok());
 
@@ -923,8 +854,8 @@ TEST(NetServerTest, MultiLoopWireByteIdenticalAtOneTwoFourLoops) {
 
   for (const bool auth : {false, true}) {
     for (const int loops : {1, 2, 4}) {
-      auto rig = StartLoopback(net, /*workers=*/2, 0.0,
-                               auth ? secret : Bytes{}, loops);
+      auto rig =
+          StartLoopback(net, /*workers=*/2, auth ? secret : Bytes{}, loops);
       ASSERT_EQ(rig.front->loop_count(), loops);
       std::vector<net::Client> clients;
       for (int c = 0; c < kConns; ++c) {
@@ -997,12 +928,12 @@ TEST(NetServerTest, MultiLoopSingleConnectionPreservesUserOrder) {
                      static_cast<std::uint32_t>(net.segment_count())};
   };
 
-  auto rig = StartLoopback(net, /*workers=*/2, 0.0, {}, /*loops=*/4);
+  auto rig = StartLoopback(net, /*workers=*/2, {}, /*loops=*/4);
   auto client = net::Client::Connect("127.0.0.1", rig.front->port());
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->Hello().ok());
   // One flush for the whole burst: the updates arrive as one byte stream
-  // and may be split across many decode rounds and partial batches, but
+  // and may be split across many decode rounds and tick batches, but
   // never across loops.
   for (int i = 0; i < kUpdates; ++i) {
     client->QueuePositionUpdate(static_cast<std::uint32_t>(i + 1), "solo",
@@ -1046,7 +977,7 @@ TEST(NetServerTest, MultiLoopSingleConnectionPreservesUserOrder) {
 // survives Stop().
 TEST(NetServerTest, MultiLoopConnectDisconnectChurn) {
   const RoadNetwork net = roadnet::MakeGrid({8, 8, 100.0});
-  auto rig = StartLoopback(net, /*workers=*/2, 0.0, {}, /*loops=*/4);
+  auto rig = StartLoopback(net, /*workers=*/2, {}, /*loops=*/4);
   const std::uint16_t port = rig.front->port();
 
   constexpr int kThreads = 4;
@@ -1125,7 +1056,6 @@ TEST(NetServerTest, MultiLoopStopCleanWithQueuedWritesAndPausedReads) {
   AnonymizationServer server(std::move(engine), server_options);
   ContinuousSessionPool pool(server);
   net::NetServerOptions options;
-  options.poll_timeout_ms = 5;
   options.loop_threads = 4;
   // A tiny soft budget so the first blocked flush pauses reading; a hard
   // cap high enough that nothing is dropped — the queues must still be
@@ -1262,7 +1192,7 @@ TEST(FrameCodecTest, AuthFramesRoundTripAndValidate) {
 TEST(NetServerTest, AuthAcceptsRightTagRejectsWrongAndMissing) {
   const RoadNetwork net = roadnet::MakeGrid({8, 8, 100.0});
   const Bytes secret{'s', '3', 'c', 'r', '3', 't'};
-  auto rig = StartLoopback(net, /*workers=*/1, 0.0, secret);
+  auto rig = StartLoopback(net, /*workers=*/1, secret);
 
   // The right tag completes the handshake and updates flow.
   auto alice = net::Client::Connect("127.0.0.1", rig.front->port());
@@ -1347,7 +1277,6 @@ TEST(NetServerTest, ForeignPrincipalCannotUpdateOrAdoptOwnedUser) {
   ContinuousSessionPool pool(server, pool_options);
   ASSERT_TRUE(pool.AttachSpillFile(spill_path).ok());
   net::NetServerOptions net_options;
-  net_options.poll_timeout_ms = 5;
   net_options.auth_secret = secret;
   net::NetServer front(pool, net_options);
   ASSERT_TRUE(front.Start().ok());

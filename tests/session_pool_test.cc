@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "roadnet/generators.h"
 #include "roadnet/spatial_index.h"
 #include "server/continuous_session_pool.h"
+#include "store/spill_file.h"
 #include "store/spill_file_set.h"
 
 namespace rcloak {
@@ -54,6 +57,45 @@ PrivacyProfile FleetProfile() {
 std::string ArtifactSha256(const core::CloakedArtifact& artifact) {
   const auto digest = crypto::Sha256::Hash(core::EncodeArtifact(artifact));
   return ToHex(Bytes(digest.begin(), digest.end()));
+}
+
+// The pool's update path takes the UserId handles Track hands out. These
+// helpers drive it by name, which is how the tests below think about
+// users: a name the pool never saw becomes the invalid handle, which the
+// pool answers with NotFound.
+util::UserId IdOf(const ContinuousSessionPool& pool, std::string_view user) {
+  const auto id = pool.UserIdOf(user);
+  return id.ok() ? *id : util::kInvalidUserId;
+}
+
+struct NamedUpdate {
+  std::string user_id;
+  double now_s = 0.0;
+  SegmentId segment = roadnet::kInvalidSegment;
+};
+
+std::vector<StatusOr<core::CloakedArtifact>> UpdateNamed(
+    ContinuousSessionPool& pool, const std::vector<NamedUpdate>& named) {
+  std::vector<ContinuousSessionPool::IdPositionUpdate> batch;
+  for (const NamedUpdate& update : named) {
+    batch.push_back({IdOf(pool, update.user_id), update.now_s,
+                     update.segment});
+  }
+  std::vector<StatusOr<core::CloakedArtifact>> results;
+  for (auto& result : pool.UpdateBatch(batch)) {
+    if (result.ok()) {
+      results.emplace_back(**result);
+    } else {
+      results.emplace_back(result.status());
+    }
+  }
+  return results;
+}
+
+StatusOr<core::CloakedArtifact> Update(ContinuousSessionPool& pool,
+                                       std::string_view user, double now_s,
+                                       SegmentId segment) {
+  return UpdateNamed(pool, {{std::string(user), now_s, segment}}).front();
 }
 
 // Fixed fleet traces: one record per car per tick, grouped per tick.
@@ -139,25 +181,30 @@ std::map<std::string, std::vector<std::string>> RunPool(
   server_options.max_queue = 4096;
   AnonymizationServer server(std::move(engine), server_options);
   ContinuousSessionPool pool(server);
+  std::vector<util::UserId> ids(traces.num_cars);
   for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
-    EXPECT_TRUE(pool.Track("car" + std::to_string(car), setup.profile,
-                           setup.algorithm,
-                           KeysFor(car, setup.profile.num_levels()),
-                           setup.options)
-                    .ok());
+    const std::string user = "car" + std::to_string(car);
+    const auto tracked =
+        pool.Track(user, setup.profile, setup.algorithm,
+                   KeysFor(car, setup.profile.num_levels()), setup.options);
+    EXPECT_TRUE(tracked.ok()) << tracked.status().ToString();
+    if (!tracked.ok()) return {};
+    ids[car] = *tracked;
+    // The handle is stable and re-derivable from the name.
+    EXPECT_EQ(IdOf(pool, user), *tracked);
   }
   std::map<std::string, std::vector<std::string>> sequences;
   for (const auto& tick : traces.ticks) {
-    std::vector<ContinuousSessionPool::PositionUpdate> batch;
+    std::vector<ContinuousSessionPool::IdPositionUpdate> batch;
     for (const auto& rec : tick) {
-      batch.push_back({"car" + std::to_string(rec.car_id), rec.time_s,
-                       rec.segment});
+      batch.push_back({ids[rec.car_id], rec.time_s, rec.segment});
     }
     const auto results = pool.UpdateBatch(batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       EXPECT_TRUE(results[i].ok()) << results[i].status().ToString();
       if (results[i].ok()) {
-        sequences[batch[i].user_id].push_back(ArtifactSha256(*results[i]));
+        sequences["car" + std::to_string(tick[i].car_id)].push_back(
+            ArtifactSha256(**results[i]));
       }
     }
   }
@@ -203,7 +250,7 @@ TEST(SessionPoolTest, InRegionUpdatesNeverTouchTheServer) {
   // First update cuts an artifact; staying on the same segment serves it
   // from the session shard without a single further server job.
   for (int t = 0; t < 10; ++t) {
-    const auto artifact = pool.Update("alice", t, SegmentId{60});
+    const auto artifact = Update(pool, "alice", t, SegmentId{60});
     ASSERT_TRUE(artifact.ok());
   }
   EXPECT_EQ(server.stats().accepted, 1u);
@@ -227,20 +274,21 @@ TEST(SessionPoolTest, ThrottledStaleBurstServesOldArtifactWithoutEpochAdvance) {
   ASSERT_TRUE(pool.Track("bob", PrivacyProfile({{6, 3, 1e9}}),
                          Algorithm::kRple, KeysFor(2), options)
                   .ok());
-  const auto first = pool.Update("bob", 0.0, SegmentId{0});
+  const auto first = Update(pool, "bob", 0.0, SegmentId{0});
   ASSERT_TRUE(first.ok());
   ASSERT_EQ(*pool.UserEpoch("bob"), 1u);
   // A burst of far-away updates inside the throttle window: the stale
   // artifact is served unchanged every time, no epoch advances.
   for (int burst = 1; burst <= 5; ++burst) {
-    const auto stale = pool.Update("bob", 0.5 + 0.1 * burst, SegmentId{120});
+    const auto stale =
+        Update(pool, "bob", 0.5 + 0.1 * burst, SegmentId{120});
     ASSERT_TRUE(stale.ok());
     EXPECT_EQ(core::EncodeArtifact(*stale), core::EncodeArtifact(*first));
   }
   EXPECT_EQ(*pool.UserEpoch("bob"), 1u);
   EXPECT_EQ(pool.stats().throttled_stale, 5u);
   // Past the window the same position finally rolls the epoch over.
-  const auto fresh = pool.Update("bob", 200.0, SegmentId{120});
+  const auto fresh = Update(pool, "bob", 200.0, SegmentId{120});
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(*pool.UserEpoch("bob"), 2u);
   EXPECT_NE(core::EncodeArtifact(*fresh), core::EncodeArtifact(*first));
@@ -253,9 +301,12 @@ TEST(SessionPoolTest, EvictionAndStaleUsers) {
   AnonymizationServer server(std::move(engine), {});
   ContinuousSessionPool pool(server);
 
-  // Unknown user fails fast, with a counter.
-  EXPECT_EQ(pool.Update("ghost", 0.0, SegmentId{3}).status().code(),
-            ErrorCode::kNotFound);
+  // An invalid handle (a name the pool never saw) fails fast, with a
+  // counter, without touching any session.
+  EXPECT_EQ(pool.UserIdOf("ghost").status().code(), ErrorCode::kNotFound);
+  const auto ghost =
+      pool.UpdateBatch({{util::kInvalidUserId, 0.0, SegmentId{3}}});
+  EXPECT_EQ(ghost[0].status().code(), ErrorCode::kNotFound);
   EXPECT_EQ(pool.stats().unknown_user, 1u);
 
   for (int u = 0; u < 4; ++u) {
@@ -271,10 +322,10 @@ TEST(SessionPoolTest, EvictionAndStaleUsers) {
   // u0 and u1 update late, u2/u3 go idle.
   for (int u = 0; u < 4; ++u) {
     ASSERT_TRUE(
-        pool.Update("u" + std::to_string(u), 10.0, SegmentId{30}).ok());
+        Update(pool, "u" + std::to_string(u), 10.0, SegmentId{30}).ok());
   }
-  ASSERT_TRUE(pool.Update("u0", 100.0, SegmentId{30}).ok());
-  ASSERT_TRUE(pool.Update("u1", 101.0, SegmentId{30}).ok());
+  ASSERT_TRUE(Update(pool, "u0", 100.0, SegmentId{30}).ok());
+  ASSERT_TRUE(Update(pool, "u1", 101.0, SegmentId{30}).ok());
   EXPECT_EQ(pool.EvictIdle(/*now_s=*/130.0, /*idle_s=*/60.0), 2u);
   EXPECT_EQ(pool.session_count(), 2u);
   EXPECT_TRUE(pool.UserEpoch("u0").ok());
@@ -284,7 +335,7 @@ TEST(SessionPoolTest, EvictionAndStaleUsers) {
   // re-track starts a fresh session at epoch 0.
   EXPECT_TRUE(pool.Evict("u0"));
   EXPECT_FALSE(pool.Evict("u0"));
-  EXPECT_EQ(pool.Update("u0", 140.0, SegmentId{30}).status().code(),
+  EXPECT_EQ(Update(pool, "u0", 140.0, SegmentId{30}).status().code(),
             ErrorCode::kNotFound);
   ASSERT_TRUE(pool.Track("u0", FleetProfile(), Algorithm::kRge, KeysFor(10),
                          FleetOptions())
@@ -314,7 +365,7 @@ TEST(SessionPoolTest, EvictionRetiresPerUserStatsInsteadOfDroppingThem) {
     const std::string user = "r" + std::to_string(u);
     for (int i = 0; i <= u; ++i) {
       ASSERT_TRUE(
-          pool.Update(user, 10.0 * (i + 1), SegmentId{40}).ok());
+          Update(pool, user, 10.0 * (i + 1), SegmentId{40}).ok());
     }
     const auto stats = pool.UserStats(user);
     ASSERT_TRUE(stats.ok());
@@ -325,8 +376,8 @@ TEST(SessionPoolTest, EvictionRetiresPerUserStatsInsteadOfDroppingThem) {
   ASSERT_GE(expected_recloaks, 3u);  // at least the initial cloak each
 
   // r0 idles out; r1 is evicted explicitly; r2 stays.
-  ASSERT_TRUE(pool.Update("r1", 200.0, SegmentId{40}).ok());
-  ASSERT_TRUE(pool.Update("r2", 201.0, SegmentId{40}).ok());
+  ASSERT_TRUE(Update(pool, "r1", 200.0, SegmentId{40}).ok());
+  ASSERT_TRUE(Update(pool, "r2", 201.0, SegmentId{40}).ok());
   expected_updates += 2;
   EXPECT_EQ(pool.EvictIdle(/*now_s=*/230.0, /*idle_s=*/60.0), 1u);
   EXPECT_TRUE(pool.Evict("r1"));
@@ -396,7 +447,7 @@ TEST(SessionPoolTest, ConcurrentDisjointDrivers) {
               "t" + std::to_string(thread) + "/u" + std::to_string(u);
           const SegmentId here{static_cast<std::uint32_t>(
               (thread * 31 + u * 7 + step * 5) % net.segment_count())};
-          const auto artifact = pool.Update(user, step, here);
+          const auto artifact = Update(pool, user, step, here);
           ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
         }
       }
@@ -438,61 +489,16 @@ TEST(SessionPoolTest, MultipleUpdatesForOneUserInOneBatchStayOrdered) {
   ASSERT_TRUE(pool.Track("carol", FleetProfile(), Algorithm::kRge, KeysFor(3),
                          FleetOptions())
                   .ok());
-  std::vector<ContinuousSessionPool::PositionUpdate> batch;
+  std::vector<NamedUpdate> batch;
   for (std::size_t i = 0; i < positions.size(); ++i) {
     batch.push_back({"carol", static_cast<double>(i), positions[i]});
   }
-  const auto results = pool.UpdateBatch(batch);
+  const auto results = UpdateNamed(pool, batch);
   ASSERT_EQ(results.size(), expected.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
     EXPECT_EQ(ArtifactSha256(*results[i]), expected[i]) << i;
   }
-}
-
-// The allocation-free id fast path (UserId handles from Track, id-keyed
-// UpdateBatch) must serve byte-identical artifact sequences to the
-// string-boundary path.
-TEST(SessionPoolTest, IdFastPathMatchesStringPath) {
-  const auto traces = MakeFleetTraces(/*num_cars=*/6, /*duration_s=*/40.0);
-  const auto ctx = core::MapContext::Create(traces.net);
-  const auto occupancy = OnePerSegment(traces.net);
-  const auto by_string = RunPool(ctx, occupancy, traces, /*workers=*/2);
-
-  core::Anonymizer engine(ctx, occupancy);
-  server::ServerOptions server_options;
-  server_options.num_workers = 2;
-  AnonymizationServer server(std::move(engine), server_options);
-  ContinuousSessionPool pool(server);
-  std::vector<util::UserId> ids(traces.num_cars);
-  for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
-    const auto tracked = pool.Track("car" + std::to_string(car),
-                                    FleetProfile(), Algorithm::kRge,
-                                    KeysFor(car), FleetOptions());
-    ASSERT_TRUE(tracked.ok());
-    ids[car] = *tracked;
-    // The handle is stable and re-derivable at the boundary.
-    ASSERT_EQ(*pool.UserIdOf("car" + std::to_string(car)), *tracked);
-  }
-  std::map<std::string, std::vector<std::string>> sequences;
-  for (const auto& tick : traces.ticks) {
-    std::vector<ContinuousSessionPool::IdPositionUpdate> batch;
-    for (const auto& rec : tick) {
-      batch.push_back({ids[rec.car_id], rec.time_s, rec.segment});
-    }
-    const auto results = pool.UpdateBatch(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-      sequences["car" + std::to_string(tick[i].car_id)].push_back(
-          ArtifactSha256(**results[i]));
-    }
-  }
-  EXPECT_EQ(sequences, by_string);
-  // An invalid handle fails fast without touching any session.
-  std::vector<ContinuousSessionPool::IdPositionUpdate> bad;
-  bad.push_back({util::kInvalidUserId, 999.0, SegmentId{0}});
-  const auto bad_results = pool.UpdateBatch(bad);
-  EXPECT_EQ(bad_results[0].status().code(), ErrorCode::kNotFound);
 }
 
 // The pool commits the region the anonymizer sealed as each re-cloak's
@@ -547,7 +553,7 @@ TEST(SessionPoolTest, NonReversibleBackendFailsAndServesLikeTheOracle) {
   ASSERT_TRUE(pool.Track("car0", setup.profile, setup.algorithm, KeysFor(0),
                          setup.options)
                   .ok());
-  const auto pooled = pool.Update("car0", 0.0, SegmentId{60});
+  const auto pooled = Update(pool, "car0", 0.0, SegmentId{60});
   ASSERT_FALSE(pooled.ok());
   EXPECT_EQ(pooled.status().code(), expected.status().code());
   EXPECT_EQ(pooled.status().message(), expected.status().message());
@@ -562,10 +568,25 @@ TEST(SessionPoolTest, NonReversibleBackendFailsAndServesLikeTheOracle) {
   EXPECT_EQ(RunPool(ctx, occupancy, traces, /*workers=*/2, setup), served);
 }
 
-// Spill/restore: a session serialized out of the pool and restored later
-// resumes its epoch chain bit-for-bit — the artifact sequence equals the
-// single-user oracle that never paused.
-TEST(SessionPoolTest, SpillRestoreResumesEpochChainByteForByte) {
+// Parses "car<N>" back into the deterministic key chain Track used, so
+// restore-on-miss can rebuild providers without parking them.
+ContinuousSessionPool::KeyProvider CarKeys(std::string_view user_id) {
+  return KeysFor(std::stoull(std::string(user_id.substr(3))));
+}
+
+void RemoveSpillShards(const std::string& path, int shards) {
+  for (int i = 0; i < shards; ++i) {
+    const std::string member =
+        store::SpillFileSet::MemberPath(path, static_cast<std::size_t>(i));
+    std::remove(member.c_str());
+    std::remove((member + ".tmp").c_str());
+  }
+}
+
+// A session written to the spill file and restored on miss resumes its
+// epoch chain bit-for-bit: the artifact sequence equals the single-user
+// oracle that never paused, and its per-user statistics carry on.
+TEST(SessionPoolTest, SpillFileRestoreResumesEpochChainByteForByte) {
   const RoadNetwork net = roadnet::MakeGrid({12, 12, 100.0});
   const auto ctx = core::MapContext::Create(net);
   const auto occupancy = OnePerSegment(net);
@@ -590,115 +611,226 @@ TEST(SessionPoolTest, SpillRestoreResumesEpochChainByteForByte) {
   }
   ASSERT_GE(oracle.stats().recloaks, 3u);
 
+  // No key factory: the spill parks dora's provider until she returns.
   core::Anonymizer engine(ctx, occupancy);
   AnonymizationServer server(std::move(engine), {});
   ContinuousSessionPool pool(server);
-  ASSERT_TRUE(pool.Track("dora", FleetProfile(), Algorithm::kRge, KeysFor(4),
-                         FleetOptions())
-                  .ok());
+  const std::string path = "session_pool_resume_test.rcsf";
+  std::remove(path.c_str());
+  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
+  const auto dora = pool.Track("dora", FleetProfile(), Algorithm::kRge,
+                               KeysFor(4), FleetOptions());
+  ASSERT_TRUE(dora.ok());
   std::vector<std::string> served;
   const std::size_t half = positions.size() / 2;
   for (std::size_t i = 0; i < half; ++i) {
     const auto artifact =
-        pool.Update("dora", static_cast<double>(i), positions[i]);
+        Update(pool, "dora", static_cast<double>(i), positions[i]);
     ASSERT_TRUE(artifact.ok());
     served.push_back(ArtifactSha256(*artifact));
   }
-  const auto epoch_before = pool.UserEpoch("dora");
-  ASSERT_TRUE(epoch_before.ok());
   const auto stats_before = pool.UserStats("dora");
   ASSERT_TRUE(stats_before.ok());
+  ASSERT_GE(stats_before->recloaks, 2u);  // the chain is mid-run
 
-  const auto spilled = pool.Spill("dora");
-  ASSERT_TRUE(spilled.ok());
-  EXPECT_EQ(spilled->user_id, "dora");
+  const auto written = pool.SpillAllToFile();
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(*written, 1u);
   EXPECT_EQ(pool.session_count(), 0u);
-  EXPECT_EQ(pool.Update("dora", 100.0, positions[half]).status().code(),
-            ErrorCode::kNotFound);
+  EXPECT_EQ(pool.StateOf(*dora), ContinuousSessionPool::UserState::kSpilled);
   EXPECT_EQ(pool.stats().spilled, 1u);
-  // Spilled stats travel in the blob — nothing was retired.
+  // Spilled stats travel in the record — nothing was retired.
   EXPECT_EQ(pool.stats().retired_updates, 0u);
-
-  const auto restored = pool.Restore(*spilled, KeysFor(4));
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(pool.stats().restored, 1u);
-  // Epoch chain and per-user statistics resumed, not reset.
-  ASSERT_TRUE(pool.UserEpoch("dora").ok());
-  EXPECT_EQ(*pool.UserEpoch("dora"), *epoch_before);
-  ASSERT_TRUE(pool.UserStats("dora").ok());
-  EXPECT_EQ(pool.UserStats("dora")->updates, stats_before->updates);
-  EXPECT_EQ(pool.UserStats("dora")->recloaks, stats_before->recloaks);
 
   for (std::size_t i = half; i < positions.size(); ++i) {
     const auto artifact =
-        pool.Update("dora", static_cast<double>(i), positions[i]);
+        Update(pool, "dora", static_cast<double>(i), positions[i]);
     ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
     served.push_back(ArtifactSha256(*artifact));
   }
   EXPECT_EQ(served, expected);
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.restored_on_miss, 1u);
+  EXPECT_EQ(stats.restored, 1u);
+  EXPECT_EQ(stats.restore_failures, 0u);
+  // Per-user statistics resumed, not reset.
+  ASSERT_TRUE(pool.UserStats("dora").ok());
+  EXPECT_EQ(pool.UserStats("dora")->updates, positions.size());
+  EXPECT_EQ(pool.UserStats("dora")->recloaks, oracle.stats().recloaks);
+  std::remove(path.c_str());
 }
 
-TEST(SessionPoolTest, EvictIdleSpillRoundTrips) {
+// Evict removes a spilled user as well as a resident one: the spill record
+// and the parked key provider go, so the user's next update is NotFound
+// instead of a restore-on-miss bringing the session back.
+TEST(SessionPoolTest, EvictDropsSpilledUser) {
   const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
   const auto ctx = core::MapContext::Create(net);
   core::Anonymizer engine(ctx, OnePerSegment(net));
   AnonymizationServer server(std::move(engine), {});
+  // No key factory: the spill parks each provider in the pool.
   ContinuousSessionPool pool(server);
-  for (int u = 0; u < 3; ++u) {
-    ASSERT_TRUE(pool.Track("s" + std::to_string(u), FleetProfile(),
-                           Algorithm::kRge, KeysFor(30 + u), FleetOptions())
+  const std::string path = "session_pool_evict_test.rcsf";
+  std::remove(path.c_str());
+  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
+  for (const char* user : {"a", "b"}) {
+    ASSERT_TRUE(pool.Track(user, FleetProfile(), Algorithm::kRge, KeysFor(1),
+                           FleetOptions())
                     .ok());
-    ASSERT_TRUE(
-        pool.Update("s" + std::to_string(u), 10.0, SegmentId{42}).ok());
+    ASSERT_TRUE(Update(pool, user, 1.0, SegmentId{5}).ok());
   }
-  // s2 stays active; s0/s1 idle out — spilled, not dropped.
-  ASSERT_TRUE(pool.Update("s2", 100.0, SegmentId{42}).ok());
-  auto spilled = pool.EvictIdleSpill(/*now_s=*/130.0, /*idle_s=*/60.0);
-  ASSERT_EQ(spilled.size(), 2u);
-  EXPECT_EQ(pool.session_count(), 1u);
-  EXPECT_EQ(pool.stats().spilled, 2u);
-  EXPECT_EQ(pool.stats().evicted, 0u);
+  ASSERT_EQ(*pool.SpillAllToFile(), 2u);
+  const util::UserId a = IdOf(pool, "a");
+  ASSERT_EQ(pool.StateOf(a), ContinuousSessionPool::UserState::kSpilled);
+  const std::size_t memory_before = pool.memory_bytes();
 
-  for (const auto& session : spilled) {
-    const std::uint64_t seed =
-        30 + static_cast<std::uint64_t>(session.user_id.back() - '0');
-    ASSERT_TRUE(pool.Restore(session, KeysFor(seed)).ok());
-    // The restored session resumed past epoch 0 (its chain came back).
-    EXPECT_GE(*pool.UserEpoch(session.user_id), 1u);
-  }
-  EXPECT_EQ(pool.session_count(), 3u);
-  EXPECT_EQ(pool.stats().restored, 2u);
-}
+  EXPECT_TRUE(pool.Evict("a"));
+  EXPECT_EQ(pool.StateOf(a), ContinuousSessionPool::UserState::kUntracked);
+  EXPECT_FALSE(pool.Evict("a"));
+  auto stats = pool.stats();
+  EXPECT_EQ(stats.evicted, 1u);
+  EXPECT_EQ(stats.spill_live_records, 1u);
+  // The parked provider went with the record.
+  EXPECT_LT(pool.memory_bytes(), memory_before);
 
-TEST(SessionPoolTest, RestoreRejectsCorruptBlobAndDoubleTrack) {
-  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
-  const auto ctx = core::MapContext::Create(net);
-  core::Anonymizer engine(ctx, OnePerSegment(net));
-  AnonymizationServer server(std::move(engine), {});
-  ContinuousSessionPool pool(server);
-  ASSERT_TRUE(pool.Track("eve", FleetProfile(), Algorithm::kRge, KeysFor(5),
-                         FleetOptions())
-                  .ok());
-  ASSERT_TRUE(pool.Update("eve", 1.0, SegmentId{7}).ok());
-  auto spilled = pool.Spill("eve");
-  ASSERT_TRUE(spilled.ok());
-
-  // Truncated blob is DataLoss, never a half-restored session.
-  ContinuousSessionPool::SpilledSession corrupt = *spilled;
-  corrupt.state.resize(corrupt.state.size() / 2);
-  EXPECT_FALSE(pool.Restore(corrupt, KeysFor(5)).ok());
+  const auto gone = pool.UpdateBatch({{a, 2.0, SegmentId{6}}});
+  EXPECT_EQ(gone[0].status().code(), ErrorCode::kNotFound);
+  stats = pool.stats();
+  EXPECT_EQ(stats.restored_on_miss, 0u);
+  EXPECT_EQ(stats.unknown_user, 1u);
   EXPECT_EQ(pool.session_count(), 0u);
 
-  // Restore works once; a second restore collides with the live session.
-  ASSERT_TRUE(pool.Restore(*spilled, KeysFor(5)).ok());
-  EXPECT_EQ(pool.Restore(*spilled, KeysFor(5)).status().code(),
-            ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(pool.session_count(), 1u);
+  // The other spilled user is untouched; a re-tracked "a" starts afresh.
+  EXPECT_EQ(*pool.RestoreAllFromFile(), 1u);
+  ASSERT_TRUE(pool.Track("a", FleetProfile(), Algorithm::kRge, KeysFor(1),
+                         FleetOptions())
+                  .ok());
+  EXPECT_EQ(*pool.UserEpoch("a"), 0u);
+  std::remove(path.c_str());
+}
+
+// An Evict that lands between a restore-on-miss's record read and its
+// insert wins: the restore finds the record gone and the update is
+// NotFound, instead of the read bringing the evicted user back. The key
+// factory runs in exactly that window, so it evicts from a second thread
+// (a shared cold-tier hold, like the restore's own).
+TEST(SessionPoolTest, EvictWinsOverARestoreInFlight) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  core::Anonymizer engine(ctx, OnePerSegment(net));
+  AnonymizationServer server(std::move(engine), {});
+  ContinuousSessionPool* evicting = nullptr;
+  server::SessionPoolOptions options;
+  options.key_provider_factory = [&evicting](std::string_view user) {
+    if (evicting != nullptr) {
+      std::thread([&] { EXPECT_TRUE(evicting->Evict(user)); }).join();
+    }
+    return CarKeys(user);
+  };
+  ContinuousSessionPool pool(server, options);
+  const std::string path = "session_pool_evict_race_test.rcsf";
+  std::remove(path.c_str());
+  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
+  const auto car3 = pool.Track("car3", FleetProfile(), Algorithm::kRge,
+                               KeysFor(3), FleetOptions());
+  ASSERT_TRUE(car3.ok());
+  ASSERT_TRUE(Update(pool, "car3", 1.0, SegmentId{5}).ok());
+  ASSERT_EQ(*pool.SpillAllToFile(), 1u);
+
+  evicting = &pool;
+  const auto results = pool.UpdateBatch({{*car3, 2.0, SegmentId{6}}});
+  EXPECT_EQ(results[0].status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(pool.StateOf(*car3), ContinuousSessionPool::UserState::kUntracked);
+  EXPECT_EQ(pool.session_count(), 0u);
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.evicted, 1u);
+  EXPECT_EQ(stats.restored, 0u);
+  EXPECT_EQ(stats.restored_on_miss, 0u);
+  std::remove(path.c_str());
+}
+
+// Spill records are input from outside the program. A record that does
+// not decode, names an unknown algorithm, or was cut on another map (its
+// envelope fingerprint differs from the file header's) must fail closed on
+// both restore paths: no resident session, a counted restore failure, and
+// a NotFound answer to the update that tripped it. The tampered copies
+// supersede the good ones the way any later append does (last write wins).
+TEST(SessionPoolTest, TamperedSpillRecordsFailClosed) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  const std::string path = "session_pool_tamper_test.rcsf";
+  struct Tamper {
+    const char* what;
+    std::function<void(Bytes&)> apply;
+  };
+  // Envelope layout: u8 version | u64 map fingerprint | u8 algorithm | ...
+  const std::vector<Tamper> tampers = {
+      {"truncated", [](Bytes& state) { state.resize(state.size() / 2); }},
+      {"algorithm", [](Bytes& state) { state.at(9) = 0xEE; }},
+      {"fingerprint", [](Bytes& state) { state.at(1) ^= 0xFF; }},
+  };
+  for (const Tamper& tamper : tampers) {
+    SCOPED_TRACE(tamper.what);
+    std::remove(path.c_str());
+    const auto make_pool = [&](AnonymizationServer& server) {
+      server::SessionPoolOptions options;
+      options.key_provider_factory = CarKeys;
+      auto pool = std::make_unique<ContinuousSessionPool>(server, options);
+      EXPECT_TRUE(pool->AttachSpillFile(path).ok());
+      return pool;
+    };
+    core::Anonymizer engine(ctx, OnePerSegment(net));
+    AnonymizationServer server(std::move(engine), {});
+    {
+      auto pool = make_pool(server);
+      for (const char* user : {"car0", "car1"}) {
+        ASSERT_TRUE(pool->Track(user, FleetProfile(), Algorithm::kRge,
+                                CarKeys(user), FleetOptions())
+                        .ok());
+        ASSERT_TRUE(Update(*pool, user, 1.0, SegmentId{7}).ok());
+      }
+      ASSERT_EQ(*pool->SpillAllToFile(), 2u);
+    }
+    {
+      util::StringInterner interner;
+      auto file = store::SpillFile::Attach(path, ctx->fingerprint(), interner);
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      std::vector<store::SpillFile::Record> records;
+      for (const char* user : {"car0", "car1"}) {
+        const util::UserId id = interner.Find(user);
+        auto state = (*file)->ReadRecord(id);
+        ASSERT_TRUE(state.ok()) << state.status().ToString();
+        tamper.apply(*state);
+        records.push_back({id, std::move(*state)});
+      }
+      ASSERT_TRUE((*file)->AppendBatch(records).ok());
+    }
+
+    auto pool = make_pool(server);
+    const util::UserId car0 = IdOf(*pool, "car0");
+    ASSERT_EQ(pool->StateOf(car0), ContinuousSessionPool::UserState::kSpilled);
+    const auto missed = pool->UpdateBatch({{car0, 2.0, SegmentId{8}}});
+    EXPECT_EQ(missed[0].status().code(), ErrorCode::kNotFound);
+    auto stats = pool->stats();
+    EXPECT_EQ(stats.restore_failures, 1u);
+    EXPECT_EQ(stats.restored_on_miss, 0u);
+    EXPECT_EQ(pool->session_count(), 0u);
+
+    const auto restored = pool->RestoreAllFromFile();
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(*restored, 0u);
+    stats = pool->stats();
+    EXPECT_EQ(stats.restore_failures, 3u);
+    EXPECT_EQ(stats.restored, 0u);
+    EXPECT_EQ(pool->session_count(), 0u);
+  }
+  std::remove(path.c_str());
 }
 
 // Pins the incremental per-shard occupancy deltas (PR 6) to the original
 // O(sessions) rebuild through every mutation that moves a last_segment:
-// track, update, explicit evict, spill, restore, and idle reaping.
+// track, update, explicit evict (resident and spilled), spill to file,
+// restore on miss, warm boot and idle reaping.
 TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
   const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
   const auto ctx = core::MapContext::Create(net);
@@ -706,6 +838,9 @@ TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
   core::Anonymizer engine(ctx, occupancy);
   AnonymizationServer server(std::move(engine), {});
   ContinuousSessionPool pool(server);
+  const std::string path = "session_pool_occupancy_test.rcsf";
+  std::remove(path.c_str());
+  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
 
   const auto expect_equiv = [&pool](const char* where) {
     const auto incremental = pool.BuildOccupancy();
@@ -726,13 +861,13 @@ TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
 
   // Several ticks of movement, many users colliding on few segments.
   for (int t = 0; t < 6; ++t) {
-    std::vector<ContinuousSessionPool::PositionUpdate> batch;
+    std::vector<NamedUpdate> batch;
     for (std::uint32_t u = 0; u < kUsers; ++u) {
       batch.push_back({"car" + std::to_string(u), static_cast<double>(t),
                        SegmentId{(u * 7 + static_cast<std::uint32_t>(t) * 13) %
                                  net.segment_count()}});
     }
-    for (const auto& result : pool.UpdateBatch(batch)) {
+    for (const auto& result : UpdateNamed(pool, batch)) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();
     }
     expect_equiv("after tick");
@@ -744,21 +879,28 @@ TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
   expect_equiv("after evict");
   EXPECT_EQ(pool.BuildOccupancy().total(), kUsers - 2);
 
-  const auto spilled = pool.Spill("car2");
-  ASSERT_TRUE(spilled.ok());
+  ASSERT_EQ(*pool.SpillAllToFile(), kUsers - 2);
   expect_equiv("after spill");
-  EXPECT_EQ(pool.BuildOccupancy().total(), kUsers - 3);
+  EXPECT_EQ(pool.BuildOccupancy().total(), 0u);
 
-  ASSERT_TRUE(pool.Restore(*spilled, KeysFor(2)).ok());
-  expect_equiv("after restore");
-  // Restore re-registers the spilled last_segment in the deltas.
-  EXPECT_EQ(pool.BuildOccupancy().total(), kUsers - 2);
+  // A spilled user evicted from the file never counted: nothing moves.
+  ASSERT_TRUE(pool.Evict("car8"));
+  expect_equiv("after evicting a spilled user");
+
+  // Restore on miss re-registers the session at its new position.
+  ASSERT_TRUE(Update(pool, "car2", 7.0, SegmentId{2}).ok());
+  expect_equiv("after restore on miss");
+  EXPECT_EQ(pool.BuildOccupancy().total(), 1u);
+
+  // Warm boot re-registers every spilled last_segment in the deltas.
+  ASSERT_EQ(*pool.RestoreAllFromFile(), kUsers - 4);
+  expect_equiv("after warm boot");
+  EXPECT_EQ(pool.BuildOccupancy().total(), kUsers - 3);
 
   // Advance a handful of users far in time, then reap the idle rest.
   for (std::uint32_t u = 3; u < 8; ++u) {
-    ASSERT_TRUE(pool.Update("car" + std::to_string(u), 1000.0,
-                            SegmentId{u})
-                    .ok());
+    ASSERT_TRUE(
+        Update(pool, "car" + std::to_string(u), 1000.0, SegmentId{u}).ok());
   }
   expect_equiv("after late updates");
   const std::size_t reaped = pool.EvictIdle(1000.0, 100.0);
@@ -766,25 +908,10 @@ TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
   expect_equiv("after EvictIdle");
   EXPECT_EQ(pool.BuildOccupancy().total(), 5u);
 
-  const auto spilled_idle = pool.EvictIdleSpill(2000.0, 100.0);
-  EXPECT_EQ(spilled_idle.size(), 5u);
-  expect_equiv("after EvictIdleSpill");
+  EXPECT_EQ(*pool.SpillAllToFile(), 5u);
+  expect_equiv("after the last spill");
   EXPECT_EQ(pool.BuildOccupancy().total(), 0u);
-}
-
-// Parses "car<N>" back into the deterministic key chain Track used, so
-// restore-on-miss can rebuild providers without parking them.
-ContinuousSessionPool::KeyProvider CarKeys(std::string_view user_id) {
-  return KeysFor(std::stoull(std::string(user_id.substr(3))));
-}
-
-void RemoveSpillShards(const std::string& path, int shards) {
-  for (int i = 0; i < shards; ++i) {
-    const std::string member =
-        store::SpillFileSet::MemberPath(path, static_cast<std::size_t>(i));
-    std::remove(member.c_str());
-    std::remove((member + ".tmp").c_str());
-  }
+  std::remove(path.c_str());
 }
 
 // With a spill file attached and a budget that cannot hold the fleet, the
@@ -818,12 +945,12 @@ TEST(SessionPoolTest, ColdTierRestoreOnMissMatchesOracle) {
     std::map<std::string, std::vector<std::string>> sequences;
     bool budget_set = false;
     for (const auto& tick : traces.ticks) {
-      std::vector<ContinuousSessionPool::PositionUpdate> batch;
+      std::vector<NamedUpdate> batch;
       for (const auto& rec : tick) {
         batch.push_back({"car" + std::to_string(rec.car_id), rec.time_s,
                          rec.segment});
       }
-      const auto results = pool.UpdateBatch(batch);
+      const auto results = UpdateNamed(pool, batch);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         ASSERT_TRUE(results[i].ok())
             << batch[i].user_id << ": " << results[i].status().ToString();
@@ -866,7 +993,7 @@ TEST(SessionPoolTest, StateOfTracksSpillAndTransparentRestore) {
                                KeysFor(u), FleetOptions());
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
-    ASSERT_TRUE(pool.Update(user, 1.0, SegmentId{5}).ok());
+    ASSERT_TRUE(Update(pool, user, 1.0, SegmentId{5}).ok());
     EXPECT_EQ(pool.StateOf(*id), ContinuousSessionPool::UserState::kResident);
   }
   EXPECT_EQ(pool.StateOf(util::UserId{9999}),
@@ -882,9 +1009,7 @@ TEST(SessionPoolTest, StateOfTracksSpillAndTransparentRestore) {
 
   // A batch containing a spilled user restores it mid-batch; the update
   // succeeds as if the session never left.
-  const auto results = pool.UpdateBatch(
-      std::vector<ContinuousSessionPool::PositionUpdate>{
-          {"car2", 2.0, SegmentId{6}}});
+  const auto results = pool.UpdateBatch({{ids[2], 2.0, SegmentId{6}}});
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
   EXPECT_EQ(pool.StateOf(ids[2]), ContinuousSessionPool::UserState::kResident);
@@ -897,40 +1022,6 @@ TEST(SessionPoolTest, StateOfTracksSpillAndTransparentRestore) {
   EXPECT_EQ(pool.session_count(), 4u);
   EXPECT_EQ(pool.stats().restore_failures, 0u);
   std::remove(path.c_str());
-}
-
-TEST(SessionPoolTest, RestoreRejectsFingerprintAndAlgorithmMismatch) {
-  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
-  const auto ctx = core::MapContext::Create(net);
-  core::Anonymizer engine(ctx, OnePerSegment(net));
-  AnonymizationServer server(std::move(engine), {});
-  ContinuousSessionPool pool(server);
-  ASSERT_TRUE(pool.Track("mallory", FleetProfile(), Algorithm::kRge,
-                         KeysFor(9), FleetOptions())
-                  .ok());
-  ASSERT_TRUE(pool.Update("mallory", 1.0, SegmentId{7}).ok());
-  const auto spilled = pool.Spill("mallory");
-  ASSERT_TRUE(spilled.ok());
-
-  // Same blob, different map: the envelope fingerprint check refuses it
-  // before Deserialize ever touches the bytes.
-  const RoadNetwork other_net = roadnet::MakeGrid({11, 11, 100.0});
-  const auto other_ctx = core::MapContext::Create(other_net);
-  core::Anonymizer other_engine(other_ctx, OnePerSegment(other_net));
-  AnonymizationServer other_server(std::move(other_engine), {});
-  ContinuousSessionPool other_pool(other_server);
-  EXPECT_EQ(other_pool.Restore(*spilled, KeysFor(9)).status().code(),
-            ErrorCode::kInvalidArgument);
-  EXPECT_EQ(other_pool.session_count(), 0u);
-
-  // Tampered algorithm id (envelope offset 9: u8 version + u64
-  // fingerprint precede it): rejected, not mis-decoded.
-  ContinuousSessionPool::SpilledSession tampered = *spilled;
-  ASSERT_GT(tampered.state.size(), 9u);
-  tampered.state[9] = 0xEE;
-  EXPECT_EQ(pool.Restore(tampered, KeysFor(9)).status().code(),
-            ErrorCode::kInvalidArgument);
-  EXPECT_EQ(pool.session_count(), 0u);
 }
 
 // Warm boot across pool lifetimes: sessions the budget sweep wrote into a
@@ -958,11 +1049,11 @@ TEST(SessionPoolTest, SweptShardFilesWarmBootIntoFreshPool) {
       ASSERT_TRUE(id.ok());
       ids.push_back(*id);
       ASSERT_TRUE(
-          pool.Update(user, 1.0, SegmentId{static_cast<std::uint32_t>(u)})
+          Update(pool, user, 1.0, SegmentId{static_cast<std::uint32_t>(u)})
               .ok());
     }
     pool.set_memory_budget_bytes(pool.memory_bytes() / 4);
-    ASSERT_TRUE(pool.Update("car0", 2.0, SegmentId{11}).ok());
+    ASSERT_TRUE(Update(pool, "car0", 2.0, SegmentId{11}).ok());
     for (const auto id : ids) {
       if (pool.StateOf(id) == ContinuousSessionPool::UserState::kSpilled) {
         ++spilled_count;
@@ -1022,8 +1113,8 @@ TEST(SessionPoolTest, SweepRacesRestoresAndCompaction) {
       ASSERT_TRUE(pool.Track("car" + std::to_string(car), FleetProfile(),
                              Algorithm::kRge, KeysFor(car), FleetOptions())
                       .ok());
-      ASSERT_TRUE(pool.Update("car" + std::to_string(car), 0.0,
-                              SegmentId{static_cast<std::uint32_t>(car)})
+      ASSERT_TRUE(Update(pool, "car" + std::to_string(car), 0.0,
+                         SegmentId{static_cast<std::uint32_t>(car)})
                       .ok());
     }
   }
@@ -1036,7 +1127,7 @@ TEST(SessionPoolTest, SweepRacesRestoresAndCompaction) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&pool, &updaters_running, t, &net] {
       for (int step = 1; step <= kUpdates; ++step) {
-        std::vector<ContinuousSessionPool::PositionUpdate> batch;
+        std::vector<NamedUpdate> batch;
         for (int u = 0; u < kUsersPerThread; ++u) {
           const int car = t * kUsersPerThread + u;
           batch.push_back(
@@ -1044,7 +1135,7 @@ TEST(SessionPoolTest, SweepRacesRestoresAndCompaction) {
                SegmentId{static_cast<std::uint32_t>(
                    (car * 7 + step * 5) % net.segment_count())}});
         }
-        for (const auto& result : pool.UpdateBatch(batch)) {
+        for (const auto& result : UpdateNamed(pool, batch)) {
           EXPECT_TRUE(result.ok()) << result.status().ToString();
         }
       }
@@ -1131,13 +1222,13 @@ TEST(SessionPoolTest, ConcurrentSweepsKeepEveryUserOnTheOracle) {
   for (int t = 0; t < kThreads; ++t) {
     drivers.emplace_back([&, t] {
       for (int step = 0; step < kUpdates; ++step) {
-        std::vector<ContinuousSessionPool::PositionUpdate> batch;
+        std::vector<NamedUpdate> batch;
         for (int u = 0; u < kUsersPerThread; ++u) {
           const int car = t * kUsersPerThread + u;
           batch.push_back({user_of(car), static_cast<double>(step),
                            position(car, step)});
         }
-        const auto results = pool.UpdateBatch(batch);
+        const auto results = UpdateNamed(pool, batch);
         for (std::size_t i = 0; i < batch.size(); ++i) {
           EXPECT_TRUE(results[i].ok()) << results[i].status().ToString();
           if (results[i].ok()) {
