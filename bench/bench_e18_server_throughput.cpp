@@ -1,9 +1,8 @@
-// E18 — Anonymization-server throughput vs. worker count, on the sharded
-// server (per-worker queues + sessions over one shared MapContext).
-// Expectation: scaling with worker count up to core count for the
-// CPU-bound RGE workload; on fewer cores the sharded queues keep added
-// workers from costing throughput. Two submission paths are swept:
-// per-request Submit and the single-lock-per-shard SubmitBatch.
+// E18 — Anonymization-server throughput vs. worker count (one shared job
+// queue, per-worker sessions over one shared MapContext). Expectation:
+// scaling with worker count up to core count for the CPU-bound RGE
+// workload. Two submission paths are swept: per-request Submit and
+// SubmitBatch.
 //
 // Usage: bench_e18 [workers...]   (default sweep: 1 2 4 8)
 #include <cstdlib>
@@ -37,8 +36,8 @@ crypto::KeyChain MakeKeys(int i) {
 
 int main(int argc, char** argv) {
   PrintHeader("E18: server throughput vs workers",
-              "400 requests (delta_k=40, RGE) through the sharded "
-              "worker-pool server on the atlanta workload; wall time and "
+              "400 requests (delta_k=40, RGE) through the worker-pool "
+              "server on the atlanta workload; wall time and "
               "requests/s for per-request Submit and SubmitBatch.");
 
   std::vector<int> worker_counts;
@@ -49,7 +48,7 @@ int main(int argc, char** argv) {
   if (worker_counts.empty()) worker_counts = {1, 2, 4, 8};
 
   Workload workload = MakeAtlantaWorkload(/*num_origins=*/40);
-  // One immutable context shared by every server below (and its shards).
+  // One immutable context shared by every server below (and its workers).
   const auto ctx = core::MapContext::Create(workload.net);
 
   constexpr int kJobs = 400;

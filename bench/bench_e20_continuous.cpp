@@ -1,20 +1,20 @@
 // E20 — Continuous fleet tracking: N moving users driven through the
-// server-side ContinuousSessionPool over the sharded anonymization server.
+// server-side ContinuousSessionPool over the anonymization server.
 // Per tick, the whole fleet's position updates go through one id-keyed
 // UpdateBatch: in-region updates resolve in the session shards without
 // touching the engine, region exits re-cloak in one server batch, each
 // sealing its own validity region in the anonymizer. Reported per
 // configuration: sustained updates/s, the re-cloak rate, p50/p95/p99
-// per-update latency, the mean wall time of the burst (mass region exit)
-// ticks, and the server's steal counter.
+// per-update latency and the mean wall time of the burst (mass region
+// exit) ticks.
 //
 // Two fleet modes:
 //   * default — GTMobiSim-style traces routed by ALT over the MapContext's
 //     memoized landmark tables (the paper's mobility model);
 //   * --skew  — synthetic zipfian fleet: car homes concentrate on hot
 //     "downtown" segments and every 10th tick a 25% cohort teleports,
-//     slamming one mass region-exit round into the servers (the skewed
-//     workload the work-stealing shards target).
+//     slamming one mass region-exit round into the server's queue (cost-
+//     skewed jobs: hot downtown cells cloak slower).
 //
 // Flags (after the positional [fleet_size] [workers...]):
 //   --skew              synthetic zipfian fleet (scales to 100k+ users)
@@ -184,8 +184,8 @@ int main(int argc, char** argv) {
           " ticks (1 Hz) through the continuous session pool (" +
           (skew ? "zipfian skew + teleport bursts" : "ALT-routed traces") +
           (dynamic_occupancy ? ", occupancy from fleet positions" : "") +
-          "); updates/s, re-cloak rate, latency percentiles and steal "
-          "counts vs worker count.");
+          "); updates/s, re-cloak rate and latency percentiles vs worker "
+          "count.");
 
   const auto net = [] {
     roadnet::PerturbedGridOptions options;
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
   std::uint64_t verify_failures = 0;
   TableWriter table({"fleet", "workers", "updates", "recloaks",
                      "recloak_rate", "updates_per_s", "p50_us", "p95_us",
-                     "p99_us", "burst_tick_ms", "steals"});
+                     "p99_us", "burst_tick_ms"});
   JsonReport report("e20");
   report.MetaInt("fleet", static_cast<long long>(fleet_size));
   report.MetaInt("ticks", ticks);
@@ -301,7 +301,6 @@ int main(int argc, char** argv) {
     }
     const double wall_s = wall.ElapsedMillis() / 1000.0;
     const auto stats = pool.stats();
-    const auto server_stats = server.stats();
     const std::uint64_t ok_updates = stats.updates - failed;
     table.AddRow(
         {TableWriter::Int(static_cast<long long>(fleet_size)),
@@ -323,8 +322,7 @@ int main(int argc, char** argv) {
                             2),
          TableWriter::Fixed(stats.update_latency_ms.Percentile(99) * 1000.0,
                             2),
-         TableWriter::Fixed(burst_ms.count() ? burst_ms.mean() : 0.0, 2),
-         TableWriter::Int(static_cast<long long>(server_stats.steals))});
+         TableWriter::Fixed(burst_ms.count() ? burst_ms.mean() : 0.0, 2)});
     report.AddRow()
         .Int("workers", workers)
         .Int("updates", static_cast<long long>(ok_updates))
@@ -334,8 +332,7 @@ int main(int argc, char** argv) {
         .Num("p50_us", stats.update_latency_ms.Percentile(50) * 1000.0)
         .Num("p95_us", stats.update_latency_ms.Percentile(95) * 1000.0)
         .Num("p99_us", stats.update_latency_ms.Percentile(99) * 1000.0)
-        .Num("burst_tick_ms", burst_ms.count() ? burst_ms.mean() : 0.0)
-        .Int("steals", static_cast<long long>(server_stats.steals));
+        .Num("burst_tick_ms", burst_ms.count() ? burst_ms.mean() : 0.0);
   }
   table.PrintMarkdown(std::cout);
   if (!report.WriteFile()) {

@@ -12,7 +12,7 @@
 //   * p50/p95/p99 reply latency, measured from the moment a connection's
 //     tick burst is flushed to the moment each of its replies is read back
 //     (pipelined: one driver thread, U updates in flight per connection);
-//   * server-side counters: re-cloaks, steals, per-tick batch sizes, the
+//   * server-side counters: re-cloaks, per-tick batch sizes, the
 //     encoded-artifact cache hit rate and entry count, backpressure events.
 //
 // --verify pins the wire against the in-process twin: every reply's
@@ -141,8 +141,8 @@ int main(int argc, char** argv) {
           std::to_string(ticks) + " ticks = " +
           std::to_string(total_updates) +
           " updates per worker count; end-to-end wire updates/s vs the "
-          "same fleet in-process, pipelined reply latency, batch/cache/"
-          "steal counters" +
+          "same fleet in-process, pipelined reply latency, batch/cache "
+          "counters" +
           (verify ? "; every reply byte-compared against the twin pool"
                   : "") +
           (auth ? "; challenge-response auth on every connection" : "") +
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
   std::uint64_t verify_mismatches = 0;
   TableWriter table({"workers", "loops", "conns", "updates",
                      "wire_upd_per_s", "inproc_upd_per_s", "wire_tax",
-                     "p50_ms", "p95_ms", "p99_ms", "recloaks", "steals",
+                     "p50_ms", "p95_ms", "p99_ms", "recloaks",
                      "max_batch", "cache_hit_rate"});
   JsonReport report("e23");
   report.MetaInt("connections", connections);
@@ -360,7 +360,6 @@ int main(int argc, char** argv) {
           wall_s > 0 ? static_cast<double>(total_updates) / wall_s : 0.0;
       clients.clear();  // disconnect before the counters are read
       const auto pool_stats = pool.stats();
-      const auto server_stats = server.stats();
       const auto net_stats = front.stats();
       const auto loop_stats = front.per_loop_stats();
       front.Stop();
@@ -384,7 +383,6 @@ int main(int argc, char** argv) {
            TableWriter::Fixed(latency_ms.Percentile(95), 3),
            TableWriter::Fixed(latency_ms.Percentile(99), 3),
            TableWriter::Int(static_cast<long long>(pool_stats.recloaks)),
-           TableWriter::Int(static_cast<long long>(server_stats.steals)),
            TableWriter::Int(static_cast<long long>(net_stats.largest_batch)),
            TableWriter::Fixed(cache_total
                                   ? static_cast<double>(
@@ -402,7 +400,6 @@ int main(int argc, char** argv) {
           .Num("p95_ms", latency_ms.Percentile(95))
           .Num("p99_ms", latency_ms.Percentile(99))
           .Int("recloaks", static_cast<long long>(pool_stats.recloaks))
-          .Int("steals", static_cast<long long>(server_stats.steals))
           .Int("batches", static_cast<long long>(net_stats.batches))
           .Int("largest_batch",
                static_cast<long long>(net_stats.largest_batch))

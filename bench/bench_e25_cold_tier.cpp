@@ -32,12 +32,11 @@
 //   --ticks N             churn ticks after calibration (default 40)
 //   --updates-per-tick N  zipfian draws per tick (default fleet/5)
 //   --spill PATH          spill file (default bench_e25.spill, recreated)
-//   --spill-shards N      SpillFileSet members (default 1)
 //   --verify              twin-pool byte verification (hard exit on loss)
 //
 // Headline configuration (docs/PERFORMANCE.md):
 //   bench_e25 1000000 2 --budget-sessions 100000 --updates-per-tick 150000
-//             --ticks 30 --verify [--spill-shards 4]
+//             --ticks 30 --verify
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +45,6 @@
 #include "bench/json_report.h"
 #include "core/artifact.h"
 #include "server/continuous_session_pool.h"
-#include "store/spill_file_set.h"
 
 using namespace rcloak;
 using namespace rcloak::bench;
@@ -92,14 +90,11 @@ int main(int argc, char** argv) {
   std::uint32_t updates_per_tick = 0;
   int ticks = 40;
   bool verify = false;
-  int spill_shards = 1;
   std::string spill_path = "bench_e25.spill";
   int positional = 0;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--verify") == 0) {
       verify = true;
-    } else if (std::strcmp(argv[a], "--spill-shards") == 0 && a + 1 < argc) {
-      spill_shards = std::max(1, std::atoi(argv[++a]));
     } else if (std::strcmp(argv[a], "--budget-sessions") == 0 &&
                a + 1 < argc) {
       budget_sessions = static_cast<std::uint32_t>(
@@ -131,9 +126,7 @@ int main(int argc, char** argv) {
       std::to_string(fleet_size) + " users, zipfian churn, ~" +
           std::to_string(budget_sessions) +
           " resident under the calibrated budget; clock sweep spills to " +
-          spill_path + " (" + std::to_string(spill_shards) +
-          " spill shard" + (spill_shards == 1 ? ")" : "s)") +
-          ", updates for spilled users restore on miss" +
+          spill_path + ", updates for spilled users restore on miss" +
           (verify ? "; every artifact byte-compared to an unbudgeted twin"
                   : "") +
           ".");
@@ -166,15 +159,10 @@ int main(int argc, char** argv) {
   // hover just under the default 50% threshold; compact a little earlier
   // so the run exercises the compaction + generation-retirement path.
   cold_options.spill_compact_dead_fraction = 0.35;
-  cold_options.spill_shards = spill_shards;
   server::ContinuousSessionPool pool(cold_server, cold_options);
   const auto remove_spill_files = [&] {
-    for (int i = 0; i < spill_shards; ++i) {
-      const std::string member = store::SpillFileSet::MemberPath(
-          spill_path, static_cast<std::size_t>(i));
-      std::remove(member.c_str());
-      std::remove((member + ".tmp").c_str());
-    }
+    std::remove(spill_path.c_str());
+    std::remove((spill_path + ".tmp").c_str());
   };
   remove_spill_files();
   if (const auto attached = pool.AttachSpillFile(spill_path);
@@ -329,13 +317,12 @@ int main(int argc, char** argv) {
           : 0.0;
 
   TableWriter table(
-      {"spill_shards", "fleet", "budget_mb", "resident", "mem_mb", "spilled",
-       "restored", "update_p50_us", "update_p99_us", "restore_p50_us",
-       "restore_p99_us", "updates_per_s", "spill_rec_per_s", "stalls",
-       "compactions", "file_mb", "under_budget"});
+      {"fleet", "budget_mb", "resident", "mem_mb", "spilled", "restored",
+       "update_p50_us", "update_p99_us", "restore_p50_us", "restore_p99_us",
+       "updates_per_s", "spill_rec_per_s", "stalls", "compactions", "file_mb",
+       "under_budget"});
   table.AddRow(
-      {TableWriter::Int(spill_shards),
-       TableWriter::Int(static_cast<long long>(fleet_size)),
+      {TableWriter::Int(static_cast<long long>(fleet_size)),
        TableWriter::Fixed(static_cast<double>(budget) / 1e6, 1),
        TableWriter::Int(static_cast<long long>(stats.active_sessions)),
        TableWriter::Fixed(static_cast<double>(stats.memory_bytes) / 1e6, 1),
@@ -367,7 +354,6 @@ int main(int argc, char** argv) {
                  static_cast<long long>(updates_per_tick));
   report.MetaInt("ticks", ticks);
   report.MetaBool("verify", verify);
-  report.MetaInt("spill_shards", spill_shards);
   report.MetaInt("budget_bytes", static_cast<long long>(budget));
   report.AddRow()
       .Int("resident", static_cast<long long>(stats.active_sessions))

@@ -1,5 +1,5 @@
 // Fleet tracking demo: a small fleet of moving users served continuously
-// by the session-pool layer over the sharded anonymization server.
+// by the session-pool layer over the anonymization server.
 //
 //   traces  ->  ContinuousSessionPool::UpdateBatch  ->  artifacts
 //                 |  in-region: resolved in the session shard
@@ -42,7 +42,7 @@ int main() {
   mobility::TraceSimulator simulator(net, std::move(cars), sim);
   simulator.Run();
 
-  // The serving stack: 2-worker sharded server + session pool.
+  // The serving stack: 2-worker server + session pool.
   core::Anonymizer engine(ctx, occupancy);
   server::ServerOptions server_options;
   server_options.num_workers = 2;

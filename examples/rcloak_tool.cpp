@@ -13,14 +13,13 @@
 //             --passphrase PW --level L
 //   serve     --map map.rcmap [--port P] [--workers N] [--loops N]
 //             [--duration SECS] [--trace trace.txt] [--spill spill.rcsf]
-//             [--budget BYTES] [--spill-shards N]
+//             [--budget BYTES]
 //             [--secret S]         (0s / no duration = run until killed)
 //   sendto    --host H --port P --user NAME --segments "3,17,42"
 //             [--interval SECS] [--secret S] [--principal NAME]
 //   spill     --map map.rcmap --trace trace.txt --out spill.rcsf
-//             [--workers N] [--spill-shards N]
+//             [--workers N]
 //   restore   --map map.rcmap --spill spill.rcsf [--workers N]
-//             [--spill-shards N]
 //
 // Everything the Anonymizer / De-anonymizer GUIs do, scriptable — plus the
 // networked front door (`serve` binds the epoll server on a map, `sendto`
@@ -347,12 +346,6 @@ server::SessionPoolOptions ServePoolOptions() {
   return options;
 }
 
-// --spill-shards N, shared by serve/spill/restore: the spill file fan.
-// Attach an existing set with the member count it was written with.
-void ApplySpillFlags(const Args& args, server::SessionPoolOptions& options) {
-  options.spill_shards = static_cast<int>(args.Int("spill-shards", 1));
-}
-
 void PrintColdTierStats(const server::ContinuousSessionPool& pool) {
   const auto stats = pool.stats();
   std::cout << "  resident sessions: " << stats.active_sessions << "\n"
@@ -360,9 +353,8 @@ void PrintColdTierStats(const server::ContinuousSessionPool& pool) {
             << stats.interner_bytes << " B interner)\n";
   if (const auto* spill = pool.spill_files()) {
     const auto file = spill->stats();
-    std::cout << "  spill files: " << spill->num_members() << " member(s), "
-              << file.live_records << " live records, " << file.file_bytes
-              << " B (" << file.dead_bytes << " B dead), "
+    std::cout << "  spill file: " << file.live_records << " live records, "
+              << file.file_bytes << " B (" << file.dead_bytes << " B dead), "
               << file.compactions << " compactions\n";
   }
 }
@@ -388,7 +380,6 @@ int Spill(const Args& args) {
   server_options.num_workers = static_cast<int>(args.Int("workers", 2));
   server::AnonymizationServer anon_server(std::move(engine), server_options);
   server::SessionPoolOptions pool_options = ServePoolOptions();
-  ApplySpillFlags(args, pool_options);
   server::ContinuousSessionPool pool(anon_server, pool_options);
   if (const auto attached = pool.AttachSpillFile(out); !attached.ok()) {
     return Fail(attached.ToString());
@@ -448,7 +439,6 @@ int RestoreCmd(const Args& args) {
   server_options.num_workers = static_cast<int>(args.Int("workers", 2));
   server::AnonymizationServer anon_server(std::move(engine), server_options);
   server::SessionPoolOptions pool_options = ServePoolOptions();
-  ApplySpillFlags(args, pool_options);
   server::ContinuousSessionPool pool(anon_server, pool_options);
   if (const auto attached = pool.AttachSpillFile(path); !attached.ok()) {
     return Fail(attached.ToString());
@@ -489,7 +479,6 @@ int Serve(const Args& args) {
     // restore on miss under the same deterministic schedule the front
     // door auto-tracks with.
     pool_options = ServePoolOptions();
-    ApplySpillFlags(args, pool_options);
   }
   pool_options.memory_budget_bytes =
       static_cast<std::size_t>(args.Int("budget", 0));

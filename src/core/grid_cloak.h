@@ -27,7 +27,7 @@
 // reduction recovers the exact segment, not just the cell.
 //
 // Published regions are ordinary segment sets: artifacts, Deanonymizer,
-// the sharded server and the continuous session pool (validity region =
+// the server and the continuous session pool (validity region =
 // the cloak's cell set, as a segment region) all work unchanged.
 #pragma once
 

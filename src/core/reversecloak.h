@@ -179,15 +179,6 @@ class Deanonymizer {
   std::vector<StatusOr<CloakRegion>> ReduceBatch(
       const std::vector<ReduceJob>& jobs) const;
 
-  // One job of the batch contract with caller-owned scratch: byte-identical
-  // to Reduce(*job.artifact, ...) while reusing `session` across calls.
-  // BeginReduce revalidates the session's prerequisites against every
-  // artifact, so one session may serve mixed algorithms and T values and
-  // may live as long as the caller likes (the server workers each keep one
-  // across fan-out rounds — see AnonymizationServer::ReduceOnWorkers).
-  StatusOr<CloakRegion> ReduceOne(const ReduceJob& job,
-                                  ReduceSession& session) const;
-
   // The region exposed with no keys at all (level N as published).
   StatusOr<CloakRegion> FullRegion(const CloakedArtifact& artifact) const;
 
@@ -196,6 +187,13 @@ class Deanonymizer {
   }
 
  private:
+  // One job of the batch: byte-identical to Reduce(*job.artifact, ...)
+  // while reusing `session`. BeginReduce revalidates the session's
+  // prerequisites against every artifact, so one session may serve mixed
+  // algorithms and T values.
+  StatusOr<CloakRegion> ReduceOne(const ReduceJob& job,
+                                  ReduceSession& session) const;
+
   // Shared peel loop; `session` carries prerequisites across calls (the
   // batch path reuses it, the single-shot path hands in a fresh one).
   StatusOr<CloakRegion> ReduceWith(

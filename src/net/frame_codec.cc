@@ -381,16 +381,16 @@ StatusOr<ErrorFrame> DecodeError(const Bytes& payload) {
 
 // ------------------------------------------------------------- reassembly
 
-Status FrameReassembler::ValidateHeader() {
-  // Walk every header already in the buffer (not just the front one) so a
-  // malformed frame poisons the stream the moment its 5 header bytes
-  // arrive — even when complete valid frames are still queued ahead of it.
-  std::size_t cursor = consumed_;
-  while (buffer_.size() - cursor >= kFrameHeaderBytes) {
-    std::size_t offset = cursor;
+Status FrameReassembler::ValidateNewHeaders() {
+  // Check every header whose 5 bytes have arrived since the last call, so
+  // a malformed frame poisons the stream the moment its header is in —
+  // even when complete valid frames are still queued ahead of it. The
+  // cursor then jumps over the declared body, which may still be arriving.
+  while (buffer_.size() >= validated_ + kFrameHeaderBytes) {
+    std::size_t offset = validated_;
     const auto length = GetU32le(buffer_, &offset);
     const std::uint8_t type = buffer_[offset];
-    ++offset;
+    ++headers_checked_;
     if (!IsKnownFrameType(type)) {
       status_ =
           Status::DataLoss("unknown frame type " + std::to_string(type));
@@ -402,8 +402,7 @@ Status FrameReassembler::ValidateHeader() {
           std::to_string(max_payload_) + "-byte cap");
       return status_;
     }
-    if (buffer_.size() - offset < *length) break;  // body still incomplete
-    cursor = offset + *length;
+    validated_ = offset + 1 + *length;
   }
   return Status::Ok();
 }
@@ -414,15 +413,17 @@ Status FrameReassembler::Feed(const std::uint8_t* data, std::size_t n) {
   if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
+    validated_ -= consumed_;
     consumed_ = 0;
   }
   buffer_.insert(buffer_.end(), data, data + n);
   // Eager validation: a poisoned header is detected as soon as its 5 bytes
   // are in, before its (unbounded) declared body is ever accepted.
-  return ValidateHeader();
+  return ValidateNewHeaders();
 }
 
 std::optional<Frame> FrameReassembler::Next() {
+  // Feed already checked every buffered header, this one included.
   if (!status_.ok()) return std::nullopt;
   if (buffer_.size() - consumed_ < kFrameHeaderBytes) return std::nullopt;
   std::size_t offset = consumed_;
@@ -436,9 +437,6 @@ std::optional<Frame> FrameReassembler::Next() {
       buffer_.begin() + static_cast<std::ptrdiff_t>(offset),
       buffer_.begin() + static_cast<std::ptrdiff_t>(offset + *length));
   consumed_ = offset + *length;
-  // The next header (if buffered) gets validated now so a poisoned stream
-  // fails before the caller waits on more bytes.
-  (void)ValidateHeader();
   return frame;
 }
 

@@ -208,15 +208,21 @@ class FrameReassembler {
     return buffer_.size() - consumed_;
   }
   std::size_t max_payload() const noexcept { return max_payload_; }
+  // Lifetime header checks: one per header fed, never repeated by Next.
+  std::uint64_t headers_checked() const noexcept { return headers_checked_; }
 
  private:
-  // Validates the header at consumed_ (if enough bytes are in); poisons on
-  // a malformed one.
-  Status ValidateHeader();
+  // Validates every header from validated_ on whose bytes are in; poisons
+  // on a malformed one.
+  Status ValidateNewHeaders();
 
   std::size_t max_payload_;
   Bytes buffer_;
   std::size_t consumed_ = 0;
+  // Start of the first frame whose header is unchecked; never behind
+  // consumed_, and past the end of buffer_ while a body is arriving.
+  std::size_t validated_ = 0;
+  std::uint64_t headers_checked_ = 0;
   Status status_ = Status::Ok();
 };
 

@@ -268,14 +268,9 @@ Status ContinuousSessionPool::AttachSpillFile(const std::string& path) {
   if (spill_ != nullptr) {
     return Status::FailedPrecondition("spill file already attached");
   }
-  const std::size_t members =
-      options_.spill_shards > 0
-          ? static_cast<std::size_t>(options_.spill_shards)
-          : std::size_t{1};
-  auto files =
-      store::SpillFileSet::Attach(path, members, map_fingerprint_, interner_);
-  if (!files.ok()) return files.status();
-  spill_ = std::move(*files);
+  auto file = store::SpillFile::Attach(path, map_fingerprint_, interner_);
+  if (!file.ok()) return file.status();
+  spill_ = std::move(*file);
   return Status::Ok();
 }
 
@@ -388,7 +383,7 @@ ContinuousSessionPool::RestoreFromSpill(util::UserId user,
 
 Status ContinuousSessionPool::SpillVictimsLocked(
     Shard& shard, const std::vector<util::UserId>& victims) {
-  std::vector<store::SpillFileSet::Record> batch;
+  std::vector<store::SpillFile::Record> batch;
   batch.reserve(victims.size());
   for (const util::UserId id : victims) {
     batch.push_back({id, EnvelopeOf(*shard.sessions.Find(id))});
@@ -484,7 +479,10 @@ Status ContinuousSessionPool::CompactColdTierLocked() {
     shard->parked_keys.ForEach(
         [&](util::UserId id, KeyProvider&) { interner_.Touch(id); });
   }
-  RCLOAK_RETURN_IF_ERROR(spill_->Compact());
+  // A file without dead bytes has nothing to rewrite.
+  if (spill_->stats().dead_bytes > 0) {
+    RCLOAK_RETURN_IF_ERROR(spill_->Compact());
+  }
   for (const util::UserId user : spill_->LiveUsers()) interner_.Touch(user);
   interner_.RetireGenerationsBefore(fresh);
   spill_compactions_.fetch_add(1, std::memory_order_relaxed);

@@ -1,4 +1,4 @@
-// Continuous session pool: server-side fleet tracking over the sharded
+// Continuous session pool: server-side fleet tracking over the
 // anonymization server.
 //
 // One pool owns the core::ContinuousPolicy state of up to millions of
@@ -22,9 +22,9 @@
 // occupancy epoch) and every policy decision is a pure function of the
 // user's own update sequence, so per-user artifact sequences are
 // byte-identical to the single-user core::ContinuousCloak oracle and
-// independent of the server's worker count and of work stealing; the
-// oracle derives validity regions with the keyed reduce, so these pins
-// check both routes (tests/session_pool_test.cc, by SHA-256).
+// independent of the server's worker count and of which worker ran each
+// re-cloak; the oracle derives validity regions with the keyed reduce, so
+// these pins check both routes (tests/session_pool_test.cc, by SHA-256).
 // Updates for one user must be fed in order (one UpdateBatch round never
 // reorders them; batches containing several updates for one user are
 // split into ordered rounds).
@@ -43,15 +43,15 @@
 
 #include "core/continuous.h"
 #include "server/anonymization_server.h"
-#include "store/spill_file_set.h"
+#include "store/spill_file.h"
 #include "util/interner.h"
 #include "util/stats.h"
 
 namespace rcloak::server {
 
 struct SessionPoolOptions {
-  // Session shards (<= 0: one per server worker). Independent of the
-  // server's shard count — sessions shard by user id, jobs by round-robin.
+  // Session shards (<= 0: one per server worker). Sessions shard by user
+  // id; the server's jobs share one queue.
   int num_shards = 0;
 
   // ---- cold tier (active once AttachSpillFile succeeds) ------------------
@@ -74,12 +74,6 @@ struct SessionPoolOptions {
   // user returns.
   std::function<core::ContinuousCloak::KeyProvider(std::string_view user_id)>
       key_provider_factory;
-
-  // Spill-file members the cold tier fans across (store::SpillFileSet) so
-  // restores on one member never contend with appends or compaction on
-  // another. Member 0 is the attach path itself (single-file compatible);
-  // attach an existing set with the count it was written with.
-  int spill_shards = 1;
 };
 
 struct SessionPoolStats {
@@ -100,8 +94,9 @@ struct SessionPoolStats {
   // folded into the retired_* counters.
   std::uint64_t spilled = 0;
   std::uint64_t restored = 0;
-  // Always 0: validity regions come from the anonymizer, so the pool has
-  // no reduce to fan out. Kept so readers of the stats keep compiling.
+  // Compatibility field, always 0: validity regions come from the
+  // anonymizer, so the pool has no reduce to fan out. Kept because
+  // perfbench reports it.
   std::uint64_t reduce_fanouts = 0;
   // Lifetime totals folded in from evicted sessions at eviction time, so
   // dropping a session never silently discards its per-user statistics.
@@ -209,14 +204,13 @@ class ContinuousSessionPool {
 
   enum class UserState : std::uint8_t { kUntracked, kResident, kSpilled };
 
-  // Creates or opens the spill file set at `path` (options.spill_shards
-  // members; a set of one is the single file PR 7 wrote) and activates the
-  // cold tier: budget-driven clock eviction sweeps spill into it, and an
-  // update for a spilled user restores transparently inside UpdateBatch.
-  // An existing set must carry this pool's map fingerprint; its records'
-  // names are re-interned so spilled users keep resolvable handles across
-  // runs (restore-on-miss then needs options.key_provider_factory). At
-  // most one set per pool; attach before concurrent use.
+  // Creates or opens the spill file at `path` and activates the cold tier:
+  // budget-driven clock eviction sweeps spill into it, and an update for a
+  // spilled user restores transparently inside UpdateBatch. An existing
+  // file must carry this pool's map fingerprint; its records' names are
+  // re-interned so spilled users keep resolvable handles across runs
+  // (restore-on-miss then needs options.key_provider_factory). At most one
+  // file per pool; attach before concurrent use.
   Status AttachSpillFile(const std::string& path);
 
   // Resident / spilled / untracked, for one handle. The net front door
@@ -267,8 +261,9 @@ class ContinuousSessionPool {
   std::size_t memory_budget_bytes() const noexcept {
     return memory_budget_bytes_.load(std::memory_order_relaxed);
   }
-  // Null until AttachSpillFile succeeds.
-  const store::SpillFileSet* spill_files() const noexcept {
+  // Null until AttachSpillFile succeeds. The plural name is kept for
+  // compatibility: perfbench calls it.
+  const store::SpillFile* spill_files() const noexcept {
     return spill_.get();
   }
 
@@ -444,7 +439,7 @@ class ContinuousSessionPool {
 
   // ---- cold tier internals (callers hold cold_mutex_ shared unless
   // noted) -----------------------------------------------------------------
-  // Lock order: cold_mutex_ -> shard.mutex -> spill member mutex.
+  // Lock order: cold_mutex_ -> shard.mutex -> spill file mutex.
 
   // Heap behind one session: the policy state (artifact, region, stats)
   // plus provider storage. The struct itself rides in the shard table.
@@ -506,7 +501,7 @@ class ContinuousSessionPool {
   // it unique (so a name cannot be retired between its intern and the
   // session insert it backs).
   mutable std::shared_mutex cold_mutex_;
-  std::unique_ptr<store::SpillFileSet> spill_;  // set once by AttachSpillFile
+  std::unique_ptr<store::SpillFile> spill_;  // set once by AttachSpillFile
   std::atomic<std::size_t> memory_budget_bytes_{0};
   std::atomic<std::size_t> sweep_shard_{0};
   std::atomic<std::uint64_t> sweeps_{0};

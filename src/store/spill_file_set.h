@@ -1,103 +1,5 @@
-// A fan of append-only spill files (store/spill_file.h), keyed by user id,
-// so restores on one member never contend with appends on another: each
-// SpillFile carries its own mutex, and the set routes every operation to
-// the member that owns the user before falling back to a cross-member
-// probe.
-//
-// Layout on disk: member 0 lives at the attach path itself — a set of one
-// is byte-compatible with the single SpillFile the cold tier wrote before
-// sets existed — and member k (k >= 1) at `path + ".s<k>"`. The member
-// count is a property of the data set: attach an existing set with the
-// count it was written with. Records written under a DIFFERENT member
-// count are still found (ReadRecord/Contains/Erase probe the other
-// members after the home miss), but only among the files the current
-// attach opened.
-//
-// Routing is by interned UserId (MixId % members), deliberately
-// independent of the session pool's shard count, so re-sharding the pool
-// never strands records.
-//
-// Thread safety: no set-level lock — every member synchronizes itself, so
-// concurrent appends, reads and erases to different members run fully in
-// parallel (the point of the fan).
+// Compatibility header: perfbench includes it. The cold tier is one
+// store::SpillFile; include store/spill_file.h directly.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "store/spill_file.h"
-#include "util/bytes.h"
-#include "util/interner.h"
-#include "util/status.h"
-
-namespace rcloak::store {
-
-class SpillFileSet {
- public:
-  using Record = SpillFile::Record;
-
-  // Opens (or creates) `num_members` spill files under `path` (see layout
-  // above), scanning each existing member's records. Fails if any member
-  // fails to attach (fingerprint mismatch, bad magic, IO error).
-  static StatusOr<std::unique_ptr<SpillFileSet>> Attach(
-      const std::string& path, std::size_t num_members,
-      std::uint64_t map_fingerprint, util::StringInterner& interner);
-
-  SpillFileSet(const SpillFileSet&) = delete;
-  SpillFileSet& operator=(const SpillFileSet&) = delete;
-
-  // Groups `records` by home member and lands one write per member
-  // touched. All-or-nothing per member; the first failing member's status
-  // is returned (earlier members' appends stand — their records are
-  // indexed and durable, so callers retrying a failed batch simply
-  // re-append survivors last-write-wins).
-  Status AppendBatch(const std::vector<Record>& records);
-
-  bool Contains(util::UserId user) const;
-
-  // Home member first, then the cross-member probe (records written under
-  // a different member count). NotFound only if no member has the user.
-  StatusOr<Bytes> ReadRecord(util::UserId user) const;
-
-  // Erases from every member holding a live record (a user can appear in
-  // several after a member-count change); true if any had one.
-  bool Erase(util::UserId user);
-
-  // Compacts every member currently carrying dead bytes (clean members
-  // are untouched — the common case after the per-member trigger fired
-  // for one hot member). First error wins; later members still run.
-  Status Compact();
-
-  // Live users across the set, deduplicated (a record can be live in two
-  // members after a member-count change; last-write-wins is per member,
-  // so the cross-member duplicate stays until Erase or restore drops it).
-  std::vector<util::UserId> LiveUsers() const;
-
-  // Aggregate over the members (live_records/index_bytes summed, lifetime
-  // counters summed).
-  SpillFileStats stats() const;
-
-  std::size_t num_members() const noexcept { return members_.size(); }
-  const SpillFile& member(std::size_t i) const { return *members_[i]; }
-  const std::string& path() const noexcept { return path_; }
-  std::uint64_t map_fingerprint() const noexcept { return map_fingerprint_; }
-
-  // The on-disk path of member `i` under `path` (member 0 = path itself).
-  static std::string MemberPath(const std::string& path, std::size_t i);
-
- private:
-  SpillFileSet(std::string path, std::uint64_t map_fingerprint)
-      : path_(std::move(path)), map_fingerprint_(map_fingerprint) {}
-
-  std::size_t HomeOf(util::UserId user) const noexcept {
-    return util::MixId(user.value) % members_.size();
-  }
-
-  const std::string path_;
-  const std::uint64_t map_fingerprint_;
-  std::vector<std::unique_ptr<SpillFile>> members_;
-};
-
-}  // namespace rcloak::store

@@ -1,7 +1,7 @@
 // Grid/Hilbert-cell backend: structural invariants of the cell index and
 // torus transition tables, per-level reversibility round trips, k-anonymity
 // at every level, golden artifact SHA pins for grid mode, and byte-identity
-// of grid artifacts across server worker counts (the sharded server and the
+// of grid artifacts across server worker counts (the server and the
 // continuous session pool must treat the new backend exactly like the road
 // ones).
 #include <gtest/gtest.h>
@@ -276,7 +276,7 @@ AnonymizeRequest FixedGridRequest(const RoadNetwork& net, int i) {
   return request;
 }
 
-// Grid artifacts through the sharded server: the artifact set must be
+// Grid artifacts through the server: the artifact set must be
 // byte-identical for any worker count, like the road backends.
 TEST(GridServerTest, ByteIdenticalAcrossWorkerCounts) {
   const RoadNetwork net = roadnet::MakeGrid({14, 14, 100.0});

@@ -209,6 +209,49 @@ TEST(FrameCodecTest, UnknownTypePoisonsTheStream) {
   EXPECT_EQ(reassembler.Feed(&more, 1).code(), ErrorCode::kDataLoss);
 }
 
+// Each header is checked exactly once, however the bytes arrive and however
+// many frames wait ahead of it: Feed checks only new headers and Next
+// never re-walks the buffer, so a batch costs O(frames), not O(frames²).
+TEST(FrameCodecTest, EachHeaderCheckedOnceAcrossFeedsAndPops) {
+  constexpr std::uint32_t kFrames = 4096;
+  Bytes valid;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    net::AppendPositionUpdate(valid, i, "c", 1.0, SegmentId{i % 7});
+  }
+
+  // Odd-sized chunks, popping after every third one: headers split across
+  // feeds and bodies still arriving are checked once all the same.
+  FrameReassembler chunked;
+  std::size_t popped = 0;
+  constexpr std::size_t kStep = 37;
+  for (std::size_t off = 0; off < valid.size(); off += kStep) {
+    const std::size_t n = std::min(kStep, valid.size() - off);
+    ASSERT_TRUE(chunked.Feed(valid.data() + off, n).ok());
+    if ((off / kStep) % 3 == 0) {
+      while (chunked.Next()) ++popped;
+    }
+  }
+  while (chunked.Next()) ++popped;
+  EXPECT_EQ(popped, kFrames);
+  EXPECT_EQ(chunked.headers_checked(), kFrames);
+
+  // A bad header queued behind 4096 valid frames fails at Feed; popping
+  // half the frames first re-reads none of them.
+  FrameReassembler whole;
+  ASSERT_TRUE(whole.Feed(valid.data(), valid.size()).ok());
+  EXPECT_EQ(whole.headers_checked(), kFrames);
+  for (std::uint32_t i = 0; i < kFrames / 2; ++i) {
+    ASSERT_TRUE(whole.Next().has_value()) << i;
+  }
+  EXPECT_EQ(whole.headers_checked(), kFrames);
+  const Bytes garbage = {0x02, 0x00, 0x00, 0x00, 0xEE};
+  EXPECT_EQ(whole.Feed(garbage.data(), garbage.size()).code(),
+            ErrorCode::kDataLoss);
+  EXPECT_EQ(whole.headers_checked(), kFrames + 1);
+  EXPECT_FALSE(whole.Next().has_value());
+  EXPECT_EQ(whole.headers_checked(), kFrames + 1);
+}
+
 TEST(FrameCodecTest, OversizedFrameRejectedBeforeBuffering) {
   FrameReassembler reassembler(/*max_payload=*/64);
   // Header declaring a 1 MiB payload: rejected on sight, no body buffered.

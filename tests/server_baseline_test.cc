@@ -257,6 +257,35 @@ TEST(ServerTest, QueueFullRejectsFast) {
             static_cast<std::uint64_t>(rejected));
 }
 
+// max_queue bounds the whole queue, not each worker's share of it: a batch
+// of exactly max_queue jobs is accepted in full at any worker count.
+TEST(ServerTest, MaxQueueIsExactTotalBound) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  core::Anonymizer engine(net, OnePerSegment(net));
+  server::ServerOptions options;
+  options.num_workers = 4;
+  options.max_queue = 10;
+  server::AnonymizationServer server(std::move(engine), options);
+
+  std::vector<server::AnonymizationServer::BatchJob> batch;
+  for (int i = 0; i < 10; ++i) {
+    AnonymizeRequest request;
+    request.origin = SegmentId{static_cast<std::uint32_t>(i)};
+    request.profile = PrivacyProfile::SingleLevel({30, 3, 1e9});
+    request.context = "bound/" + std::to_string(i);
+    batch.push_back({std::move(request), crypto::KeyChain::FromSeed(1, 1)});
+  }
+  auto futures = server.SubmitBatch(std::move(batch));
+  ASSERT_EQ(futures.size(), 10u);
+  for (auto& submitted : futures) {
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    EXPECT_TRUE(submitted->get().ok());
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.accepted, 10u);
+  EXPECT_EQ(stats.rejected_queue_full, 0u);
+}
+
 TEST(ServerTest, FailingRequestsReportedNotDropped) {
   const RoadNetwork net = roadnet::MakeGrid({8, 8, 100.0});
   core::Anonymizer engine(net, OnePerSegment(net));

@@ -21,7 +21,6 @@
 #include "roadnet/spatial_index.h"
 #include "server/continuous_session_pool.h"
 #include "store/spill_file.h"
-#include "store/spill_file_set.h"
 
 namespace rcloak {
 namespace {
@@ -574,13 +573,11 @@ ContinuousSessionPool::KeyProvider CarKeys(std::string_view user_id) {
   return KeysFor(std::stoull(std::string(user_id.substr(3))));
 }
 
-void RemoveSpillShards(const std::string& path, int shards) {
-  for (int i = 0; i < shards; ++i) {
-    const std::string member =
-        store::SpillFileSet::MemberPath(path, static_cast<std::size_t>(i));
-    std::remove(member.c_str());
-    std::remove((member + ".tmp").c_str());
-  }
+// Removes a spill file and its compaction temp, so each test attaches
+// fresh; also used as end-of-test cleanup.
+void RemoveSpillFile(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
 }
 
 // A session written to the spill file and restored on miss resumes its
@@ -917,61 +914,56 @@ TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
 // With a spill file attached and a budget that cannot hold the fleet, the
 // clock sweep spills cold sessions mid-run and updates for spilled users
 // restore transparently inside UpdateBatch — and every served artifact is
-// still byte-identical to the never-evicted oracle pool, whether the
-// spill log is one file or fanned across four members.
+// still byte-identical to the never-evicted oracle pool.
 TEST(SessionPoolTest, ColdTierRestoreOnMissMatchesOracle) {
   const auto traces = MakeFleetTraces(/*num_cars=*/10, /*duration_s=*/60.0);
   const auto ctx = core::MapContext::Create(traces.net);
   const auto occupancy = OnePerSegment(traces.net);
   const auto oracle = RunPool(ctx, occupancy, traces, /*workers=*/2);
 
-  for (const int spill_shards : {1, 4}) {
-    SCOPED_TRACE("spill_shards=" + std::to_string(spill_shards));
-    const std::string path = "session_pool_cold_test.rcsf";
-    RemoveSpillShards(path, spill_shards);
-    core::Anonymizer engine(ctx, occupancy);
-    AnonymizationServer server(std::move(engine), {});
-    server::SessionPoolOptions options;
-    options.key_provider_factory = CarKeys;
-    options.sweep_batch = 64;
-    options.spill_shards = spill_shards;
-    ContinuousSessionPool pool(server, options);
-    ASSERT_TRUE(pool.AttachSpillFile(path).ok());
-    for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
-      ASSERT_TRUE(pool.Track("car" + std::to_string(car), FleetProfile(),
-                             Algorithm::kRge, KeysFor(car), FleetOptions())
-                      .ok());
-    }
-    std::map<std::string, std::vector<std::string>> sequences;
-    bool budget_set = false;
-    for (const auto& tick : traces.ticks) {
-      std::vector<NamedUpdate> batch;
-      for (const auto& rec : tick) {
-        batch.push_back({"car" + std::to_string(rec.car_id), rec.time_s,
-                         rec.segment});
-      }
-      const auto results = UpdateNamed(pool, batch);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        ASSERT_TRUE(results[i].ok())
-            << batch[i].user_id << ": " << results[i].status().ToString();
-        sequences[batch[i].user_id].push_back(ArtifactSha256(*results[i]));
-      }
-      if (!budget_set) {
-        // Half the warmed-up footprint: from here on every tick runs the
-        // sweep and part of the fleet lives in the file between updates.
-        pool.set_memory_budget_bytes(pool.memory_bytes() / 2);
-        budget_set = true;
-      }
-    }
-    EXPECT_EQ(sequences, oracle);
-    const auto stats = pool.stats();
-    EXPECT_GT(stats.budget_spilled, 0u);
-    EXPECT_GT(stats.restored_on_miss, 0u);
-    EXPECT_EQ(stats.restore_failures, 0u);
-    EXPECT_EQ(stats.write_stalls, 0u);
-    EXPECT_GT(stats.sweeps, 0u);
-    RemoveSpillShards(path, spill_shards);
+  const std::string path = "session_pool_cold_test.rcsf";
+  RemoveSpillFile(path);
+  core::Anonymizer engine(ctx, occupancy);
+  AnonymizationServer server(std::move(engine), {});
+  server::SessionPoolOptions options;
+  options.key_provider_factory = CarKeys;
+  options.sweep_batch = 64;
+  ContinuousSessionPool pool(server, options);
+  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
+  for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
+    ASSERT_TRUE(pool.Track("car" + std::to_string(car), FleetProfile(),
+                           Algorithm::kRge, KeysFor(car), FleetOptions())
+                    .ok());
   }
+  std::map<std::string, std::vector<std::string>> sequences;
+  bool budget_set = false;
+  for (const auto& tick : traces.ticks) {
+    std::vector<NamedUpdate> batch;
+    for (const auto& rec : tick) {
+      batch.push_back({"car" + std::to_string(rec.car_id), rec.time_s,
+                       rec.segment});
+    }
+    const auto results = UpdateNamed(pool, batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(results[i].ok())
+          << batch[i].user_id << ": " << results[i].status().ToString();
+      sequences[batch[i].user_id].push_back(ArtifactSha256(*results[i]));
+    }
+    if (!budget_set) {
+      // Half the warmed-up footprint: from here on every tick runs the
+      // sweep and part of the fleet lives in the file between updates.
+      pool.set_memory_budget_bytes(pool.memory_bytes() / 2);
+      budget_set = true;
+    }
+  }
+  EXPECT_EQ(sequences, oracle);
+  const auto stats = pool.stats();
+  EXPECT_GT(stats.budget_spilled, 0u);
+  EXPECT_GT(stats.restored_on_miss, 0u);
+  EXPECT_EQ(stats.restore_failures, 0u);
+  EXPECT_EQ(stats.write_stalls, 0u);
+  EXPECT_GT(stats.sweeps, 0u);
+  RemoveSpillFile(path);
 }
 
 TEST(SessionPoolTest, StateOfTracksSpillAndTransparentRestore) {
@@ -1024,21 +1016,20 @@ TEST(SessionPoolTest, StateOfTracksSpillAndTransparentRestore) {
   std::remove(path.c_str());
 }
 
-// Warm boot across pool lifetimes: sessions the budget sweep wrote into a
-// two-member spill set come back in full through a fresh pool's
+// Warm boot across pool lifetimes: sessions the budget sweep wrote into the
+// spill file come back in full through a fresh pool's
 // RestoreAllFromFile once the first pool is gone.
-TEST(SessionPoolTest, SweptShardFilesWarmBootIntoFreshPool) {
+TEST(SessionPoolTest, SweptSpillFileWarmBootsIntoFreshPool) {
   const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
   const auto ctx = core::MapContext::Create(net);
   const std::string path = "session_pool_warmboot_test.rcsf";
-  RemoveSpillShards(path, 2);
+  RemoveSpillFile(path);
   std::size_t spilled_count = 0;
   {
     core::Anonymizer engine(ctx, OnePerSegment(net));
     AnonymizationServer server(std::move(engine), {});
     server::SessionPoolOptions options;
     options.key_provider_factory = CarKeys;
-    options.spill_shards = 2;
     ContinuousSessionPool pool(server, options);
     ASSERT_TRUE(pool.AttachSpillFile(path).ok());
     std::vector<util::UserId> ids;
@@ -1068,7 +1059,6 @@ TEST(SessionPoolTest, SweptShardFilesWarmBootIntoFreshPool) {
   AnonymizationServer server(std::move(engine), {});
   server::SessionPoolOptions options;
   options.key_provider_factory = CarKeys;
-  options.spill_shards = 2;
   ContinuousSessionPool pool(server, options);
   ASSERT_TRUE(pool.AttachSpillFile(path).ok());
   const auto restored = pool.RestoreAllFromFile();
@@ -1076,7 +1066,7 @@ TEST(SessionPoolTest, SweptShardFilesWarmBootIntoFreshPool) {
   EXPECT_EQ(*restored, spilled_count);
   EXPECT_EQ(pool.session_count(), spilled_count);
   EXPECT_EQ(pool.stats().restore_failures, 0u);
-  RemoveSpillShards(path, 2);
+  RemoveSpillFile(path);
 }
 
 // TSAN smoke for the spill path: updating threads under a budget so tight
@@ -1094,14 +1084,13 @@ TEST(SessionPoolTest, SweepRacesRestoresAndCompaction) {
   AnonymizationServer server(std::move(engine), server_options);
   server::SessionPoolOptions options;
   options.key_provider_factory = CarKeys;
-  options.spill_shards = 2;
   options.sweep_batch = 8;
   // One session shard: every sweep step of every thread visits the shard
   // each restore lands in, which keeps the race window as wide as it gets.
   options.num_shards = 1;
   ContinuousSessionPool pool(server, options);
   const std::string path = "session_pool_sweeprace_test.rcsf";
-  RemoveSpillShards(path, 2);
+  RemoveSpillFile(path);
   ASSERT_TRUE(pool.AttachSpillFile(path).ok());
 
   constexpr int kThreads = 3;
@@ -1157,7 +1146,7 @@ TEST(SessionPoolTest, SweepRacesRestoresAndCompaction) {
   EXPECT_EQ(stats.write_stalls, 0u);
   EXPECT_GT(stats.restored_on_miss, 0u);
   EXPECT_GT(stats.budget_spilled, 0u);
-  RemoveSpillShards(path, 2);
+  RemoveSpillFile(path);
 }
 
 // A concurrent sweep must never take a session between its round's
@@ -1207,7 +1196,7 @@ TEST(SessionPoolTest, ConcurrentSweepsKeepEveryUserOnTheOracle) {
   options.memory_budget_bytes = 1;
   ContinuousSessionPool pool(server, options);
   const std::string path = "session_pool_pending_test.rcsf";
-  RemoveSpillShards(path, 1);
+  RemoveSpillFile(path);
   ASSERT_TRUE(pool.AttachSpillFile(path).ok());
   for (int car = 0; car < kThreads * kUsersPerThread; ++car) {
     ASSERT_TRUE(pool.Track(user_of(car), FleetProfile(), Algorithm::kRge,
@@ -1248,7 +1237,7 @@ TEST(SessionPoolTest, ConcurrentSweepsKeepEveryUserOnTheOracle) {
   EXPECT_GT(stats.restored_on_miss, 0u);
   EXPECT_EQ(stats.recloak_failures, 0u);
   EXPECT_EQ(stats.restore_failures, 0u);
-  RemoveSpillShards(path, 1);
+  RemoveSpillFile(path);
 }
 
 }  // namespace

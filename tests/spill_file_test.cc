@@ -2,12 +2,8 @@
 // disks actually do — torn tails from a crash mid-append, rotted bytes,
 // hostile length prefixes — and its last-write-wins index, compaction and
 // cross-run re-interning must round-trip sessions byte-for-byte. The
-// concurrency smokes (appends + reads + erases racing a compaction, on a
-// single file and across a SpillFileSet fan) run under the TSAN CI job.
-//
-// SpillFileSet: routing by user id across members, the cross-member probe
-// after a member-count change, and crash cuts staying contained to the one
-// member whose tail was torn.
+// concurrency smoke (appends + reads + erases racing a compaction) runs
+// under the TSAN CI job.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,7 +13,6 @@
 #include <vector>
 
 #include "store/spill_file.h"
-#include "store/spill_file_set.h"
 
 namespace rcloak::store {
 namespace {
@@ -341,198 +336,6 @@ TEST(SpillFileTest, CompactionUnderConcurrentUpdates) {
     }
   }
   std::remove(path.c_str());
-}
-
-// ---- SpillFileSet ----------------------------------------------------------
-
-// Removes every member file of a set path (and compaction temps) so each
-// test attaches fresh; also used as end-of-test cleanup.
-std::string SetPath(const std::string& name, std::size_t members) {
-  const std::string path = "spill_test_" + name + ".rcsf";
-  for (std::size_t i = 0; i < members; ++i) {
-    const std::string member = SpillFileSet::MemberPath(path, i);
-    std::remove(member.c_str());
-    std::remove((member + ".tmp").c_str());
-  }
-  return path;
-}
-
-TEST(SpillFileSetTest, FanRoundTripAcrossMembers) {
-  const std::string path = SetPath("fan", 4);
-  StringInterner interner;
-  auto set = SpillFileSet::Attach(path, 4, kFingerprint, interner);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  ASSERT_EQ((*set)->num_members(), 4u);
-  std::vector<SpillFileSet::Record> batch;
-  std::vector<UserId> users;
-  for (int i = 0; i < 64; ++i) {
-    const UserId user = interner.Intern("fan" + std::to_string(i));
-    users.push_back(user);
-    batch.push_back({user, State({static_cast<std::uint8_t>(i)})});
-  }
-  ASSERT_TRUE((*set)->AppendBatch(batch).ok());
-  // The fan actually fans: 64 users over 4 members leaves none empty.
-  for (std::size_t m = 0; m < 4; ++m) {
-    EXPECT_GT((*set)->member(m).stats().live_records, 0u) << m;
-  }
-  EXPECT_EQ((*set)->stats().live_records, 64u);
-  EXPECT_EQ((*set)->LiveUsers().size(), 64u);
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE((*set)->Contains(users[static_cast<std::size_t>(i)]));
-    const auto read = (*set)->ReadRecord(users[static_cast<std::size_t>(i)]);
-    ASSERT_TRUE(read.ok()) << read.status().ToString();
-    EXPECT_EQ(*read, State({static_cast<std::uint8_t>(i)}));
-  }
-  EXPECT_TRUE((*set)->Erase(users[0]));
-  EXPECT_FALSE((*set)->Erase(users[0]));
-  // Erase only drops the index entry; compaction persists the drop (the
-  // attach scan is last-write-wins and would resurrect the bytes).
-  ASSERT_TRUE((*set)->Compact().ok());
-  set->reset();  // close all members before reattach
-
-  // A fresh process: the whole set re-attaches and re-interns.
-  StringInterner fresh;
-  auto reopened = SpillFileSet::Attach(path, 4, kFingerprint, fresh);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->stats().live_records, 63u);
-  const UserId fan7 = fresh.Find("fan7");
-  ASSERT_TRUE(fan7.valid());
-  const auto read = (*reopened)->ReadRecord(fan7);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*read, State({7}));
-  SetPath("fan", 4);
-}
-
-TEST(SpillFileSetTest, CrashCutTailTruncatesOnlyThatMember) {
-  const std::string path = SetPath("crashcut", 3);
-  {
-    StringInterner interner;
-    auto set = SpillFileSet::Attach(path, 3, kFingerprint, interner);
-    ASSERT_TRUE(set.ok());
-    std::vector<SpillFileSet::Record> batch;
-    for (int i = 0; i < 30; ++i) {
-      batch.push_back({interner.Intern("cc" + std::to_string(i)),
-                       State({1, 2, 3, 4})});
-    }
-    ASSERT_TRUE((*set)->AppendBatch(batch).ok());
-  }
-  std::size_t live_before = 0;
-  std::size_t member1_live = 0;
-  {
-    StringInterner probe;
-    auto set = SpillFileSet::Attach(path, 3, kFingerprint, probe);
-    ASSERT_TRUE(set.ok());
-    live_before = (*set)->stats().live_records;
-    member1_live = (*set)->member(1).stats().live_records;
-    ASSERT_GE(member1_live, 1u);
-  }
-  // Crash mid group append on member 1: its last record loses 2 bytes.
-  // The cut must stay contained — member 1 drops exactly its torn record,
-  // the other members attach untouched.
-  const std::string member1 = SpillFileSet::MemberPath(path, 1);
-  Bytes raw = ReadAll(member1);
-  raw.resize(raw.size() - 2);
-  WriteAll(member1, raw);
-
-  StringInterner fresh;
-  auto set = SpillFileSet::Attach(path, 3, kFingerprint, fresh);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  EXPECT_EQ((*set)->stats().live_records, live_before - 1);
-  EXPECT_EQ((*set)->member(1).stats().live_records, member1_live - 1);
-  EXPECT_GT((*set)->member(1).stats().tail_truncated_bytes, 0u);
-  EXPECT_EQ((*set)->member(0).stats().tail_truncated_bytes, 0u);
-  EXPECT_EQ((*set)->member(2).stats().tail_truncated_bytes, 0u);
-  SetPath("crashcut", 3);
-}
-
-TEST(SpillFileSetTest, RecordsWrittenUnderDifferentMemberCountStillFound) {
-  const std::string path = SetPath("refan", 3);
-  {
-    StringInterner interner;
-    auto single = SpillFileSet::Attach(path, 1, kFingerprint, interner);
-    ASSERT_TRUE(single.ok());
-    std::vector<SpillFileSet::Record> batch;
-    for (int i = 0; i < 12; ++i) {
-      batch.push_back({interner.Intern("mv" + std::to_string(i)),
-                       State({static_cast<std::uint8_t>(i)})});
-    }
-    ASSERT_TRUE((*single)->AppendBatch(batch).ok());
-  }
-  // The same data re-attached as a 3-member set: every record still lives
-  // in member 0, but most users now home elsewhere — the cross-member
-  // probe must find (and erase) them anyway.
-  StringInterner interner;
-  auto set = SpillFileSet::Attach(path, 3, kFingerprint, interner);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  EXPECT_EQ((*set)->stats().live_records, 12u);
-  for (int i = 0; i < 12; ++i) {
-    const UserId user = interner.Find("mv" + std::to_string(i));
-    ASSERT_TRUE(user.valid()) << i;
-    EXPECT_TRUE((*set)->Contains(user));
-    const auto read = (*set)->ReadRecord(user);
-    ASSERT_TRUE(read.ok()) << read.status().ToString();
-    EXPECT_EQ(*read, State({static_cast<std::uint8_t>(i)}));
-    EXPECT_TRUE((*set)->Erase(user));
-    EXPECT_FALSE((*set)->Contains(user));
-  }
-  EXPECT_TRUE((*set)->LiveUsers().empty());
-  SetPath("refan", 3);
-}
-
-// TSAN smoke: concurrent appends/reads racing the set-level Compact. The
-// set has no lock of its own — every member synchronizes itself — so this
-// pins the claim that the fan introduces no unsynchronized state.
-TEST(SpillFileSetTest, ConcurrentFanUnderCompaction) {
-  const std::string path = SetPath("fanrace", 4);
-  StringInterner interner;
-  auto attached = SpillFileSet::Attach(path, 4, kFingerprint, interner);
-  ASSERT_TRUE(attached.ok());
-  SpillFileSet* set = attached->get();
-  constexpr int kWriters = 3;
-  constexpr int kUsersPerWriter = 32;
-  constexpr int kRounds = 20;
-  std::vector<std::vector<UserId>> users(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    for (int i = 0; i < kUsersPerWriter; ++i) {
-      users[w].push_back(interner.Intern("f" + std::to_string(w) + "x" +
-                                         std::to_string(i)));
-    }
-  }
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([set, &users, w] {
-      for (int round = 0; round < kRounds; ++round) {
-        std::vector<SpillFileSet::Record> batch;
-        for (const UserId user : users[w]) {
-          batch.push_back({user, State({static_cast<std::uint8_t>(round),
-                                        static_cast<std::uint8_t>(w)})});
-        }
-        ASSERT_TRUE(set->AppendBatch(batch).ok());
-        for (const UserId user : users[w]) {
-          ASSERT_TRUE(set->ReadRecord(user).ok());
-        }
-        if (round % 7 == 3) set->Erase(users[w][round % kUsersPerWriter]);
-        (void)set->stats();
-      }
-    });
-  }
-  threads.emplace_back([set] {
-    for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(set->Compact().ok());
-      (void)set->LiveUsers();
-      std::this_thread::yield();
-    }
-  });
-  for (auto& thread : threads) thread.join();
-  for (int w = 0; w < kWriters; ++w) {
-    for (const UserId user : users[w]) {
-      if (!set->Contains(user)) continue;
-      const auto read = set->ReadRecord(user);
-      ASSERT_TRUE(read.ok());
-      EXPECT_EQ((*read)[1], static_cast<std::uint8_t>(w));
-    }
-  }
-  SetPath("fanrace", 4);
 }
 
 }  // namespace
