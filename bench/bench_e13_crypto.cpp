@@ -33,6 +33,17 @@ void BM_HmacSha256(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
 
+void BM_HmacSha256Key(benchmark::State& state) {
+  const HmacSha256Key key(Bytes(32, 0x11));
+  const Bytes data(static_cast<std::size_t>(state.range(0)), 0xAB);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.Mac(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_HmacSha256Key)->Arg(64)->Arg(1024);
+
 void BM_HkdfExpand(benchmark::State& state) {
   const Bytes ikm(32, 0x22);
   for (auto _ : state) {
@@ -40,6 +51,17 @@ void BM_HkdfExpand(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HkdfExpand);
+
+// One per first sighting or epoch roll: AccessKey::FromSeed, one HKDF
+// extract, one expand per level.
+void BM_KeyChainFromSeed(benchmark::State& state) {
+  const int levels = static_cast<int>(state.range(0));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(KeyChain::FromSeed(seed++, levels));
+  }
+}
+BENCHMARK(BM_KeyChainFromSeed)->Arg(2)->Arg(3);
 
 void BM_ChaCha20Block(benchmark::State& state) {
   std::array<std::uint8_t, 32> key{};

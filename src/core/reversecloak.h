@@ -109,12 +109,13 @@ class Anonymizer {
     external_counter_ = counter;
   }
 
-  // Forces RPLE pre-assignment now (e.g. to measure it); otherwise lazy.
+  // Forces RPLE pre-assignment now (NetServer::Start does for an RPLE
+  // front door); otherwise lazy.
   Status EnsurePreassigned() const;
 
   // Forces the grid cell index + cell-transition tables for this engine's
-  // T now (the server warms them so workers never contend on the lazy
-  // build); otherwise lazy on the first grid request.
+  // T now (NetServer::Start does for a grid front door); otherwise lazy on
+  // the first grid request. Racing first requests still build each once.
   Status EnsureGridReady() const;
 
   const std::shared_ptr<const MapContext>& context() const noexcept {

@@ -1,7 +1,9 @@
 #include "crypto/keyed_prng.h"
 
 #include <cassert>
+#include <charconv>
 #include <cstring>
+#include <iterator>
 #include <random>
 
 #include "crypto/sha256.h"
@@ -76,17 +78,22 @@ std::uint64_t KeyedPrng::Prf(std::string_view label) const noexcept {
 
 KeyChain KeyChain::DeriveFromMaster(const AccessKey& master, int num_levels) {
   assert(num_levels >= 1);
-  std::vector<AccessKey> keys;
-  keys.reserve(static_cast<std::size_t>(num_levels));
-  const Bytes ikm(master.bytes.begin(), master.bytes.end());
+  // Level i's key is HKDF(master, salt = {}, info = "rcloak/level/<i>"),
+  // 32 bytes. Every level shares the one extract; each expand is a single
+  // HMAC block under the cached PRK key.
+  const HmacSha256Key prk =
+      HkdfExtract(/*salt=*/{}, master.bytes.data(), master.bytes.size());
+  constexpr std::string_view kPrefix = "rcloak/level/";
+  char info[kPrefix.size() + 16];
+  std::memcpy(info, kPrefix.data(), kPrefix.size());
+  std::vector<AccessKey> keys(static_cast<std::size_t>(num_levels));
   for (int i = 1; i <= num_levels; ++i) {
-    Bytes info;
-    const std::string label = "rcloak/level/" + std::to_string(i);
-    info.assign(label.begin(), label.end());
-    const Bytes okm = HkdfSha256(ikm, /*salt=*/{}, info, 32);
-    AccessKey key;
-    std::memcpy(key.bytes.data(), okm.data(), 32);
-    keys.push_back(key);
+    char* const end =
+        std::to_chars(info + kPrefix.size(), std::end(info), i).ptr;
+    // 32 bytes is one HKDF block, far under the 255-block limit.
+    (void)HkdfExpand(prk, reinterpret_cast<const std::uint8_t*>(info),
+                     static_cast<std::size_t>(end - info),
+                     keys[static_cast<std::size_t>(i - 1)].bytes.data(), 32);
   }
   return KeyChain(std::move(keys));
 }

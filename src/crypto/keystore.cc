@@ -26,7 +26,7 @@ DerivedKeys DeriveKeys(std::string_view passphrase,
   Bytes ikm(passphrase.begin(), passphrase.end());
   Bytes salt_bytes(salt, salt + kSaltSize);
   Bytes info{'r', 'c', 'k', 's', '/', 'v', '1'};
-  const Bytes okm = HkdfSha256(ikm, salt_bytes, info, 64);
+  const Bytes okm = HkdfSha256(ikm, salt_bytes, info, 64).value();
   DerivedKeys keys;
   std::memcpy(keys.enc_key.data(), okm.data(), 32);
   keys.mac_key.assign(okm.begin() + 32, okm.end());

@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace rcloak::crypto {
@@ -18,6 +19,14 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+// Checked before any allocation sized by `out_len`.
+Status CheckHkdfLength(std::size_t out_len) {
+  if (out_len > 255 * Sha256::kDigestSize) {
+    return Status::InvalidArgument("HKDF-SHA256 output over 255*32 bytes");
+  }
+  return Status::Ok();
+}
 
 inline std::uint32_t Rotr(std::uint32_t x, int n) noexcept {
   return (x >> n) | (x << (32 - n));
@@ -95,20 +104,18 @@ void Sha256::Update(const std::uint8_t* data, std::size_t len) noexcept {
 
 Sha256::Digest Sha256::Finish() noexcept {
   const std::uint64_t bits = bit_count_;
-  // Padding: 0x80, zeros, 64-bit big-endian length.
-  const std::uint8_t pad_one = 0x80;
-  Update(&pad_one, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  // Padding: 0x80, zeros, 64-bit big-endian length. A tail with no room
+  // left for the length spills into one more block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    ProcessBlock(buffer_.data());
+    buffer_len_ = 0;
   }
-  // Bypass bit_count_ bookkeeping for the length bytes (already counted the
-  // message; padding bytes were over-counted, which is fine since we only
-  // needed `bits` captured before padding).
-  std::memcpy(buffer_.data() + buffer_len_, len_be, 8);
-  buffer_len_ += 8;
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  }
   ProcessBlock(buffer_.data());
   buffer_len_ = 0;
 
@@ -122,55 +129,76 @@ Sha256::Digest Sha256::Finish() noexcept {
   return digest;
 }
 
-Sha256::Digest HmacSha256(const Bytes& key, const Bytes& message) noexcept {
-  std::array<std::uint8_t, Sha256::kBlockSize> k_pad{};
-  if (key.size() > Sha256::kBlockSize) {
-    const auto digest = Sha256::Hash(key);
-    std::memcpy(k_pad.data(), digest.data(), digest.size());
-  } else {
-    std::memcpy(k_pad.data(), key.data(), key.size());
+HmacSha256Key::HmacSha256Key(const std::uint8_t* key,
+                             std::size_t len) noexcept {
+  std::array<std::uint8_t, Sha256::kBlockSize> pad{};
+  if (len > Sha256::kBlockSize) {
+    Sha256 hasher;
+    hasher.Update(key, len);
+    const auto digest = hasher.Finish();
+    std::memcpy(pad.data(), digest.data(), digest.size());
+  } else if (len > 0) {
+    std::memcpy(pad.data(), key, len);
   }
+  for (auto& b : pad) b ^= 0x36;
+  inner_.Update(pad.data(), pad.size());
+  for (auto& b : pad) b ^= 0x36 ^ 0x5c;
+  outer_.Update(pad.data(), pad.size());
+}
 
-  std::array<std::uint8_t, Sha256::kBlockSize> ipad{};
-  std::array<std::uint8_t, Sha256::kBlockSize> opad{};
-  for (std::size_t i = 0; i < Sha256::kBlockSize; ++i) {
-    ipad[i] = k_pad[i] ^ 0x36;
-    opad[i] = k_pad[i] ^ 0x5c;
-  }
-
-  Sha256 inner;
-  inner.Update(ipad.data(), ipad.size());
-  inner.Update(message);
+Sha256::Digest HmacSha256Key::Finish(Sha256& inner) const noexcept {
   const auto inner_digest = inner.Finish();
-
-  Sha256 outer;
-  outer.Update(opad.data(), opad.size());
+  Sha256 outer = outer_;
   outer.Update(inner_digest.data(), inner_digest.size());
   return outer.Finish();
 }
 
-Bytes HkdfSha256(const Bytes& ikm, const Bytes& salt, const Bytes& info,
-                 std::size_t out_len) {
-  // Extract.
-  Bytes actual_salt = salt;
-  if (actual_salt.empty()) actual_salt.assign(Sha256::kDigestSize, 0);
-  const auto prk_digest = HmacSha256(actual_salt, ikm);
-  const Bytes prk(prk_digest.begin(), prk_digest.end());
+Sha256::Digest HmacSha256Key::Mac(const std::uint8_t* data,
+                                  std::size_t len) const noexcept {
+  Sha256 inner = Begin();
+  inner.Update(data, len);
+  return Finish(inner);
+}
 
-  // Expand.
-  Bytes okm;
-  okm.reserve(out_len);
-  Bytes t;
-  std::uint8_t counter = 1;
-  while (okm.size() < out_len) {
-    Bytes block = t;
-    block.insert(block.end(), info.begin(), info.end());
-    block.push_back(counter++);
-    const auto digest = HmacSha256(prk, block);
-    t.assign(digest.begin(), digest.end());
-    const std::size_t take = std::min(t.size(), out_len - okm.size());
-    okm.insert(okm.end(), t.begin(), t.begin() + static_cast<long>(take));
+Sha256::Digest HmacSha256(const Bytes& key, const Bytes& message) noexcept {
+  return HmacSha256Key(key).Mac(message);
+}
+
+HmacSha256Key HkdfExtract(const Bytes& salt, const std::uint8_t* ikm,
+                          std::size_t ikm_len) noexcept {
+  // The empty salt (KeyChain's) is one fixed key: absorb its pads once.
+  static const HmacSha256Key kNoSalt(nullptr, 0);
+  const auto prk = salt.empty() ? kNoSalt.Mac(ikm, ikm_len)
+                                : HmacSha256Key(salt).Mac(ikm, ikm_len);
+  return HmacSha256Key(prk.data(), prk.size());
+}
+
+Status HkdfExpand(const HmacSha256Key& prk, const std::uint8_t* info,
+                  std::size_t info_len, std::uint8_t* out,
+                  std::size_t out_len) {
+  RCLOAK_RETURN_IF_ERROR(CheckHkdfLength(out_len));
+  Sha256::Digest t{};
+  std::size_t done = 0;
+  for (std::uint8_t counter = 1; done < out_len; ++counter) {
+    Sha256 block = prk.Begin();
+    if (done > 0) block.Update(t.data(), t.size());
+    block.Update(info, info_len);
+    block.Update(&counter, 1);
+    t = prk.Finish(block);
+    const std::size_t take = std::min(t.size(), out_len - done);
+    std::memcpy(out + done, t.data(), take);
+    done += take;
   }
+  return Status::Ok();
+}
+
+StatusOr<Bytes> HkdfSha256(const Bytes& ikm, const Bytes& salt,
+                           const Bytes& info, std::size_t out_len) {
+  RCLOAK_RETURN_IF_ERROR(CheckHkdfLength(out_len));
+  const HmacSha256Key prk = HkdfExtract(salt, ikm.data(), ikm.size());
+  Bytes okm(out_len);
+  RCLOAK_RETURN_IF_ERROR(
+      HkdfExpand(prk, info.data(), info.size(), okm.data(), out_len));
   return okm;
 }
 

@@ -9,6 +9,7 @@
 #include <string_view>
 
 #include "util/bytes.h"
+#include "util/status.h"
 
 namespace rcloak::crypto {
 
@@ -50,12 +51,50 @@ class Sha256 {
   std::size_t buffer_len_ = 0;
 };
 
-// HMAC-SHA256 (RFC 2104).
+// HMAC-SHA256 (RFC 2104) with the key absorbed once. The constructor
+// hashes the inner and outer pad blocks; a MAC then copies the two SHA-256
+// states and hashes only the message, so a key used for several MACs (an
+// HKDF PRK) pays its pad compressions once.
+class HmacSha256Key {
+ public:
+  HmacSha256Key(const std::uint8_t* key, std::size_t len) noexcept;
+  explicit HmacSha256Key(const Bytes& key) noexcept
+      : HmacSha256Key(key.data(), key.size()) {}
+
+  // A MAC over a message fed in parts: Update() the hasher Begin() returns,
+  // then hand it to Finish().
+  Sha256 Begin() const noexcept { return inner_; }
+  Sha256::Digest Finish(Sha256& inner) const noexcept;
+
+  Sha256::Digest Mac(const std::uint8_t* data, std::size_t len) const noexcept;
+  Sha256::Digest Mac(const Bytes& message) const noexcept {
+    return Mac(message.data(), message.size());
+  }
+
+ private:
+  Sha256 inner_;  // has absorbed key ^ ipad
+  Sha256 outer_;  // has absorbed key ^ opad
+};
+
 Sha256::Digest HmacSha256(const Bytes& key, const Bytes& message) noexcept;
 
-// HKDF-SHA256 (RFC 5869). `out_len` up to 255*32 bytes.
-Bytes HkdfSha256(const Bytes& ikm, const Bytes& salt, const Bytes& info,
-                 std::size_t out_len);
+// HKDF-SHA256 (RFC 5869) as its two steps, so a caller deriving several
+// outputs from one secret runs the extract once.
+//
+// Extract: PRK = HMAC(salt, ikm), returned as a ready HMAC key. An empty
+// salt stands for 32 zero bytes, which HMAC's zero padding makes the same
+// key as no bytes at all.
+HmacSha256Key HkdfExtract(const Bytes& salt, const std::uint8_t* ikm,
+                          std::size_t ikm_len) noexcept;
+// Expand: fills out[0, out_len) with T(1) | T(2) | ..., where
+// T(i) = HMAC(PRK, T(i-1) | info | i). INVALID_ARGUMENT past 255*32 bytes,
+// where the one-byte block counter would wrap.
+Status HkdfExpand(const HmacSha256Key& prk, const std::uint8_t* info,
+                  std::size_t info_len, std::uint8_t* out,
+                  std::size_t out_len);
+// Extract then expand. INVALID_ARGUMENT past 255*32 bytes.
+StatusOr<Bytes> HkdfSha256(const Bytes& ikm, const Bytes& salt,
+                           const Bytes& info, std::size_t out_len);
 
 // Constant-time equality for MAC/digest comparison.
 bool ConstantTimeEqual(const Bytes& a, const Bytes& b) noexcept;

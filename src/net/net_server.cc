@@ -62,6 +62,15 @@ Status NetServer::Start() {
   for (const auto& lp : loops_) {
     RCLOAK_RETURN_IF_ERROR(lp->loop.status());
   }
+  // The loop threads run REDUCE inline, so build the configured backend's
+  // tables now rather than on the first request that needs them (RGE
+  // builds none). A failed build surfaces on that request instead.
+  const core::Anonymizer& engine = pool_->server().engine();
+  if (options_.algorithm == core::Algorithm::kRple) {
+    (void)engine.EnsurePreassigned();
+  } else if (options_.algorithm == core::Algorithm::kGrid) {
+    (void)engine.EnsureGridReady();
+  }
   // Every loop owns an acceptor on the shared address. With more than one
   // loop they bind with SO_REUSEPORT so the kernel shards accepts; loop 0
   // binds first and its siblings bind the (possibly ephemeral) port it got.

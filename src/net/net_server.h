@@ -172,7 +172,8 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  // Binds the shared listening address, then runs one event loop per
+  // Builds the tables of the backend `algorithm` names (none for RGE),
+  // binds the shared listening address, then runs one event loop per
   // `loop_threads` on dedicated threads.
   Status Start();
   // Idempotent; fans a shutdown wake across every loop, joins them all

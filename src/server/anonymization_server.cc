@@ -10,11 +10,6 @@ namespace rcloak::server {
 AnonymizationServer::AnonymizationServer(core::Anonymizer engine,
                                          const ServerOptions& options)
     : engine_(std::move(engine)), max_queue_(options.max_queue) {
-  // Pre-assignment (RPLE tables) and the grid cell index up front:
-  // afterwards the MapContext is fully warm and Anonymize() only reads
-  // shared state, so one engine serves all workers.
-  (void)engine_.EnsurePreassigned();
-  (void)engine_.EnsureGridReady();
   const int workers = std::max(1, options.num_workers);
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {

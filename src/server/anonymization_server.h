@@ -58,8 +58,10 @@ class AnonymizationServer {
     crypto::KeyChain keys;
   };
 
-  // The server takes ownership of the engine; RPLE pre-assignment runs
-  // up-front so workers never race the lazy build.
+  // The server takes ownership of the engine. Backend tables (RPLE
+  // pre-assignment, the grid index) are built on the first request that
+  // needs them; racing workers build each once (MapContext memos).
+  // NetServer::Start builds its configured backend's tables up front.
   AnonymizationServer(core::Anonymizer engine, const ServerOptions& options);
   // Runs every queued job to completion, then joins the workers.
   ~AnonymizationServer();

@@ -1,13 +1,17 @@
 // Known-answer and property tests for the from-scratch crypto substrate.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "crypto/chacha20.h"
 #include "crypto/keyed_prng.h"
 #include "crypto/sha256.h"
 #include "crypto/siphash.h"
+#include "net/net_server.h"
 #include "util/bytes.h"
 
 namespace rcloak::crypto {
@@ -54,6 +58,35 @@ TEST(Sha256Test, IncrementalEqualsOneShot) {
   }
 }
 
+// Messages that end on each side of the padding split: 55 bytes is the
+// longest that leaves room for 0x80 and the length in one block, 56..63
+// force a second padding block, 64/119/120 land on or past a block edge.
+// Each message is hashed in one shot and fed one byte per Update.
+TEST(Sha256Test, PaddingBoundaries) {
+  const std::pair<std::size_t, const char*> kPinned[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "595615dbe4f0f407ae397d08b4c2cb870cb9b0e11937416f950c5160acf9c005"},
+      {56, "784f623b787495078e93ff28a25b581df0584055a7e71d8cd90c454716b92f51"},
+      {57, "808f0738aa4401bdee842e5a15a7baad5809f976d8eb6f9bd2683cebd2e8d671"},
+      {63, "5ca3e1ef5207490eac01a795e5cc94d59582a5118bf9534665c8668d87aa647c"},
+      {64, "2fcd5a0d60e4c941381fcc4e00a4bf8be422c3ddfafb93c809e8d1e2bfffae8e"},
+      {65, "1b3cd1877ab2f2f19f7be001722554f336cb799df0329de0bb4c118dc6abc06d"},
+      {119,
+       "faef67da856d6fd9c8d12f9ed0a4fefd3cf0ce085ab43e2907418d457e3c354b"},
+      {120,
+       "c9512b08619c19fbb503c7da6b46ef20301e5f7a7a5f43989182398536f5c5c8"},
+  };
+  for (const auto& [len, hex] : kPinned) {
+    std::string msg;
+    for (std::size_t i = 0; i < len; ++i) msg.push_back('a' + i % 26);
+    EXPECT_EQ(DigestHex(Sha256::Hash(std::string_view(msg))), hex)
+        << len << " bytes";
+    Sha256 incremental;
+    for (const char c : msg) incremental.Update(std::string_view(&c, 1));
+    EXPECT_EQ(DigestHex(incremental.Finish()), hex) << len << " bytes";
+  }
+}
+
 // RFC 4231 test case 2.
 TEST(HmacTest, Rfc4231Case2) {
   const Bytes key = {'J', 'e', 'f', 'e'};
@@ -72,22 +105,82 @@ TEST(HmacTest, Rfc4231Case1) {
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
 }
 
+// RFC 4231 test case 6: a key longer than the block is hashed first.
+TEST(HmacTest, Rfc4231Case6) {
+  const Bytes key(131, 0xaa);
+  const std::string msg =
+      "Test Using Larger Than Block-Size Key - Hash Key First";
+  const Bytes message(msg.begin(), msg.end());
+  EXPECT_EQ(DigestHex(HmacSha256(key, message)),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
 // RFC 5869 test case 1.
 TEST(HkdfTest, Rfc5869Case1) {
   const Bytes ikm(22, 0x0b);
   const auto salt = FromHex("000102030405060708090a0b0c").value();
   const auto info = FromHex("f0f1f2f3f4f5f6f7f8f9").value();
-  const Bytes okm = HkdfSha256(ikm, salt, info, 42);
+  const Bytes okm = HkdfSha256(ikm, salt, info, 42).value();
   EXPECT_EQ(ToHex(okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
             "34007208d5b887185865");
 }
 
+// RFC 5869 test case 3: empty salt and info, the shape
+// KeyChain::DeriveFromMaster uses.
+TEST(HkdfTest, Rfc5869Case3) {
+  const Bytes ikm(22, 0x0b);
+  const Bytes okm = HkdfSha256(ikm, {}, {}, 42).value();
+  EXPECT_EQ(ToHex(okm),
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+            "9d201395faa4b61a96c8");
+}
+
 TEST(HkdfTest, DifferentInfoDifferentKeys) {
   const Bytes ikm(32, 0x42);
-  const Bytes a = HkdfSha256(ikm, {}, {'a'}, 32);
-  const Bytes b = HkdfSha256(ikm, {}, {'b'}, 32);
+  const Bytes a = HkdfSha256(ikm, {}, {'a'}, 32).value();
+  const Bytes b = HkdfSha256(ikm, {}, {'b'}, 32).value();
   EXPECT_NE(ToHex(a), ToHex(b));
+}
+
+// The block counter is one byte: past 255 blocks it would wrap and repeat
+// T(1) under a different chain, which is not RFC 5869 output.
+TEST(HkdfTest, RejectsOutputPastTheCounterLimit) {
+  const Bytes ikm(32, 0x42);
+  constexpr std::size_t kMax = 255 * Sha256::kDigestSize;
+  const auto longest = HkdfSha256(ikm, {}, {'i'}, kMax);
+  ASSERT_TRUE(longest.ok());
+  EXPECT_EQ(longest->size(), kMax);
+  // The longest output extends every shorter one.
+  EXPECT_EQ(Bytes(longest->begin(), longest->begin() + 42),
+            HkdfSha256(ikm, {}, {'i'}, 42).value());
+
+  const auto too_long = HkdfSha256(ikm, {}, {'i'}, kMax + 1);
+  EXPECT_EQ(too_long.status().code(), ErrorCode::kInvalidArgument);
+
+  const HmacSha256Key prk = HkdfExtract({}, ikm.data(), ikm.size());
+  Bytes out(kMax + 1, 0);
+  EXPECT_EQ(HkdfExpand(prk, nullptr, 0, out.data(), out.size()).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(out, Bytes(kMax + 1, 0)) << "a rejected expand writes nothing";
+}
+
+// The cached-key MAC equals keying afresh, for every key-length branch
+// (empty, short, exactly one block, hashed) and for a message fed in parts.
+TEST(HmacTest, CachedKeyMatchesOneShot) {
+  const std::string msg = "the quick brown fox jumps over the lazy dog";
+  const Bytes message(msg.begin(), msg.end());
+  for (const std::size_t key_len : {0u, 20u, 64u, 65u, 131u}) {
+    const Bytes key(key_len, 0x5a);
+    const HmacSha256Key cached(key);
+    const auto expected = DigestHex(HmacSha256(key, message));
+    EXPECT_EQ(DigestHex(cached.Mac(message)), expected) << key_len;
+    EXPECT_EQ(DigestHex(cached.Mac(message)), expected) << key_len;
+    Sha256 parts = cached.Begin();
+    parts.Update(std::string_view(msg).substr(0, 7));
+    parts.Update(std::string_view(msg).substr(7));
+    EXPECT_EQ(DigestHex(cached.Finish(parts)), expected) << key_len;
+  }
 }
 
 TEST(ConstantTimeEqualTest, Basics) {
@@ -245,6 +338,56 @@ TEST(KeyChainTest, DerivedKeysAreDistinctAndStable) {
     seen.insert(chain_a.LevelKey(level).ToHex());
   }
   EXPECT_EQ(seen.size(), 4u);
+}
+
+// Golden artifacts, wire pins and every user's per-epoch chain depend on
+// these level-key bytes.
+TEST(KeyChainTest, FromSeedMatchesPinnedBytes) {
+  const std::pair<std::uint64_t, std::array<const char*, 3>> kPinned[] = {
+      {0,
+       {"5ce0d043d1bef31fb7e6022050cfed2d266b25bf9916deaeb16a162e24be02b0",
+        "4d1b6ae2ec128c0e0a8698c7a233ab172721daf8fcd863415c94d9564b0669a1",
+        "c2f2700216dcfea8b2a69c6516f48b5101ccf30358b22e04f1de8479e51371d2"}},
+      {1,
+       {"aeddfa9476f6f1da087764f3a1b28c29e5d7d5c4de021c520b55d70717bc9abf",
+        "e6182fa23e9bf062041b4416729b04ddb0ff1fc0cbd95b2651dda196f074119a",
+        "60b18cc3b5960d16acbbc5b71ec948bfaf27a5f4083950fba527fc9523abe9a8"}},
+      {42,
+       {"68f7488ecf642a0e9c870d0ccaa989d8fb026f424268cccbe8b8282c0b1076c2",
+        "202a09e6358fdbca7b98200d383459ef2e790ad267ccd738e13b57a4f601102f",
+        "f2a2b64ba098b2c9bb67338dcd28c39013990fe3130667fddd272090e13fdc17"}},
+      {0xdeadbeefcafef00dull,
+       {"200366a15a6f564ed8af439902e11ee918e57cda4c4c4a65ced8bcb4e5dd61f5",
+        "12b5418514a6d0dd9465cbcbdc0e28f656b03d2bdeac9033a0d8b617eb304e81",
+        "6503a6ba2313aac06959d4eae22fdb8f42f70bfc136221c53b59f055b3630adf"}},
+  };
+  for (const auto& [seed, hex] : kPinned) {
+    const KeyChain chain = KeyChain::FromSeed(seed, 3);
+    ASSERT_EQ(chain.num_levels(), 3);
+    for (int level = 1; level <= 3; ++level) {
+      EXPECT_EQ(chain.LevelKey(level).ToHex(), hex[level - 1])
+          << "seed " << seed << " level " << level;
+    }
+  }
+
+  // The front door's per-user schedule (rcloak_tool's seed base).
+  const std::array<const char*, 2> kUser17[] = {
+      {"e289445032729b95227294473e70c7c30161282afbc3963f51cf882e858d508e",
+       "1bcea0acab71361ef8ea4e439baeccbf3e4994b2fea62903bc9a35f93d9f7710"},
+      {"297fd5e8438070552e75ad59cb742bb0b18324934b4e3f84b9bf60bc3ff8956f",
+       "a21df3219d8dea8fe3ee95abacd93b9c628f531a86d12554f35bf330161546b6"},
+      {"b3caf9f85e6448efea6f2534c0e45d411ff556c6050dcdbf3de29a11e2b95054",
+       "de00f162a093bef154d44b3765693fbff3a7d0ec31657091135cda0be27d2bc6"},
+      {"f29385aa4b1d321d6b3b3de73b5e5a8490de55b9b98678df526098dfc19ffe62",
+       "cf79608ebba1a28189ec0c441c1b126d068f571b96b14bb7e2cd8fb3da644bf9"},
+  };
+  const auto provider = net::DeterministicKeyProvider(50000, "u17", 2);
+  for (std::uint64_t epoch = 0; epoch < 4; ++epoch) {
+    const KeyChain chain = provider(epoch);
+    ASSERT_EQ(chain.num_levels(), 2);
+    EXPECT_EQ(chain.LevelKey(1).ToHex(), kUser17[epoch][0]) << epoch;
+    EXPECT_EQ(chain.LevelKey(2).ToHex(), kUser17[epoch][1]) << epoch;
+  }
 }
 
 TEST(KeyChainTest, RandomChainsDiffer) {

@@ -422,6 +422,29 @@ TEST(NetServerTest, OutOfRangeSegmentGetsErrorReply) {
   EXPECT_FALSE(ok_reply->artifact_wire.empty());
 }
 
+// Start() builds the configured backend's tables before the loop threads,
+// which run REDUCE inline, can need them; an RGE front door builds none.
+TEST(NetServerTest, StartBuildsOnlyTheConfiguredBackendTables) {
+  const RoadNetwork net = roadnet::MakeGrid({8, 8, 100.0});
+  for (const core::Algorithm algorithm :
+       {core::Algorithm::kRge, core::Algorithm::kRple,
+        core::Algorithm::kGrid}) {
+    const auto ctx = core::MapContext::Create(net);
+    AnonymizationServer server(core::Anonymizer(ctx, OnePerSegment(net)),
+                               server::ServerOptions{});
+    ContinuousSessionPool pool(server);
+    net::NetServerOptions options;
+    options.algorithm = algorithm;
+    net::NetServer front(pool, options);
+    ASSERT_TRUE(front.Start().ok());
+    EXPECT_EQ(ctx->table_builds(),
+              algorithm == core::Algorithm::kRple ? 1u : 0u);
+    EXPECT_EQ(ctx->grid_builds(),
+              algorithm == core::Algorithm::kGrid ? 1u : 0u);
+    front.Stop();
+  }
+}
+
 // The headline pin: per-user artifact byte sequences served over the wire
 // equal driving the pool directly with the same deterministic key
 // schedule — transport changes nothing.

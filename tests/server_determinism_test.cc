@@ -99,6 +99,62 @@ TEST(ServerDeterminismTest, ArtifactSetIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(ctx->table_builds(), 1u);
 }
 
+// Backend tables are built by the first request that needs them, not by
+// the server's constructor. Four workers race their first RPLE and grid
+// requests on a fresh context: each table set is built exactly once, and
+// every artifact matches a server whose engine was warmed before it
+// started.
+TEST(ServerDeterminismTest, LazyTablesBuildOnceUnderRacingFirstRequests) {
+  const RoadNetwork net = roadnet::MakeGrid({14, 14, 100.0});
+  const auto occupancy = OnePerSegment(net);
+  constexpr int kJobs = 32;
+  const auto request = [&](int i) {
+    AnonymizeRequest r = FixedRequest(net, i);
+    r.algorithm = i % 2 == 0 ? Algorithm::kRple : Algorithm::kGrid;
+    return r;
+  };
+  const auto run = [&](const std::shared_ptr<const core::MapContext>& ctx,
+                       bool prewarm) {
+    core::Anonymizer engine(ctx, occupancy, /*rple_T=*/4);
+    if (prewarm) {
+      EXPECT_TRUE(engine.EnsurePreassigned().ok());
+      EXPECT_TRUE(engine.EnsureGridReady().ok());
+    }
+    server::ServerOptions options;
+    options.num_workers = prewarm ? 1 : 4;
+    server::AnonymizationServer server(std::move(engine), options);
+    if (!prewarm) {
+      EXPECT_EQ(ctx->table_builds(), 0u) << "the constructor built tables";
+      EXPECT_EQ(ctx->grid_builds(), 0u) << "the constructor built a grid";
+    }
+    std::vector<server::AnonymizationServer::BatchJob> batch;
+    for (int i = 0; i < kJobs; ++i) batch.push_back({request(i), FixedKeys(i)});
+    auto futures = server.SubmitBatch(std::move(batch));
+    std::map<int, std::string> hashes;
+    for (int i = 0; i < kJobs; ++i) {
+      auto& submitted = futures[static_cast<std::size_t>(i)];
+      EXPECT_TRUE(submitted.ok());
+      if (!submitted.ok()) continue;
+      auto result = submitted->get();
+      EXPECT_TRUE(result.ok()) << i << ": " << result.status().ToString();
+      if (result.ok()) hashes[i] = ArtifactSha256(result->artifact);
+    }
+    return hashes;
+  };
+
+  const auto warm_ctx = core::MapContext::Create(net);
+  const auto warm = run(warm_ctx, /*prewarm=*/true);
+  ASSERT_EQ(warm.size(), static_cast<std::size_t>(kJobs));
+
+  const auto lazy_ctx = core::MapContext::Create(net);
+  EXPECT_EQ(run(lazy_ctx, /*prewarm=*/false), warm);
+  EXPECT_EQ(lazy_ctx->table_builds(), 1u);
+  EXPECT_EQ(lazy_ctx->grid_builds(), 1u);
+  const auto grid = lazy_ctx->GridFor();
+  ASSERT_TRUE(grid.ok());
+  EXPECT_EQ((*grid)->table_builds(), 1u);
+}
+
 TEST(ServerDeterminismTest, SubmitBatchMatchesSubmit) {
   const RoadNetwork net = roadnet::MakeGrid({12, 12, 100.0});
   const auto ctx = core::MapContext::Create(net);

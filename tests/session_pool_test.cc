@@ -232,9 +232,9 @@ TEST(SessionPoolTest, ArtifactSequencesIdenticalAcrossWorkerCounts) {
     const auto sharded = RunPool(ctx, occupancy, traces, workers);
     EXPECT_EQ(sharded, single) << workers << " workers";
   }
-  // All pools shared one context: the server's up-front pre-assignment ran
-  // exactly once across the three servers and their deanonymizers.
-  EXPECT_EQ(ctx->table_builds(), 1u);
+  // The fleet is RGE-only: no server built RPLE tables it never used.
+  EXPECT_EQ(ctx->table_builds(), 0u);
+  EXPECT_EQ(ctx->grid_builds(), 0u);
 }
 
 TEST(SessionPoolTest, InRegionUpdatesNeverTouchTheServer) {
