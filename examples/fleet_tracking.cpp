@@ -112,7 +112,7 @@ int main() {
                 user, static_cast<unsigned long long>(*epoch),
                 static_cast<unsigned long long>(user_stats->updates),
                 static_cast<unsigned long long>(user_stats->recloaks),
-                user_stats->validity_duration_s.Mean());
+                user_stats->mean_validity_duration_s());
   }
 
   // Drop sessions idle for 30 s (none here: the whole fleet just drove).

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
+#include "core/algorithm.h"
 #include "roadnet/road_network.h"
 
 namespace rcloak::core {
 
 namespace {
-
-// Spill blob format version (bumped on any layout change).
-constexpr std::uint8_t kPolicyBlobVersion = 1;
 
 void PutDouble(Bytes& out, double v) {
   PutU64le(out, std::bit_cast<std::uint64_t>(v));
@@ -75,7 +74,7 @@ void ContinuousPolicy::CommitRecloak(
     double now_s, std::shared_ptr<const CloakedArtifact> artifact,
     ValidityRegion validity_region) {
   if (artifact_) {
-    stats_.validity_duration_s.Add(now_s - artifact_created_s_);
+    stats_.validity_duration_total_s += now_s - artifact_created_s_;
   }
   ++epoch_;
   artifact_ = std::move(artifact);
@@ -85,11 +84,7 @@ void ContinuousPolicy::CommitRecloak(
   ++stats_.recloaks;
 }
 
-Bytes ContinuousPolicy::Serialize() const {
-  Bytes out;
-  out.push_back(kPolicyBlobVersion);
-  PutVarint(out, user_id_.size());
-  out.insert(out.end(), user_id_.begin(), user_id_.end());
+void ContinuousPolicy::Serialize(Bytes& out) const {
   out.push_back(static_cast<std::uint8_t>(algorithm_));
   PutVarint(out, static_cast<std::uint64_t>(profile_.num_levels()));
   for (int level = 1; level <= profile_.num_levels(); ++level) {
@@ -120,29 +115,19 @@ Bytes ContinuousPolicy::Serialize() const {
   PutVarint(out, stats_.recloaks);
   PutVarint(out, stats_.throttled_stale);
   PutDouble(out, stats_.last_recloak_time_s);
-  PutVarint(out, stats_.validity_duration_s.count());
-  for (const double sample : stats_.validity_duration_s.data()) {
-    PutDouble(out, sample);
-  }
-  return out;
+  PutDouble(out, stats_.validity_duration_total_s);
 }
 
 StatusOr<ContinuousPolicy> ContinuousPolicy::Deserialize(
-    const Bytes& data, const roadnet::RoadNetwork& net) {
-  std::size_t offset = 0;
-  if (data.empty() || data[offset++] != kPolicyBlobVersion) {
-    return Status::InvalidArgument("policy blob: bad magic/version");
-  }
-  ContinuousPolicy policy;
-  const auto id_length = GetVarint(data, &offset);
-  // Subtract-side compare: a hostile length near 2^64 must not wrap.
-  if (!id_length || *id_length > data.size() - offset) return Truncated();
-  policy.user_id_.assign(
-      reinterpret_cast<const char*>(data.data()) + offset,
-      static_cast<std::size_t>(*id_length));
-  offset += *id_length;
+    std::string user_id, const Bytes& data, std::size_t offset,
+    const roadnet::RoadNetwork& net) {
   if (offset >= data.size()) return Truncated();
+  ContinuousPolicy policy;
+  policy.user_id_ = std::move(user_id);
   policy.algorithm_ = static_cast<Algorithm>(data[offset++]);
+  if (FindAlgorithm(policy.algorithm_) == nullptr) {
+    return Status::InvalidArgument("policy blob: unknown algorithm id");
+  }
   const auto num_levels = GetVarint(data, &offset);
   if (!num_levels) return Truncated();
   std::vector<LevelRequirement> levels;
@@ -163,12 +148,17 @@ StatusOr<ContinuousPolicy> ContinuousPolicy::Deserialize(
   const auto throttle_s = GetDouble(data, &offset);
   const auto epoch = GetVarint(data, &offset);
   if (!validity_level || !throttle_s || !epoch) return Truncated();
+  if (*validity_level >
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    return Status::DataLoss("policy blob: validity level out of range");
+  }
   policy.options_.validity_level = static_cast<int>(*validity_level);
   policy.options_.min_recloak_interval_s = *throttle_s;
   policy.epoch_ = *epoch;
   if (offset >= data.size()) return Truncated();
   if (data[offset++] != 0) {
     const auto artifact_size = GetVarint(data, &offset);
+    // Subtract-side compare: a hostile length near 2^64 must not wrap.
     if (!artifact_size || *artifact_size > data.size() - offset) {
       return Truncated();
     }
@@ -189,7 +179,7 @@ StatusOr<ContinuousPolicy> ContinuousPolicy::Deserialize(
       const auto raw = GetVarint(data, &offset);
       if (!raw) return Truncated();
       const roadnet::SegmentId sid{static_cast<std::uint32_t>(*raw)};
-      if (!net.IsValid(sid)) {
+      if (*raw != roadnet::Index(sid) || !net.IsValid(sid)) {
         return Status::DataLoss(
             "policy blob: validity region references unknown segment");
       }
@@ -202,21 +192,20 @@ StatusOr<ContinuousPolicy> ContinuousPolicy::Deserialize(
   const auto recloaks = GetVarint(data, &offset);
   const auto throttled = GetVarint(data, &offset);
   const auto last_recloak_s = GetDouble(data, &offset);
-  const auto sample_count = GetVarint(data, &offset);
+  const auto validity_total_s = GetDouble(data, &offset);
   if (!created_s || !updates || !recloaks || !throttled || !last_recloak_s ||
-      !sample_count) {
+      !validity_total_s) {
     return Truncated();
+  }
+  if (offset != data.size()) {
+    return Status::DataLoss("policy blob: trailing bytes");
   }
   policy.artifact_created_s_ = *created_s;
   policy.stats_.updates = *updates;
   policy.stats_.recloaks = *recloaks;
   policy.stats_.throttled_stale = *throttled;
   policy.stats_.last_recloak_time_s = *last_recloak_s;
-  for (std::uint64_t i = 0; i < *sample_count; ++i) {
-    const auto sample = GetDouble(data, &offset);
-    if (!sample) return Truncated();
-    policy.stats_.validity_duration_s.Add(*sample);
-  }
+  policy.stats_.validity_duration_total_s = *validity_total_s;
   return policy;
 }
 
@@ -235,7 +224,6 @@ std::size_t ContinuousPolicy::MemoryFootprint() const noexcept {
     bytes += artifact_->region_segments.capacity() * sizeof(SegmentId);
   }
   if (validity_region_) bytes += validity_region_->memory_bytes();
-  bytes += stats_.validity_duration_s.count() * sizeof(double);
   return bytes;
 }
 

@@ -28,7 +28,6 @@
 #include "core/cloak_region.h"
 #include "core/privacy_profile.h"
 #include "util/bytes.h"
-#include "util/stats.h"
 
 namespace rcloak::core {
 
@@ -46,7 +45,17 @@ struct ContinuousStats {
   std::uint64_t recloaks = 0;
   std::uint64_t throttled_stale = 0;  // stale but within throttle window
   double last_recloak_time_s = 0.0;
-  Samples validity_duration_s;
+  // Summed lifetime of every superseded artifact (one per re-cloak after
+  // the first): a running total, so the session state stays the same size
+  // however many times it re-cloaks.
+  double validity_duration_total_s = 0.0;
+
+  // Mean lifetime of a superseded artifact; 0 before the second re-cloak.
+  double mean_validity_duration_s() const noexcept {
+    return recloaks > 1 ? validity_duration_total_s /
+                              static_cast<double>(recloaks - 1)
+                        : 0.0;
+  }
 };
 
 // Compact validity region: the sorted segment-id set of the level region
@@ -131,19 +140,25 @@ class ContinuousPolicy {
                      std::shared_ptr<const CloakedArtifact> artifact,
                      ValidityRegion validity_region);
 
-  // Spill/restore: serializes the complete session state — identity,
+  // Spill/restore: appends the complete session state — algorithm,
   // profile, options, epoch counter, artifact in force, validity region,
-  // clocks and statistics — so an idle session can leave memory and a
-  // returning user resumes its epoch chain bit-for-bit (the restored
+  // clocks and statistics — to `out`, so an idle session can leave memory
+  // and a returning user resumes its epoch chain bit-for-bit (the restored
   // policy's decision and artifact sequence is byte-identical to one that
-  // never left; pinned in tests/session_pool_test.cc). Key material is
-  // deliberately NOT serialized: the caller re-supplies its KeyProvider on
-  // restore.
-  Bytes Serialize() const;
+  // never left; pinned in tests/session_pool_test.cc). The bytes carry no
+  // version and no user id: they are the tail of a spill record, whose
+  // file header holds the format version and whose payload holds the
+  // name. Key material is deliberately NOT serialized: the caller
+  // re-supplies its KeyProvider on restore.
+  void Serialize(Bytes& out) const;
+  // Parses data[offset, end) — the policy bytes must run to the end of
+  // `data` — in place. `user_id` is the name the spill record stores.
   // `net` rebuilds the validity region (regions are stored as segment
-  // lists) and must be the network the artifact was cut on.
+  // lists) and must be the network the artifact was cut on. Truncation,
+  // trailing bytes and an unknown algorithm id all fail with a Status.
   static StatusOr<ContinuousPolicy> Deserialize(
-      const Bytes& data, const roadnet::RoadNetwork& net);
+      std::string user_id, const Bytes& data, std::size_t offset,
+      const roadnet::RoadNetwork& net);
 
   const std::string& user_id() const noexcept { return user_id_; }
   const PrivacyProfile& profile() const noexcept { return profile_; }
@@ -160,7 +175,7 @@ class ContinuousPolicy {
   const ContinuousStats& stats() const noexcept { return stats_; }
 
   // Approximate heap footprint of the session state this policy retains —
-  // identity, profile, artifact in force, validity region, stats samples.
+  // identity, profile, artifact in force, validity region.
   // An estimate for the session pool's memory-budget accounting, not
   // malloc truth.
   std::size_t MemoryFootprint() const noexcept;

@@ -148,7 +148,7 @@ Bytes AuthTag(const Bytes& secret, const Bytes& nonce,
 
 // Stable 64-bit ownership token for a principal (first 8 bytes of
 // SHA-256, little-endian, never 0 for a non-empty principal). Sessions
-// and spill envelopes carry this token, not the principal string; 0 means
+// and spill records carry this token, not the principal string; 0 means
 // "unowned" (open mode).
 std::uint64_t PrincipalToken(std::string_view principal);
 

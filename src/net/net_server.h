@@ -17,9 +17,10 @@
 //   * Per-tick batch formation, per loop. One PollOnce round drains every
 //     readable connection on that loop; every POSITION_UPDATE decoded in
 //     the round is accumulated and handed to the pool as ONE UpdateBatch
-//     call on the id path. N loops drive the pool's sharded/work-stealing
-//     machinery concurrently — the pool's shard locks and per-user
-//     determinism make the concurrent batches safe and byte-exact.
+//     call on the id path. N loops drive the pool concurrently, and its
+//     re-cloaks share the server's one job queue — the pool's shard locks
+//     and per-user determinism make the concurrent batches safe and
+//     byte-exact.
 //   * Allocation-free decode on the steady path: the decoded user id is a
 //     view into the frame payload, interned once (UserIdOf is a shared-
 //     lock find), and the update travels as IdPositionUpdate — no

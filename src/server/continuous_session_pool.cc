@@ -5,7 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/algorithm.h"
 #include "util/stopwatch.h"
 
 namespace rcloak::server {
@@ -14,98 +13,21 @@ using core::ContinuousPolicy;
 
 namespace {
 
-// Spill envelope: the pool-level session fields around the policy blob.
-// v2 (the cold tier) binds every blob to the map and algorithm it was cut
-// under — spill files persist across runs, so a version byte alone is not
-// enough to trust a record. v3 adds the owner principal token right after
-// the algorithm byte, so adopting a spilled session requires the same
-// principal that spilled it; v2 records still decode, as "unowned".
+// Spill record: the state bytes of one store::SpillFile record. The file
+// header already holds the format version and the map fingerprint, and
+// the record payload holds the user's name, so the state writes neither:
 //
-//   u8 version | u64le map fingerprint | u8 algorithm |
-//   [v3: u64le owner token] |
-//   varint blob size | policy blob | u64le clock bits | varint segment
-constexpr std::uint8_t kSpillEnvelopeVersion = 3;
-constexpr std::uint8_t kSpillEnvelopeVersionV2 = 2;
+//   u64le owner | f64 last_update_s | varint last_segment | policy bytes
+//
+// The owner token sits at offset 0, so ownership checks read 8 bytes and
+// never parse the policy.
+constexpr std::size_t kOwnerBytes = 8;
+// Compaction waits until the file holds at least this many bytes.
+constexpr std::uint64_t kSpillCompactMinBytes = 1 << 20;
 
-Bytes EncodeSpillEnvelope(const Bytes& policy_blob, double last_update_s,
-                          roadnet::SegmentId last_segment,
-                          std::uint64_t map_fingerprint,
-                          core::Algorithm algorithm, std::uint64_t owner) {
-  Bytes out;
-  out.push_back(kSpillEnvelopeVersion);
-  PutU64le(out, map_fingerprint);
-  out.push_back(static_cast<std::uint8_t>(algorithm));
-  PutU64le(out, owner);
-  PutVarint(out, policy_blob.size());
-  out.insert(out.end(), policy_blob.begin(), policy_blob.end());
-  PutU64le(out, std::bit_cast<std::uint64_t>(last_update_s));
-  PutVarint(out, roadnet::Index(last_segment));
-  return out;
-}
-
-struct SpillEnvelope {
-  std::uint64_t map_fingerprint = 0;
-  std::uint8_t algorithm = 0;
-  std::uint64_t owner = 0;  // 0 = unowned (every v2 record)
-  Bytes policy_blob;
-  double last_update_s = 0.0;
-  roadnet::SegmentId last_segment = roadnet::kInvalidSegment;
-};
-
-StatusOr<SpillEnvelope> DecodeSpillEnvelope(const Bytes& data) {
-  SpillEnvelope envelope;
+StatusOr<std::uint64_t> SpillRecordOwner(const Bytes& state) {
   std::size_t offset = 0;
-  if (data.empty() || (data[0] != kSpillEnvelopeVersion &&
-                       data[0] != kSpillEnvelopeVersionV2)) {
-    return Status::InvalidArgument(
-        "spilled session: unsupported envelope version");
-  }
-  const std::uint8_t version = data[offset++];
-  const auto fingerprint = GetU64le(data, &offset);
-  if (!fingerprint || offset >= data.size()) {
-    return Status::DataLoss("spilled session truncated");
-  }
-  envelope.map_fingerprint = *fingerprint;
-  envelope.algorithm = data[offset++];
-  if (version >= kSpillEnvelopeVersion) {
-    const auto owner = GetU64le(data, &offset);
-    if (!owner) return Status::DataLoss("spilled session truncated");
-    envelope.owner = *owner;
-  }
-  const auto blob_size = GetVarint(data, &offset);
-  // Subtract-side compare: a hostile length near 2^64 must not wrap.
-  if (!blob_size || *blob_size > data.size() - offset) {
-    return Status::DataLoss("spilled session truncated");
-  }
-  envelope.policy_blob.assign(
-      data.begin() + static_cast<std::ptrdiff_t>(offset),
-      data.begin() + static_cast<std::ptrdiff_t>(offset + *blob_size));
-  offset += *blob_size;
-  const auto clock_bits = GetU64le(data, &offset);
-  const auto segment = GetVarint(data, &offset);
-  if (!clock_bits || !segment) {
-    return Status::DataLoss("spilled session truncated");
-  }
-  envelope.last_update_s = std::bit_cast<double>(*clock_bits);
-  envelope.last_segment =
-      roadnet::SegmentId{static_cast<std::uint32_t>(*segment)};
-  return envelope;
-}
-
-// Owner-token prefix read: version | fingerprint | algorithm | owner is a
-// fixed-width header, so ownership checks on spilled records never parse
-// (or copy) the policy blob.
-StatusOr<std::uint64_t> DecodeSpillOwner(const Bytes& data) {
-  std::size_t offset = 0;
-  if (data.empty() || (data[0] != kSpillEnvelopeVersion &&
-                       data[0] != kSpillEnvelopeVersionV2)) {
-    return Status::InvalidArgument(
-        "spilled session: unsupported envelope version");
-  }
-  const std::uint8_t version = data[offset++];
-  if (version < kSpillEnvelopeVersion) return std::uint64_t{0};
-  offset += 8 + 1;  // fingerprint + algorithm
-  const auto owner = GetU64le(data, &offset);
+  const auto owner = GetU64le(state, &offset);
   if (!owner) return Status::DataLoss("spilled session truncated");
   return *owner;
 }
@@ -114,9 +36,7 @@ StatusOr<std::uint64_t> DecodeSpillOwner(const Bytes& data) {
 
 ContinuousSessionPool::ContinuousSessionPool(AnonymizationServer& server,
                                              const SessionPoolOptions& options)
-    : server_(&server),
-      options_(options),
-      map_fingerprint_(server.engine().context()->fingerprint()) {
+    : server_(&server), options_(options) {
   const int shards =
       options.num_shards > 0 ? options.num_shards : server.num_workers();
   const std::size_t segments = server.engine().network().segment_count();
@@ -136,11 +56,13 @@ std::size_t ContinuousSessionPool::SessionFootprint(const Session& session) {
   return session.policy.MemoryFootprint() + sizeof(KeyProvider);
 }
 
-Bytes ContinuousSessionPool::EnvelopeOf(const Session& session) const {
-  return EncodeSpillEnvelope(session.policy.Serialize(),
-                             session.last_update_s, session.last_segment,
-                             map_fingerprint_, session.policy.algorithm(),
-                             session.owner);
+Bytes ContinuousSessionPool::SpillRecordOf(const Session& session) {
+  Bytes out;
+  PutU64le(out, session.owner);
+  PutU64le(out, std::bit_cast<std::uint64_t>(session.last_update_s));
+  PutVarint(out, roadnet::Index(session.last_segment));
+  session.policy.Serialize(out);
+  return out;
 }
 
 std::pair<ContinuousSessionPool::Session*, bool>
@@ -246,21 +168,6 @@ std::size_t ContinuousSessionPool::EvictIdle(double now_s, double idle_s) {
   return evicted;
 }
 
-Status ContinuousSessionPool::ValidateEnvelopeHeader(
-    std::uint64_t map_fingerprint, std::uint8_t algorithm) const {
-  if (map_fingerprint != map_fingerprint_) {
-    return Status::InvalidArgument(
-        "restore: map fingerprint mismatch (the blob was cloaked on a "
-        "different road network)");
-  }
-  if (core::FindAlgorithm(static_cast<core::Algorithm>(algorithm)) ==
-      nullptr) {
-    return Status::InvalidArgument(
-        "restore: unknown algorithm id in spilled session");
-  }
-  return Status::Ok();
-}
-
 // ---- cold tier ------------------------------------------------------------
 
 Status ContinuousSessionPool::AttachSpillFile(const std::string& path) {
@@ -268,7 +175,8 @@ Status ContinuousSessionPool::AttachSpillFile(const std::string& path) {
   if (spill_ != nullptr) {
     return Status::FailedPrecondition("spill file already attached");
   }
-  auto file = store::SpillFile::Attach(path, map_fingerprint_, interner_);
+  auto file = store::SpillFile::Attach(
+      path, server_->engine().context()->fingerprint(), interner_);
   if (!file.ok()) return file.status();
   spill_ = std::move(*file);
   return Status::Ok();
@@ -302,17 +210,19 @@ StatusOr<ContinuousSessionPool::UserState> ContinuousSessionPool::StateOf(
     }
   }
   if (spill_ != nullptr) {
-    auto blob = spill_->ReadRecord(user);
-    if (blob.ok()) {
+    auto record = spill_->ReadRecord(user);
+    if (record.ok()) {
       RCLOAK_ASSIGN_OR_RETURN(const std::uint64_t owner,
-                              DecodeSpillOwner(*blob));
+                              SpillRecordOwner(*record));
       if (owner != 0 && owner != principal) {
         return Status::PermissionDenied(
             "user is owned by a different principal");
       }
       return UserState::kSpilled;
     }
-    if (blob.status().code() != ErrorCode::kNotFound) return blob.status();
+    if (record.status().code() != ErrorCode::kNotFound) {
+      return record.status();
+    }
   }
   return UserState::kUntracked;
 }
@@ -329,33 +239,37 @@ ContinuousSessionPool::RestoreFromSpill(util::UserId user,
     return status;
   };
   Stopwatch timer;
-  auto blob = spill_->ReadRecord(user);
-  if (!blob.ok()) {
-    if (blob.status().code() == ErrorCode::kNotFound) return blob.status();
-    return fail(blob.status());
+  auto record = spill_->ReadRecord(user);
+  if (!record.ok()) {
+    if (record.status().code() == ErrorCode::kNotFound) return record.status();
+    return fail(record.status());
   }
-  auto envelope = DecodeSpillEnvelope(*blob);
-  if (!envelope.ok()) return fail(envelope.status());
-  if (Status valid = ValidateEnvelopeHeader(envelope->map_fingerprint,
-                                            envelope->algorithm);
-      !valid.ok()) {
-    return fail(std::move(valid));
-  }
-  auto policy = ContinuousPolicy::Deserialize(envelope->policy_blob,
-                                              server_->engine().network());
-  if (!policy.ok()) return fail(policy.status());
-  // Ownership gate: an envelope carrying a different principal's owner is
-  // never adopted into this caller's batch — the spilled state stays put
-  // (v2 envelopes decode as owner 0 = unowned, so pre-auth spill files
-  // restore for everyone, matching their open-mode provenance).
-  if (enforce_owner && envelope->owner != 0 &&
-      envelope->owner != principal) {
+  auto owner = SpillRecordOwner(*record);
+  if (!owner.ok()) return fail(owner.status());
+  // Ownership gate, before the policy is parsed: a record carrying a
+  // different principal's owner is never adopted into this caller's batch —
+  // the spilled state stays put.
+  if (enforce_owner && *owner != 0 && *owner != principal) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     ++shard.ownership_rejected;
     return Status::PermissionDenied(
         "user is owned by a different principal: " +
         interner_.NameCopyOf(user));
   }
+  std::size_t offset = kOwnerBytes;
+  const auto clock_bits = GetU64le(*record, &offset);
+  const auto segment = GetVarint(*record, &offset);
+  if (!clock_bits || !segment) {
+    return fail(Status::DataLoss("spilled session truncated"));
+  }
+  const roadnet::SegmentId last_segment{static_cast<std::uint32_t>(*segment)};
+  if (*segment != roadnet::Index(last_segment)) {
+    return fail(Status::DataLoss("spilled session: segment id out of range"));
+  }
+  auto policy =
+      ContinuousPolicy::Deserialize(interner_.NameCopyOf(user), *record,
+                                    offset, server_->engine().network());
+  if (!policy.ok()) return fail(policy.status());
   // Key source: the provider parked at budget-spill time, else the
   // configured factory (the only option for files attached cross-run).
   KeyProvider provider;
@@ -371,9 +285,9 @@ ContinuousSessionPool::RestoreFromSpill(util::UserId user,
   }
   if (!provider) return fail(Status::NotFound("restore: no key source"));
   Session session(std::move(*policy), std::move(provider));
-  session.owner = envelope->owner;
-  session.last_update_s = envelope->last_update_s;
-  session.last_segment = envelope->last_segment;
+  session.owner = *owner;
+  session.last_update_s = std::bit_cast<double>(*clock_bits);
+  session.last_segment = last_segment;
   {
     std::lock_guard<std::mutex> lock(latency_mutex_);
     restore_latency_ms_.Add(timer.ElapsedMillis());
@@ -386,7 +300,7 @@ Status ContinuousSessionPool::SpillVictimsLocked(
   std::vector<store::SpillFile::Record> batch;
   batch.reserve(victims.size());
   for (const util::UserId id : victims) {
-    batch.push_back({id, EnvelopeOf(*shard.sessions.Find(id))});
+    batch.push_back({id, SpillRecordOf(*shard.sessions.Find(id))});
   }
   RCLOAK_RETURN_IF_ERROR(spill_->AppendBatch(batch));
   for (const util::UserId id : victims) {
@@ -452,7 +366,7 @@ void ContinuousSessionPool::MaybeSweep() {
 bool ContinuousSessionPool::CompactionDue() const {
   if (spill_ == nullptr) return false;
   const store::SpillFileStats stats = spill_->stats();
-  if (stats.file_bytes < options_.spill_compact_min_bytes) return false;
+  if (stats.file_bytes < kSpillCompactMinBytes) return false;
   return static_cast<double>(stats.dead_bytes) >
          options_.spill_compact_dead_fraction *
              static_cast<double>(stats.file_bytes);
@@ -524,7 +438,7 @@ StatusOr<std::size_t> ContinuousSessionPool::RestoreAllFromFile() {
   std::size_t restored = 0;
   for (const util::UserId user : spill_->LiveUsers()) {
     // Warm-boot tooling restores every record regardless of owner (the
-    // envelope's owner survives onto the session, so the ownership gate
+    // record's owner survives onto the session, so the ownership gate
     // still holds for subsequent updates).
     auto session = RestoreFromSpill(user, /*principal=*/0,
                                     /*enforce_owner=*/false);
@@ -546,13 +460,13 @@ StatusOr<std::size_t> ContinuousSessionPool::OwnedSpillRecords() const {
   std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   std::size_t owned = 0;
   for (const util::UserId user : spill_->LiveUsers()) {
-    auto blob = spill_->ReadRecord(user);
-    if (!blob.ok()) {
-      if (blob.status().code() == ErrorCode::kNotFound) continue;
-      return blob.status();
+    auto record = spill_->ReadRecord(user);
+    if (!record.ok()) {
+      if (record.status().code() == ErrorCode::kNotFound) continue;
+      return record.status();
     }
     RCLOAK_ASSIGN_OR_RETURN(const std::uint64_t owner,
-                            DecodeSpillOwner(*blob));
+                            SpillRecordOwner(*record));
     if (owner != 0) ++owned;
   }
   return owned;

@@ -64,9 +64,8 @@ struct SessionPoolOptions {
   // Sessions examined per clock-sweep step (one shard visit each).
   std::size_t sweep_batch = 256;
   // Spill-file compaction triggers after a batch once dead bytes exceed
-  // this fraction of the file and the file passed the minimum size.
+  // this fraction of the file and the file holds at least 1 MiB.
   double spill_compact_dead_fraction = 0.5;
-  std::uint64_t spill_compact_min_bytes = 1 << 20;
   // Re-derives the key schedule for sessions restored on miss. When set,
   // budget spills do not park providers in memory (the factory is the
   // source of truth — required for spill files attached from an earlier
@@ -226,11 +225,10 @@ class ContinuousSessionPool {
   StatusOr<UserState> StateOf(util::UserId user,
                               std::uint64_t principal) const;
 
-  // How many live spill records carry a non-zero owner token (v3
-  // envelopes; v2 records read as unowned). Tooling gate: serving an
-  // owner-bound file in open mode would let any client adopt those
-  // sessions, so `rcloak_tool serve --spill` refuses when this is > 0 and
-  // no secret is configured.
+  // How many live spill records carry a non-zero owner token. Tooling
+  // gate: serving an owner-bound file in open mode would let any client
+  // adopt those sessions, so `rcloak_tool serve --spill` refuses when this
+  // is > 0 and no secret is configured.
   StatusOr<std::size_t> OwnedSpillRecords() const;
 
   // Writes every resident session to the spill file regardless of budget
@@ -315,7 +313,7 @@ class ContinuousSessionPool {
     core::ContinuousPolicy policy;
     KeyProvider key_provider;
     // Principal that owns this session (0 = unowned). Bound at Track time,
-    // carried through spill envelopes (v3), claimed by the first non-zero
+    // carried through spill records, claimed by the first non-zero
     // principal to update an unowned session.
     std::uint64_t owner = 0;
     double last_update_s = 0.0;
@@ -445,19 +443,19 @@ class ContinuousSessionPool {
   // plus provider storage. The struct itself rides in the shard table.
   static std::size_t SessionFootprint(const Session& session);
 
-  // The spill envelope of one session (policy blob, clocks, owner).
-  Bytes EnvelopeOf(const Session& session) const;
+  // The spill record of one session: owner, clocks, policy bytes.
+  static Bytes SpillRecordOf(const Session& session);
 
   // Reads, validates and deserializes one spill record with no shard lock
   // held, and hands back the session to insert: policy, key provider
   // (parked or from the factory), clocks and owner. The caller inserts it
   // with InsertLocked in the same critical section that uses it, so no
-  // sweep can take it in between. PermissionDenied means the envelope is
+  // sweep can take it in between. PermissionDenied means the record is
   // owned by a different principal and was left untouched (counted in
   // ownership_rejected); any other error is a miss (no record, or rot / no
   // key source, counted in restore_failures). `enforce_owner` false
   // bypasses the ownership gate (warm-boot tooling via RestoreAllFromFile —
-  // the restored session still carries its envelope owner).
+  // the restored session still carries its record's owner).
   StatusOr<Session> RestoreFromSpill(util::UserId user,
                                      std::uint64_t principal,
                                      bool enforce_owner);
@@ -470,7 +468,7 @@ class ContinuousSessionPool {
   // sessions, spilling the cold ones in one batched append. Returns
   // sessions visited.
   std::size_t SweepStep(std::size_t quota);
-  // Requires shard.mutex. Appends the victims' envelopes in one batch and,
+  // Requires shard.mutex. Appends the victims' records in one batch and,
   // once it landed, unlinks them (parking their key providers unless the
   // factory re-derives keys). On failure every victim stays resident.
   Status SpillVictimsLocked(Shard& shard,
@@ -484,14 +482,8 @@ class ContinuousSessionPool {
   // the rest.
   Status CompactColdTierLocked();
 
-  // Envelope pre-checks against this pool's context (satellite of the
-  // cross-run spill story: a version byte alone is not enough).
-  Status ValidateEnvelopeHeader(std::uint64_t map_fingerprint,
-                                std::uint8_t algorithm) const;
-
   AnonymizationServer* server_;
   SessionPoolOptions options_;
-  std::uint64_t map_fingerprint_ = 0;
   util::StringInterner interner_;
   std::vector<std::unique_ptr<Shard>> shards_;
 

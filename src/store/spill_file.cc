@@ -13,7 +13,9 @@ namespace rcloak::store {
 namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'S', 'F'};
-constexpr std::uint8_t kFormatVersion = 1;
+// The only format version of a spill file, its records' state bytes
+// included: bump it on any layout change of either.
+constexpr std::uint8_t kFormatVersion = 2;
 constexpr std::uint64_t kHeaderSize = 4 + 1 + 8;
 constexpr std::uint64_t kRecordHeader = 4 + 8;  // payload_len + checksum
 // A length prefix beyond this is corruption, not a record: nothing after
@@ -116,9 +118,15 @@ StatusOr<std::unique_ptr<SpillFile>> SpillFile::Attach(
   Bytes header(kHeaderSize);
   const ssize_t got = FullPRead(fd, header.data(), header.size(), 0);
   if (got < static_cast<ssize_t>(kHeaderSize) ||
-      std::memcmp(header.data(), kMagic, 4) != 0 ||
-      header[4] != kFormatVersion) {
-    return Status::DataLoss("spill file: bad magic/version in " + file->path_);
+      std::memcmp(header.data(), kMagic, 4) != 0) {
+    return Status::DataLoss("spill file: bad magic in " + file->path_);
+  }
+  if (header[4] != kFormatVersion) {
+    // Refused before the scan, so the file is left exactly as it was.
+    return Status::FailedPrecondition(
+        "spill file: format version " + std::to_string(header[4]) +
+        " is not supported (this build reads version " +
+        std::to_string(kFormatVersion) + "): " + file->path_);
   }
   std::size_t offset = 5;
   const auto fingerprint = GetU64le(header, &offset);

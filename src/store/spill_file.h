@@ -3,9 +3,13 @@
 //
 // On-disk layout (all integers little-endian):
 //
-//   header   "RCSF" | u8 version (=1) | u64 map fingerprint
+//   header   "RCSF" | u8 version (=2) | u64 map fingerprint
 //   record   u32 payload_len | u64 fnv1a64(payload) | payload
 //   payload  varint name_len | name bytes | varint state_len | state bytes
+//
+// The header's version is the only format version: it covers the state
+// bytes too (server/continuous_session_pool.cc writes them), and Attach
+// refuses a file of any other version without touching it.
 //
 // Records are group-appended — one write per eviction sweep — and indexed
 // in memory by interned UserId → {offset, length}. A later record for the
@@ -62,8 +66,9 @@ class SpillFile {
   // scanning its records into the index. An existing file whose header
   // fingerprint differs from `map_fingerprint` is refused with
   // InvalidArgument — a spill file is bound to the map its sessions were
-  // cloaked on. `interner` must outlive the SpillFile; scanned names are
-  // interned through it.
+  // cloaked on — and one of another format version with
+  // FailedPrecondition. `interner` must outlive the SpillFile; scanned
+  // names are interned through it.
   static StatusOr<std::unique_ptr<SpillFile>> Attach(
       std::string path, std::uint64_t map_fingerprint,
       util::StringInterner& interner);

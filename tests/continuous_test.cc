@@ -175,5 +175,80 @@ TEST(ContinuousCloakTest, SimulatedTrajectoryEndToEnd) {
   EXPECT_LE(continuous.stats().recloaks, continuous.stats().updates);
 }
 
+std::size_t VarintBytes(std::uint64_t value) {
+  Bytes out;
+  PutVarint(out, value);
+  return out.size();
+}
+
+// A long-running session's state must not grow with its re-cloak count:
+// after 200 and after 2,000 commits of the same artifact and region, the
+// footprint is identical and the serialized state differs by at most the
+// varint growth of its counters. The validity statistics are a running
+// total whose mean matches one computed by hand over the committed
+// durations, and the state survives a Serialize/Deserialize round trip.
+TEST(ContinuousPolicyTest, StateStaysBoundedAcrossCommits) {
+  const RoadNetwork net = roadnet::MakeGrid({12, 12, 100.0});
+  Anonymizer anonymizer(net, OnePerSegment(net));
+  const PrivacyProfile profile({{6, 3, 1e9}, {20, 6, 1e9}});
+  AnonymizeRequest request;
+  request.origin = SegmentId{60};
+  request.profile = profile;
+  request.algorithm = Algorithm::kRge;
+  request.context = "dora/epoch-1";
+  auto result = anonymizer.Anonymize(request, crypto::KeyChain::FromSeed(5, 2));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const auto artifact =
+      std::make_shared<const CloakedArtifact>(std::move(result->artifact));
+  const ValidityRegion region(artifact->region_segments);
+
+  ContinuousPolicy policy("dora", profile, Algorithm::kRge);
+  struct Snapshot {
+    std::size_t footprint = 0;
+    std::size_t serialized = 0;
+    std::size_t counter_bytes = 0;
+  };
+  const auto snapshot = [&policy] {
+    Bytes state;
+    policy.Serialize(state);
+    return Snapshot{policy.MemoryFootprint(), state.size(),
+                    VarintBytes(policy.epoch()) +
+                        VarintBytes(policy.stats().updates) +
+                        VarintBytes(policy.stats().recloaks) +
+                        VarintBytes(policy.stats().throttled_stale)};
+  };
+  // Irregular commit times, so the durations differ from one another.
+  const auto commit_time = [](int i) { return 1.5 * i + 0.25 * (i % 7); };
+  double hand_sum = 0.0;
+  Snapshot at_200;
+  for (int i = 0; i < 2000; ++i) {
+    if (i > 0) hand_sum += commit_time(i) - commit_time(i - 1);
+    policy.CommitRecloak(commit_time(i), artifact, region);
+    if (i + 1 == 200) at_200 = snapshot();
+  }
+  const Snapshot at_2000 = snapshot();
+  EXPECT_EQ(at_2000.footprint, at_200.footprint);
+  EXPECT_LE(at_2000.serialized - at_200.serialized,
+            at_2000.counter_bytes - at_200.counter_bytes);
+
+  ASSERT_EQ(policy.stats().recloaks, 2000u);
+  EXPECT_EQ(policy.stats().mean_validity_duration_s(), hand_sum / 1999.0);
+  EXPECT_NEAR(policy.stats().mean_validity_duration_s(),
+              (commit_time(1999) - commit_time(0)) / 1999.0, 1e-9);
+
+  Bytes state;
+  policy.Serialize(state);
+  const auto restored = ContinuousPolicy::Deserialize("dora", state, 0, net);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->user_id(), "dora");
+  EXPECT_EQ(restored->epoch(), policy.epoch());
+  EXPECT_EQ(restored->stats().mean_validity_duration_s(),
+            policy.stats().mean_validity_duration_s());
+  EXPECT_EQ(EncodeArtifact(*restored->artifact()), EncodeArtifact(*artifact));
+  Bytes again;
+  restored->Serialize(again);
+  EXPECT_EQ(again, state);
+}
+
 }  // namespace
 }  // namespace rcloak::core

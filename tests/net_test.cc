@@ -407,7 +407,8 @@ TEST(NetServerTest, OutOfRangeSegmentGetsErrorReply) {
   ASSERT_TRUE(client->Hello().ok());
 
   client->QueuePositionUpdate(1, "eve", 0.0,
-                              SegmentId{net.segment_count() + 5});
+                              SegmentId{static_cast<std::uint32_t>(
+                                  net.segment_count() + 5)});
   ASSERT_TRUE(client->Flush().ok());
   const auto reply = client->ReadArtifactReply();
   EXPECT_FALSE(reply.ok());
@@ -455,8 +456,9 @@ TEST(NetServerTest, WireArtifactsByteIdenticalToDirectPool) {
   constexpr int kTicks = 10;
   constexpr std::uint32_t kUsers = kConns * kUsersPerConn;
   const auto position = [&net](std::uint32_t user, int tick) {
-    return SegmentId{(user * 7 + static_cast<std::uint32_t>(tick) * 13) %
-                     net.segment_count()};
+    return SegmentId{static_cast<std::uint32_t>(
+        (user * 7 + static_cast<std::uint32_t>(tick) * 13) %
+        net.segment_count())};
   };
   const auto name = [](std::uint32_t user) {
     return "u" + std::to_string(user);
@@ -793,8 +795,8 @@ TEST(NetServerTest, SpilledUserAdoptedOnReconnect) {
   std::remove(spill_path.c_str());
   const net::NetServerOptions defaults;
   const auto position = [&net](int t) {
-    return SegmentId{(7u + static_cast<std::uint32_t>(t) * 13u) %
-                     net.segment_count()};
+    return SegmentId{static_cast<std::uint32_t>(
+        (7u + static_cast<std::uint32_t>(t) * 13u) % net.segment_count())};
   };
 
   // Cold-tier rig: the pool gets a spill file and a key factory matching
@@ -1325,8 +1327,8 @@ TEST(NetServerTest, ForeignPrincipalCannotUpdateOrAdoptOwnedUser) {
   const Bytes secret{'f', 'l', 'e', 'e', 't'};
   const net::NetServerOptions defaults;
   const auto position = [&net](int t) {
-    return SegmentId{(7u + static_cast<std::uint32_t>(t) * 13u) %
-                     net.segment_count()};
+    return SegmentId{static_cast<std::uint32_t>(
+        (7u + static_cast<std::uint32_t>(t) * 13u) % net.segment_count())};
   };
 
   const auto ctx = core::MapContext::Create(net);
@@ -1493,7 +1495,7 @@ TEST(NetServerTest, PoolOwnershipGateCoversResidentAndFile) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(pool.stats().restored_on_miss, before_file + 1);
 
-  // The file now carries owner-bound v3 envelopes ("driver" is still
+  // The file now carries owner-bound records ("driver" is still
   // spilled) — exactly what tooling refuses to serve in open mode.
   const auto owned = pool.OwnedSpillRecords();
   ASSERT_TRUE(owned.ok()) << owned.status().ToString();

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <string>
@@ -746,67 +747,108 @@ TEST(SessionPoolTest, EvictWinsOverARestoreInFlight) {
   std::remove(path.c_str());
 }
 
-// Spill records are input from outside the program. A record that does
-// not decode, names an unknown algorithm, or was cut on another map (its
-// envelope fingerprint differs from the file header's) must fail closed on
-// both restore paths: no resident session, a counted restore failure, and
-// a NotFound answer to the update that tripped it. The tampered copies
-// supersede the good ones the way any later append does (last write wins).
+// Spill records are input from outside the program. Every prefix of a
+// real record (shorter than its 8-byte owner token included), a record
+// with trailing bytes and one naming an unknown algorithm must fail closed
+// on every path that reads it. Both restore paths count a restore failure
+// and leave no resident session; the update that tripped it reads
+// NotFound. The ownership reads (StateOf with a principal,
+// OwnedSpillRecords) read only the owner token: they return DataLoss once
+// it is cut, and otherwise the owner's answer. The tampered copy
+// supersedes the good one the way any later append does (last write wins).
 TEST(SessionPoolTest, TamperedSpillRecordsFailClosed) {
+  using State = ContinuousSessionPool::UserState;
   const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
   const auto ctx = core::MapContext::Create(net);
+  core::Anonymizer engine(ctx, OnePerSegment(net));
+  AnonymizationServer server(std::move(engine), {});
+  constexpr std::uint64_t kOwner = 42;
+  constexpr std::uint64_t kStranger = 7;
+  const std::string good_path = "session_pool_tamper_good.rcsf";
   const std::string path = "session_pool_tamper_test.rcsf";
+  const auto make_pool = [&](const std::string& file) {
+    server::SessionPoolOptions options;
+    options.key_provider_factory = CarKeys;
+    auto pool = std::make_unique<ContinuousSessionPool>(server, options);
+    EXPECT_TRUE(pool->AttachSpillFile(file).ok());
+    return pool;
+  };
+  std::remove(good_path.c_str());
+  {
+    auto pool = make_pool(good_path);
+    const auto car0 = pool->Track("car0", FleetProfile(), Algorithm::kRge,
+                                  CarKeys("car0"), FleetOptions(), 0.0, kOwner);
+    ASSERT_TRUE(car0.ok());
+    ASSERT_TRUE(
+        pool->UpdateBatch({{*car0, 1.0, SegmentId{7}, kOwner}})[0].ok());
+    ASSERT_EQ(*pool->SpillAllToFile(), 1u);
+  }
+  Bytes good;
+  {
+    util::StringInterner interner;
+    auto file = store::SpillFile::Attach(good_path, ctx->fingerprint(),
+                                         interner);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    auto state = (*file)->ReadRecord(interner.Find("car0"));
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    good = std::move(*state);
+  }
+  // Record layout: u64 owner | f64 clock | varint segment (7: one byte) |
+  // u8 algorithm | ... — the algorithm byte is at offset 17.
+  constexpr std::size_t kAlgorithmOffset = 17;
+  ASSERT_GT(good.size(), kAlgorithmOffset);
+  ASSERT_EQ(good[kAlgorithmOffset], static_cast<std::uint8_t>(Algorithm::kRge));
+
   struct Tamper {
-    const char* what;
-    std::function<void(Bytes&)> apply;
+    std::string what;
+    Bytes state;
   };
-  // Envelope layout: u8 version | u64 map fingerprint | u8 algorithm | ...
-  const std::vector<Tamper> tampers = {
-      {"truncated", [](Bytes& state) { state.resize(state.size() / 2); }},
-      {"algorithm", [](Bytes& state) { state.at(9) = 0xEE; }},
-      {"fingerprint", [](Bytes& state) { state.at(1) ^= 0xFF; }},
-  };
+  std::vector<Tamper> tampers;
+  for (std::size_t size = 0; size < good.size(); ++size) {
+    const auto end = good.begin() + static_cast<std::ptrdiff_t>(size);
+    tampers.push_back({"prefix " + std::to_string(size),
+                       Bytes(good.begin(), end)});
+  }
+  tampers.push_back({"trailing byte", good});
+  tampers.back().state.push_back(0);
+  tampers.push_back({"algorithm", good});
+  tampers.back().state[kAlgorithmOffset] = 0xEE;
+
   for (const Tamper& tamper : tampers) {
     SCOPED_TRACE(tamper.what);
-    std::remove(path.c_str());
-    const auto make_pool = [&](AnonymizationServer& server) {
-      server::SessionPoolOptions options;
-      options.key_provider_factory = CarKeys;
-      auto pool = std::make_unique<ContinuousSessionPool>(server, options);
-      EXPECT_TRUE(pool->AttachSpillFile(path).ok());
-      return pool;
-    };
-    core::Anonymizer engine(ctx, OnePerSegment(net));
-    AnonymizationServer server(std::move(engine), {});
-    {
-      auto pool = make_pool(server);
-      for (const char* user : {"car0", "car1"}) {
-        ASSERT_TRUE(pool->Track(user, FleetProfile(), Algorithm::kRge,
-                                CarKeys(user), FleetOptions())
-                        .ok());
-        ASSERT_TRUE(Update(*pool, user, 1.0, SegmentId{7}).ok());
-      }
-      ASSERT_EQ(*pool->SpillAllToFile(), 2u);
-    }
+    std::filesystem::copy_file(
+        good_path, path, std::filesystem::copy_options::overwrite_existing);
     {
       util::StringInterner interner;
       auto file = store::SpillFile::Attach(path, ctx->fingerprint(), interner);
       ASSERT_TRUE(file.ok()) << file.status().ToString();
-      std::vector<store::SpillFile::Record> records;
-      for (const char* user : {"car0", "car1"}) {
-        const util::UserId id = interner.Find(user);
-        auto state = (*file)->ReadRecord(id);
-        ASSERT_TRUE(state.ok()) << state.status().ToString();
-        tamper.apply(*state);
-        records.push_back({id, std::move(*state)});
-      }
-      ASSERT_TRUE((*file)->AppendBatch(records).ok());
+      ASSERT_TRUE(
+          (*file)->AppendBatch({{interner.Find("car0"), tamper.state}}).ok());
     }
-
-    auto pool = make_pool(server);
+    auto pool = make_pool(path);
     const util::UserId car0 = IdOf(*pool, "car0");
-    ASSERT_EQ(pool->StateOf(car0), ContinuousSessionPool::UserState::kSpilled);
-    const auto missed = pool->UpdateBatch({{car0, 2.0, SegmentId{8}}});
+    ASSERT_EQ(pool->StateOf(car0), State::kSpilled);
+
+    // The ownership reads: DataLoss without a whole owner token, else the
+    // owner (kOwner) decides, whatever follows it.
+    const bool owner_cut = tamper.state.size() < 8;
+    const auto as_owner = pool->StateOf(car0, kOwner);
+    const auto as_stranger = pool->StateOf(car0, kStranger);
+    const auto owned = pool->OwnedSpillRecords();
+    if (owner_cut) {
+      EXPECT_EQ(as_owner.status().code(), ErrorCode::kDataLoss);
+      EXPECT_EQ(as_stranger.status().code(), ErrorCode::kDataLoss);
+      EXPECT_EQ(owned.status().code(), ErrorCode::kDataLoss);
+    } else {
+      ASSERT_TRUE(as_owner.ok()) << as_owner.status().ToString();
+      EXPECT_EQ(*as_owner, State::kSpilled);
+      EXPECT_EQ(as_stranger.status().code(), ErrorCode::kPermissionDenied);
+      ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+      EXPECT_EQ(*owned, 1u);
+    }
+    EXPECT_EQ(pool->session_count(), 0u);
+
+    const auto missed = pool->UpdateBatch({{car0, 2.0, SegmentId{8}, kOwner}});
     EXPECT_EQ(missed[0].status().code(), ErrorCode::kNotFound);
     auto stats = pool->stats();
     EXPECT_EQ(stats.restore_failures, 1u);
@@ -817,11 +859,12 @@ TEST(SessionPoolTest, TamperedSpillRecordsFailClosed) {
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     EXPECT_EQ(*restored, 0u);
     stats = pool->stats();
-    EXPECT_EQ(stats.restore_failures, 3u);
+    EXPECT_EQ(stats.restore_failures, 2u);
     EXPECT_EQ(stats.restored, 0u);
     EXPECT_EQ(pool->session_count(), 0u);
   }
   std::remove(path.c_str());
+  std::remove(good_path.c_str());
 }
 
 // Pins the incremental per-shard occupancy deltas (PR 6) to the original
@@ -861,8 +904,9 @@ TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
     std::vector<NamedUpdate> batch;
     for (std::uint32_t u = 0; u < kUsers; ++u) {
       batch.push_back({"car" + std::to_string(u), static_cast<double>(t),
-                       SegmentId{(u * 7 + static_cast<std::uint32_t>(t) * 13) %
-                                 net.segment_count()}});
+                       SegmentId{static_cast<std::uint32_t>(
+                           (u * 7 + static_cast<std::uint32_t>(t) * 13) %
+                           net.segment_count())}});
     }
     for (const auto& result : UpdateNamed(pool, batch)) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -122,6 +122,36 @@ TEST(SpillFileTest, FingerprintMismatchRejected) {
   std::remove(path.c_str());
 }
 
+// The header's version is the only format version of a spill file. A
+// version-1 file holding one record is refused with a message naming the
+// version, before the scan could truncate or index anything, and its bytes
+// stay exactly as they were.
+TEST(SpillFileTest, RefusesOlderFormatVersion) {
+  const std::string path = TempPath("old_version");
+  StringInterner interner;
+  {
+    auto file = SpillFile::Attach(path, kFingerprint, interner);
+    ASSERT_TRUE(file.ok());
+    const UserId u = interner.Intern("frank");
+    ASSERT_TRUE((*file)->AppendBatch({{u, State({3, 1, 4})}}).ok());
+  }
+  Bytes raw = ReadAll(path);
+  ASSERT_EQ(raw.size(), kFileHeader + kRecordHeader + 10);
+  raw[4] = 1;  // the version byte follows "RCSF"
+  WriteAll(path, raw);
+
+  StringInterner fresh;
+  const auto refused = SpillFile::Attach(path, kFingerprint, fresh);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("format version 1"),
+            std::string::npos)
+      << refused.status().ToString();
+  EXPECT_FALSE(fresh.Find("frank").valid());
+  EXPECT_EQ(ReadAll(path), raw);
+  std::remove(path.c_str());
+}
+
 TEST(SpillFileTest, TruncatedTailRecordIgnored) {
   const std::string path = TempPath("torntail");
   StringInterner interner;
