@@ -27,7 +27,9 @@
 //
 // The cold tier is scriptable end to end: `spill` drives a trace through a
 // session pool under the SAME profile/key schedule `serve` auto-tracks
-// with and writes every session to a batched spill file; `serve --spill`
+// with and writes every session to a batched spill file (a file that
+// already holds one of the trace's cars is refused: tracking the car
+// afresh would restart its epoch chain); `serve --spill`
 // attaches that file (a reconnecting user's updates then restore on miss,
 // and `--budget` caps the resident set); `restore` warm-boots a pool from
 // the file and reports what came back.

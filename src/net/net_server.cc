@@ -410,13 +410,6 @@ Bytes NetServer::NextNonce(Loop& lp, std::uint64_t conn_id) {
   return Bytes(digest.begin(), digest.begin() + kAuthNonceBytes);
 }
 
-core::ContinuousCloak::KeyProvider NetServer::KeyProviderFor(
-    std::string_view user) {
-  if (options_.key_provider_factory) return options_.key_provider_factory(user);
-  return DeterministicKeyProvider(options_.key_seed_base, user,
-                                  options_.profile.num_levels());
-}
-
 void NetServer::HandlePositionUpdate(Loop& lp, Connection& conn,
                                      const Bytes& payload) {
   const auto decoded = DecodePositionUpdate(payload);
@@ -435,70 +428,22 @@ void NetServer::HandlePositionUpdate(Loop& lp, Connection& conn,
               "segment id out of range for this map");
     return;
   }
-  util::UserId user{};
-  const auto known = pool_->UserIdOf(decoded->user_id);
-  // A known handle covers the cold tier too: a reconnecting HELLO for a
-  // user spilled to the file enqueues like any resident one, and the
-  // pool's restore-on-miss adopts the session inside the tick batch
-  // instead of re-tracking over it. The principal-checked StateOf
-  // overload is the front-door ownership gate: a session (or spill
-  // record) owned by a different principal is refused HERE, before the
-  // update can touch the pool or trigger a restore.
-  bool adoptable = false;
-  if (known.ok()) {
-    const auto state = pool_->StateOf(known.value(), conn.principal);
-    if (!state.ok()) {
-      SendError(conn, decoded->seq, state.status().code(),
-                state.status().message());
-      Bump(lp.stats.ownership_rejected);
-      return;
-    }
-    adoptable = state.value() !=
-                server::ContinuousSessionPool::UserState::kUntracked;
-  }
-  if (adoptable) {
-    user = known.value();
-  } else {
-    // First sighting (or a name evicted without spill): auto-track under
-    // the server's profile and the deterministic per-user key schedule,
-    // owned by the connection's authenticated principal (0 in open mode).
-    auto tracked = pool_->Track(decoded->user_id, options_.profile,
-                                options_.algorithm,
-                                KeyProviderFor(decoded->user_id),
-                                options_.continuous, decoded->now_s,
-                                conn.principal);
-    if (tracked.ok()) {
-      user = tracked.value();
-    } else {
-      // Two loops can race to first-track one user (two connections on
-      // different loops naming it): the loser adopts the handle the
-      // winner just created — through the same ownership gate — instead
-      // of bouncing the update.
-      bool resolved = false;
-      const auto raced = pool_->UserIdOf(decoded->user_id);
-      if (raced.ok()) {
-        const auto state = pool_->StateOf(raced.value(), conn.principal);
-        if (!state.ok()) {
-          SendError(conn, decoded->seq, state.status().code(),
-                    state.status().message());
-          Bump(lp.stats.ownership_rejected);
-          return;
-        }
-        if (state.value() !=
-            server::ContinuousSessionPool::UserState::kUntracked) {
-          user = raced.value();
-          resolved = true;
-        }
-      }
-      if (!resolved) {
-        SendError(conn, decoded->seq, tracked.status().code(),
-                  tracked.status().message());
-        return;
-      }
-    }
+  // The one pool call per update. A first sighting is owned by the
+  // connection's principal (0 in open mode); the pool checks ownership.
+  const auto user = pool_->FindOrTrack(
+      decoded->user_id, options_.profile, options_.algorithm,
+      [this](std::string_view name) {
+        return DeterministicKeyProvider(options_.key_seed_base, name,
+                                        options_.profile.num_levels());
+      },
+      options_.continuous, decoded->now_s, conn.principal);
+  if (!user.ok()) {
+    SendError(conn, decoded->seq, user.status().code(),
+              user.status().message());
+    return;
   }
   PendingUpdate pending;
-  pending.update = {user, decoded->now_s, decoded->segment, conn.principal};
+  pending.update = {*user, decoded->now_s, decoded->segment, conn.principal};
   pending.conn_id = conn.id();
   pending.seq = decoded->seq;
   lp.tick_updates.push_back(pending);
@@ -567,12 +512,19 @@ void NetServer::DispatchBatch(Loop& lp) {
       const auto wire = EncodeShared(lp, results[i].value());
       conn.QueueOwned(ArtifactReplyPrefix(pending.seq, wire->size()));
       conn.QueueShared(wire);
+      conn.CountFrameOut();
+    } else if (results[i].status().code() == ErrorCode::kPermissionDenied) {
+      // An ownership refusal answers with an ERROR frame, like the front
+      // door's other refusals; a failed update rides in its reply.
+      Bump(lp.stats.ownership_rejected);
+      SendError(conn, pending.seq, ErrorCode::kPermissionDenied,
+                results[i].status().message());
     } else {
       Bytes out;
       AppendArtifactError(out, pending.seq, results[i].status());
       conn.QueueOwned(std::move(out));
+      conn.CountFrameOut();
     }
-    conn.CountFrameOut();
   }
   Bump(lp.stats.batches);
   if (lp.tick_updates.size() >

@@ -22,9 +22,9 @@
 //     and per-user determinism make the concurrent batches safe and
 //     byte-exact.
 //   * Allocation-free decode on the steady path: the decoded user id is a
-//     view into the frame payload, interned once (UserIdOf is a shared-
-//     lock find), and the update travels as IdPositionUpdate — no
-//     std::string materializes per update.
+//     view into the frame payload, resolved by one FindOrTrack call (a
+//     shared-lock find for a known user), and the update travels as
+//     IdPositionUpdate — no std::string materializes per update.
 //   * Zero-copy replies. An artifact in force is EncodeArtifact'd once
 //     per loop into a refcounted buffer (EncodeCache: keyed by artifact
 //     identity, dead entries swept in O(1) amortized per miss) and queued
@@ -49,18 +49,17 @@
 // With `auth_secret` set, the HELLO reply carries a random nonce and the
 // client must answer with AUTH (principal + HMAC-SHA256 over
 // nonce || principal) before any other frame; sessions tracked by the
-// connection bind to that principal, and updates or reconnect-adoptions
-// for a user owned by a different principal are refused with
-// kPermissionDenied before the pool is touched. POSITION_UPDATE
-// auto-tracks unknown users under the server's profile and a
-// deterministic per-user key provider, so a fleet driver is just
-// "connect, hello, stream updates". REDUCE_REQUEST runs inline on the
-// owning loop thread through that loop's context-sharing Deanonymizer.
+// connection bind to that principal, and the pool refuses updates or
+// reconnect-adoptions for a user owned by a different principal with
+// kPermissionDenied (the front door only counts the refusals).
+// POSITION_UPDATE auto-tracks unknown users under the server's profile
+// and the key schedule below, so a fleet client is just "connect, hello,
+// stream updates". REDUCE_REQUEST runs inline on the owning loop thread
+// through that loop's context-sharing Deanonymizer.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -77,7 +76,8 @@
 namespace rcloak::net {
 
 // The per-user deterministic key schedule the front door tracks unknown
-// users under: seed = base ^ (FNV(user) * golden) + epoch. Exposed so an
+// users under when the pool has no key_provider_factory:
+// seed = base ^ (FNV(user) * golden) + epoch. Exposed so an
 // in-process twin (bench_e23's --verify oracle, tests) can re-derive the
 // exact chains and pin wire artifacts byte-for-byte.
 core::ContinuousCloak::KeyProvider DeterministicKeyProvider(
@@ -102,11 +102,8 @@ struct NetServerOptions {
       {{8, 3, 1e9}, {25, 8, 1e9}});
   core::Algorithm algorithm = core::Algorithm::kRge;
   core::ContinuousOptions continuous{1, 0.0};
+  // Seeds DeterministicKeyProvider when the pool has no key factory.
   std::uint64_t key_seed_base = 50000;
-  // Overrides the deterministic schedule when set (production would hand
-  // out real keys here).
-  std::function<core::ContinuousCloak::KeyProvider(std::string_view user_id)>
-      key_provider_factory;
 
   // Shared authentication secret. Empty (default) = open mode: the HELLO
   // exchange completes without a challenge and sessions are unowned,
@@ -130,9 +127,8 @@ struct NetServerStats {
   // Challenge-response outcomes (auth mode only).
   std::uint64_t auth_ok = 0;
   std::uint64_t auth_rejected = 0;
-  // Updates refused because the user's session is owned by a different
-  // principal — counted here at the front door, before the pool is touched
-  // (the pool keeps its own count for its other callers).
+  // Updates the pool refused with kPermissionDenied: the user's session
+  // (resident or spilled) is owned by a different principal.
   std::uint64_t ownership_rejected = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
@@ -161,11 +157,10 @@ struct NetServerStats {
 class NetServer {
  public:
   // The pool (and the server underneath it) must outlive the NetServer.
-  // When the pool has a spill file attached, a reconnecting client whose
-  // user was spilled is NOT re-tracked fresh: its updates enqueue against
-  // the existing handle and the pool's restore-on-miss adopts the restored
-  // session mid-batch (configure the pool's key_provider_factory to match
-  // this server's key schedule so cross-run restores re-key correctly).
+  // Users are resolved or tracked by the pool's FindOrTrack, keyed by the
+  // pool's key_provider_factory when set, else DeterministicKeyProvider.
+  // A reconnecting user that was spilled keeps its handle, and the pool's
+  // restore-on-miss adopts the session mid-batch.
   NetServer(server::ContinuousSessionPool& pool,
             const NetServerOptions& options = {});
   ~NetServer();
@@ -285,7 +280,6 @@ class NetServer {
   enum class CloseReason : std::uint8_t { kPeer, kError, kBackpressure };
   void CloseConnection(Loop& lp, std::uint64_t conn_id, CloseReason reason);
   NetServerStats SnapshotLoop(const Loop& lp) const;
-  core::ContinuousCloak::KeyProvider KeyProviderFor(std::string_view user);
   // Fresh unpredictable challenge (owning loop thread only; conn ids are
   // globally unique, so challenges never collide across loops).
   Bytes NextNonce(Loop& lp, std::uint64_t conn_id);

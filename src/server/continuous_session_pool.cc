@@ -68,8 +68,7 @@ Bytes ContinuousSessionPool::SpillRecordOf(const Session& session) {
 std::pair<ContinuousSessionPool::Session*, bool>
 ContinuousSessionPool::InsertLocked(Shard& shard, util::UserId id,
                                     Session session, bool restored) {
-  if (restored && !spill_->Contains(id)) {
-    // Evicted between the record read and this insert: the user stays gone.
+  if (spill_ != nullptr && spill_->Contains(id) != restored) {
     return {shard.sessions.Find(id), false};
   }
   const auto [slot, inserted] =
@@ -80,14 +79,12 @@ ContinuousSessionPool::InsertLocked(Shard& shard, util::UserId id,
   shard.resident_bytes += slot->mem_bytes;
   shard.OccupancyAdd(slot->last_segment);
   if (restored) ++shard.restored;
-  // A fresh insert supersedes any cold-tier copy of this user.
-  shard.parked_keys.Erase(id);
-  if (spill_ != nullptr) spill_->Erase(id);
+  if (spill_ != nullptr) spill_->Erase(id);  // a restore supersedes its record
   return {slot, true};
 }
 
-StatusOr<util::UserId> ContinuousSessionPool::Track(
-    std::string_view user_id, core::PrivacyProfile profile,
+StatusOr<std::pair<util::UserId, bool>> ContinuousSessionPool::TrackFresh(
+    std::string_view user_id, const core::PrivacyProfile& profile,
     core::Algorithm algorithm, KeyProvider key_provider,
     const core::ContinuousOptions& options, double now_s,
     std::uint64_t owner) {
@@ -95,27 +92,55 @@ StatusOr<util::UserId> ContinuousSessionPool::Track(
   if (!key_provider) {
     return Status::InvalidArgument("track: key provider must be callable");
   }
-  Session session(ContinuousPolicy(std::string(user_id), std::move(profile),
-                                   algorithm, options),
-                  std::move(key_provider));
+  Session session(
+      ContinuousPolicy(std::string(user_id), profile, algorithm, options),
+      std::move(key_provider));
   session.owner = owner;
   // Registration counts as activity: EvictIdle must not reap a session
   // that was tracked late in simulation time but never updated yet.
   session.last_update_s = now_s;
   std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   const util::UserId id = interner_.Intern(user_id);
-  {
-    Shard& shard = *shards_[ShardIndexFor(id)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (!InsertLocked(shard, id, std::move(session), /*restored=*/false)
-             .second) {
-      return Status::FailedPrecondition("track: user already tracked: " +
-                                        std::string(user_id));
-    }
-  }
+  Shard& shard = *shards_[ShardIndexFor(id)];
+  std::unique_lock<std::mutex> lock(shard.mutex);
+  const bool inserted =
+      InsertLocked(shard, id, std::move(session), /*restored=*/false).second;
+  lock.unlock();
   // A track flood can pass the budget without a single update.
-  MaybeSweep();
-  return id;
+  if (inserted) MaybeSweep();
+  return std::make_pair(id, inserted);
+}
+
+StatusOr<util::UserId> ContinuousSessionPool::Track(
+    std::string_view user_id, core::PrivacyProfile profile,
+    core::Algorithm algorithm, KeyProvider key_provider,
+    const core::ContinuousOptions& options, double now_s,
+    std::uint64_t owner) {
+  RCLOAK_ASSIGN_OR_RETURN(const auto tracked,
+                          TrackFresh(user_id, profile, algorithm,
+                                     std::move(key_provider), options, now_s,
+                                     owner));
+  if (tracked.second) return tracked.first;
+  return Status::FailedPrecondition("track: user already tracked: " +
+                                    std::string(user_id));
+}
+
+StatusOr<util::UserId> ContinuousSessionPool::FindOrTrack(
+    std::string_view user_id, const core::PrivacyProfile& profile,
+    core::Algorithm algorithm, const KeyProviderFactory& keys,
+    const core::ContinuousOptions& options, double now_s,
+    std::uint64_t owner) {
+  {
+    std::shared_lock<std::shared_mutex> cold(cold_mutex_);
+    const util::UserId known = interner_.Find(user_id);
+    if (StateOf(known) != UserState::kUntracked) return known;
+  }
+  const KeyProviderFactory& factory =
+      options_.key_provider_factory ? options_.key_provider_factory : keys;
+  RCLOAK_ASSIGN_OR_RETURN(const auto tracked,
+                          TrackFresh(user_id, profile, algorithm,
+                                     factory(user_id), options, now_s, owner));
+  return tracked.first;
 }
 
 StatusOr<util::UserId> ContinuousSessionPool::UserIdOf(
@@ -250,8 +275,6 @@ ContinuousSessionPool::RestoreFromSpill(util::UserId user,
   // different principal's owner is never adopted into this caller's batch —
   // the spilled state stays put.
   if (enforce_owner && *owner != 0 && *owner != principal) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    ++shard.ownership_rejected;
     return Status::PermissionDenied(
         "user is owned by a different principal: " +
         interner_.NameCopyOf(user));
@@ -283,7 +306,9 @@ ContinuousSessionPool::RestoreFromSpill(util::UserId user,
   if (!provider && options_.key_provider_factory) {
     provider = options_.key_provider_factory(interner_.NameCopyOf(user));
   }
-  if (!provider) return fail(Status::NotFound("restore: no key source"));
+  if (!provider) {
+    return fail(Status::FailedPrecondition("restore: no key source"));
+  }
   Session session(std::move(*policy), std::move(provider));
   session.owner = *owner;
   session.last_update_s = std::bit_cast<double>(*clock_bits);
@@ -588,10 +613,6 @@ void ContinuousSessionPool::RunRound(
       // session in between.
       auto restored = RestoreFromSpill(update.user, update.principal,
                                        /*enforce_owner=*/true);
-      if (restored.status().code() == ErrorCode::kPermissionDenied) {
-        results[idx] = restored.status();
-        continue;
-      }
       std::lock_guard<std::mutex> lock(shard.mutex);
       Session* session = shard.sessions.Find(update.user);
       if (restored.ok()) {
@@ -603,9 +624,16 @@ void ContinuousSessionPool::RunRound(
         session = resident;
       }
       if (session == nullptr) {
-        ++shard.unknown_user;
-        results[idx] = Status::NotFound("untracked user: " +
-                                        interner_.NameCopyOf(update.user));
+        // A miss is NotFound. A refused or failed restore answers as
+        // itself, and its record stays: a failed one locks the user out.
+        const ErrorCode code = restored.status().code();
+        if (code == ErrorCode::kPermissionDenied) ++shard.ownership_rejected;
+        if (restored.ok() || code == ErrorCode::kNotFound) {
+          ++shard.unknown_user;
+          restored = Status::NotFound("untracked user: " +
+                                      interner_.NameCopyOf(update.user));
+        }
+        results[idx] = restored.status();
         continue;
       }
       admit(*session);

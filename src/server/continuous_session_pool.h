@@ -49,6 +49,9 @@
 
 namespace rcloak::server {
 
+using KeyProviderFactory =
+    std::function<core::ContinuousCloak::KeyProvider(std::string_view user)>;
+
 struct SessionPoolOptions {
   // Session shards (<= 0: one per server worker). Sessions shard by user
   // id; the server's jobs share one queue.
@@ -71,8 +74,7 @@ struct SessionPoolOptions {
   // source of truth — required for spill files attached from an earlier
   // run); when unset, the evicted session's provider is parked until the
   // user returns.
-  std::function<core::ContinuousCloak::KeyProvider(std::string_view user_id)>
-      key_provider_factory;
+  KeyProviderFactory key_provider_factory;
 };
 
 struct SessionPoolStats {
@@ -113,7 +115,8 @@ struct SessionPoolStats {
   // Subset of `restored` resolved transparently inside UpdateBatch.
   std::uint64_t restored_on_miss = 0;
   // Spilled records that could not come back (rotted on disk, no key
-  // source); the update that tripped them reports NotFound.
+  // source). The update gets the restore's own status; the record stays,
+  // locking the user out until Evict (a fresh track would reuse contexts).
   std::uint64_t restore_failures = 0;
   std::uint64_t sweeps = 0;             // MaybeSweep passes that ran
   std::uint64_t spill_compactions = 0;  // cold-tier compactions completed
@@ -140,8 +143,8 @@ class ContinuousSessionPool {
   // (and so never allocates). Callers needing an owned copy dereference.
   using SharedArtifact = std::shared_ptr<const core::CloakedArtifact>;
 
-  // One position update, keyed by the UserId handle Track returned (or
-  // UserIdOf looks up once).
+  // One position update, keyed by the UserId handle Track or FindOrTrack
+  // returned (or UserIdOf looks up once).
   struct IdPositionUpdate {
     util::UserId user;
     double now_s = 0.0;
@@ -160,14 +163,15 @@ class ContinuousSessionPool {
   ContinuousSessionPool(const ContinuousSessionPool&) = delete;
   ContinuousSessionPool& operator=(const ContinuousSessionPool&) = delete;
 
-  // Registers a user session and returns its stable id handle. Fails if
-  // the user is already tracked. `now_s` is the registration time on the
-  // update clock: EvictIdle measures idleness against it until the first
-  // position update lands. `owner` binds the session to an authenticated
-  // principal (net::PrincipalToken): updates and adoptions under a
-  // different principal are refused with kPermissionDenied; 0 (default)
-  // leaves the session unowned — any caller may drive it, and the first
-  // non-zero principal to update it claims it.
+  // Registers a user session and returns its stable id handle. Fails with
+  // kFailedPrecondition if the user is resident or live in the spill file
+  // (a fresh session would restart its epoch chain). `now_s` is the
+  // registration time on the update clock: EvictIdle measures idleness
+  // against it until the first position update lands. `owner` binds the
+  // session to an authenticated principal (net::PrincipalToken): updates
+  // and adoptions under a different principal are refused with
+  // kPermissionDenied; 0 (default) leaves the session unowned — any caller
+  // may drive it, and the first non-zero principal to update it claims it.
   StatusOr<util::UserId> Track(std::string_view user_id,
                                core::PrivacyProfile profile,
                                core::Algorithm algorithm,
@@ -175,6 +179,18 @@ class ContinuousSessionPool {
                                const core::ContinuousOptions& options = {},
                                double now_s = 0.0,
                                std::uint64_t owner = 0);
+
+  // The handle of a resident or spilled user; otherwise tracks the user as
+  // Track does. The new session's keys come from the pool's
+  // key_provider_factory, the schedule its restores use, or else from
+  // `keys`. Callers racing to first-sight one user all get the handle of
+  // the one session that went in; UpdateBatch checks its owner.
+  StatusOr<util::UserId> FindOrTrack(std::string_view user_id,
+                                     const core::PrivacyProfile& profile,
+                                     core::Algorithm algorithm,
+                                     const KeyProviderFactory& keys,
+                                     const core::ContinuousOptions& options,
+                                     double now_s, std::uint64_t owner);
 
   // The id handle for a user known to this pool; kNotFound otherwise. A
   // handle stays stable for as long as the user is resident or spilled in
@@ -212,16 +228,13 @@ class ContinuousSessionPool {
   // file per pool; attach before concurrent use.
   Status AttachSpillFile(const std::string& path);
 
-  // Resident / spilled / untracked, for one handle. The net front door
-  // uses this to distinguish "enqueue and let restore-on-miss adopt the
-  // session" from "track fresh". A swept victim is in the file before it
-  // leaves its shard.
+  // Resident / spilled / untracked, for one handle. A swept victim is in
+  // the file before it leaves its shard.
   UserState StateOf(util::UserId user) const;
 
-  // The ownership-checked variant: same classification, but a resident
-  // session or spill record owned by a different principal returns
-  // kPermissionDenied instead of a state, so the front door can refuse an
-  // update before it touches the pool or triggers a restore.
+  // Compatibility: no caller in the library; kept because perfbench times
+  // it. Same classification, but a resident session or spill record owned
+  // by a different principal returns kPermissionDenied instead of a state.
   StatusOr<UserState> StateOf(util::UserId user,
                               std::uint64_t principal) const;
 
@@ -409,13 +422,22 @@ class ContinuousSessionPool {
   }
 
   // Requires shard.mutex. Inserts `session` under `id` unless a session is
-  // resident there already, charging the memory accounting and dropping
-  // the cold-tier leftovers (spill record, parked provider) the insert
-  // supersedes. A restored session goes in only while its spill record is
-  // still live, so an Evict between the read and the insert wins. Returns
-  // the resident session and whether it is `session`.
+  // resident there already, charging the memory accounting. A restored
+  // session goes in only while its spill record is live, and supersedes
+  // it, so an Evict between the read and the insert wins; a fresh one only
+  // while no record is, so no track rolls a spilled user's epoch back.
+  // Returns the resident session and whether it is `session`.
   std::pair<Session*, bool> InsertLocked(Shard& shard, util::UserId id,
                                          Session session, bool restored);
+
+  // The insert path of Track and FindOrTrack: builds the session outside
+  // every lock and inserts it through InsertLocked. Returns the handle and
+  // whether the session went in.
+  StatusOr<std::pair<util::UserId, bool>> TrackFresh(
+      std::string_view user_id, const core::PrivacyProfile& profile,
+      core::Algorithm algorithm, KeyProvider key_provider,
+      const core::ContinuousOptions& options, double now_s,
+      std::uint64_t owner);
 
   // Runs one round (at most one update per user) end to end: classify,
   // batch re-cloak, commit.
@@ -450,12 +472,13 @@ class ContinuousSessionPool {
   // held, and hands back the session to insert: policy, key provider
   // (parked or from the factory), clocks and owner. The caller inserts it
   // with InsertLocked in the same critical section that uses it, so no
-  // sweep can take it in between. PermissionDenied means the record is
-  // owned by a different principal and was left untouched (counted in
-  // ownership_rejected); any other error is a miss (no record, or rot / no
-  // key source, counted in restore_failures). `enforce_owner` false
-  // bypasses the ownership gate (warm-boot tooling via RestoreAllFromFile —
-  // the restored session still carries its record's owner).
+  // sweep can take it in between. NotFound is a miss (no live record);
+  // PermissionDenied means the record is owned by a different principal.
+  // Any other error is a failed restore (rot, or FailedPrecondition for no
+  // key source), counted here in restore_failures. The record stays.
+  // `enforce_owner` false bypasses the ownership gate (warm-boot tooling
+  // via RestoreAllFromFile — the restored session still carries its
+  // record's owner).
   StatusOr<Session> RestoreFromSpill(util::UserId user,
                                      std::uint64_t principal,
                                      bool enforce_owner);

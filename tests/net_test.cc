@@ -21,6 +21,7 @@
 #include "net/encode_cache.h"
 #include "net/net_server.h"
 #include "roadnet/generators.h"
+#include "store/spill_file.h"
 
 namespace rcloak {
 namespace {
@@ -787,8 +788,8 @@ TEST(NetServerTest, MissingHelloDropsConnectionOthersUnaffected) {
 
 // A spilled user reconnecting through the front door is adopted, not
 // re-tracked fresh: the first update of the new connection restores the
-// session on miss and the artifact stream continues byte-for-byte where a
-// never-spilled twin's does.
+// session on miss, reading its record once, and the artifact stream
+// continues byte-for-byte where a never-spilled twin's does.
 TEST(NetServerTest, SpilledUserAdoptedOnReconnect) {
   const RoadNetwork net = roadnet::MakeGrid({8, 8, 100.0});
   const std::string spill_path = "net_test_adopt.rcsf";
@@ -850,7 +851,11 @@ TEST(NetServerTest, SpilledUserAdoptedOnReconnect) {
     auto second = net::Client::Connect("127.0.0.1", front.port());
     ASSERT_TRUE(second.ok());
     ASSERT_TRUE(second->Hello().ok());
-    const auto rest = drive(*second, 5, 10);
+    const std::uint64_t reads_before = pool.spill_files()->stats().reads;
+    auto rest = drive(*second, 5, 6);
+    EXPECT_EQ(pool.spill_files()->stats().reads, reads_before + 1);
+    const auto tail = drive(*second, 6, 10);
+    rest.insert(rest.end(), tail.begin(), tail.end());
     served.insert(served.end(), rest.begin(), rest.end());
   }
   front.Stop();
@@ -864,6 +869,124 @@ TEST(NetServerTest, SpilledUserAdoptedOnReconnect) {
   ASSERT_TRUE(client->Hello().ok());
   const auto expected = drive(*client, 0, 10);
   EXPECT_EQ(served, expected);
+  std::remove(spill_path.c_str());
+}
+
+// The front door tracks new users with the pool's key factory when one is
+// set, so a session keeps one key schedule from its first sighting through
+// every restore: wire artifacts equal an in-process pool tracked with that
+// factory, before and after a spill and restore-on-miss.
+TEST(NetServerTest, PoolKeyFactoryKeysTrackAndRestoreAlike) {
+  const RoadNetwork net = roadnet::MakeGrid({8, 8, 100.0});
+  const std::string spill_path = "net_test_key_factory.rcsf";
+  std::remove(spill_path.c_str());
+  const net::NetServerOptions defaults;
+  const auto keys = [&defaults](std::string_view user) {
+    return net::DeterministicKeyProvider(defaults.key_seed_base + 1, user,
+                                         defaults.profile.num_levels());
+  };
+  const auto position = [&net](int t) {
+    return SegmentId{static_cast<std::uint32_t>(
+        (7u + static_cast<std::uint32_t>(t) * 13u) % net.segment_count())};
+  };
+  const auto ctx = core::MapContext::Create(net);
+  AnonymizationServer server(core::Anonymizer(ctx, OnePerSegment(net)),
+                             server::ServerOptions{});
+  server::SessionPoolOptions pool_options;
+  pool_options.key_provider_factory = keys;
+  ContinuousSessionPool pool(server, pool_options);
+  ASSERT_TRUE(pool.AttachSpillFile(spill_path).ok());
+  net::NetServer front(pool);
+  ASSERT_TRUE(front.Start().ok());
+  auto client = net::Client::Connect("127.0.0.1", front.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Hello().ok());
+  std::vector<std::string> served;
+  for (int t = 0; t < 10; ++t) {
+    if (t == 5) ASSERT_EQ(*pool.SpillAllToFile(), 1u);
+    client->QueuePositionUpdate(static_cast<std::uint32_t>(t + 1), "roam",
+                                static_cast<double>(t), position(t));
+    ASSERT_TRUE(client->Flush().ok());
+    const auto reply = client->ReadArtifactReply();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply->status.ok()) << reply->status.ToString();
+    served.push_back(Sha(reply->artifact_wire));
+  }
+  front.Stop();
+  EXPECT_EQ(pool.stats().restored_on_miss, 1u);
+
+  AnonymizationServer direct_server(core::Anonymizer(ctx, OnePerSegment(net)),
+                                    server::ServerOptions{});
+  ContinuousSessionPool direct(direct_server);
+  const auto roam = direct.Track("roam", defaults.profile, defaults.algorithm,
+                                 keys("roam"), defaults.continuous);
+  ASSERT_TRUE(roam.ok());
+  std::vector<std::string> expected;
+  for (int t = 0; t < 10; ++t) {
+    const auto result =
+        direct.UpdateBatch({{*roam, static_cast<double>(t), position(t)}});
+    ASSERT_TRUE(result[0].ok()) << result[0].status().ToString();
+    expected.push_back(Sha(core::EncodeArtifact(**result[0])));
+  }
+  EXPECT_EQ(served, expected);
+  std::remove(spill_path.c_str());
+}
+
+// A spill record too short to hold its owner token is rot, not a foreign
+// owner: the update that trips it gets the restore's own DataLoss, counted
+// as a restore failure and never as an ownership refusal, and the user
+// stays locked out on the next update too.
+TEST(NetServerTest, RottenSpillRecordIsARestoreFailureNotARefusal) {
+  const RoadNetwork net = roadnet::MakeGrid({8, 8, 100.0});
+  const std::string spill_path = "net_test_rotten.rcsf";
+  std::remove(spill_path.c_str());
+  const net::NetServerOptions defaults;
+  const auto ctx = core::MapContext::Create(net);
+  AnonymizationServer server(core::Anonymizer(ctx, OnePerSegment(net)),
+                             server::ServerOptions{});
+  server::SessionPoolOptions pool_options;
+  pool_options.key_provider_factory = [&defaults](std::string_view user) {
+    return net::DeterministicKeyProvider(defaults.key_seed_base, user,
+                                         defaults.profile.num_levels());
+  };
+  {
+    ContinuousSessionPool writer(server, pool_options);
+    ASSERT_TRUE(writer.AttachSpillFile(spill_path).ok());
+    const auto rot = writer.Track(
+        "rot", defaults.profile, defaults.algorithm,
+        pool_options.key_provider_factory("rot"), defaults.continuous);
+    ASSERT_TRUE(rot.ok());
+    ASSERT_TRUE(writer.UpdateBatch({{*rot, 0.0, SegmentId{3}}})[0].ok());
+    ASSERT_EQ(*writer.SpillAllToFile(), 1u);
+  }
+  {
+    util::StringInterner interner;
+    auto file =
+        store::SpillFile::Attach(spill_path, ctx->fingerprint(), interner);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_TRUE(
+        (*file)->AppendBatch({{interner.Find("rot"), Bytes{1, 2, 3}}}).ok());
+  }
+  ContinuousSessionPool pool(server, pool_options);
+  ASSERT_TRUE(pool.AttachSpillFile(spill_path).ok());
+  net::NetServer front(pool);
+  ASSERT_TRUE(front.Start().ok());
+  auto client = net::Client::Connect("127.0.0.1", front.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Hello().ok());
+  for (std::uint32_t seq = 1; seq <= 2; ++seq) {
+    client->QueuePositionUpdate(seq, "rot", 1.0, SegmentId{4});
+    ASSERT_TRUE(client->Flush().ok());
+    const auto reply = client->ReadArtifactReply();
+    const Status status = reply.ok() ? reply->status : reply.status();
+    EXPECT_EQ(status.code(), ErrorCode::kDataLoss) << status.ToString();
+  }
+  front.Stop();
+  EXPECT_EQ(front.stats().ownership_rejected, 0u);
+  EXPECT_EQ(pool.stats().restore_failures, 2u);
+  EXPECT_EQ(pool.stats().ownership_rejected, 0u);
+  EXPECT_EQ(pool.stats().unknown_user, 0u);
+  EXPECT_EQ(pool.session_count(), 0u);
   std::remove(spill_path.c_str());
 }
 

@@ -751,8 +751,10 @@ TEST(SessionPoolTest, EvictWinsOverARestoreInFlight) {
 // real record (shorter than its 8-byte owner token included), a record
 // with trailing bytes and one naming an unknown algorithm must fail closed
 // on every path that reads it. Both restore paths count a restore failure
-// and leave no resident session; the update that tripped it reads
-// NotFound. The ownership reads (StateOf with a principal,
+// and leave no resident session; the update that tripped it gets the
+// restore's own status (not NotFound, not a refusal), and the user stays
+// locked out: its record stays live and Track refuses to start it afresh.
+// The ownership reads (StateOf with a principal,
 // OwnedSpillRecords) read only the owner token: they return DataLoss once
 // it is cut, and otherwise the owner's answer. The tampered copy
 // supersedes the good one the way any later append does (last write wins).
@@ -849,11 +851,20 @@ TEST(SessionPoolTest, TamperedSpillRecordsFailClosed) {
     EXPECT_EQ(pool->session_count(), 0u);
 
     const auto missed = pool->UpdateBatch({{car0, 2.0, SegmentId{8}, kOwner}});
-    EXPECT_EQ(missed[0].status().code(), ErrorCode::kNotFound);
+    EXPECT_EQ(missed[0].status().code(), tamper.what == "algorithm"
+                                             ? ErrorCode::kInvalidArgument
+                                             : ErrorCode::kDataLoss);
     auto stats = pool->stats();
     EXPECT_EQ(stats.restore_failures, 1u);
+    EXPECT_EQ(stats.unknown_user, 0u);
+    EXPECT_EQ(stats.ownership_rejected, 0u);
     EXPECT_EQ(stats.restored_on_miss, 0u);
     EXPECT_EQ(pool->session_count(), 0u);
+    const auto retracked =
+        pool->Track("car0", FleetProfile(), Algorithm::kRge, CarKeys("car0"),
+                    FleetOptions(), 2.0, kOwner);
+    EXPECT_EQ(retracked.status().code(), ErrorCode::kFailedPrecondition);
+    EXPECT_EQ(pool->StateOf(car0), State::kSpilled);
 
     const auto restored = pool->RestoreAllFromFile();
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -865,6 +876,101 @@ TEST(SessionPoolTest, TamperedSpillRecordsFailClosed) {
   }
   std::remove(path.c_str());
   std::remove(good_path.c_str());
+}
+
+// Track must not roll a spilled user back: a fresh session would restart
+// its epoch chain at 0 and reuse request contexts the spilled chain has
+// already published. The record stays live and the next update resumes
+// the old chain.
+TEST(SessionPoolTest, TrackRefusesToRestartASpilledUser) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  core::Anonymizer engine(ctx, OnePerSegment(net));
+  AnonymizationServer server(std::move(engine), {});
+  server::SessionPoolOptions options;
+  options.key_provider_factory = CarKeys;
+  ContinuousSessionPool pool(server, options);
+  const std::string path = "session_pool_retrack_test.rcsf";
+  std::remove(path.c_str());
+  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
+  ASSERT_TRUE(pool.Track("car0", FleetProfile(), Algorithm::kRge,
+                         CarKeys("car0"), FleetOptions())
+                  .ok());
+  const SegmentId far{static_cast<std::uint32_t>(net.segment_count() - 1)};
+  for (int t = 0; t < 4; ++t) {
+    ASSERT_TRUE(
+        Update(pool, "car0", t, t % 2 == 0 ? SegmentId{0} : far).ok());
+  }
+  const auto epoch = pool.UserEpoch("car0");
+  ASSERT_TRUE(epoch.ok());
+  ASSERT_GE(*epoch, 2u);
+  ASSERT_EQ(*pool.SpillAllToFile(), 1u);
+
+  const auto retracked = pool.Track("car0", FleetProfile(), Algorithm::kRge,
+                                    CarKeys("car0"), FleetOptions());
+  EXPECT_EQ(retracked.status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(pool.session_count(), 0u);
+  EXPECT_EQ(pool.stats().spill_live_records, 1u);
+
+  // The next update restores the spilled chain where it stopped: the
+  // update lands inside the region in force, so the epoch does not move.
+  ASSERT_TRUE(Update(pool, "car0", 4, far).ok());
+  EXPECT_EQ(pool.stats().restored_on_miss, 1u);
+  EXPECT_EQ(*pool.UserEpoch("car0"), *epoch);
+  std::remove(path.c_str());
+}
+
+// Callers racing to first-sight one name under different principals end
+// inside the pool: every call gets the one handle, one session goes in,
+// its owner is one of the callers, and the others are refused at update.
+TEST(SessionPoolTest, FindOrTrackRaceResolvesToOneOwnedSession) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  core::Anonymizer engine(ctx, OnePerSegment(net));
+  AnonymizationServer server(std::move(engine), {});
+  ContinuousSessionPool pool(server);
+  constexpr int kThreads = 8;
+  const auto principal = [](int i) { return std::uint64_t{100} + i; };
+  std::atomic<int> factory_calls{0};
+  const server::KeyProviderFactory keys =
+      [&factory_calls](std::string_view user) {
+        factory_calls.fetch_add(1);
+        return CarKeys(user);
+      };
+  std::vector<StatusOr<util::UserId>> handles(
+      kThreads, Status::Internal("not run"));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      handles[static_cast<std::size_t>(i)] =
+          pool.FindOrTrack("car0", FleetProfile(), Algorithm::kRge, keys,
+                           FleetOptions(), 0.0, principal(i));
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+
+  for (const auto& handle : handles) {
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    EXPECT_EQ(*handle, *handles.front());
+  }
+  EXPECT_EQ(pool.session_count(), 1u);
+  EXPECT_GE(factory_calls.load(), 1);
+  int owners = 0;
+  for (int i = 0; i < kThreads; ++i) {
+    const auto result =
+        pool.UpdateBatch({{*handles.front(), 1.0, SegmentId{5}, principal(i)}});
+    if (result[0].ok()) {
+      ++owners;
+    } else {
+      EXPECT_EQ(result[0].status().code(), ErrorCode::kPermissionDenied);
+    }
+  }
+  EXPECT_EQ(owners, 1);
+  EXPECT_EQ(pool.stats().ownership_rejected,
+            static_cast<std::uint64_t>(kThreads - 1));
 }
 
 // Pins the incremental per-shard occupancy deltas (PR 6) to the original
