@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
   cold_options.key_provider_factory = KeysForUser;
   // Restored-then-respilled records go dead fast under zipfian churn but
   // hover just under the default 50% threshold; compact a little earlier
-  // so the run exercises the compaction + generation-retirement path.
+  // so the run exercises the spill-file compaction path.
   cold_options.spill_compact_dead_fraction = 0.35;
   server::ContinuousSessionPool pool(cold_server, cold_options);
   const auto remove_spill_files = [&] {

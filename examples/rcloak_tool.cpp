@@ -14,7 +14,7 @@
 //   serve     --map map.rcmap [--port P] [--workers N] [--loops N]
 //             [--duration SECS] [--trace trace.txt] [--spill spill.rcsf]
 //             [--budget BYTES]
-//             [--secret S]         (0s / no duration = run until killed)
+//             [--secret S]         (no duration = run until SIGINT/SIGTERM)
 //   sendto    --host H --port P --user NAME --segments "3,17,42"
 //             [--interval SECS] [--secret S] [--principal NAME]
 //   spill     --map map.rcmap --trace trace.txt --out spill.rcsf
@@ -31,8 +31,9 @@
 // already holds one of the trace's cars is refused: tracking the car
 // afresh would restart its epoch chain); `serve --spill`
 // attaches that file (a reconnecting user's updates then restore on miss,
-// and `--budget` caps the resident set); `restore` warm-boots a pool from
-// the file and reports what came back.
+// and `--budget` caps the resident set) and, when it stops (at the end of
+// --duration, or on SIGINT or SIGTERM), writes every resident session to
+// it; `restore` warm-boots a pool from the file and reports what came back.
 //
 // `serve --loops N` shards the front door across N event-loop threads
 // (SO_REUSEPORT kernel accept sharding; connections stay pinned to their
@@ -46,8 +47,13 @@
 // passes the matching `--secret` (and optionally `--principal`, defaulting
 // to --user). A spill file holding owner-bound sessions refuses to serve
 // in open mode — without the secret their owners cannot be verified.
+#include <pthread.h>
+#include <signal.h>
+
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -458,6 +464,15 @@ int RestoreCmd(const Args& args) {
 }
 
 int Serve(const Args& args) {
+  // SIGINT and SIGTERM end the serve wait below. They are blocked before
+  // any thread starts, so every worker and loop thread inherits the mask
+  // and the signal stays pending for sigtimedwait instead of killing the
+  // process.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
   const auto net = roadnet::LoadNetworkFile(args.Get("map"));
   if (!net.ok()) return Fail(net.status().ToString());
   mobility::OccupancySnapshot occupancy(net->segment_count());
@@ -522,14 +537,15 @@ int Serve(const Args& args) {
             << " (map fingerprint " << std::hex << front.map_fingerprint()
             << std::dec << ", " << server_options.num_workers << " workers, "
             << front.loop_count() << " loop(s)"
-            << (secret.empty() ? "" : ", auth required") << ")\n";
+            << (secret.empty() ? "" : ", auth required") << ")"
+            << std::endl;
+  // --duration and a stop signal end the same wait; without --duration
+  // only a signal does.
   const long duration = args.Int("duration", 0);
-  if (duration > 0) {
-    std::this_thread::sleep_for(std::chrono::seconds(duration));
-  } else {
-    while (true) {
-      std::this_thread::sleep_for(std::chrono::seconds(3600));
-    }
+  timespec timeout{static_cast<std::time_t>(duration), 0};
+  while (sigtimedwait(&stop_signals, nullptr,
+                      duration > 0 ? &timeout : nullptr) < 0 &&
+         errno == EINTR) {
   }
   front.Stop();
   const auto stats = front.stats();
@@ -537,6 +553,14 @@ int Serve(const Args& args) {
             << stats.connections_accepted << " connections ("
             << stats.bytes_in << " B in, " << stats.bytes_out
             << " B out)\n";
+  if (args.Has("spill")) {
+    // Resident sessions would otherwise be lost with the process, and the
+    // next serve would track their users from epoch 0 again.
+    const auto spilled = pool.SpillAllToFile();
+    if (!spilled.ok()) return Fail(spilled.status().ToString());
+    std::cout << "spilled " << *spilled << " resident sessions to "
+              << args.Get("spill") << "\n";
+  }
   return 0;
 }
 

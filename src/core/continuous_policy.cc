@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/algorithm.h"
+#include "core/reversecloak.h"
 #include "roadnet/road_network.h"
 
 namespace rcloak::core {
@@ -41,7 +42,7 @@ bool ValidityRegion::Contains(roadnet::SegmentId id) const noexcept {
 }
 
 std::string ContinuousPolicy::EpochContext(std::uint64_t epoch) const {
-  return user_id_ + "/epoch-" + std::to_string(epoch);
+  return core::EpochContext(user_id_, epoch);
 }
 
 ContinuousPolicy::Action ContinuousPolicy::OnUpdate(

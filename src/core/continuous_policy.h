@@ -119,7 +119,7 @@ class ContinuousPolicy {
   std::uint64_t next_epoch() const noexcept { return epoch_ + 1; }
 
   // Public request context binding the PRNG streams of one epoch:
-  // "<user_id>/epoch-<epoch>".
+  // core::EpochContext(user_id, epoch).
   std::string EpochContext(std::uint64_t epoch) const;
 
   // The level whose region keeps the artifact valid, clamped to the

@@ -36,7 +36,7 @@ StatusOr<AnonymizeResult> RequestCache::GetOrAnonymize(
   }
   ++misses_;
   AnonymizeRequest fresh = request;
-  fresh.context = user + "/epoch-" + std::to_string(epoch_counter_++);
+  fresh.context = EpochContext(user, epoch_counter_++);
   auto result = anonymizer.Anonymize(fresh, keys);
   if (!result.ok()) return result.status();
   entries_[cache_key] = Entry{*result, now_s + ttl_s_};

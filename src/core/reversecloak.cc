@@ -5,6 +5,13 @@
 
 namespace rcloak::core {
 
+std::string EpochContext(std::string_view user, std::uint64_t epoch) {
+  std::string context(user);
+  context += "/epoch-";
+  context += std::to_string(epoch);
+  return context;
+}
+
 Anonymizer::Anonymizer(const roadnet::RoadNetwork& net,
                        mobility::OccupancySnapshot occupancy,
                        std::uint32_t rple_T)

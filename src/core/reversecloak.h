@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/algorithm.h"
@@ -42,7 +43,8 @@ struct AnonymizeRequest {
   PrivacyProfile profile;
   Algorithm algorithm = Algorithm::kRge;
   // Public request context (binds the PRNG streams; must be unique per
-  // request, e.g. "user42/2017-03-02T10:11:12/7").
+  // request, e.g. "user42/2017-03-02T10:11:12/7"). Callers that number a
+  // user's requests name them with EpochContext below.
   std::string context;
   // A level (1..N) whose region the result copies out the moment it is
   // sealed (AnonymizeResult::sealed_region); 0 = none. The anonymizer grows
@@ -51,6 +53,11 @@ struct AnonymizeRequest {
   // Deanonymizer::Reduce.
   int sealed_level = 0;
 };
+
+// The context of `user`'s request number `epoch`: "<user>/epoch-<n>". It
+// is unique per request as long as the caller never reuses an epoch
+// number for one user.
+std::string EpochContext(std::string_view user, std::uint64_t epoch);
 
 struct AnonymizeResult {
   CloakedArtifact artifact;

@@ -171,6 +171,7 @@ bool ContinuousSessionPool::Evict(std::string_view user_id) {
     shard.parked_keys.Erase(id);
   }
   ++shard.evicted;
+  NoteDepartedLocked(shard, id);
   return true;
 }
 
@@ -180,17 +181,40 @@ std::size_t ContinuousSessionPool::EvictIdle(double now_s, double idle_s) {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     evicted += shard->sessions.EraseIf(
-        [&](util::UserId, Session& session) {
+        [&](util::UserId id, Session& session) {
           if (now_s - session.last_update_s <= idle_s) return false;
           shard->RetireSession(session);
           shard->OccupancyRemove(session.last_segment);
           shard->resident_bytes -= session.mem_bytes;
           ++shard->evicted;
           ++shard->evicted_idle;
+          NoteDepartedLocked(*shard, id);
           return true;
         });
   }
   return evicted;
+}
+
+void ContinuousSessionPool::NoteDepartedLocked(Shard& shard,
+                                               util::UserId user) {
+  shard.departed.push_back(user);
+  departures_.store(true);
+}
+
+void ContinuousSessionPool::ReleaseDeparted() {
+  if (!departures_.exchange(false)) return;
+  std::unique_lock<std::shared_mutex> cold(cold_mutex_);
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    for (const util::UserId id : std::exchange(shard->departed, {})) {
+      if (shard->sessions.Find(id) != nullptr) continue;
+      if (spill_ != nullptr && spill_->Contains(id)) continue;
+      // A provider parked for a record that compaction dropped as rotten
+      // must not reach the next user interned under this handle.
+      shard->parked_keys.Erase(id);
+      interner_.Release(id);
+    }
+  }
 }
 
 // ---- cold tier ------------------------------------------------------------
@@ -398,42 +422,17 @@ bool ContinuousSessionPool::CompactionDue() const {
 }
 
 void ContinuousSessionPool::MaybeCompactColdTier() {
-  if (!CompactionDue()) return;
-  std::unique_lock<std::shared_mutex> cold(cold_mutex_);
-  if (!CompactionDue()) return;  // raced: someone else compacted
-  // Failure leaves the dead bytes in place; retried after the next sweep.
-  (void)CompactColdTierLocked();
-}
-
-Status ContinuousSessionPool::CompactColdTierLocked() {
-  // Generation protocol: open a fresh generation, move every name that
-  // must survive into it (resident sessions, parked providers, live spill
-  // records as compaction sees them), then retire everything older —
-  // churned users' names are the only thing left behind.
-  const std::uint32_t fresh = interner_.BeginGeneration();
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->sessions.ForEach(
-        [&](util::UserId id, Session&) { interner_.Touch(id); });
-    shard->parked_keys.ForEach(
-        [&](util::UserId id, KeyProvider&) { interner_.Touch(id); });
-  }
-  // A file without dead bytes has nothing to rewrite.
-  if (spill_->stats().dead_bytes > 0) {
-    RCLOAK_RETURN_IF_ERROR(spill_->Compact());
-  }
-  for (const util::UserId user : spill_->LiveUsers()) interner_.Touch(user);
-  interner_.RetireGenerationsBefore(fresh);
-  spill_compactions_.fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
+  // Failure leaves the dead bytes in place; retried after the next batch.
+  // Batches that both saw it due rewrite the file once: the second
+  // Compact finds no dead bytes.
+  if (CompactionDue()) (void)spill_->Compact();
 }
 
 Status ContinuousSessionPool::CompactColdTier() {
   if (spill_ == nullptr) {
     return Status::FailedPrecondition("no spill file attached");
   }
-  std::unique_lock<std::shared_mutex> cold(cold_mutex_);
-  return CompactColdTierLocked();
+  return spill_->Compact();
 }
 
 StatusOr<std::size_t> ContinuousSessionPool::SpillAllToFile() {
@@ -771,6 +770,7 @@ ContinuousSessionPool::UpdateBatch(
     results = RunRounds(updates);
     MaybeSweep();
   }
+  ReleaseDeparted();
   MaybeCompactColdTier();
   return results;
 }
@@ -873,12 +873,11 @@ SessionPoolStats ContinuousSessionPool::stats() const {
     stats.active_sessions += shard->sessions.size();
   }
   stats.sweeps = sweeps_.load(std::memory_order_relaxed);
-  stats.spill_compactions =
-      spill_compactions_.load(std::memory_order_relaxed);
   stats.memory_bytes = memory_bytes();
   stats.interner_bytes = interner_.memory_bytes();
   if (spill_ != nullptr) {
     const store::SpillFileStats spill = spill_->stats();
+    stats.spill_compactions = spill.compactions;
     stats.spill_file_bytes = spill.file_bytes;
     stats.spill_dead_bytes = spill.dead_bytes;
     stats.spill_live_records = spill.live_records;

@@ -58,8 +58,8 @@ struct SessionPoolOptions {
   int num_shards = 0;
 
   // ---- cold tier (active once AttachSpillFile succeeds) ------------------
-  // Soft budget over resident session state, session tables, interner
-  // arenas, parked key providers and the spill index (see memory_bytes());
+  // Soft budget over resident session state, session tables, interned
+  // names, parked key providers and the spill index (see memory_bytes());
   // 0 = unlimited. When a spill file is attached and the accounting passes
   // the budget, a clock/second-chance sweep runs incrementally from the
   // update path, batch-spilling cold sessions to the file.
@@ -119,7 +119,7 @@ struct SessionPoolStats {
   // locking the user out until Evict (a fresh track would reuse contexts).
   std::uint64_t restore_failures = 0;
   std::uint64_t sweeps = 0;             // MaybeSweep passes that ran
-  std::uint64_t spill_compactions = 0;  // cold-tier compactions completed
+  std::uint64_t spill_compactions = 0;  // the spill file's compactions
   // Accounting at call time: the budgeted total and its parts.
   std::size_t memory_bytes = 0;
   std::size_t interner_bytes = 0;
@@ -194,13 +194,15 @@ class ContinuousSessionPool {
 
   // The id handle for a user known to this pool; kNotFound otherwise. A
   // handle stays stable for as long as the user is resident or spilled in
-  // the attached file; names of users that are neither may be retired by
-  // cold-tier compaction (the handle is recycled and the user re-interns
-  // fresh if it ever returns).
+  // the attached file. Once an Evict or EvictIdle leaves the user neither,
+  // the next UpdateBatch releases its name: the handle may be recycled, and
+  // a user that returns is interned afresh.
   StatusOr<util::UserId> UserIdOf(std::string_view user_id) const;
 
   // Removes a user session, resident or spilled (a spilled user's record
   // and parked key provider go with it); false if the user was neither.
+  // The user's name is released at the end of the next UpdateBatch unless a
+  // Track revived it in the meantime.
   bool Evict(std::string_view user_id);
 
   // Evicts every session whose last update is older than `idle_s` seconds
@@ -255,10 +257,10 @@ class ContinuousSessionPool {
   StatusOr<std::size_t> RestoreAllFromFile();
 
   // Compacts the spill file (rewriting live records, truncating dead
-  // bytes) and retires interner generations for names that are neither
-  // resident nor live in the file. Runs automatically from the update
-  // path when dead bytes pass the configured fraction; public for tools
-  // and tests.
+  // bytes). Runs automatically after an UpdateBatch when dead bytes pass
+  // the configured fraction; public for tools and tests. Takes no pool
+  // lock: the spill file's own mutex orders the rewrite against appends
+  // and reads.
   Status CompactColdTier();
 
   // The budgeted accounting: resident session state + session tables +
@@ -283,7 +285,8 @@ class ContinuousSessionPool {
   // validity region), and commits. Element i of the result is the
   // artifact in force for updates[i] (freshly re-cloaked if the user left
   // its validity region), served as a shared reference; an invalid or
-  // unknown handle is kNotFound.
+  // unknown handle is kNotFound. Every call, an empty batch included, ends
+  // by releasing the names of users evicted since the last call.
   std::vector<StatusOr<SharedArtifact>> UpdateBatch(
       const std::vector<IdPositionUpdate>& updates);
 
@@ -375,6 +378,8 @@ class ContinuousSessionPool {
     // Key providers of budget-spilled sessions, parked so restore-on-miss
     // can resume them. Empty when options.key_provider_factory is set.
     util::IdMap<KeyProvider> parked_keys;
+    // Users evicted from this shard since the last ReleaseDeparted.
+    std::vector<util::UserId> departed;
 
     // Per-segment user counts over THIS shard's sessions (one entry per
     // network segment, sized at pool construction). Maintained under
@@ -459,7 +464,8 @@ class ContinuousSessionPool {
 
   // ---- cold tier internals (callers hold cold_mutex_ shared unless
   // noted) -----------------------------------------------------------------
-  // Lock order: cold_mutex_ -> shard.mutex -> spill file mutex.
+  // Lock order: cold_mutex_ -> shard.mutex -> spill file mutex ->
+  // interner mutex.
 
   // Heap behind one session: the policy state (artifact, region, stats)
   // plus provider storage. The struct itself rides in the shard table.
@@ -497,13 +503,17 @@ class ContinuousSessionPool {
   Status SpillVictimsLocked(Shard& shard,
                             const std::vector<util::UserId>& victims);
 
+  // Requires shard.mutex. Records an evicted user for ReleaseDeparted.
+  void NoteDepartedLocked(Shard& shard, util::UserId user);
+  // Takes cold_mutex_ unique once any user departed, then releases the
+  // name of each departed user that is still neither resident nor live in
+  // the spill file (a Track may have revived it), with its parked key
+  // provider. Called with no pool lock held.
+  void ReleaseDeparted();
+
   bool CompactionDue() const;
-  // Takes cold_mutex_ unique when due, then compacts + retires names.
+  // Compacts the spill file when due. Called with no pool lock held.
   void MaybeCompactColdTier();
-  // Requires cold_mutex_ unique (no interning or spill traffic in
-  // flight): touch resident + parked + live-record names, compact, retire
-  // the rest.
-  Status CompactColdTierLocked();
 
   AnonymizationServer* server_;
   SessionPoolOptions options_;
@@ -511,16 +521,16 @@ class ContinuousSessionPool {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // ---- cold tier ----
-  // Guards the interner's generation lifecycle: anything that interns or
-  // uses handles takes it shared; compaction + generation retirement take
-  // it unique (so a name cannot be retired between its intern and the
-  // session insert it backs).
+  // Guards names: anything that interns or uses handles takes it shared;
+  // only AttachSpillFile and ReleaseDeparted take it unique, so a name
+  // cannot be released between its intern and the session insert it backs.
   mutable std::shared_mutex cold_mutex_;
   std::unique_ptr<store::SpillFile> spill_;  // set once by AttachSpillFile
   std::atomic<std::size_t> memory_budget_bytes_{0};
   std::atomic<std::size_t> sweep_shard_{0};
   std::atomic<std::uint64_t> sweeps_{0};
-  std::atomic<std::uint64_t> spill_compactions_{0};
+  // Set after an eviction lands in a shard's `departed` list.
+  std::atomic<bool> departures_{false};
 
   mutable std::mutex latency_mutex_;
   Samples update_latency_ms_;

@@ -322,6 +322,10 @@ bool SpillFile::Erase(util::UserId user) {
 Status SpillFile::Compact() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ < 0) return Status::FailedPrecondition("spill file closed");
+  if (stats_.dead_bytes == 0) {
+    ++stats_.compactions;
+    return Status::Ok();
+  }
   const std::string tmp = path_ + ".tmp";
   const int out =
       ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);

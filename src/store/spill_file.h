@@ -23,8 +23,11 @@
 //   * a checksum mismatch with a plausible length skips the record as dead
 //     and continues at the next boundary.
 // Compact() rewrites live records into a temp file and atomically renames
-// it over the old one, dropping dead bytes; the session pool uses this as
-// the retirement point for interner generations.
+// it over the old one, dropping dead bytes; on a file with no dead bytes it
+// returns at once. A live record that rotted on disk since it was written
+// is dropped by the rewrite. Its user's name stays interned until that
+// user returns: the session pool releases a name only when it evicts the
+// user, so a later Track reuses the name and that user's eviction frees it.
 //
 // Thread safety: internally synchronized (one mutex); safe to call from
 // concurrent shard sweeps and restore-on-miss reads.
@@ -50,6 +53,8 @@ struct SpillFileStats {
   std::uint64_t appended_records = 0;
   std::uint64_t appended_bytes = 0;  // lifetime write volume (pre-compaction)
   std::uint64_t reads = 0;
+  // Compact calls that succeeded, no-ops on a file without dead bytes
+  // included.
   std::uint64_t compactions = 0;
   std::uint64_t tail_truncated_bytes = 0;    // dropped by Attach scans
   std::uint64_t corrupt_records_skipped = 0;  // checksum failures on scan
@@ -93,7 +98,8 @@ class SpillFile {
   bool Erase(util::UserId user);
 
   // Rewrites live records into `path + ".tmp"` and renames it over the
-  // file, reclaiming dead bytes.
+  // file, reclaiming dead bytes. Returns at once when no bytes are dead,
+  // so callers racing on one due compaction rewrite the file once.
   Status Compact();
 
   // Ids of every live record (compaction-ordered snapshot).

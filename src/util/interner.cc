@@ -1,26 +1,41 @@
 #include "util/interner.h"
 
-#include <cstring>
 #include <mutex>
 
 namespace rcloak::util {
 
+namespace {
+
+// Heap a name holds beyond its entry: none while it fits the inline
+// (small-string) buffer.
+std::size_t NameHeapBytes(const std::string& name) {
+  static const std::size_t inline_capacity = std::string().capacity();
+  return name.capacity() > inline_capacity ? name.capacity() + 1 : 0;
+}
+
+}  // namespace
+
 UserId StringInterner::FindLocked(std::string_view s,
                                   std::uint64_t hash) const {
   if (slots_.empty()) return kInvalidUserId;
-  const std::uint64_t mask = slots_.size() - 1;
-  std::size_t index = hash & mask;
-  for (;;) {
-    const std::uint32_t entry_index = slots_[index];
-    if (entry_index == kEmptySlot) return kInvalidUserId;
-    const Entry& entry = entries_[entry_index];
-    if (entry.data != nullptr && entry.hash == hash &&
-        entry.length == s.size() &&
-        std::memcmp(entry.data, s.data(), s.size()) == 0) {
-      return UserId{entry_index};
-    }
-    index = (index + 1) & mask;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t index = hash & mask; slots_[index] != kEmptySlot;
+       index = (index + 1) & mask) {
+    if (names_[slots_[index]] == s) return UserId{slots_[index]};
   }
+  return kInvalidUserId;
+}
+
+std::size_t StringInterner::SlotOfLocked(UserId id) const {
+  if (slots_.empty() || !id.valid() || id.value >= names_.size()) {
+    return kNoSlot;
+  }
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t index = HashBytes(names_[id.value]) & mask;
+       slots_[index] != kEmptySlot; index = (index + 1) & mask) {
+    if (slots_[index] == id.value) return index;
+  }
+  return kNoSlot;
 }
 
 UserId StringInterner::Find(std::string_view s) const {
@@ -34,59 +49,48 @@ UserId StringInterner::Intern(std::string_view s) {
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
     const UserId existing = FindLocked(s, hash);
-    if (existing.valid() &&
-        entries_[existing.value].generation == current_generation_) {
-      return existing;
-    }
+    if (existing.valid()) return existing;
   }
   std::unique_lock<std::shared_mutex> lock(mutex_);
   // Re-probe: another thread may have interned it between the locks.
   const UserId existing = FindLocked(s, hash);
-  if (existing.valid()) {
-    // Promote into the current generation so a re-tracked name cannot be
-    // swept out from under its new session at the next retirement.
-    Entry& entry = entries_[existing.value];
-    if (entry.generation != current_generation_) {
-      entry.data = StoreLocked({entry.data, entry.length});
-      entry.generation = current_generation_;
-    }
-    return existing;
-  }
+  if (existing.valid()) return existing;
+  GrowLocked(live_count_ + 1);
   std::uint32_t entry_index;
   if (!free_entries_.empty()) {
     entry_index = free_entries_.back();
     free_entries_.pop_back();
   } else {
-    entry_index = static_cast<std::uint32_t>(entries_.size());
-    entries_.emplace_back();
+    entry_index = static_cast<std::uint32_t>(names_.size());
+    names_.emplace_back();
   }
-  GrowLocked(live_count_ + 1);
-  const char* stored = StoreLocked(s);
-  entries_[entry_index] =
-      Entry{stored, static_cast<std::uint32_t>(s.size()), current_generation_,
-            hash};
+  names_[entry_index].assign(s);
+  name_heap_bytes_ += NameHeapBytes(names_[entry_index]);
   ++live_count_;
-  const std::uint64_t mask = slots_.size() - 1;
+  const std::size_t mask = slots_.size() - 1;
   std::size_t index = hash & mask;
   while (slots_[index] != kEmptySlot) index = (index + 1) & mask;
   slots_[index] = entry_index;
   return UserId{entry_index};
 }
 
-std::string_view StringInterner::NameOf(UserId id) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  if (!id.valid() || id.value >= entries_.size()) return {};
-  const Entry& entry = entries_[id.value];
-  if (entry.data == nullptr) return {};
-  return {entry.data, entry.length};
-}
-
 std::string StringInterner::NameCopyOf(UserId id) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  if (!id.valid() || id.value >= entries_.size()) return {};
-  const Entry& entry = entries_[id.value];
-  if (entry.data == nullptr) return {};
-  return std::string(entry.data, entry.length);
+  if (!id.valid() || id.value >= names_.size()) return {};
+  return names_[id.value];
+}
+
+bool StringInterner::Release(UserId id) {
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  const std::size_t slot = SlotOfLocked(id);
+  if (slot == kNoSlot) return false;
+  EraseSlotLocked(slot);
+  std::string& name = names_[id.value];
+  name_heap_bytes_ -= NameHeapBytes(name);
+  std::string().swap(name);  // gives a long name's heap back
+  free_entries_.push_back(id.value);
+  --live_count_;
+  return true;
 }
 
 std::size_t StringInterner::size() const {
@@ -94,113 +98,42 @@ std::size_t StringInterner::size() const {
   return live_count_;
 }
 
-std::uint32_t StringInterner::BeginGeneration() {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  ++current_generation_;
-  generations_.push_back(Generation{current_generation_, {}, 0, 0});
-  return current_generation_;
-}
-
-bool StringInterner::Touch(UserId id) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (!id.valid() || id.value >= entries_.size()) return false;
-  Entry& entry = entries_[id.value];
-  if (entry.data == nullptr) return false;
-  if (entry.generation == current_generation_) return true;
-  entry.data = StoreLocked({entry.data, entry.length});
-  entry.generation = current_generation_;
-  return true;
-}
-
-std::size_t StringInterner::RetireGenerationsBefore(std::uint32_t generation) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  std::size_t retired = 0;
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    Entry& entry = entries_[i];
-    if (entry.data == nullptr || entry.generation >= generation) continue;
-    entry.data = nullptr;
-    entry.length = 0;
-    free_entries_.push_back(i);
-    --live_count_;
-    ++retired;
-  }
-  std::size_t kept = 0;
-  for (Generation& gen : generations_) {
-    if (gen.number >= generation) {
-      generations_[kept++] = std::move(gen);
-    } else {
-      arena_bytes_ -= gen.bytes;
-    }
-  }
-  generations_.resize(kept);
-  if (retired != 0) RebuildSlotsLocked();
-  return retired;
-}
-
-std::uint32_t StringInterner::generation() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return current_generation_;
-}
-
-std::size_t StringInterner::arena_bytes() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return arena_bytes_;
-}
-
 std::size_t StringInterner::memory_bytes() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  return arena_bytes_ + slots_.capacity() * sizeof(std::uint32_t) +
-         entries_.capacity() * sizeof(Entry) +
+  return name_heap_bytes_ + slots_.capacity() * sizeof(std::uint32_t) +
+         names_.capacity() * sizeof(std::string) +
          free_entries_.capacity() * sizeof(std::uint32_t);
-}
-
-const char* StringInterner::StoreLocked(std::string_view s) {
-  if (generations_.empty()) {
-    generations_.push_back(Generation{current_generation_, {}, 0, 0});
-  }
-  Generation& gen = generations_.back();
-  const std::size_t need = s.size();
-  if (gen.chunks.empty() || gen.used + need > kArenaChunk) {
-    // Oversized names get a dedicated chunk so the common chunks stay full.
-    const std::size_t chunk = need > kArenaChunk ? need : kArenaChunk;
-    gen.chunks.push_back(std::make_unique<char[]>(chunk));
-    gen.used = 0;
-    gen.bytes += chunk;
-    arena_bytes_ += chunk;
-  }
-  char* dest = gen.chunks.back().get() + gen.used;
-  std::memcpy(dest, s.data(), need);
-  gen.used += need;
-  return dest;
 }
 
 void StringInterner::GrowLocked(std::size_t min_entries) {
   if (!slots_.empty() && min_entries * 8 < slots_.size() * 7) return;
   std::size_t new_capacity = slots_.empty() ? 64 : slots_.size();
   while (min_entries * 8 >= new_capacity * 7) new_capacity *= 2;
-  slots_.assign(new_capacity, kEmptySlot);
-  const std::uint64_t mask = new_capacity - 1;
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].data == nullptr) continue;
-    std::size_t index = entries_[i].hash & mask;
+  std::vector<std::uint32_t> old(new_capacity, kEmptySlot);
+  old.swap(slots_);
+  const std::size_t mask = new_capacity - 1;
+  for (const std::uint32_t entry_index : old) {
+    if (entry_index == kEmptySlot) continue;
+    std::size_t index = HashBytes(names_[entry_index]) & mask;
     while (slots_[index] != kEmptySlot) index = (index + 1) & mask;
-    slots_[index] = i;
+    slots_[index] = entry_index;
   }
 }
 
-void StringInterner::RebuildSlotsLocked() {
-  // Same capacity policy as GrowLocked, but may also shrink the table after
-  // a mass retirement.
-  std::size_t new_capacity = 64;
-  while ((live_count_ + 1) * 8 >= new_capacity * 7) new_capacity *= 2;
-  slots_.assign(new_capacity, kEmptySlot);
-  const std::uint64_t mask = new_capacity - 1;
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].data == nullptr) continue;
-    std::size_t index = entries_[i].hash & mask;
-    while (slots_[index] != kEmptySlot) index = (index + 1) & mask;
-    slots_[index] = i;
+void StringInterner::EraseSlotLocked(std::size_t hole) {
+  // Backward-shift delete: pull each later member of the probe run into
+  // the hole unless its home slot lies after the hole, so every lookup
+  // still reaches its entry before an empty slot.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t next = (hole + 1) & mask; slots_[next] != kEmptySlot;
+       next = (next + 1) & mask) {
+    const std::size_t home = HashBytes(names_[slots_[next]]) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      slots_[hole] = slots_[next];
+      hole = next;
+    }
   }
+  slots_[hole] = kEmptySlot;
 }
 
 }  // namespace rcloak::util

@@ -5,22 +5,17 @@
 // compare, or an allocation per position update. StringInterner maps each
 // user-id string to a stable dense UserId handle exactly once (at the API
 // boundary); afterwards shard selection, session lookup and commit all run
-// on 32-bit handles. Interned bytes live in chunked arenas, so the
-// string_view returned by NameOf stays valid across table growth and
-// regardless of what happened to the caller's buffer.
+// on 32-bit handles. Each entry owns its name as a std::string, so names of
+// up to 15 bytes live inline in the entry and the caller's buffer is never
+// referenced after Intern returns.
 //
-// Generations (the cold-tier reclamation story): the arena is segmented
-// into generations. Touch(id) moves a live name into the current
-// generation (the handle never changes); RetireGenerationsBefore(g) frees
-// every older generation and retires the names still stranded there. The
-// session pool drives this at spill-file compaction: it touches every
-// name that is resident or live in the spill file, then retires the rest,
-// so churned users stop being unbounded arena growth. A handle stays
-// stable for as long as its name survives retirement — an evicted-then-
-// spilled user keeps its id and a restore resumes under the same handle.
-// Retired handles are recycled for future interns, so a name that was
-// neither resident nor spilled must be re-interned (fresh handle) if the
-// user ever returns.
+// Names die with their users: Release(id) frees one entry, removes its
+// slot with a backward-shift delete and recycles the handle for a later
+// Intern. The session pool releases a user's name once that user is
+// neither resident nor live in its spill file, so churned users do not
+// grow the interner. A handle is stable for as long as its name is not
+// released; a user that returns after its release is interned afresh,
+// possibly under a different handle.
 //
 // IdMap is the companion table: open addressing (linear probing, power-of-
 // two capacity, tombstoned erase) keyed by UserId, so a session lookup is
@@ -29,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -82,87 +76,49 @@ class StringInterner {
   StringInterner& operator=(const StringInterner&) = delete;
 
   // Get-or-create (exclusive lock on create, shared probe first so the
-  // already-interned case taken by Track retries stays read-mostly). An
-  // existing name is promoted into the current generation, so interning
-  // is also a liveness signal.
+  // already-interned case taken by Track retries stays read-mostly).
   UserId Intern(std::string_view s);
 
-  // Lookup only; kInvalidUserId when `s` was never interned (or its name
-  // was retired). Shared lock — this is the per-update boundary hit. Does
-  // NOT promote: resident sessions are kept alive by the pool's explicit
-  // Touch pass, not by update traffic.
+  // Lookup only; kInvalidUserId when `s` is not interned (never was, or
+  // its name was released). Shared lock — this is the per-update boundary
+  // hit.
   UserId Find(std::string_view s) const;
 
-  // The interned bytes for `id`. The view stays valid until the entry's
-  // generation is retired (growth never moves stored bytes). Empty view
-  // for an invalid, retired, or out-of-range id. Callers that may race a
-  // retirement should use NameCopyOf.
-  std::string_view NameOf(UserId id) const;
-
-  // Copying variant: the copy is taken under the interner lock, so it is
-  // safe even if a concurrent retirement frees the arena chunk.
+  // A copy of the name behind `id`, taken under the interner lock. Empty
+  // for an invalid, released or out-of-range id.
   std::string NameCopyOf(UserId id) const;
 
-  // Live (non-retired) entry count.
+  // Frees the entry behind `id`: its name stops resolving and a later
+  // Intern may reuse the handle. Returns false (and does nothing) for an
+  // invalid, released or out-of-range id.
+  bool Release(UserId id);
+
+  // Live (unreleased) entry count.
   std::size_t size() const;
 
-  // ---- generational reclamation ----
-
-  // Opens a fresh generation and returns its number. Names interned or
-  // touched from now on land there.
-  std::uint32_t BeginGeneration();
-
-  // Moves a live name into the current generation (copying its bytes; the
-  // handle is unchanged). Returns false for invalid/retired ids.
-  bool Touch(UserId id);
-
-  // Retires every generation older than `generation`: names still living
-  // there lose their handles (recycled for future interns) and the arena
-  // chunks are freed. Returns the number of names retired.
-  std::size_t RetireGenerationsBefore(std::uint32_t generation);
-
-  std::uint32_t generation() const;
-
-  // Bytes of arena chunks currently allocated (the churned-name growth the
-  // cold tier bounds).
-  std::size_t arena_bytes() const;
-  // arena_bytes plus table/entry bookkeeping — the interner's contribution
-  // to the pool memory budget.
+  // Slot table, entries, free list and the heap of names too long to live
+  // inline — the interner's contribution to the pool memory budget.
   std::size_t memory_bytes() const;
 
  private:
-  struct Entry {
-    const char* data = nullptr;  // nullptr = retired (handle recyclable)
-    std::uint32_t length = 0;
-    std::uint32_t generation = 0;
-    std::uint64_t hash = 0;
-  };
-
-  // One generation's chunked bump arena.
-  struct Generation {
-    std::uint32_t number = 0;
-    std::vector<std::unique_ptr<char[]>> chunks;
-    std::size_t used = 0;   // bytes used in chunks.back()
-    std::size_t bytes = 0;  // total bytes allocated across chunks
-  };
-
   static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
-  static constexpr std::size_t kArenaChunk = 1 << 16;
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-  // All require mutex_ held (shared suffices for FindLocked).
+  // All require mutex_ held (shared suffices for the const ones).
   UserId FindLocked(std::string_view s, std::uint64_t hash) const;
-  const char* StoreLocked(std::string_view s);
+  // The slot holding `id`, or kNoSlot when `id` is not interned.
+  std::size_t SlotOfLocked(UserId id) const;
   void GrowLocked(std::size_t min_entries);
-  void RebuildSlotsLocked();
+  void EraseSlotLocked(std::size_t hole);
 
   mutable std::shared_mutex mutex_;
-  std::vector<std::uint32_t> slots_;  // entry index or kEmptySlot
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> free_entries_;  // retired handles, reusable
+  // Entry index or kEmptySlot. An entry is live exactly while a slot
+  // holds it.
+  std::vector<std::uint32_t> slots_;
+  std::vector<std::string> names_;  // by handle; "" once released
+  std::vector<std::uint32_t> free_entries_;  // released handles, reusable
   std::size_t live_count_ = 0;
-  std::vector<Generation> generations_;  // ascending; back() is current
-  std::size_t arena_bytes_ = 0;          // sum of Generation::bytes
-  std::uint32_t current_generation_ = 0;
+  std::size_t name_heap_bytes_ = 0;  // heap behind names not stored inline
 };
 
 // Open-addressed id→value map (linear probing, tombstoned erase). Not

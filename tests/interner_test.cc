@@ -1,7 +1,8 @@
 // String interner + id-keyed open-addressed map: the session layer's
-// million-user fast path depends on (a) handles being dense, stable and
-// never recycled, (b) NameOf views surviving table growth and caller
-// buffer reuse (string_view boundary), and (c) IdMap behaving like a map
+// million-user fast path depends on (a) handles being dense and stable
+// until their name is released, (b) names surviving table growth and
+// caller buffer reuse (string_view boundary), (c) a release dropping only
+// its own name and recycling its handle, and (d) IdMap behaving like a map
 // through insert/erase/growth cycles including tombstone reuse.
 #include <gtest/gtest.h>
 
@@ -28,8 +29,8 @@ TEST(StringInternerTest, InternAssignsDenseStableHandles) {
   // Get-or-create: same string, same handle, no growth.
   EXPECT_EQ(interner.Intern("alice"), a);
   EXPECT_EQ(interner.size(), 2u);
-  EXPECT_EQ(interner.NameOf(a), "alice");
-  EXPECT_EQ(interner.NameOf(b), "bob");
+  EXPECT_EQ(interner.NameCopyOf(a), "alice");
+  EXPECT_EQ(interner.NameCopyOf(b), "bob");
 }
 
 TEST(StringInternerTest, FindNeverInterns) {
@@ -45,23 +46,18 @@ TEST(StringInternerTest, FindNeverInterns) {
   EXPECT_TRUE(interner.Find("").valid());
 }
 
-TEST(StringInternerTest, ViewsSurviveGrowthAndIdsStayDense) {
+TEST(StringInternerTest, NamesSurviveGrowthAndIdsStayDense) {
   StringInterner interner;
   constexpr int kUsers = 10000;  // forces several slot-table rehashes
   std::vector<UserId> ids;
-  std::vector<std::string_view> early_views;
   for (int i = 0; i < kUsers; ++i) {
     ids.push_back(interner.Intern("user" + std::to_string(i)));
-    if (i < 10) early_views.push_back(interner.NameOf(ids.back()));
   }
   for (int i = 0; i < kUsers; ++i) {
     EXPECT_EQ(ids[i].value, static_cast<std::uint32_t>(i));
     ASSERT_EQ(interner.Find("user" + std::to_string(i)), ids[i]) << i;
-  }
-  // Views captured before ~10 rehashes still point at the same bytes.
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(early_views[static_cast<std::size_t>(i)],
-              "user" + std::to_string(i));
+    // Names interned before ~10 rehashes (and entry-vector moves) intact.
+    ASSERT_EQ(interner.NameCopyOf(ids[i]), "user" + std::to_string(i)) << i;
   }
   EXPECT_EQ(interner.size(), static_cast<std::size_t>(kUsers));
 }
@@ -73,7 +69,7 @@ TEST(StringInternerTest, StringViewBoundaryCopiesTheBytes) {
   const UserId id = interner.Intern(std::string_view(buffer, 9));
   // The caller's buffer is reused; the interned name must not change.
   std::strcpy(buffer, "clobbered");
-  EXPECT_EQ(interner.NameOf(id), "transient");
+  EXPECT_EQ(interner.NameCopyOf(id), "transient");
   EXPECT_EQ(interner.Find("transient"), id);
   EXPECT_FALSE(interner.Find(std::string_view(buffer, 9)).valid());
 }
@@ -189,91 +185,97 @@ TEST(IdMapTest, ChurnReclaimsTombstones) {
   }
 }
 
-// ---- generational reclamation (the cold-tier arena bound) ----
+// ---- release (names die with their users) ----
 
-TEST(StringInternerTest, TouchKeepsHandlesStableAcrossRetirement) {
+TEST(StringInternerTest, ReleaseDropsOnlyThatName) {
+  StringInterner interner;
+  // Enough names that slots share probe runs, so the backward-shift delete
+  // must move neighbours for every survivor to stay reachable.
+  std::vector<UserId> ids;
+  for (int i = 0; i < 300; ++i) {
+    ids.push_back(interner.Intern("name" + std::to_string(i)));
+  }
+  const UserId long_name = interner.Intern(std::string(64, 'x'));
+  for (int i = 0; i < 300; i += 3) ASSERT_TRUE(interner.Release(ids[i]));
+  ASSERT_TRUE(interner.Release(long_name));
+
+  for (int i = 0; i < 300; ++i) {
+    const std::string name = "name" + std::to_string(i);
+    if (i % 3 == 0) {
+      EXPECT_FALSE(interner.Find(name).valid()) << name;
+      EXPECT_EQ(interner.NameCopyOf(ids[i]), "") << name;
+    } else {
+      EXPECT_EQ(interner.Find(name), ids[i]) << name;
+      EXPECT_EQ(interner.NameCopyOf(ids[i]), name);
+    }
+  }
+  EXPECT_FALSE(interner.Find(std::string(64, 'x')).valid());
+  // A second release of the same handle, or of one never handed out, is
+  // refused and changes nothing.
+  EXPECT_FALSE(interner.Release(ids[0]));
+  EXPECT_FALSE(interner.Release(long_name));
+  EXPECT_FALSE(interner.Release(kInvalidUserId));
+  EXPECT_FALSE(interner.Release(UserId{100000}));
+  EXPECT_EQ(interner.size(), 200u);
+}
+
+TEST(StringInternerTest, ReleasedHandlesAreRecycled) {
   StringInterner interner;
   const UserId keep = interner.Intern("survivor");
-  const UserId drop = interner.Intern("churned");
-  const std::uint32_t fresh = interner.BeginGeneration();
-  ASSERT_TRUE(interner.Touch(keep));
-  const std::size_t retired = interner.RetireGenerationsBefore(fresh);
-  EXPECT_EQ(retired, 1u);
-
-  // The survivor's handle and bytes are intact; the churned name is gone
-  // from both directions.
-  EXPECT_EQ(interner.NameOf(keep), "survivor");
-  EXPECT_EQ(interner.Find("survivor"), keep);
-  EXPECT_EQ(interner.NameOf(drop), "");
-  EXPECT_FALSE(interner.Find("churned").valid());
-  EXPECT_FALSE(interner.Touch(drop));
-  EXPECT_EQ(interner.size(), 1u);
-}
-
-TEST(StringInternerTest, RetiredHandlesAreRecycled) {
-  StringInterner interner;
   const UserId old = interner.Intern("transient");
-  const std::uint32_t fresh = interner.BeginGeneration();
-  ASSERT_EQ(interner.RetireGenerationsBefore(fresh), 1u);
+  ASSERT_TRUE(interner.Release(old));
 
   // The next intern reuses the freed handle; a returning user re-interns
-  // under it as a brand-new name.
+  // as a brand-new name.
   const UserId recycled = interner.Intern("newcomer");
   EXPECT_EQ(recycled, old);
-  EXPECT_EQ(interner.NameOf(recycled), "newcomer");
+  EXPECT_EQ(interner.NameCopyOf(recycled), "newcomer");
   EXPECT_FALSE(interner.Find("transient").valid());
+  const UserId returned = interner.Intern("transient");
+  EXPECT_NE(returned, old);
+  EXPECT_NE(returned, keep);
+  EXPECT_EQ(interner.Find("survivor"), keep);
+  EXPECT_EQ(interner.size(), 3u);
 }
 
-// The ISSUE acceptance pin: sustained churn with per-round retirement must
-// keep arena bytes and handle space bounded — retired generations actually
-// free their chunks and their handles.
-TEST(StringInternerTest, ArenaAndHandleSpaceBoundedUnderChurn) {
+// Sustained churn with per-round release must keep memory and handle
+// space bounded: released entries give their names' heap back and their
+// handles to the next interns.
+TEST(StringInternerTest, MemoryAndHandleSpaceBoundedUnderChurn) {
   StringInterner interner;
   std::vector<UserId> residents;
   for (int i = 0; i < 50; ++i) {
     residents.push_back(interner.Intern("resident" + std::to_string(i)));
   }
 
-  std::size_t peak_arena = 0;
+  std::size_t peak_memory = 0;
   std::uint32_t peak_handle = 0;
   for (int round = 0; round < 40; ++round) {
-    // A burst of transient users (each ~32 bytes of name), then the
-    // compaction-style pass: fresh generation, touch residents, retire.
+    // A burst of transient users (each ~32 bytes of name, past the inline
+    // buffer), then every one of them departs.
+    std::vector<UserId> transients;
     for (int i = 0; i < 200; ++i) {
       const UserId id = interner.Intern(
           "transient-round" + std::to_string(round) + "-user" +
           std::to_string(i) + "-padpadpad");
+      transients.push_back(id);
       peak_handle = std::max(peak_handle, id.value);
     }
-    const std::uint32_t fresh = interner.BeginGeneration();
-    for (const UserId id : residents) ASSERT_TRUE(interner.Touch(id));
-    EXPECT_EQ(interner.RetireGenerationsBefore(fresh), 200u);
-    peak_arena = std::max(peak_arena, interner.arena_bytes());
+    peak_memory = std::max(peak_memory, interner.memory_bytes());
+    for (const UserId id : transients) ASSERT_TRUE(interner.Release(id));
   }
 
   // 8000 transients passed through, but live state is just the residents:
-  // the arena never held more than a couple of 64 KiB chunks (unbounded
-  // growth would be ~40 of them) and handles were recycled instead of
+  // memory stayed under what unbounded growth needs for the names alone
+  // (~40 rounds x 200 x 40 B) and handles were recycled instead of
   // marching toward 8050.
   EXPECT_EQ(interner.size(), 50u);
-  EXPECT_LT(peak_arena, 256u * 1024u);
+  EXPECT_LT(peak_memory, 256u * 1024u);
   EXPECT_LT(peak_handle, 600u);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(interner.NameOf(residents[i]), "resident" + std::to_string(i));
+    EXPECT_EQ(interner.NameCopyOf(residents[i]),
+              "resident" + std::to_string(i));
   }
-}
-
-TEST(StringInternerTest, InternPromotesIntoCurrentGeneration) {
-  StringInterner interner;
-  const UserId id = interner.Intern("comeback");
-  interner.BeginGeneration();
-  // Re-interning (not just finding) is a liveness signal: it promotes the
-  // existing entry, so the retirement pass below must not collect it.
-  EXPECT_EQ(interner.Intern("comeback"), id);
-  const std::uint32_t fresh = interner.BeginGeneration();
-  EXPECT_EQ(interner.Intern("comeback"), id);  // promote into `fresh` too
-  EXPECT_EQ(interner.RetireGenerationsBefore(fresh), 0u);
-  EXPECT_EQ(interner.NameOf(id), "comeback");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // cases and a concurrency smoke the TSAN CI job runs race-clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -1387,6 +1388,243 @@ TEST(SessionPoolTest, ConcurrentSweepsKeepEveryUserOnTheOracle) {
   EXPECT_GT(stats.restored_on_miss, 0u);
   EXPECT_EQ(stats.recloak_failures, 0u);
   EXPECT_EQ(stats.restore_failures, 0u);
+  RemoveSpillFile(path);
+}
+
+// ---- name lifecycle: a user's name dies with the user ----
+
+// A pool with no spill file never compacts, so only eviction can free a
+// churned user's name: 40 rounds of 200 transient users tracked, updated
+// and reaped by EvictIdle must leave the interner at the size about two
+// rounds need, not the 8,000 names that passed through.
+TEST(SessionPoolTest, NoSpillChurnKeepsInternerBounded) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  core::Anonymizer engine(ctx, OnePerSegment(net));
+  AnonymizationServer server(std::move(engine), {});
+  ContinuousSessionPool pool(server);
+  constexpr int kRounds = 40;
+  constexpr int kUsers = 200;
+  std::size_t peak_interner_bytes = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const double now = 100.0 * round;
+    std::vector<ContinuousSessionPool::IdPositionUpdate> batch;
+    for (int u = 0; u < kUsers; ++u) {
+      const auto id = pool.Track(
+          "transient-" + std::to_string(round) + "-" + std::to_string(u),
+          FleetProfile(), Algorithm::kRge, KeysFor(u), FleetOptions(), now);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      batch.push_back({*id, now + 1.0,
+                       SegmentId{static_cast<std::uint32_t>(
+                           static_cast<std::size_t>(u) % net.segment_count())}});
+    }
+    for (const auto& result : pool.UpdateBatch(batch)) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+    peak_interner_bytes =
+        std::max(peak_interner_bytes, pool.stats().interner_bytes);
+    ASSERT_EQ(pool.EvictIdle(now + 50.0, 10.0),
+              static_cast<std::size_t>(kUsers));
+  }
+  pool.UpdateBatch({});
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.active_sessions, 0u);
+  EXPECT_EQ(stats.evicted_idle, static_cast<std::uint64_t>(kRounds * kUsers));
+  // Keeping every name costs ~400 KB (8,000 entries, their slots and
+  // bytes); two rounds' worth of names fits in a fraction of 64 KiB.
+  EXPECT_LT(peak_interner_bytes, 64u * 1024u);
+  EXPECT_LT(stats.interner_bytes, 64u * 1024u);
+  EXPECT_EQ(pool.UserIdOf("transient-0-0").status().code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(pool.UserIdOf("transient-39-199").status().code(),
+            ErrorCode::kNotFound);
+}
+
+// Evict of a resident user and of a spilled user: the batch after the
+// evictions, an empty one included, releases both names. A stale handle is
+// then an unknown user, answered NotFound and counted, never a restore.
+TEST(SessionPoolTest, EvictedNamesAreReleasedByTheNextBatch) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  core::Anonymizer engine(ctx, OnePerSegment(net));
+  AnonymizationServer server(std::move(engine), {});
+  server::SessionPoolOptions options;
+  options.key_provider_factory = CarKeys;
+  ContinuousSessionPool pool(server, options);
+  const std::string path = "session_pool_release_test.rcsf";
+  RemoveSpillFile(path);
+  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
+  std::vector<util::UserId> ids;
+  for (int car = 0; car < 2; ++car) {
+    const std::string user = "car" + std::to_string(car);
+    const auto id = pool.Track(user, FleetProfile(), Algorithm::kRge,
+                               KeysFor(car), FleetOptions());
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+    ASSERT_TRUE(Update(pool, user, 1.0, SegmentId{5}).ok());
+  }
+  ASSERT_EQ(*pool.SpillAllToFile(), 2u);
+  ASSERT_TRUE(Update(pool, "car0", 2.0, SegmentId{6}).ok());
+  ASSERT_EQ(pool.StateOf(ids[0]), ContinuousSessionPool::UserState::kResident);
+  ASSERT_EQ(pool.StateOf(ids[1]), ContinuousSessionPool::UserState::kSpilled);
+
+  EXPECT_TRUE(pool.Evict("car0"));
+  EXPECT_TRUE(pool.Evict("car1"));
+  EXPECT_TRUE(pool.UpdateBatch({}).empty());
+  EXPECT_EQ(pool.UserIdOf("car0").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(pool.UserIdOf("car1").status().code(), ErrorCode::kNotFound);
+
+  const std::uint64_t unknown_before = pool.stats().unknown_user;
+  const auto results = pool.UpdateBatch(
+      {{ids[0], 3.0, SegmentId{7}}, {ids[1], 3.0, SegmentId{7}}});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(results[1].status().code(), ErrorCode::kNotFound);
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.unknown_user, unknown_before + 2);
+  EXPECT_EQ(stats.restore_failures, 0u);
+  EXPECT_EQ(stats.evicted, 2u);
+  EXPECT_EQ(stats.spill_live_records, 0u);
+  EXPECT_EQ(pool.session_count(), 0u);
+  RemoveSpillFile(path);
+}
+
+// A user evicted and tracked again before the next batch revives its name:
+// the release step skips it and the user keeps its handle and works.
+TEST(SessionPoolTest, RetrackBeforeTheNextBatchRevivesTheName) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  core::Anonymizer engine(ctx, OnePerSegment(net));
+  AnonymizationServer server(std::move(engine), {});
+  ContinuousSessionPool pool(server);
+  const auto first = pool.Track("phoenix", FleetProfile(), Algorithm::kRge,
+                                KeysFor(8), FleetOptions());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(Update(pool, "phoenix", 1.0, SegmentId{5}).ok());
+
+  ASSERT_TRUE(pool.Evict("phoenix"));
+  const auto revived = pool.Track("phoenix", FleetProfile(), Algorithm::kRge,
+                                  KeysFor(8), FleetOptions(), 2.0);
+  ASSERT_TRUE(revived.ok()) << revived.status().ToString();
+  EXPECT_EQ(*revived, *first);  // the name was not released yet
+
+  // This batch runs the release step, which must leave "phoenix" alone.
+  const auto served = pool.UpdateBatch({{*revived, 3.0, SegmentId{6}}});
+  ASSERT_TRUE(served[0].ok()) << served[0].status().ToString();
+  ASSERT_TRUE(pool.UserIdOf("phoenix").ok());
+  EXPECT_EQ(*pool.UserIdOf("phoenix"), *revived);
+  ASSERT_TRUE(Update(pool, "phoenix", 4.0, SegmentId{40}).ok());
+  EXPECT_EQ(pool.StateOf(*revived),
+            ContinuousSessionPool::UserState::kResident);
+  EXPECT_EQ(pool.stats().unknown_user, 0u);
+  // A newcomer does not take the revived user's handle.
+  const auto newcomer = pool.Track("newcomer", FleetProfile(),
+                                   Algorithm::kRge, KeysFor(9),
+                                   FleetOptions());
+  ASSERT_TRUE(newcomer.ok());
+  EXPECT_NE(*newcomer, *revived);
+}
+
+// TSAN race for the name lifecycle: two threads evict and re-track a set
+// of users while two others update them (their sweeps spilling everyone
+// under a one-byte budget and restoring on miss) and one thread compacts
+// the cold tier. Releases land between the batches. At the end every name
+// resolves exactly when its user is resident or spilled.
+TEST(SessionPoolTest, EvictRetrackRacesUpdatesAndCompaction) {
+  const RoadNetwork net = roadnet::MakeGrid({12, 12, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  core::Anonymizer engine(ctx, OnePerSegment(net));
+  server::ServerOptions server_options;
+  server_options.num_workers = 2;
+  AnonymizationServer server(std::move(engine), server_options);
+  server::SessionPoolOptions options;
+  options.key_provider_factory = CarKeys;
+  options.sweep_batch = 8;
+  options.memory_budget_bytes = 1;
+  ContinuousSessionPool pool(server, options);
+  const std::string path = "session_pool_release_race_test.rcsf";
+  RemoveSpillFile(path);
+  ASSERT_TRUE(pool.AttachSpillFile(path).ok());
+
+  constexpr int kUsers = 16;
+  constexpr int kUpdaters = 2;
+  constexpr int kChurners = 2;
+  constexpr int kSteps = 40;
+  const auto user_of = [](int car) { return "car" + std::to_string(car); };
+  for (int car = 0; car < kUsers; ++car) {
+    ASSERT_TRUE(pool.Track(user_of(car), FleetProfile(), Algorithm::kRge,
+                           KeysFor(car), FleetOptions())
+                    .ok());
+  }
+
+  std::atomic<int> updaters_running{kUpdaters};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kUpdaters; ++t) {
+    // Each updater owns half the users, so every user's updates stay in
+    // time order.
+    threads.emplace_back([&, t] {
+      for (int step = 1; step <= kSteps; ++step) {
+        std::vector<NamedUpdate> batch;
+        for (int car = t; car < kUsers; car += kUpdaters) {
+          batch.push_back({user_of(car), static_cast<double>(step),
+                           SegmentId{static_cast<std::uint32_t>(
+                               static_cast<std::size_t>(car * 7 + step * 5) %
+                               net.segment_count())}});
+        }
+        for (const auto& result : UpdateNamed(pool, batch)) {
+          // An evicted user is NotFound until it is tracked again.
+          EXPECT_TRUE(result.ok() ||
+                      result.status().code() == ErrorCode::kNotFound)
+              << result.status().ToString();
+        }
+      }
+      updaters_running.fetch_sub(1);
+    });
+  }
+  for (int t = 0; t < kChurners; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; updaters_running.load() > 0; ++i) {
+        const int car = (i * kChurners + t) % kUsers;
+        (void)pool.Evict(user_of(car));
+        std::this_thread::yield();
+        // Refused when the other churner re-tracked it first.
+        (void)pool.Track(user_of(car), FleetProfile(), Algorithm::kRge,
+                         KeysFor(car), FleetOptions(), 0.0);
+        if (i % 4 == 0) (void)pool.UpdateBatch({});
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    do {
+      EXPECT_TRUE(pool.CompactColdTier().ok());
+      std::this_thread::yield();
+    } while (updaters_running.load() > 0);
+  });
+  for (auto& thread : threads) thread.join();
+
+  // Every churn step ends in a Track, so all users are tracked now; four
+  // leave for good.
+  constexpr int kLeavers = 4;
+  for (int car = 0; car < kLeavers; ++car) {
+    EXPECT_TRUE(pool.Evict(user_of(car)));
+  }
+  pool.UpdateBatch({});
+  std::size_t resolving = 0;
+  for (int car = 0; car < kUsers; ++car) {
+    const auto id = pool.UserIdOf(user_of(car));
+    EXPECT_EQ(id.ok(), car >= kLeavers) << user_of(car);
+    if (!id.ok()) continue;
+    ++resolving;
+    EXPECT_NE(pool.StateOf(*id), ContinuousSessionPool::UserState::kUntracked)
+        << user_of(car);
+  }
+  // ...and no resident or spilled user has lost its name.
+  const auto stats = pool.stats();
+  EXPECT_EQ(resolving, static_cast<std::size_t>(kUsers - kLeavers));
+  EXPECT_EQ(resolving, stats.active_sessions + stats.spill_live_records);
+  EXPECT_GT(stats.evicted, 0u);
+  EXPECT_EQ(stats.restore_failures, 0u);
+  EXPECT_EQ(stats.recloak_failures, 0u);
   RemoveSpillFile(path);
 }
 
