@@ -1,7 +1,9 @@
 #include "server/continuous_session_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 
@@ -13,26 +15,27 @@ using core::ContinuousPolicy;
 
 namespace {
 
-// Spill record: the state bytes of one store::SpillFile record. The file
-// header already holds the format version and the map fingerprint, and
-// the record payload holds the user's name, so the state writes neither:
-//
-//   u64le owner | f64 last_update_s | varint last_segment | policy bytes
-//
-// The owner token sits at offset 0, so ownership checks read 8 bytes and
-// never parse the policy.
-constexpr std::size_t kOwnerBytes = 8;
-// Compaction waits until the file holds at least this many bytes.
-constexpr std::uint64_t kSpillCompactMinBytes = 1 << 20;
-
-StatusOr<std::uint64_t> SpillRecordOwner(const Bytes& state) {
-  std::size_t offset = 0;
-  const auto owner = GetU64le(state, &offset);
-  if (!owner) return Status::DataLoss("spilled session truncated");
-  return *owner;
+// The ownership rule: an owned session (or spill record) moves only for
+// its principal; owner 0 is unowned.
+bool OwnedByOther(std::uint64_t owner, std::uint64_t principal) {
+  return owner != 0 && owner != principal;
 }
 
 }  // namespace
+
+SessionCounters& SessionCounters::operator+=(const SessionCounters& other) {
+  // Field by field, without naming the fields a second time: the struct is
+  // nothing but std::uint64_t counters (no padding, no other type).
+  using Fields = std::array<std::uint64_t,
+                            sizeof(SessionCounters) / sizeof(std::uint64_t)>;
+  static_assert(sizeof(Fields) == sizeof(SessionCounters) &&
+                std::has_unique_object_representations_v<SessionCounters>);
+  auto sum = std::bit_cast<Fields>(*this);
+  const auto add = std::bit_cast<Fields>(other);
+  for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += add[i];
+  *this = std::bit_cast<SessionCounters>(sum);
+  return *this;
+}
 
 ContinuousSessionPool::ContinuousSessionPool(AnonymizationServer& server,
                                              const SessionPoolOptions& options)
@@ -56,31 +59,14 @@ std::size_t ContinuousSessionPool::SessionFootprint(const Session& session) {
   return session.policy.MemoryFootprint() + sizeof(KeyProvider);
 }
 
-Bytes ContinuousSessionPool::SpillRecordOf(const Session& session) {
-  Bytes out;
-  PutU64le(out, session.owner);
-  PutU64le(out, std::bit_cast<std::uint64_t>(session.last_update_s));
-  PutVarint(out, roadnet::Index(session.last_segment));
-  session.policy.Serialize(out);
-  return out;
-}
-
-std::pair<ContinuousSessionPool::Session*, bool>
-ContinuousSessionPool::InsertLocked(Shard& shard, util::UserId id,
-                                    Session session, bool restored) {
-  if (spill_ != nullptr && spill_->Contains(id) != restored) {
-    return {shard.sessions.Find(id), false};
-  }
-  const auto [slot, inserted] =
-      shard.sessions.TryEmplace(id, std::move(session));
-  if (!inserted) return {slot, false};
+ContinuousSessionPool::Session* ContinuousSessionPool::InsertLocked(
+    Shard& shard, util::UserId id, Session session) {
+  Session* slot = shard.sessions.TryEmplace(id, std::move(session)).first;
   slot->referenced = true;
   slot->mem_bytes = SessionFootprint(*slot);
   shard.resident_bytes += slot->mem_bytes;
   shard.OccupancyAdd(slot->last_segment);
-  if (restored) ++shard.restored;
-  if (spill_ != nullptr) spill_->Erase(id);  // a restore supersedes its record
-  return {slot, true};
+  return slot;
 }
 
 StatusOr<std::pair<util::UserId, bool>> ContinuousSessionPool::TrackFresh(
@@ -103,8 +89,10 @@ StatusOr<std::pair<util::UserId, bool>> ContinuousSessionPool::TrackFresh(
   const util::UserId id = interner_.Intern(user_id);
   Shard& shard = *shards_[ShardIndexFor(id)];
   std::unique_lock<std::mutex> lock(shard.mutex);
-  const bool inserted =
-      InsertLocked(shard, id, std::move(session), /*restored=*/false).second;
+  // No track rolls a spilled user's epoch back: a live record blocks it.
+  const bool inserted = shard.sessions.Find(id) == nullptr &&
+                        (spill_ == nullptr || !spill_->Contains(id));
+  if (inserted) InsertLocked(shard, id, std::move(session));
   lock.unlock();
   // A track flood can pass the budget without a single update.
   if (inserted) MaybeSweep();
@@ -224,10 +212,9 @@ Status ContinuousSessionPool::AttachSpillFile(const std::string& path) {
   if (spill_ != nullptr) {
     return Status::FailedPrecondition("spill file already attached");
   }
-  auto file = store::SpillFile::Attach(
-      path, server_->engine().context()->fingerprint(), interner_);
-  if (!file.ok()) return file.status();
-  spill_ = std::move(*file);
+  RCLOAK_ASSIGN_OR_RETURN(
+      spill_, store::SpillFile::Attach(
+                  path, server_->engine().context()->fingerprint(), interner_));
   return Status::Ok();
 }
 
@@ -251,92 +238,68 @@ StatusOr<ContinuousSessionPool::UserState> ContinuousSessionPool::StateOf(
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (const Session* session = shard.sessions.Find(user)) {
-      if (session->owner != 0 && session->owner != principal) {
+      if (OwnedByOther(session->owner, principal)) {
         return Status::PermissionDenied(
             "user is owned by a different principal");
       }
       return UserState::kResident;
     }
   }
-  if (spill_ != nullptr) {
-    auto record = spill_->ReadRecord(user);
-    if (record.ok()) {
-      RCLOAK_ASSIGN_OR_RETURN(const std::uint64_t owner,
-                              SpillRecordOwner(*record));
-      if (owner != 0 && owner != principal) {
-        return Status::PermissionDenied(
-            "user is owned by a different principal");
-      }
-      return UserState::kSpilled;
+  const auto owner = ReadSpilledOwner(user);
+  if (!owner.ok()) {
+    if (owner.status().code() == ErrorCode::kNotFound) {
+      return UserState::kUntracked;
     }
-    if (record.status().code() != ErrorCode::kNotFound) {
-      return record.status();
-    }
+    return owner.status();
   }
-  return UserState::kUntracked;
+  if (OwnedByOther(*owner, principal)) {
+    return Status::PermissionDenied("user is owned by a different principal");
+  }
+  return UserState::kSpilled;
+}
+
+StatusOr<std::uint64_t> ContinuousSessionPool::ReadSpilledOwner(
+    util::UserId user, Bytes* state) const {
+  if (spill_ == nullptr) return Status::NotFound("no spill file attached");
+  RCLOAK_ASSIGN_OR_RETURN(Bytes record, spill_->ReadRecord(user));
+  RCLOAK_ASSIGN_OR_RETURN(const std::uint64_t owner,
+                          store::SpillOwnerOf(record));
+  if (state != nullptr) *state = std::move(record);
+  return owner;
 }
 
 StatusOr<ContinuousSessionPool::Session>
 ContinuousSessionPool::RestoreFromSpill(util::UserId user,
                                         std::uint64_t principal,
                                         bool enforce_owner) {
-  if (spill_ == nullptr) return Status::NotFound("no spill file attached");
-  Shard& shard = *shards_[ShardIndexFor(user)];
-  const auto fail = [&shard](Status status) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    ++shard.restore_failures;
-    return status;
-  };
   Stopwatch timer;
-  auto record = spill_->ReadRecord(user);
-  if (!record.ok()) {
-    if (record.status().code() == ErrorCode::kNotFound) return record.status();
-    return fail(record.status());
-  }
-  auto owner = SpillRecordOwner(*record);
-  if (!owner.ok()) return fail(owner.status());
+  Bytes state;
+  RCLOAK_ASSIGN_OR_RETURN(const std::uint64_t owner,
+                          ReadSpilledOwner(user, &state));
   // Ownership gate, before the policy is parsed: a record carrying a
   // different principal's owner is never adopted into this caller's batch —
   // the spilled state stays put.
-  if (enforce_owner && *owner != 0 && *owner != principal) {
+  if (enforce_owner && OwnedByOther(owner, principal)) {
     return Status::PermissionDenied(
         "user is owned by a different principal: " +
         interner_.NameCopyOf(user));
   }
-  std::size_t offset = kOwnerBytes;
-  const auto clock_bits = GetU64le(*record, &offset);
-  const auto segment = GetVarint(*record, &offset);
-  if (!clock_bits || !segment) {
-    return fail(Status::DataLoss("spilled session truncated"));
-  }
-  const roadnet::SegmentId last_segment{static_cast<std::uint32_t>(*segment)};
-  if (*segment != roadnet::Index(last_segment)) {
-    return fail(Status::DataLoss("spilled session: segment id out of range"));
-  }
-  auto policy =
-      ContinuousPolicy::Deserialize(interner_.NameCopyOf(user), *record,
-                                    offset, server_->engine().network());
-  if (!policy.ok()) return fail(policy.status());
-  // Key source: the provider parked at budget-spill time, else the
-  // configured factory (the only option for files attached cross-run).
-  KeyProvider provider;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (KeyProvider* parked = shard.parked_keys.Find(user)) {
-      provider = std::move(*parked);
-      shard.parked_keys.Erase(user);
-    }
-  }
-  if (!provider && options_.key_provider_factory) {
-    provider = options_.key_provider_factory(interner_.NameCopyOf(user));
-  }
-  if (!provider) {
-    return fail(Status::FailedPrecondition("restore: no key source"));
-  }
-  Session session(std::move(*policy), std::move(provider));
-  session.owner = *owner;
-  session.last_update_s = std::bit_cast<double>(*clock_bits);
-  session.last_segment = last_segment;
+  std::size_t offset = 0;
+  RCLOAK_ASSIGN_OR_RETURN(const store::SpillHead head,
+                          store::ParseSpillHead(state, &offset));
+  const std::string name = interner_.NameCopyOf(user);
+  RCLOAK_ASSIGN_OR_RETURN(
+      ContinuousPolicy policy,
+      ContinuousPolicy::Deserialize(name, state, offset,
+                                    server_->engine().network()));
+  // The factory is the only key source for files attached cross-run; a
+  // provider parked at budget-spill time is taken at the insert.
+  Session session(std::move(policy), options_.key_provider_factory
+                                         ? options_.key_provider_factory(name)
+                                         : KeyProvider());
+  session.owner = head.owner;
+  session.last_update_s = head.last_update_s;
+  session.last_segment = roadnet::SegmentId{head.last_segment};
   {
     std::lock_guard<std::mutex> lock(latency_mutex_);
     restore_latency_ms_.Add(timer.ElapsedMillis());
@@ -344,12 +307,45 @@ ContinuousSessionPool::RestoreFromSpill(util::UserId user,
   return session;
 }
 
+StatusOr<std::pair<ContinuousSessionPool::Session*, bool>>
+ContinuousSessionPool::InsertRestoredLocked(Shard& shard, util::UserId id,
+                                            StatusOr<Session> restored) {
+  if (Session* resident = shard.sessions.Find(id)) {
+    return std::make_pair(resident, false);
+  }
+  if (!restored.ok()) {
+    const ErrorCode code = restored.status().code();
+    if (code != ErrorCode::kNotFound && code != ErrorCode::kPermissionDenied) {
+      ++shard.restore_failures;  // the record rotted
+    }
+    return restored.status();
+  }
+  if (!spill_->Contains(id)) return Status::NotFound("spill record evicted");
+  if (!restored->key_provider) {
+    KeyProvider* parked = shard.parked_keys.Find(id);
+    if (parked == nullptr) {
+      ++shard.restore_failures;
+      return Status::FailedPrecondition("restore: no key source");
+    }
+    restored->key_provider = std::move(*parked);
+    shard.parked_keys.Erase(id);
+  }
+  spill_->Erase(id);  // the restored session supersedes its record
+  ++shard.restored;
+  return std::make_pair(InsertLocked(shard, id, std::move(*restored)), true);
+}
+
 Status ContinuousSessionPool::SpillVictimsLocked(
     Shard& shard, const std::vector<util::UserId>& victims) {
   std::vector<store::SpillFile::Record> batch;
   batch.reserve(victims.size());
   for (const util::UserId id : victims) {
-    batch.push_back({id, SpillRecordOf(*shard.sessions.Find(id))});
+    const Session& session = *shard.sessions.Find(id);
+    Bytes state;
+    store::PutSpillHead(state, {session.owner, session.last_update_s,
+                                roadnet::Index(session.last_segment)});
+    session.policy.Serialize(state);
+    batch.push_back({id, std::move(state)});
   }
   RCLOAK_RETURN_IF_ERROR(spill_->AppendBatch(batch));
   for (const util::UserId id : victims) {
@@ -412,22 +408,6 @@ void ContinuousSessionPool::MaybeSweep() {
   }
 }
 
-bool ContinuousSessionPool::CompactionDue() const {
-  if (spill_ == nullptr) return false;
-  const store::SpillFileStats stats = spill_->stats();
-  if (stats.file_bytes < kSpillCompactMinBytes) return false;
-  return static_cast<double>(stats.dead_bytes) >
-         options_.spill_compact_dead_fraction *
-             static_cast<double>(stats.file_bytes);
-}
-
-void ContinuousSessionPool::MaybeCompactColdTier() {
-  // Failure leaves the dead bytes in place; retried after the next batch.
-  // Batches that both saw it due rewrite the file once: the second
-  // Compact finds no dead bytes.
-  if (CompactionDue()) (void)spill_->Compact();
-}
-
 Status ContinuousSessionPool::CompactColdTier() {
   if (spill_ == nullptr) {
     return Status::FailedPrecondition("no spill file attached");
@@ -466,13 +446,11 @@ StatusOr<std::size_t> ContinuousSessionPool::RestoreAllFromFile() {
     // still holds for subsequent updates).
     auto session = RestoreFromSpill(user, /*principal=*/0,
                                     /*enforce_owner=*/false);
-    if (!session.ok()) continue;
     Shard& shard = *shards_[ShardIndexFor(user)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (InsertLocked(shard, user, std::move(*session), /*restored=*/true)
-            .second) {
-      ++restored;
-    }
+    const auto resident =
+        InsertRestoredLocked(shard, user, std::move(session));
+    if (resident.ok() && resident->second) ++restored;
   }
   return restored;
 }
@@ -484,14 +462,12 @@ StatusOr<std::size_t> ContinuousSessionPool::OwnedSpillRecords() const {
   std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   std::size_t owned = 0;
   for (const util::UserId user : spill_->LiveUsers()) {
-    auto record = spill_->ReadRecord(user);
-    if (!record.ok()) {
-      if (record.status().code() == ErrorCode::kNotFound) continue;
-      return record.status();
+    const auto owner = ReadSpilledOwner(user);
+    if (!owner.ok()) {
+      if (owner.status().code() == ErrorCode::kNotFound) continue;
+      return owner.status();
     }
-    RCLOAK_ASSIGN_OR_RETURN(const std::uint64_t owner,
-                            SpillRecordOwner(*record));
-    if (owner != 0) ++owned;
+    if (*owner != 0) ++owned;
   }
   return owned;
 }
@@ -508,7 +484,7 @@ std::size_t ContinuousSessionPool::memory_bytes() const {
              shard->parked_keys.size() * kParkedProviderBytes;
     total += shard->occupancy.capacity() * sizeof(std::uint32_t);
   }
-  if (spill_ != nullptr) total += spill_->stats().index_bytes;
+  if (spill_ != nullptr) total += spill_->index_bytes();
   return total;
 }
 
@@ -581,7 +557,7 @@ void ContinuousSessionPool::RunRound(
     // is claimed by the first authenticated principal that updates it (the
     // open-mode -> auth-mode migration path). Then classify.
     const auto admit = [&](Session& session) {
-      if (session.owner != 0 && session.owner != update.principal) {
+      if (OwnedByOther(session.owner, update.principal)) {
         ++shard.ownership_rejected;
         results[idx] = Status::PermissionDenied(
             "user is owned by a different principal: " +
@@ -609,33 +585,29 @@ void ContinuousSessionPool::RunRound(
       // session that never left memory. Insert, owner gate and classify
       // share one critical section, and classify sets the referenced bit
       // before the lock drops, so no concurrent sweep can re-spill the
-      // session in between.
+      // session in between. A session that raced back in meanwhile wins
+      // (and is re-gated: it may belong to someone else); ours is dropped.
       auto restored = RestoreFromSpill(update.user, update.principal,
                                        /*enforce_owner=*/true);
       std::lock_guard<std::mutex> lock(shard.mutex);
-      Session* session = shard.sessions.Find(update.user);
-      if (restored.ok()) {
-        // A session that raced back in meanwhile wins (and is re-gated:
-        // it may belong to someone else); ours is dropped.
-        const auto [resident, inserted] = InsertLocked(
-            shard, update.user, std::move(*restored), /*restored=*/true);
-        if (inserted) ++shard.restored_on_miss;
-        session = resident;
-      }
-      if (session == nullptr) {
+      auto resident =
+          InsertRestoredLocked(shard, update.user, std::move(restored));
+      if (!resident.ok()) {
         // A miss is NotFound. A refused or failed restore answers as
         // itself, and its record stays: a failed one locks the user out.
-        const ErrorCode code = restored.status().code();
+        const ErrorCode code = resident.status().code();
         if (code == ErrorCode::kPermissionDenied) ++shard.ownership_rejected;
-        if (restored.ok() || code == ErrorCode::kNotFound) {
+        if (code == ErrorCode::kNotFound) {
           ++shard.unknown_user;
-          restored = Status::NotFound("untracked user: " +
-                                      interner_.NameCopyOf(update.user));
+          results[idx] = Status::NotFound("untracked user: " +
+                                          interner_.NameCopyOf(update.user));
+        } else {
+          results[idx] = resident.status();
         }
-        results[idx] = restored.status();
         continue;
       }
-      admit(*session);
+      if (resident->second) ++shard.restored_on_miss;
+      admit(*resident->first);
     }
     if (!needs_recloak) continue;
     recloak.keys = provider(recloak.epoch);
@@ -771,7 +743,10 @@ ContinuousSessionPool::UpdateBatch(
     MaybeSweep();
   }
   ReleaseDeparted();
-  MaybeCompactColdTier();
+  // A failed compaction leaves the dead bytes for the next batch to retry.
+  if (spill_ != nullptr) {
+    (void)spill_->CompactIfDue(options_.spill_compact_dead_fraction);
+  }
   return results;
 }
 
@@ -781,22 +756,6 @@ mobility::OccupancySnapshot ContinuousSessionPool::BuildOccupancy() const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     occupancy.AddCounts(shard->occupancy);
-  }
-  return occupancy;
-}
-
-mobility::OccupancySnapshot ContinuousSessionPool::BuildOccupancyRebuild()
-    const {
-  mobility::OccupancySnapshot occupancy(
-      server_->engine().network().segment_count());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->sessions.ForEach([&occupancy](util::UserId,
-                                         const Session& session) {
-      if (roadnet::Index(session.last_segment) < occupancy.segment_count()) {
-        occupancy.Add(session.last_segment);
-      }
-    });
   }
   return occupancy;
 }
@@ -852,24 +811,7 @@ SessionPoolStats ContinuousSessionPool::stats() const {
   SessionPoolStats stats;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    stats.updates += shard->updates;
-    stats.served_in_region += shard->served_in_region;
-    stats.throttled_stale += shard->throttled_stale;
-    stats.recloaks += shard->recloaks;
-    stats.recloak_failures += shard->recloak_failures;
-    stats.unknown_user += shard->unknown_user;
-    stats.evicted += shard->evicted;
-    stats.evicted_idle += shard->evicted_idle;
-    stats.spilled += shard->spilled;
-    stats.restored += shard->restored;
-    stats.retired_updates += shard->retired_updates;
-    stats.retired_recloaks += shard->retired_recloaks;
-    stats.retired_throttled_stale += shard->retired_throttled_stale;
-    stats.budget_spilled += shard->budget_spilled;
-    stats.restored_on_miss += shard->restored_on_miss;
-    stats.restore_failures += shard->restore_failures;
-    stats.ownership_rejected += shard->ownership_rejected;
-    stats.write_stalls += shard->write_stalls;
+    stats += *shard;
     stats.active_sessions += shard->sessions.size();
   }
   stats.sweeps = sweeps_.load(std::memory_order_relaxed);

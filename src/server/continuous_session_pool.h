@@ -77,7 +77,9 @@ struct SessionPoolOptions {
   KeyProviderFactory key_provider_factory;
 };
 
-struct SessionPoolStats {
+// The pool's event counters, each a std::uint64_t (operator+= relies on
+// it). Each shard keeps one set under its mutex; stats() sums them.
+struct SessionCounters {
   std::uint64_t updates = 0;
   std::uint64_t served_in_region = 0;  // resolved without the engine
   std::uint64_t throttled_stale = 0;
@@ -95,20 +97,11 @@ struct SessionPoolStats {
   // folded into the retired_* counters.
   std::uint64_t spilled = 0;
   std::uint64_t restored = 0;
-  // Compatibility field, always 0: validity regions come from the
-  // anonymizer, so the pool has no reduce to fan out. Kept because
-  // perfbench reports it.
-  std::uint64_t reduce_fanouts = 0;
   // Lifetime totals folded in from evicted sessions at eviction time, so
   // dropping a session never silently discards its per-user statistics.
   std::uint64_t retired_updates = 0;
   std::uint64_t retired_recloaks = 0;
   std::uint64_t retired_throttled_stale = 0;
-  std::size_t active_sessions = 0;
-  // Wall time per update, batch-amortized (one sample per update, each
-  // carrying its round's mean).
-  Samples update_latency_ms;
-
   // ---- cold tier ---------------------------------------------------------
   // Subset of `spilled` written to the spill file by the clock sweep.
   std::uint64_t budget_spilled = 0;
@@ -117,7 +110,27 @@ struct SessionPoolStats {
   // Spilled records that could not come back (rotted on disk, no key
   // source). The update gets the restore's own status; the record stays,
   // locking the user out until Evict (a fresh track would reuse contexts).
+  // A restore that loses to a concurrent restore of the same user serves
+  // the session that went in and counts nothing.
   std::uint64_t restore_failures = 0;
+  // Sweep batches whose spill append failed, so their victims stayed
+  // resident (the budget stays exceeded and the next sweep retries).
+  std::uint64_t write_stalls = 0;
+
+  SessionCounters& operator+=(const SessionCounters& other);
+};
+
+struct SessionPoolStats : SessionCounters {
+  // Compatibility field, always 0: validity regions come from the
+  // anonymizer, so the pool has no reduce to fan out. Kept because
+  // perfbench reports it.
+  std::uint64_t reduce_fanouts = 0;
+  std::size_t active_sessions = 0;
+  // Wall time per update, batch-amortized (one sample per update, each
+  // carrying its round's mean).
+  Samples update_latency_ms;
+
+  // ---- cold tier ---------------------------------------------------------
   std::uint64_t sweeps = 0;             // MaybeSweep passes that ran
   std::uint64_t spill_compactions = 0;  // the spill file's compactions
   // Accounting at call time: the budgeted total and its parts.
@@ -126,13 +139,9 @@ struct SessionPoolStats {
   std::uint64_t spill_file_bytes = 0;
   std::uint64_t spill_dead_bytes = 0;
   std::size_t spill_live_records = 0;
-  // Sweep batches whose spill append failed, so their victims stayed
-  // resident (the budget stays exceeded and the next sweep retries).
-  std::uint64_t write_stalls = 0;
   // Wall time of each restore (read + validate + deserialize), on miss and
   // by RestoreAllFromFile alike.
   Samples restore_latency_ms;
-
 };
 
 class ContinuousSessionPool {
@@ -257,10 +266,10 @@ class ContinuousSessionPool {
   StatusOr<std::size_t> RestoreAllFromFile();
 
   // Compacts the spill file (rewriting live records, truncating dead
-  // bytes). Runs automatically after an UpdateBatch when dead bytes pass
-  // the configured fraction; public for tools and tests. Takes no pool
-  // lock: the spill file's own mutex orders the rewrite against appends
-  // and reads.
+  // bytes). Runs automatically after an UpdateBatch when
+  // SpillFile::CompactIfDue finds it due; public for tools and tests.
+  // Takes no pool lock: the spill file's own mutex orders the rewrite
+  // against appends and reads.
   Status CompactColdTier();
 
   // The budgeted accounting: resident session state + session tables +
@@ -299,11 +308,6 @@ class ContinuousSessionPool {
   // last_segment mutation maintains incrementally — no session iteration,
   // so the between-tick refresh cost no longer grows with the fleet.
   mobility::OccupancySnapshot BuildOccupancy() const;
-
-  // Reference implementation: the original O(sessions) full scan over
-  // every tracked session. Kept so tests can pin the incremental fold
-  // against it after arbitrary track/update/evict/spill churn.
-  mobility::OccupancySnapshot BuildOccupancyRebuild() const;
 
   // Per-user introspection (tests, monitoring).
   StatusOr<std::uint64_t> UserEpoch(std::string_view user_id) const;
@@ -348,29 +352,10 @@ class ContinuousSessionPool {
     std::size_t mem_bytes = 0;
   };
 
-  struct Shard {
+  // The shard's counters are its SessionCounters base, under `mutex`.
+  struct Shard : SessionCounters {
     mutable std::mutex mutex;
     util::IdMap<Session> sessions;
-    // Counters under `mutex`.
-    std::uint64_t updates = 0;
-    std::uint64_t served_in_region = 0;
-    std::uint64_t throttled_stale = 0;
-    std::uint64_t recloaks = 0;
-    std::uint64_t recloak_failures = 0;
-    std::uint64_t unknown_user = 0;
-    std::uint64_t ownership_rejected = 0;
-    std::uint64_t evicted = 0;
-    std::uint64_t evicted_idle = 0;
-    std::uint64_t spilled = 0;
-    std::uint64_t restored = 0;
-    std::uint64_t retired_updates = 0;
-    std::uint64_t retired_recloaks = 0;
-    std::uint64_t retired_throttled_stale = 0;
-    std::uint64_t budget_spilled = 0;
-    std::uint64_t restored_on_miss = 0;
-    std::uint64_t restore_failures = 0;
-    std::uint64_t write_stalls = 0;
-
     // Sum of Session::mem_bytes over this shard (under `mutex`).
     std::size_t resident_bytes = 0;
     // Clock-sweep cursor into `sessions` (slot index; wraps).
@@ -426,14 +411,9 @@ class ContinuousSessionPool {
     return util::MixId(user.value) % shards_.size();
   }
 
-  // Requires shard.mutex. Inserts `session` under `id` unless a session is
-  // resident there already, charging the memory accounting. A restored
-  // session goes in only while its spill record is live, and supersedes
-  // it, so an Evict between the read and the insert wins; a fresh one only
-  // while no record is, so no track rolls a spilled user's epoch back.
-  // Returns the resident session and whether it is `session`.
-  std::pair<Session*, bool> InsertLocked(Shard& shard, util::UserId id,
-                                         Session session, bool restored);
+  // Requires shard.mutex and no session resident under `id`. Inserts
+  // `session` there, charging the memory accounting and the occupancy.
+  Session* InsertLocked(Shard& shard, util::UserId id, Session session);
 
   // The insert path of Track and FindOrTrack: builds the session outside
   // every lock and inserts it through InsertLocked. Returns the handle and
@@ -471,23 +451,33 @@ class ContinuousSessionPool {
   // plus provider storage. The struct itself rides in the shard table.
   static std::size_t SessionFootprint(const Session& session);
 
-  // The spill record of one session: owner, clocks, policy bytes.
-  static Bytes SpillRecordOf(const Session& session);
+  // The cold tier's one owner read: the owner at the head of `user`'s live
+  // spill record, whose state bytes go to `*state` when it is given.
+  // NotFound when no record is live, DataLoss when it rotted or its owner
+  // is cut.
+  StatusOr<std::uint64_t> ReadSpilledOwner(util::UserId user,
+                                           Bytes* state = nullptr) const;
 
-  // Reads, validates and deserializes one spill record with no shard lock
-  // held, and hands back the session to insert: policy, key provider
-  // (parked or from the factory), clocks and owner. The caller inserts it
-  // with InsertLocked in the same critical section that uses it, so no
-  // sweep can take it in between. NotFound is a miss (no live record);
-  // PermissionDenied means the record is owned by a different principal.
-  // Any other error is a failed restore (rot, or FailedPrecondition for no
-  // key source), counted here in restore_failures. The record stays.
-  // `enforce_owner` false bypasses the ownership gate (warm-boot tooling
-  // via RestoreAllFromFile — the restored session still carries its
-  // record's owner).
+  // Reads, gates and deserializes one spill record with no lock held:
+  // policy, clocks, owner and the key factory's provider, if any. NotFound
+  // is a miss; PermissionDenied a record owned by a different principal
+  // (`enforce_owner` false skips that gate: warm boot, which keeps the
+  // owner on the session). Any other error is rot. The record stays.
   StatusOr<Session> RestoreFromSpill(util::UserId user,
                                      std::uint64_t principal,
                                      bool enforce_owner);
+
+  // Requires shard.mutex. The insert step of both restore paths, and the
+  // one place restore_failures is counted. A session already resident (a
+  // concurrent restore won) is returned, not inserted, and nothing is
+  // counted; else a failed restore returns its status (counted when it is
+  // rot), and a record gone since the read (an Evict won) is NotFound. The
+  // key source is chosen here: the factory's provider, else the one parked
+  // at spill time, taken only by the insert; with neither,
+  // FailedPrecondition, counted. Returns the resident session and whether
+  // it is the restored one, which supersedes its record.
+  StatusOr<std::pair<Session*, bool>> InsertRestoredLocked(
+      Shard& shard, util::UserId id, StatusOr<Session> restored);
 
   // Clock/second-chance eviction until the accounting is back under
   // budget (bounded by two laps — every referenced bit gets one pass of
@@ -510,10 +500,6 @@ class ContinuousSessionPool {
   // the spill file (a Track may have revived it), with its parked key
   // provider. Called with no pool lock held.
   void ReleaseDeparted();
-
-  bool CompactionDue() const;
-  // Compacts the spill file when due. Called with no pool lock held.
-  void MaybeCompactColdTier();
 
   AnonymizationServer* server_;
   SessionPoolOptions options_;

@@ -4,9 +4,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <optional>
 
 namespace rcloak::store {
 
@@ -23,6 +26,8 @@ constexpr std::uint64_t kRecordHeader = 4 + 8;  // payload_len + checksum
 constexpr std::uint64_t kMaxRecordPayload = 1ull << 28;
 // Compaction streams records through a bounded buffer.
 constexpr std::size_t kCompactFlushBytes = 1 << 20;
+// CompactIfDue waits until the file holds at least this many bytes.
+constexpr std::uint64_t kCompactMinBytes = 1 << 20;
 
 std::uint64_t HashPayload(const Bytes& payload) {
   return util::HashBytes(std::string_view(
@@ -45,21 +50,40 @@ Status FullPWrite(int fd, const std::uint8_t* data, std::size_t size,
   return Status::Ok();
 }
 
-// Returns bytes read (short on EOF), or -1 on error.
-ssize_t FullPRead(int fd, std::uint8_t* data, std::size_t size,
-                  std::uint64_t offset) {
+// True when all `size` bytes were read; false on EOF first or an error.
+bool FullPRead(int fd, std::uint8_t* data, std::size_t size,
+               std::uint64_t offset) {
   std::size_t total = 0;
   while (total < size) {
     const ssize_t n = ::pread(fd, data + total, size - total,
                               static_cast<off_t>(offset + total));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (n == 0) break;
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
     total += static_cast<std::size_t>(n);
   }
-  return static_cast<ssize_t>(total);
+  return true;
+}
+
+struct FrameHeader {
+  std::uint32_t payload_len = 0;
+  std::uint64_t checksum = 0;
+};
+
+// The 12-byte header of the record at `offset`; nullopt when the file ends
+// (or the read fails) first.
+std::optional<FrameHeader> ReadFrameHeader(int fd, std::uint64_t offset) {
+  Bytes raw(kRecordHeader);
+  if (!FullPRead(fd, raw.data(), kRecordHeader, offset)) return std::nullopt;
+  std::size_t cursor = 0;
+  const std::uint32_t payload_len = *GetU32le(raw, &cursor);
+  return FrameHeader{payload_len, *GetU64le(raw, &cursor)};
+}
+
+// Appends one record: u32 payload_len | u64 checksum | payload.
+void PutFrame(Bytes& out, const Bytes& payload) {
+  PutU32le(out, static_cast<std::uint32_t>(payload.size()));
+  PutU64le(out, HashPayload(payload));
+  out.insert(out.end(), payload.begin(), payload.end());
 }
 
 Bytes EncodeHeader(std::uint64_t map_fingerprint) {
@@ -91,6 +115,34 @@ bool ParsePayload(const Bytes& payload, std::string_view* name,
 
 }  // namespace
 
+void PutSpillHead(Bytes& state, const SpillHead& head) {
+  PutU64le(state, head.owner);
+  PutU64le(state, std::bit_cast<std::uint64_t>(head.last_update_s));
+  PutVarint(state, head.last_segment);
+}
+
+StatusOr<std::uint64_t> SpillOwnerOf(const Bytes& state) {
+  std::size_t offset = 0;
+  const auto owner = GetU64le(state, &offset);
+  if (!owner) return Status::DataLoss("spilled session truncated");
+  return *owner;
+}
+
+StatusOr<SpillHead> ParseSpillHead(const Bytes& state, std::size_t* offset) {
+  *offset = 0;
+  const auto owner = GetU64le(state, offset);
+  const auto clock_bits = GetU64le(state, offset);
+  const auto segment = GetVarint(state, offset);
+  if (!owner || !clock_bits || !segment) {
+    return Status::DataLoss("spilled session truncated");
+  }
+  if (*segment > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::DataLoss("spilled session: segment id out of range");
+  }
+  return SpillHead{*owner, std::bit_cast<double>(*clock_bits),
+                   static_cast<std::uint32_t>(*segment)};
+}
+
 StatusOr<std::unique_ptr<SpillFile>> SpillFile::Attach(
     std::string path, std::uint64_t map_fingerprint,
     util::StringInterner& interner) {
@@ -111,13 +163,9 @@ StatusOr<std::unique_ptr<SpillFile>> SpillFile::Attach(
   if (st.st_size == 0) {
     const Bytes header = EncodeHeader(map_fingerprint);
     RCLOAK_RETURN_IF_ERROR(FullPWrite(fd, header.data(), header.size(), 0));
-    file->append_offset_ = kHeaderSize;
-    file->stats_.file_bytes = kHeaderSize;
-    return file;
   }
   Bytes header(kHeaderSize);
-  const ssize_t got = FullPRead(fd, header.data(), header.size(), 0);
-  if (got < static_cast<ssize_t>(kHeaderSize) ||
+  if (!FullPRead(fd, header.data(), header.size(), 0) ||
       std::memcmp(header.data(), kMagic, 4) != 0) {
     return Status::DataLoss("spill file: bad magic in " + file->path_);
   }
@@ -153,33 +201,25 @@ Status SpillFile::ScanLocked() {
   std::uint64_t offset = kHeaderSize;
   std::uint64_t trusted_end = file_size;
   while (offset < file_size) {
-    std::uint8_t header[kRecordHeader];
-    const ssize_t got = FullPRead(fd_, header, kRecordHeader, offset);
-    if (got < static_cast<ssize_t>(kRecordHeader)) {
-      trusted_end = offset;  // torn header
-      break;
-    }
-    Bytes header_bytes(header, header + kRecordHeader);
-    std::size_t cursor = 0;
-    const std::uint32_t payload_len = *GetU32le(header_bytes, &cursor);
-    const std::uint64_t checksum = *GetU64le(header_bytes, &cursor);
+    const auto header = ReadFrameHeader(fd_, offset);
+    const std::uint32_t payload_len = header ? header->payload_len : 0;
     if (payload_len < 2 || payload_len > kMaxRecordPayload ||
         offset + kRecordHeader + payload_len > file_size) {
-      // Implausible length or a record claiming bytes past EOF: either the
-      // prefix rotted or the tail is torn. Truncate from this boundary.
+      // A torn header, an implausible length or a record claiming bytes
+      // past EOF: either the prefix rotted or the tail is torn. Truncate
+      // from this boundary.
       trusted_end = offset;
       break;
     }
     Bytes payload(payload_len);
-    if (FullPRead(fd_, payload.data(), payload_len, offset + kRecordHeader) <
-        static_cast<ssize_t>(payload_len)) {
+    if (!FullPRead(fd_, payload.data(), payload_len, offset + kRecordHeader)) {
       trusted_end = offset;
       break;
     }
     const std::uint64_t record_size = kRecordHeader + payload_len;
     std::string_view name;
     std::size_t state_offset = 0;
-    if (HashPayload(payload) != checksum ||
+    if (HashPayload(payload) != header->checksum ||
         !ParsePayload(payload, &name, &state_offset)) {
       // The length frame is intact but the payload rotted: skip this
       // record as dead and keep scanning at the next boundary.
@@ -204,11 +244,9 @@ Status SpillFile::ScanLocked() {
       return Status::Internal("spill file: truncate failed: " +
                               std::string(std::strerror(errno)));
     }
-    append_offset_ = trusted_end;
-  } else {
-    append_offset_ = offset;
   }
-  stats_.file_bytes = append_offset_;
+  append_offset_ = trusted_end;
+  PublishLocked();
   return Status::Ok();
 }
 
@@ -237,9 +275,7 @@ Status SpillFile::AppendBatch(const std::vector<Record>& records) {
     payload.insert(payload.end(), record.state.begin(), record.state.end());
     const Location loc{append_offset_ + buffer.size(),
                        static_cast<std::uint32_t>(payload.size())};
-    PutU32le(buffer, static_cast<std::uint32_t>(payload.size()));
-    PutU64le(buffer, HashPayload(payload));
-    buffer.insert(buffer.end(), payload.begin(), payload.end());
+    PutFrame(buffer, payload);
     pending.push_back(Pending{record.user, loc});
   }
   const Status written =
@@ -250,7 +286,6 @@ Status SpillFile::AppendBatch(const std::vector<Record>& records) {
     return written;
   }
   append_offset_ += buffer.size();
-  stats_.file_bytes = append_offset_;
   stats_.appended_records += records.size();
   stats_.appended_bytes += buffer.size();
   for (const Pending& entry : pending) {
@@ -260,6 +295,7 @@ Status SpillFile::AppendBatch(const std::vector<Record>& records) {
       *slot = entry.loc;
     }
   }
+  PublishLocked();
   return Status::Ok();
 }
 
@@ -270,25 +306,17 @@ bool SpillFile::Contains(util::UserId user) const {
 
 Status SpillFile::ReadPayloadLocked(const Location& loc,
                                     Bytes* payload) const {
-  std::uint8_t header[kRecordHeader];
-  if (FullPRead(fd_, header, kRecordHeader, loc.offset) <
-      static_cast<ssize_t>(kRecordHeader)) {
-    return Status::DataLoss("spill record: header unreadable");
-  }
-  Bytes header_bytes(header, header + kRecordHeader);
-  std::size_t cursor = 0;
-  const std::uint32_t payload_len = *GetU32le(header_bytes, &cursor);
-  const std::uint64_t checksum = *GetU64le(header_bytes, &cursor);
-  if (payload_len != loc.payload_len) {
+  const auto header = ReadFrameHeader(fd_, loc.offset);
+  if (!header) return Status::DataLoss("spill record: header unreadable");
+  if (header->payload_len != loc.payload_len) {
     return Status::DataLoss("spill record: length prefix rotted on disk");
   }
-  payload->resize(payload_len);
-  if (FullPRead(fd_, payload->data(), payload_len,
-                loc.offset + kRecordHeader) <
-      static_cast<ssize_t>(payload_len)) {
+  payload->resize(loc.payload_len);
+  if (!FullPRead(fd_, payload->data(), loc.payload_len,
+                 loc.offset + kRecordHeader)) {
     return Status::DataLoss("spill record: payload unreadable");
   }
-  if (HashPayload(*payload) != checksum) {
+  if (HashPayload(*payload) != header->checksum) {
     return Status::DataLoss("spill record: checksum mismatch");
   }
   return Status::Ok();
@@ -316,6 +344,7 @@ bool SpillFile::Erase(util::UserId user) {
   if (loc == nullptr) return false;
   stats_.dead_bytes += kRecordHeader + loc->payload_len;
   index_.Erase(user);
+  PublishLocked();
   return true;
 }
 
@@ -342,17 +371,9 @@ Status SpillFile::Compact() {
   Status status = FullPWrite(out, header.data(), header.size(), 0);
   if (!status.ok()) return fail(std::move(status));
 
-  // Snapshot the live set first: the rewrite loop updates a fresh index.
-  std::vector<std::pair<util::UserId, Location>> live;
-  live.reserve(index_.size());
-  index_.ForEach([&](util::UserId user, Location& loc) {
-    live.emplace_back(user, loc);
-  });
-
   util::IdMap<Location> new_index;
   Bytes buffer;
   std::uint64_t out_offset = kHeaderSize;
-  std::size_t live_records = 0;
   auto flush = [&]() -> Status {
     if (buffer.empty()) return Status::Ok();
     RCLOAK_RETURN_IF_ERROR(
@@ -361,28 +382,22 @@ Status SpillFile::Compact() {
     buffer.clear();
     return Status::Ok();
   };
-  for (const auto& [user, loc] : live) {
+  index_.ForEach([&](util::UserId user, const Location& loc) {
     Bytes payload;
-    status = ReadPayloadLocked(loc, &payload);
-    if (!status.ok()) {
+    if (!status.ok()) return;  // a flush failed: the rewrite is abandoned
+    if (!ReadPayloadLocked(loc, &payload).ok()) {
       // A record that rotted since it was written is dropped here; the
       // user's session is lost to the cold tier, counted, not fatal.
       ++stats_.corrupt_records_skipped;
-      continue;
+      return;
     }
-    const Location new_loc{out_offset + buffer.size(),
-                           static_cast<std::uint32_t>(payload.size())};
-    PutU32le(buffer, static_cast<std::uint32_t>(payload.size()));
-    PutU64le(buffer, HashPayload(payload));
-    buffer.insert(buffer.end(), payload.begin(), payload.end());
-    new_index.TryEmplace(user, new_loc);
-    ++live_records;
-    if (buffer.size() >= kCompactFlushBytes) {
-      status = flush();
-      if (!status.ok()) return fail(std::move(status));
-    }
-  }
-  status = flush();
+    new_index.TryEmplace(user, Location{out_offset + buffer.size(),
+                                        static_cast<std::uint32_t>(
+                                            payload.size())});
+    PutFrame(buffer, payload);
+    if (buffer.size() >= kCompactFlushBytes) status = flush();
+  });
+  if (status.ok()) status = flush();
   if (!status.ok()) return fail(std::move(status));
   if (::fsync(out) != 0) {
     return fail(Status::Internal("spill compact: fsync failed: " +
@@ -396,11 +411,26 @@ Status SpillFile::Compact() {
   fd_ = out;
   index_ = std::move(new_index);
   append_offset_ = out_offset;
-  stats_.file_bytes = out_offset;
   stats_.dead_bytes = 0;
   ++stats_.compactions;
-  (void)live_records;
+  PublishLocked();
   return Status::Ok();
+}
+
+Status SpillFile::CompactIfDue(double dead_fraction) {
+  const std::uint64_t file_bytes = file_bytes_.load(std::memory_order_relaxed);
+  if (file_bytes < kCompactMinBytes) return Status::Ok();
+  if (static_cast<double>(dead_bytes_.load(std::memory_order_relaxed)) <=
+      dead_fraction * static_cast<double>(file_bytes)) {
+    return Status::Ok();
+  }
+  return Compact();
+}
+
+void SpillFile::PublishLocked() {
+  file_bytes_.store(append_offset_, std::memory_order_relaxed);
+  dead_bytes_.store(stats_.dead_bytes, std::memory_order_relaxed);
+  index_bytes_.store(index_.memory_bytes(), std::memory_order_relaxed);
 }
 
 std::vector<util::UserId> SpillFile::LiveUsers() const {
@@ -416,6 +446,7 @@ std::vector<util::UserId> SpillFile::LiveUsers() const {
 SpillFileStats SpillFile::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   SpillFileStats out = stats_;
+  out.file_bytes = append_offset_;
   out.live_records = index_.size();
   out.index_bytes = index_.memory_bytes();
   return out;

@@ -6,10 +6,14 @@
 //   header   "RCSF" | u8 version (=2) | u64 map fingerprint
 //   record   u32 payload_len | u64 fnv1a64(payload) | payload
 //   payload  varint name_len | name bytes | varint state_len | state bytes
+//   state    u64le owner | f64 last_update_s | varint last_segment |
+//            policy bytes
 //
 // The header's version is the only format version: it covers the state
-// bytes too (server/continuous_session_pool.cc writes them), and Attach
-// refuses a file of any other version without touching it.
+// bytes too, and Attach refuses a file of any other version without
+// touching it. The codec below owns the state's head; the session pool
+// writes the policy bytes after it. The file header holds the map
+// fingerprint and the payload the user's name, so the state writes neither.
 //
 // Records are group-appended — one write per eviction sweep — and indexed
 // in memory by interned UserId → {offset, length}. A later record for the
@@ -30,9 +34,12 @@
 // user, so a later Track reuses the name and that user's eviction frees it.
 //
 // Thread safety: internally synchronized (one mutex); safe to call from
-// concurrent shard sweeps and restore-on-miss reads.
+// concurrent shard sweeps and restore-on-miss reads. CompactIfDue and
+// index_bytes() read sizes published under it, so per-batch checks do not
+// wait out a compaction.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -59,6 +66,22 @@ struct SpillFileStats {
   std::uint64_t tail_truncated_bytes = 0;    // dropped by Attach scans
   std::uint64_t corrupt_records_skipped = 0;  // checksum failures on scan
 };
+
+// The head of a record's state bytes (layout above). The owner sits at
+// offset 0, so an ownership check reads 8 bytes and never parses the rest.
+struct SpillHead {
+  std::uint64_t owner = 0;  // principal token, 0 = unowned
+  double last_update_s = 0.0;
+  std::uint32_t last_segment = 0;  // road-network segment index
+};
+
+// Appends `head` to `state`; the policy bytes follow it.
+void PutSpillHead(Bytes& state, const SpillHead& head);
+// The owner token alone; DataLoss when the state is shorter than it.
+StatusOr<std::uint64_t> SpillOwnerOf(const Bytes& state);
+// The whole head, leaving `*offset` at the first policy byte. DataLoss when
+// the head is cut short or its segment does not fit 32 bits.
+StatusOr<SpillHead> ParseSpillHead(const Bytes& state, std::size_t* offset);
 
 class SpillFile {
  public:
@@ -102,12 +125,21 @@ class SpillFile {
   // so callers racing on one due compaction rewrite the file once.
   Status Compact();
 
+  // Compacts once the file holds at least 1 MiB and its dead bytes exceed
+  // `dead_fraction` of it; OK without a rewrite otherwise. The check reads
+  // the published sizes without the file mutex, so it never waits on a
+  // rewrite in progress.
+  Status CompactIfDue(double dead_fraction);
+
   // Ids of every live record (compaction-ordered snapshot).
   std::vector<util::UserId> LiveUsers() const;
 
   SpillFileStats stats() const;
-  const std::string& path() const noexcept { return path_; }
-  std::uint64_t map_fingerprint() const noexcept { return map_fingerprint_; }
+  // stats().index_bytes without the file mutex: the figure as of the last
+  // append, erase or compaction.
+  std::size_t index_bytes() const noexcept {
+    return index_bytes_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Location {
@@ -125,6 +157,10 @@ class SpillFile {
   // rules above; truncates the file to the last trustworthy boundary.
   Status ScanLocked();
   Status ReadPayloadLocked(const Location& loc, Bytes* payload) const;
+  // Copies the file size, dead bytes and index footprint into the relaxed
+  // atomics that CompactIfDue and index_bytes() read; call after changing
+  // any of them.
+  void PublishLocked();
 
   const std::string path_;
   const std::uint64_t map_fingerprint_;
@@ -135,6 +171,9 @@ class SpillFile {
   std::uint64_t append_offset_ = 0;  // == current file size
   util::IdMap<Location> index_;
   mutable SpillFileStats stats_;
+  std::atomic<std::uint64_t> file_bytes_{0};
+  std::atomic<std::uint64_t> dead_bytes_{0};
+  std::atomic<std::size_t> index_bytes_{0};
 };
 
 }  // namespace rcloak::store

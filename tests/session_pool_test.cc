@@ -748,6 +748,66 @@ TEST(SessionPoolTest, EvictWinsOverARestoreInFlight) {
   std::remove(path.c_str());
 }
 
+// One spilled user updated on two connections at once: both updates miss
+// and both restores read the record, but only the one that inserts takes
+// the key provider parked at spill time; the other serves the session that
+// went in and counts nothing. Run without a key factory (providers parked)
+// and with one (providers derived at restore): every update succeeds, no
+// restore fails, and each round restores each user exactly once.
+TEST(SessionPoolTest, ConcurrentRestoresOfOneUserNeverFail) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  constexpr int kUsers = 64;
+  constexpr int kRounds = 50;
+  for (const bool with_factory : {false, true}) {
+    SCOPED_TRACE(with_factory ? "key factory" : "parked providers");
+    core::Anonymizer engine(ctx, OnePerSegment(net));
+    server::ServerOptions server_options;
+    server_options.num_workers = 2;
+    AnonymizationServer server(std::move(engine), server_options);
+    server::SessionPoolOptions options;
+    if (with_factory) options.key_provider_factory = CarKeys;
+    ContinuousSessionPool pool(server, options);
+    const std::string path = "session_pool_double_restore_test.rcsf";
+    RemoveSpillFile(path);
+    ASSERT_TRUE(pool.AttachSpillFile(path).ok());
+    std::vector<ContinuousSessionPool::IdPositionUpdate> fleet;
+    for (int car = 0; car < kUsers; ++car) {
+      const auto id = pool.Track("car" + std::to_string(car), FleetProfile(),
+                                 Algorithm::kRge, KeysFor(car),
+                                 FleetOptions());
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      fleet.push_back({*id, 0.0, SegmentId{static_cast<std::uint32_t>(car)}});
+    }
+    for (const auto& result : pool.UpdateBatch(fleet)) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+
+    for (int round = 1; round <= kRounds; ++round) {
+      ASSERT_EQ(*pool.SpillAllToFile(), static_cast<std::size_t>(kUsers));
+      for (auto& update : fleet) update.now_s = round;
+      std::atomic<int> waiting{2};
+      std::vector<std::thread> connections;
+      for (int c = 0; c < 2; ++c) {
+        connections.emplace_back([&] {
+          waiting.fetch_sub(1);
+          while (waiting.load() > 0) std::this_thread::yield();
+          for (const auto& result : pool.UpdateBatch(fleet)) {
+            EXPECT_TRUE(result.ok()) << result.status().ToString();
+          }
+        });
+      }
+      for (auto& connection : connections) connection.join();
+    }
+    const auto stats = pool.stats();
+    EXPECT_EQ(stats.restore_failures, 0u);
+    EXPECT_EQ(stats.restored_on_miss,
+              static_cast<std::uint64_t>(kUsers) * kRounds);
+    EXPECT_EQ(stats.unknown_user, 0u);
+    RemoveSpillFile(path);
+  }
+}
+
 // Spill records are input from outside the program. Every prefix of a
 // real record (shorter than its 8-byte owner token included), a record
 // with trailing bytes and one naming an unknown algorithm must fail closed
@@ -974,10 +1034,12 @@ TEST(SessionPoolTest, FindOrTrackRaceResolvesToOneOwnedSession) {
             static_cast<std::uint64_t>(kThreads - 1));
 }
 
-// Pins the incremental per-shard occupancy deltas (PR 6) to the original
-// O(sessions) rebuild through every mutation that moves a last_segment:
-// track, update, explicit evict (resident and spilled), spill to file,
-// restore on miss, warm boot and idle reaping.
+// Pins the incremental per-shard occupancy deltas (PR 6) to a full
+// rebuild through every mutation that moves a last_segment: track, update,
+// explicit evict (resident and spilled), spill to file, restore on miss,
+// warm boot and idle reaping. The rebuild is the test's own ledger: the
+// last segment sent for each user, counted for the users the pool reports
+// resident.
 TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
   const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
   const auto ctx = core::MapContext::Create(net);
@@ -989,9 +1051,22 @@ TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
   std::remove(path.c_str());
   ASSERT_TRUE(pool.AttachSpillFile(path).ok());
 
-  const auto expect_equiv = [&pool](const char* where) {
+  std::map<std::string, SegmentId> last_sent;
+  const auto send = [&](const std::vector<NamedUpdate>& batch) {
+    for (const NamedUpdate& update : batch) {
+      last_sent[update.user_id] = update.segment;
+    }
+    return UpdateNamed(pool, batch);
+  };
+  const auto expect_equiv = [&](const char* where) {
+    mobility::OccupancySnapshot rebuilt(net.segment_count());
+    for (const auto& [user, segment] : last_sent) {
+      if (pool.StateOf(IdOf(pool, user)) ==
+          ContinuousSessionPool::UserState::kResident) {
+        rebuilt.Add(segment);
+      }
+    }
     const auto incremental = pool.BuildOccupancy();
-    const auto rebuilt = pool.BuildOccupancyRebuild();
     EXPECT_EQ(incremental.counts(), rebuilt.counts()) << where;
     EXPECT_EQ(incremental.total(), rebuilt.total()) << where;
   };
@@ -1015,7 +1090,7 @@ TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
                            (u * 7 + static_cast<std::uint32_t>(t) * 13) %
                            net.segment_count())}});
     }
-    for (const auto& result : UpdateNamed(pool, batch)) {
+    for (const auto& result : send(batch)) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();
     }
     expect_equiv("after tick");
@@ -1036,7 +1111,7 @@ TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
   expect_equiv("after evicting a spilled user");
 
   // Restore on miss re-registers the session at its new position.
-  ASSERT_TRUE(Update(pool, "car2", 7.0, SegmentId{2}).ok());
+  ASSERT_TRUE(send({{"car2", 7.0, SegmentId{2}}}).front().ok());
   expect_equiv("after restore on miss");
   EXPECT_EQ(pool.BuildOccupancy().total(), 1u);
 
@@ -1048,7 +1123,7 @@ TEST(SessionPoolTest, IncrementalOccupancyMatchesRebuildThroughChurn) {
   // Advance a handful of users far in time, then reap the idle rest.
   for (std::uint32_t u = 3; u < 8; ++u) {
     ASSERT_TRUE(
-        Update(pool, "car" + std::to_string(u), 1000.0, SegmentId{u}).ok());
+        send({{"car" + std::to_string(u), 1000.0, SegmentId{u}}}).front().ok());
   }
   expect_equiv("after late updates");
   const std::size_t reaped = pool.EvictIdle(1000.0, 100.0);
