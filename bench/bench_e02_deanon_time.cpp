@@ -26,6 +26,7 @@ int main() {
 
   TableWriter table(
       {"delta_k", "RGE_deanon_ms", "RPLE_deanon_ms", "verified"});
+  int total_verified = 0, total_expected = 0;
   for (const std::uint32_t k : {5u, 10u, 20u, 40u, 80u}) {
     Samples rge_ms, rple_ms;
     int verified = 0, attempts = 0;
@@ -42,13 +43,21 @@ int main() {
            {core::Algorithm::kRge, core::Algorithm::kRple}) {
         request.algorithm = algorithm;
         const auto result = anonymizer.Anonymize(request, keys);
-        if (!result.ok()) continue;
+        if (!result.ok()) {
+          std::cerr << request.context << ": anonymize failed: "
+                    << result.status().ToString() << "\n";
+          continue;
+        }
         ++attempts;
         Stopwatch timer;
         const auto reduced =
             deanonymizer.Reduce(result->artifact, AllKeys(keys), 0);
         const double elapsed = timer.ElapsedMillis();
-        if (!reduced.ok()) continue;
+        if (!reduced.ok()) {
+          std::cerr << request.context << ": reduce failed: "
+                    << reduced.status().ToString() << "\n";
+          continue;
+        }
         (algorithm == core::Algorithm::kRge ? rge_ms : rple_ms).Add(elapsed);
         if (reduced->size() == 1 &&
             reduced->segments_by_id().front() == origin) {
@@ -60,7 +69,16 @@ int main() {
                   TableWriter::Fixed(rple_ms.Mean(), 3),
                   TableWriter::Int(verified) + "/" +
                       TableWriter::Int(attempts)});
+    total_verified += verified;
+    // Every origin must anonymize AND reduce back to itself for both
+    // algorithms; the smoke in CI relies on the exit code.
+    total_expected += static_cast<int>(workload.origins.size()) * 2;
   }
   table.PrintMarkdown(std::cout);
+  if (total_verified != total_expected) {
+    std::cerr << "E2 FAILED: " << total_verified << "/" << total_expected
+              << " round trips verified\n";
+    return 1;
+  }
   return 0;
 }

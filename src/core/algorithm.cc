@@ -52,52 +52,48 @@ class RpleStrategy final : public CloakAlgorithm {
 
   Status Begin(const MapContext& ctx, EngineSession& session,
                std::uint32_t rple_T) const override {
-    if (session.tables != nullptr && session.tables_T == rple_T) {
-      return Status::Ok();  // resolved by an earlier request, still valid
-    }
-    RCLOAK_ASSIGN_OR_RETURN(session.tables, ctx.TablesFor(rple_T));
-    session.tables_T = rple_T;
-    return Status::Ok();
+    return Resolve(ctx, rple_T, session.walk);
   }
 
   StatusOr<LevelRecord> AnonymizeLevel(
       const MapContext&, EngineSession& session, const crypto::AccessKey& key,
       const std::string& request_context, int level_index,
       const LevelRequirement& requirement) const override {
-    if (session.tables == nullptr) {
+    if (session.walk.tables == nullptr) {
       return Status::Internal("RPLE: session has no tables (Begin not run)");
     }
-    return RpleAnonymizeLevel(*session.tables, *session.users, session.region,
-                              session.chain, key, request_context, level_index,
-                              requirement, &session.rple_stats);
+    return RpleAnonymizeLevel(*session.walk.tables, *session.users,
+                              session.region, session.chain, key,
+                              request_context, level_index, requirement,
+                              &session.rple_stats);
   }
 
   Status BeginReduce(const MapContext& ctx, const CloakedArtifact& artifact,
                      ReduceSession& session) const override {
-    if (session.tables != nullptr && session.tables_T == artifact.rple_T) {
-      return Status::Ok();  // resolved by an earlier artifact, still valid
-    }
-    RCLOAK_ASSIGN_OR_RETURN(session.tables, ctx.TablesFor(artifact.rple_T));
-    session.tables_T = artifact.rple_T;
-    return Status::Ok();
+    return Resolve(ctx, artifact.rple_T, session.walk);
   }
 
   Status DeanonymizeLevel(const MapContext&, const CloakedArtifact& artifact,
                           ReduceSession& session, CloakRegion& region,
                           const crypto::AccessKey& key, int level_index,
                           const LevelRecord& record,
-                          std::uint32_t prev_region_size) const override {
-    if (session.tables == nullptr) {
+                          std::uint32_t) const override {
+    if (session.walk.tables == nullptr) {
       return Status::Internal("RPLE: reduce has no tables (BeginReduce "
                               "not run)");
     }
-    RCLOAK_RETURN_IF_ERROR(RpleDeanonymizeLevel(
-        *session.tables, region, key, artifact.context, level_index, record));
-    if (region.size() != prev_region_size) {
-      return Status::DataLoss(
-          "RPLE de-anonymize: reduced region size mismatch (wrong key or "
-          "corrupt artifact)");
+    return RpleDeanonymizeLevel(*session.walk.tables, region, key,
+                                artifact.context, level_index, record);
+  }
+
+ private:
+  static Status Resolve(const MapContext& ctx, std::uint32_t T,
+                        WalkTablePointers& walk) {
+    if (walk.tables != nullptr && walk.tables_T == T) {
+      return Status::Ok();  // resolved earlier, still valid
     }
+    RCLOAK_ASSIGN_OR_RETURN(walk.tables, ctx.TablesFor(T));
+    walk.tables_T = T;
     return Status::Ok();
   }
 };
@@ -150,28 +146,17 @@ class GridStrategy final : public CloakAlgorithm {
 
   Status Begin(const MapContext& ctx, EngineSession& session,
                std::uint32_t rple_T) const override {
-    if (session.grid == nullptr) {
-      RCLOAK_ASSIGN_OR_RETURN(session.grid, ctx.GridFor());
-    }
-    if (session.grid_tables == nullptr || session.grid_tables_T != rple_T) {
-      RCLOAK_ASSIGN_OR_RETURN(session.grid_tables,
-                              session.grid->TablesFor(rple_T));
-      session.grid_tables_T = rple_T;
-    }
-    // The cell-walk chain starts at the origin's cell (session.chain is
-    // the origin right after Reset).
-    session.grid_cell = session.grid->CellOf(session.chain);
-    return Status::Ok();
+    return Resolve(ctx, rple_T, session.walk);
   }
 
   StatusOr<LevelRecord> AnonymizeLevel(
       const MapContext&, EngineSession& session, const crypto::AccessKey& key,
       const std::string& request_context, int level_index,
       const LevelRequirement& requirement) const override {
-    if (session.grid == nullptr || session.grid_tables == nullptr) {
+    if (session.walk.grid == nullptr || session.walk.grid_tables == nullptr) {
       return Status::Internal("grid: session has no grid (Begin not run)");
     }
-    return GridAnonymizeLevel(*session.grid, *session.grid_tables,
+    return GridAnonymizeLevel(*session.walk.grid, *session.walk.grid_tables,
                               *session.users, session.region,
                               session.grid_cell, key, request_context,
                               level_index, requirement, &session.grid_stats);
@@ -179,36 +164,34 @@ class GridStrategy final : public CloakAlgorithm {
 
   Status BeginReduce(const MapContext& ctx, const CloakedArtifact& artifact,
                      ReduceSession& session) const override {
-    if (session.grid == nullptr) {
-      RCLOAK_ASSIGN_OR_RETURN(session.grid, ctx.GridFor());
-    }
-    if (session.grid_tables != nullptr &&
-        session.grid_tables_T == artifact.rple_T) {
-      return Status::Ok();  // resolved by an earlier artifact, still valid
-    }
-    RCLOAK_ASSIGN_OR_RETURN(session.grid_tables,
-                            session.grid->TablesFor(artifact.rple_T));
-    session.grid_tables_T = artifact.rple_T;
-    return Status::Ok();
+    return Resolve(ctx, artifact.rple_T, session.walk);
   }
 
   Status DeanonymizeLevel(const MapContext&, const CloakedArtifact& artifact,
                           ReduceSession& session, CloakRegion& region,
                           const crypto::AccessKey& key, int level_index,
                           const LevelRecord& record,
-                          std::uint32_t prev_region_size) const override {
-    if (session.grid == nullptr || session.grid_tables == nullptr) {
+                          std::uint32_t) const override {
+    if (session.walk.grid == nullptr || session.walk.grid_tables == nullptr) {
       return Status::Internal(
           "grid: reduce has no grid (BeginReduce not run)");
     }
-    RCLOAK_RETURN_IF_ERROR(GridDeanonymizeLevel(
-        *session.grid, *session.grid_tables, region, key, artifact.context,
-        level_index, record));
-    if (region.size() != prev_region_size) {
-      return Status::DataLoss(
-          "grid de-anonymize: reduced region size mismatch (wrong key or "
-          "corrupt artifact)");
+    return GridDeanonymizeLevel(*session.walk.grid, *session.walk.grid_tables,
+                                region, key, artifact.context, level_index,
+                                record);
+  }
+
+ private:
+  static Status Resolve(const MapContext& ctx, std::uint32_t T,
+                        WalkTablePointers& walk) {
+    if (walk.grid == nullptr) {
+      RCLOAK_ASSIGN_OR_RETURN(walk.grid, ctx.GridFor());
     }
+    if (walk.grid_tables != nullptr && walk.grid_tables_T == T) {
+      return Status::Ok();  // resolved earlier, still valid
+    }
+    RCLOAK_ASSIGN_OR_RETURN(walk.grid_tables, walk.grid->TablesFor(T));
+    walk.grid_tables_T = T;
     return Status::Ok();
   }
 };

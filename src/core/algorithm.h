@@ -1,7 +1,9 @@
 // CloakAlgorithm — the pluggable-strategy layer of the engine.
 //
-// RGE, RPLE and the non-reversible random-expansion baseline are stateless
-// strategies over (immutable MapContext, per-request EngineSession). The
+// RGE, RPLE, Grid and the non-reversible random-expansion baseline are
+// stateless strategies over (immutable MapContext, per-request
+// EngineSession). RPLE and Grid run the one keyed walk of
+// core/walk_codec.h and resolve its tables into one WalkTablePointers. The
 // facade (core/reversecloak.h) dispatches AnonymizeRequest::algorithm
 // through the registry below instead of hard-coding each backend, and the
 // de-anonymizer replays levels through the same strategy object — the
@@ -31,6 +33,22 @@
 
 namespace rcloak::core {
 
+// The immutable walk tables a request needs, resolved from the MapContext
+// by the RPLE and Grid strategies (each in one function, for the engine's T
+// on Begin and for artifact.rple_T on BeginReduce) and kept across requests,
+// so steady-state requests skip the context's memo locks entirely. Each
+// pointer stays valid for the context it came from; a strategy re-resolves
+// only when the T it needs differs from the one recorded here.
+struct WalkTablePointers {
+  // RPLE: the context's pre-assigned tables for `tables_T`.
+  const TransitionTables* tables = nullptr;
+  std::uint32_t tables_T = 0;
+  // Grid: the context's cell index and its cell tables for `grid_tables_T`.
+  const GridContext* grid = nullptr;
+  const GridTransitionTables* grid_tables = nullptr;
+  std::uint32_t grid_tables_T = 0;
+};
+
 // Per-request mutable scratch: the cloaking region under construction, the
 // expansion chain position, the user counter for this request's snapshot,
 // resolved table pointers and run statistics. Sessions are cheap to Reset
@@ -41,7 +59,7 @@ struct EngineSession {
       : ctx(&ctx), region(ctx.network()) {}
 
   // Re-arms the session for a new request rooted at `origin`. Keeps the
-  // region's allocations and the resolved table pointer (context-derived
+  // region's allocations and the resolved table pointers (context-derived
   // and immutable, so valid across requests over the same context);
   // equivalent to constructing a fresh session otherwise.
   void Reset(SegmentId origin) {
@@ -57,25 +75,16 @@ struct EngineSession {
 
   // The context this session was built over; the facade rejects sessions
   // used with an engine over a different context (the region bitmap and
-  // the cached table pointer are only valid for this one).
+  // the cached table pointers are only valid for this one).
   const MapContext* ctx;
   CloakRegion region;
   SegmentId chain = roadnet::kInvalidSegment;
   // The k-anonymity counter for this request (points at caller-owned
   // state; set by the facade before level expansion).
   const UserCounter* users = nullptr;
-  // RPLE: the context's pre-assigned tables for `tables_T`, resolved on
-  // first use and kept across Reset so steady-state requests skip the
-  // context's memo lock entirely.
-  const TransitionTables* tables = nullptr;
-  std::uint32_t tables_T = 0;
-  // Grid backend: the context's cell index and per-T cell-transition
-  // tables, resolved on first use like `tables` above; `grid_cell` is the
-  // cell-walk chain position (the grid analogue of `chain`), re-derived
-  // from the origin by GridCloak's Begin on every request.
-  const GridContext* grid = nullptr;
-  const GridTransitionTables* grid_tables = nullptr;
-  std::uint32_t grid_tables_T = 0;
+  WalkTablePointers walk;
+  // Grid backend: the cell-walk chain position (the grid analogue of
+  // `chain`); level 1 moves it to the origin's cell.
   std::uint32_t grid_cell = 0;
   RgeStats rge_stats;
   RpleStats rple_stats;
@@ -84,18 +93,12 @@ struct EngineSession {
 };
 
 // Per-reduction scratch: shared prerequisites a strategy resolves once
-// before the peel loop (e.g. the RPLE tables for the artifact's T). A
-// session may be reused across artifacts — BeginReduce runs before every
-// reduction and skips work already resolved (Deanonymizer::ReduceBatch
-// leans on this to amortize table resolution over a batch).
+// before the peel loop. A session may be reused across artifacts —
+// BeginReduce runs before every reduction and skips work already resolved
+// (Deanonymizer::ReduceBatch leans on this to amortize table resolution
+// over a batch).
 struct ReduceSession {
-  const TransitionTables* tables = nullptr;
-  // The T the resolved tables belong to (meaningful iff tables != nullptr).
-  std::uint32_t tables_T = 0;
-  // Grid backend prerequisites (same reuse contract as `tables`).
-  const GridContext* grid = nullptr;
-  const GridTransitionTables* grid_tables = nullptr;
-  std::uint32_t grid_tables_T = 0;
+  WalkTablePointers walk;
 };
 
 // A cloaking backend. Implementations are stateless (all methods const,
@@ -132,7 +135,9 @@ class CloakAlgorithm {
                              ReduceSession& session) const;
 
   // Peels one level off `region` (which must be the level-`level_index`
-  // region of `artifact`), leaving the level below.
+  // region of `artifact`), leaving the level below. The caller
+  // (Deanonymizer::ReduceWith) checks that the region left has
+  // `prev_region_size` segments.
   virtual Status DeanonymizeLevel(const MapContext& ctx,
                                   const CloakedArtifact& artifact,
                                   ReduceSession& session, CloakRegion& region,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/walk_codec.h"
 
 namespace rcloak::core {
 
@@ -53,6 +52,11 @@ std::uint32_t AxisCell(double v, double lo, double extent,
   return static_cast<std::uint32_t>(cell);
 }
 
+// A grid walk node is a cell; its members are the cell's segments.
+auto CellMembers(const GridContext& grid) {
+  return [&grid](std::uint32_t cell) { return grid.CellSegments(cell); };
+}
+
 }  // namespace
 
 std::uint32_t HilbertRankOfCell(std::uint32_t side, std::uint32_t x,
@@ -93,19 +97,6 @@ void HilbertCellOf(std::uint32_t side, std::uint32_t rank, std::uint32_t* x,
   }
   *x = cx;
   *y = cy;
-}
-
-Status GridTransitionTables::ValidatePairing() const {
-  for (std::uint32_t c = 0; c < num_cells_; ++c) {
-    for (std::uint32_t j = 0; j < t_; ++j) {
-      if (Backward(Forward(c, j), j) != c) {
-        return Status::Internal("grid FT/BT pairing violated at cell " +
-                                std::to_string(c) + " slot " +
-                                std::to_string(j));
-      }
-    }
-  }
-  return Status::Ok();
 }
 
 std::uint32_t GridContext::DefaultSide(
@@ -181,36 +172,25 @@ StatusOr<const GridTransitionTables*> GridContext::TablesFor(
     return Status::InvalidArgument(
         "grid cloak: walk fan-out T must be in [2, 64]");
   }
-  std::lock_guard<std::mutex> lock(tables_mutex_);
-  for (const auto& entry : tables_by_T_) {
-    if (entry.first == T) return entry.second.get();
-  }
-  auto tables = std::make_unique<GridTransitionTables>();
-  tables->t_ = T;
-  tables->num_cells_ = num_cells();
-  tables->ft_.resize(static_cast<std::size_t>(tables->num_cells_) * T);
-  tables->bt_.resize(static_cast<std::size_t>(tables->num_cells_) * T);
-  const auto offsets = WalkOffsets(T);
-  for (std::uint32_t c = 0; c < tables->num_cells_; ++c) {
-    const int x = static_cast<int>(c % side_);
-    const int y = static_cast<int>(c / side_);
-    for (std::uint32_t j = 0; j < T; ++j) {
-      const auto [dx, dy] = offsets[j];
-      tables->ft_[static_cast<std::size_t>(c) * T + j] =
-          TorusCoord(y + dy, side_) * side_ + TorusCoord(x + dx, side_);
-      tables->bt_[static_cast<std::size_t>(c) * T + j] =
-          TorusCoord(y - dy, side_) * side_ + TorusCoord(x - dx, side_);
-    }
-  }
-  ++table_builds_;
-  const GridTransitionTables* result = tables.get();
-  tables_by_T_.emplace_back(T, std::move(tables));
-  return result;
-}
-
-std::size_t GridContext::table_builds() const {
-  std::lock_guard<std::mutex> lock(tables_mutex_);
-  return table_builds_;
+  return tables_by_T_.Get(
+      T, [&]() -> StatusOr<std::unique_ptr<const GridTransitionTables>> {
+        const std::size_t slots = static_cast<std::size_t>(num_cells()) * T;
+        std::vector<std::uint32_t> ft(slots), bt(slots);
+        const auto offsets = WalkOffsets(T);
+        for (std::uint32_t c = 0; c < num_cells(); ++c) {
+          const int x = static_cast<int>(c % side_);
+          const int y = static_cast<int>(c / side_);
+          for (std::uint32_t j = 0; j < T; ++j) {
+            const auto [dx, dy] = offsets[j];
+            ft[static_cast<std::size_t>(c) * T + j] =
+                TorusCoord(y + dy, side_) * side_ + TorusCoord(x + dx, side_);
+            bt[static_cast<std::size_t>(c) * T + j] =
+                TorusCoord(y - dy, side_) * side_ + TorusCoord(x - dx, side_);
+          }
+        }
+        return std::make_unique<const GridTransitionTables>(T, std::move(ft),
+                                                            std::move(bt));
+      });
 }
 
 StatusOr<LevelRecord> GridAnonymizeLevel(
@@ -218,20 +198,9 @@ StatusOr<LevelRecord> GridAnonymizeLevel(
     const UserCounter& users, CloakRegion& region, std::uint32_t& walk_cell,
     const crypto::AccessKey& key, const std::string& context,
     int level_index, const LevelRequirement& requirement, GridStats* stats) {
-  if (region.empty()) {
-    return Status::FailedPrecondition("grid level expansion on empty region");
-  }
-  const crypto::KeyedPrng prng(key, LevelStreamContext(context, level_index));
-  const crypto::KeyedPrng meta_prng(key,
-                                    LevelMetaContext(context, level_index));
-  const std::uint32_t T = tables.T();
-
-  const std::vector<SegmentId> region_before = region.segments_by_id();
+  const LevelStreams streams(key, context, level_index);
+  std::vector<SegmentId> region_before = region.segments_by_id();
   const std::uint32_t walk_cell_before = walk_cell;
-  auto rollback = [&] {
-    region = CloakRegion::FromSegments(region.network(), region_before);
-    walk_cell = walk_cell_before;
-  };
 
   // Level 1 always completes the origin's cell first (even when {origin}
   // already satisfies the requirement): the reduction peels whole cells,
@@ -242,76 +211,41 @@ StatusOr<LevelRecord> GridAnonymizeLevel(
       return Status::FailedPrecondition(
           "grid level 1 expects the singleton origin region");
     }
-    const SegmentId origin = region.segments_by_id().front();
+    const SegmentId origin = region_before.front();
     walk_cell = grid.CellOf(origin);
     const auto cell_segments = grid.CellSegments(walk_cell);
-    for (std::size_t i = 0; i < cell_segments.size(); ++i) {
-      if (cell_segments[i] == origin) {
-        origin_rank_in_cell = i;
-      } else {
-        region.Insert(cell_segments[i]);
-      }
-    }
+    origin_rank_in_cell = static_cast<std::uint64_t>(
+        std::find(cell_segments.begin(), cell_segments.end(), origin) -
+        cell_segments.begin());
+    for (const SegmentId sid : cell_segments) region.Insert(sid);
     if (region.Bounds().Diagonal() > requirement.sigma_s) {
-      rollback();
+      region = CloakRegion::FromSegments(region.network(), region_before);
+      walk_cell = walk_cell_before;
       return Status::ResourceExhausted(
           "grid: a single cell already exceeds sigma_s (grid too coarse "
           "for this spatial tolerance)");
     }
   }
 
-  std::vector<bool> added_bits;
-  std::uint64_t step = 0;
-  const std::uint64_t max_steps = WalkBudget(requirement);
-  while (!LevelSatisfied(region, users, requirement)) {
-    if (step >= max_steps) {
-      rollback();
-      return Status::ResourceExhausted(
-          "grid: walk budget exhausted before reaching (delta_k, delta_l)");
-    }
-    const std::uint32_t next = tables.Forward(
-        walk_cell, static_cast<std::uint32_t>(prng.Draw(step) % T));
-    // A non-empty cell is covered iff its first segment is (the walk pulls
-    // cells wholesale); empty cells are walked through without adding.
-    const auto next_segments = grid.CellSegments(next);
-    const bool is_new =
-        !next_segments.empty() && !region.Contains(next_segments.front());
-    if (is_new) {
-      for (const SegmentId sid : next_segments) {
-        region.Insert(sid);
-      }
-      if (stats != nullptr) ++stats->cells_added;
-    } else if (stats != nullptr) {
-      ++stats->revisits;
-    }
-    added_bits.push_back(is_new);
-    walk_cell = next;
-    ++step;
-    if (stats != nullptr) ++stats->walk_steps;
-    if (is_new && region.Bounds().Diagonal() > requirement.sigma_s) {
-      rollback();
-      return Status::ResourceExhausted(
-          "grid: spatial tolerance sigma_s exceeded before reaching "
-          "(delta_k, delta_l)");
-    }
+  StatusOr<LevelRecord> record =
+      WalkForward(tables, CellMembers(grid), users, region, walk_cell,
+                  std::move(region_before), walk_cell_before, streams,
+                  requirement, "grid", stats);
+  if (stats != nullptr) {
+    stats->cells_added = stats->walk_steps - stats->revisits;
   }
-
-  LevelRecord record;
-  record.region_size = static_cast<std::uint32_t>(region.size());
+  if (!record.ok()) return record;
   // Seal layout (all mod 2^32, so the published values are uniform):
   //   low 32 bits  — blinded Hilbert rank of the walk-end cell;
   //   high 32 bits — level 1: blinded rank of the origin within its cell's
   //                  id-sorted segment list; levels >= 2: keyed padding.
   const std::uint64_t low =
-      (grid.HilbertRank(walk_cell) + prng.Prf("seal")) & kMask32;
+      (grid.HilbertRank(walk_cell) + streams.prng.Prf("seal")) & kMask32;
   const std::uint64_t high =
-      level_index == 1 ? (origin_rank_in_cell + prng.Prf("origin")) & kMask32
-                       : prng.Prf("origin-pad") & kMask32;
-  record.seal = (high << 32) | low;
-  record.walk_len_blinded =
-      static_cast<std::uint32_t>(step) ^
-      static_cast<std::uint32_t>(prng.Prf("walklen"));
-  record.step_bits_blinded = PackStepBits(added_bits, meta_prng);
+      level_index == 1
+          ? (origin_rank_in_cell + streams.prng.Prf("origin")) & kMask32
+          : streams.prng.Prf("origin-pad") & kMask32;
+  record->seal = (high << 32) | low;
   return record;
 }
 
@@ -324,81 +258,46 @@ Status GridDeanonymizeLevel(const GridContext& grid,
     return Status::FailedPrecondition(
         "grid de-anonymize: region size does not match level record");
   }
-  const crypto::KeyedPrng prng(key, LevelStreamContext(context, level_index));
-  const crypto::KeyedPrng meta_prng(key,
-                                    LevelMetaContext(context, level_index));
-  const std::uint32_t T = tables.T();
+  const LevelStreams streams(key, context, level_index);
 
   // Open the walk-end cell from the seal's low half; a wrong key decodes
   // to a near-uniform 32-bit value that exceeds the cell count.
   const std::uint64_t cell_rank =
-      ((record.seal & kMask32) - prng.Prf("seal")) & kMask32;
+      ((record.seal & kMask32) - streams.prng.Prf("seal")) & kMask32;
   if (cell_rank >= grid.num_cells()) {
     return Status::DataLoss(
         "grid de-anonymize: seal opens outside the grid (wrong key or "
         "corrupt artifact)");
   }
-  std::uint32_t walk =
-      grid.CellOfHilbertRank(static_cast<std::uint32_t>(cell_rank));
+  RCLOAK_ASSIGN_OR_RETURN(
+      const std::uint32_t start,
+      WalkReverse(tables, CellMembers(grid), region,
+                  grid.CellOfHilbertRank(static_cast<std::uint32_t>(cell_rank)),
+                  record, streams, "grid"));
+  if (level_index != 1) return Status::Ok();
 
-  const std::uint32_t walk_len =
-      record.walk_len_blinded ^
-      static_cast<std::uint32_t>(prng.Prf("walklen"));
-  if (walk_len > 0) {
-    RCLOAK_ASSIGN_OR_RETURN(
-        const Bytes bits, UnblindStepBits(record.step_bits_blinded, meta_prng,
-                                          walk_len, "grid"));
-    for (std::uint64_t j = walk_len; j-- > 0;) {
-      if (StepBitAt(bits, j)) {
-        const auto cell_segments = grid.CellSegments(walk);
-        if (cell_segments.empty()) {
-          return Status::DataLoss(
-              "grid de-anonymize: walk removed an empty cell (wrong key or "
-              "corrupt artifact)");
-        }
-        for (const SegmentId sid : cell_segments) {
-          if (!region.Contains(sid)) {
-            return Status::DataLoss(
-                "grid de-anonymize: walk erased a non-member segment "
-                "(wrong key or corrupt artifact)");
-          }
-          region.Erase(sid);
-        }
-      }
-      walk = tables.Backward(walk,
-                             static_cast<std::uint32_t>(prng.Draw(j) % T));
-    }
+  // The replay ended on the level's start cell == the origin's cell; the
+  // remaining region must be exactly that cell. Peel it down to the sealed
+  // origin segment.
+  const auto cell_segments = grid.CellSegments(start);
+  if (cell_segments.empty() || region.size() != cell_segments.size() ||
+      !std::all_of(cell_segments.begin(), cell_segments.end(),
+                   [&](SegmentId sid) { return region.Contains(sid); })) {
+    return Status::DataLoss(
+        "grid de-anonymize: residue is not the origin cell (wrong key or "
+        "corrupt artifact)");
   }
-
-  if (level_index == 1) {
-    // The replay ended on the level's start cell == the origin's cell; the
-    // remaining region must be exactly that cell. Peel it down to the
-    // sealed origin segment.
-    const auto cell_segments = grid.CellSegments(walk);
-    if (cell_segments.empty() || region.size() != cell_segments.size()) {
-      return Status::DataLoss(
-          "grid de-anonymize: residue is not the origin cell (wrong key or "
-          "corrupt artifact)");
-    }
-    for (const SegmentId sid : cell_segments) {
-      if (!region.Contains(sid)) {
-        return Status::DataLoss(
-            "grid de-anonymize: residue is not the origin cell (wrong key "
-            "or corrupt artifact)");
-      }
-    }
-    const std::uint64_t origin_rank =
-        ((record.seal >> 32) - prng.Prf("origin")) & kMask32;
-    if (origin_rank >= cell_segments.size()) {
-      return Status::DataLoss(
-          "grid de-anonymize: origin seal out of range (wrong key or "
-          "corrupt artifact)");
-    }
-    const SegmentId origin =
-        cell_segments[static_cast<std::size_t>(origin_rank)];
-    for (const SegmentId sid : cell_segments) {
-      if (sid != origin) region.Erase(sid);
-    }
+  const std::uint64_t origin_rank =
+      ((record.seal >> 32) - streams.prng.Prf("origin")) & kMask32;
+  if (origin_rank >= cell_segments.size()) {
+    return Status::DataLoss(
+        "grid de-anonymize: origin seal out of range (wrong key or "
+        "corrupt artifact)");
+  }
+  const SegmentId origin =
+      cell_segments[static_cast<std::size_t>(origin_rank)];
+  for (const SegmentId sid : cell_segments) {
+    if (sid != origin) region.Erase(sid);
   }
   return Status::Ok();
 }

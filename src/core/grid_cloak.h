@@ -11,20 +11,23 @@
 //   * cells are canonically ordered by their Hilbert-curve rank, which keeps
 //     rank-adjacent cells spatially adjacent (the grid analogue of the
 //     paper's length-sorted canonical order);
-//   * cloaking is an RPLE-style keyed walk over cells. The per-T transition
-//     tables are torus translations (slot j moves by a fixed offset with
-//     wraparound), so FT[c][j] = d  ⟺  BT[d][j] = c holds by construction
-//     and the tables are hole-free on ANY grid, including degenerate ones —
-//     the walk replays backwards exactly;
-//   * a step entering a cell whose segments are not yet covered pulls the
-//     whole cell into the region ("added a cell" step bits, key-blinded as
-//     in RPLE); empty cells are walked through without adding anything,
-//     which is precisely the free-space case road algorithms cannot serve.
+//   * cloaking is RPLE's keyed walk (WalkForward / WalkReverse,
+//     core/walk_codec.h) run over cells. The per-T transition tables are
+//     torus translations (slot j moves by a fixed offset with wraparound),
+//     so FT[c][j] = d  ⟺  BT[d][j] = c holds by construction and the
+//     tables are hole-free on ANY grid, including degenerate ones (a 1x1
+//     grid links its one cell to itself: no-self-link is RPLE's rule);
+//   * a cell's walk members are its segments: a step entering a cell whose
+//     segments are not yet covered pulls the whole cell into the region
+//     ("added a cell" step bits, key-blinded as in RPLE); empty cells are
+//     walked through without adding anything, which is precisely the
+//     free-space case road algorithms cannot serve.
 //
-// Level 0 is still the user's exact segment. Level 1 therefore first
-// completes the origin's cell and seals the origin's rank *within* that
-// cell into the level record (key-blinded, seal high bits), so a full
-// reduction recovers the exact segment, not just the cell.
+// What is Grid's own: level 0 is still the user's exact segment, so level 1
+// first completes the origin's cell and seals the origin's rank *within*
+// that cell into the level record (key-blinded, seal high bits), and the
+// level-1 reduction peels the origin cell back to that segment; the walk
+// end is sealed by its Hilbert rank.
 //
 // Published regions are ordinary segment sets: artifacts, Deanonymizer,
 // the server and the continuous session pool (validity region =
@@ -33,7 +36,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,7 +44,9 @@
 #include "core/cloak_region.h"
 #include "core/privacy_profile.h"
 #include "core/user_counter.h"
+#include "core/walk_codec.h"
 #include "crypto/keyed_prng.h"
+#include "util/build_once_memo.h"
 #include "util/status.h"
 
 namespace rcloak::core {
@@ -54,51 +58,25 @@ std::uint32_t HilbertRankOfCell(std::uint32_t side, std::uint32_t x,
 void HilbertCellOf(std::uint32_t side, std::uint32_t rank, std::uint32_t* x,
                    std::uint32_t* y) noexcept;
 
-// Instrumentation of one grid anonymization run (bench_e21).
-struct GridStats {
-  std::uint64_t walk_steps = 0;
-  // Steps that landed in an already-covered or empty cell.
-  std::uint64_t revisits = 0;
+// Instrumentation of one grid anonymization run (bench_e21). Every walk
+// step either pulls in a cell or is a revisit, so
+// cells_added = walk_steps - revisits.
+struct GridStats : WalkStats {
   std::uint64_t cells_added = 0;
 };
 
-// Hole-free forward/backward cell-transition tables for one fan-out T:
-// slot j is the torus translation by the j-th canonical offset (N, NE, E,
-// ... spiralling outwards), so every slot is a permutation of the cells and
-// the RPLE pairing invariant holds with no completion pass.
-class GridTransitionTables {
- public:
-  std::uint32_t T() const noexcept { return t_; }
-  std::uint32_t num_cells() const noexcept { return num_cells_; }
-
-  std::uint32_t Forward(std::uint32_t cell, std::uint32_t slot) const {
-    return ft_[static_cast<std::size_t>(cell) * t_ + slot];
-  }
-  std::uint32_t Backward(std::uint32_t cell, std::uint32_t slot) const {
-    return bt_[static_cast<std::size_t>(cell) * t_ + slot];
-  }
-
-  // FT[c][j] = d ⟺ BT[d][j] = c over every cell and slot.
-  Status ValidatePairing() const;
-
-  std::size_t MemoryBytes() const noexcept {
-    return (ft_.capacity() + bt_.capacity()) * sizeof(std::uint32_t);
-  }
-
- private:
-  friend class GridContext;
-  std::uint32_t t_ = 0;
-  std::uint32_t num_cells_ = 0;
-  std::vector<std::uint32_t> ft_;
-  std::vector<std::uint32_t> bt_;
-};
+// Grid's walk nodes are cells: slot j of the shared walk tables is the
+// torus translation by the j-th canonical offset (N, NE, E, ... spiralling
+// outwards), so every slot is a permutation of the cells and the pairing
+// invariant holds with no completion pass.
+using GridTransitionTables = WalkTables<std::uint32_t>;
 
 // Immutable cell index over one road network: cell assignment, Hilbert
 // ranks, per-cell segment lists, and the per-T transition-table memo.
 // Deterministic in (network, side) — anonymizer and de-anonymizer derive
 // identical grids from their map copies. Thread-safe to share (the only
-// internal synchronization is the build-once table memo, mirroring
-// MapContext::TablesFor). Obtain one via MapContext::GridFor.
+// internal synchronization is the build-once table memo). Obtain one via
+// MapContext::GridFor.
 class GridContext {
  public:
   // side == 0 picks DefaultSide(net). Fails on an empty network.
@@ -134,13 +112,12 @@ class GridContext {
     return cell_of_hilbert_[rank];
   }
 
-  // The transition tables for fan-out T (2 <= T <= 64). Built on first use
-  // (thread-safe, build-once per distinct T) and memoized for the lifetime
-  // of the context; returned pointer is stable, tables immutable.
+  // The transition tables for fan-out T (2 <= T <= 64), built once per T
+  // and memoized for the lifetime of the context (util::BuildOnceMemo).
   StatusOr<const GridTransitionTables*> TablesFor(std::uint32_t T) const;
 
   // How many table builds have run (memoization pin for tests).
-  std::size_t table_builds() const;
+  std::size_t table_builds() const { return tables_by_T_.builds(); }
 
  private:
   GridContext() = default;
@@ -154,11 +131,7 @@ class GridContext {
   std::vector<std::uint32_t> hilbert_of_cell_;
   std::vector<std::uint32_t> cell_of_hilbert_;
 
-  mutable std::mutex tables_mutex_;
-  mutable std::vector<std::pair<std::uint32_t,
-                                std::unique_ptr<const GridTransitionTables>>>
-      tables_by_T_;
-  mutable std::size_t table_builds_ = 0;
+  util::BuildOnceMemo<std::uint32_t, GridTransitionTables> tables_by_T_;
 };
 
 // Keyed cell-walk level expansion; mirrors RpleAnonymizeLevel's contract.

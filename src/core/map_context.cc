@@ -9,77 +9,36 @@ namespace rcloak::core {
 MapContext::MapContext(const roadnet::RoadNetwork& net)
     : net_(&net), index_(net), fingerprint_(FingerprintNetwork(net)) {}
 
-MapContext::MapContext(roadnet::RoadNetwork&& net)
-    : owned_net_(std::make_unique<const roadnet::RoadNetwork>(std::move(net))),
-      net_(owned_net_.get()),
-      index_(*net_),
-      fingerprint_(FingerprintNetwork(*net_)) {}
-
 std::shared_ptr<const MapContext> MapContext::Create(
     const roadnet::RoadNetwork& net) {
   return std::shared_ptr<const MapContext>(new MapContext(net));
 }
 
-std::shared_ptr<const MapContext> MapContext::Adopt(roadnet::RoadNetwork net) {
-  return std::shared_ptr<const MapContext>(new MapContext(std::move(net)));
-}
-
 StatusOr<const TransitionTables*> MapContext::TablesFor(
     std::uint32_t T) const {
-  std::lock_guard<std::mutex> lock(tables_mutex_);
-  const auto it = tables_by_T_.find(T);
-  if (it != tables_by_T_.end()) return it->second.get();
-  auto built = BuildTransitionTables(*net_, index_, T);
-  if (!built.ok()) return built.status();
-  ++table_builds_;
-  auto stored = std::make_unique<const TransitionTables>(
-      std::move(built).value());
-  const TransitionTables* result = stored.get();
-  tables_by_T_.emplace(T, std::move(stored));
-  return result;
-}
-
-std::size_t MapContext::table_builds() const {
-  std::lock_guard<std::mutex> lock(tables_mutex_);
-  return table_builds_;
+  return tables_by_T_.Get(
+      T, [&]() -> StatusOr<std::unique_ptr<const TransitionTables>> {
+        RCLOAK_ASSIGN_OR_RETURN(TransitionTables tables,
+                                BuildTransitionTables(*net_, index_, T));
+        return std::make_unique<const TransitionTables>(std::move(tables));
+      });
 }
 
 StatusOr<const GridContext*> MapContext::GridFor(std::uint32_t side) const {
   // Normalize so explicit DefaultSide and 0 share one memo entry.
   if (side == 0) side = GridContext::DefaultSide(*net_);
-  std::lock_guard<std::mutex> lock(grids_mutex_);
-  const auto it = grids_by_side_.find(side);
-  if (it != grids_by_side_.end()) return it->second.get();
-  auto built = GridContext::Build(*net_, side);
-  if (!built.ok()) return built.status();
-  ++grid_builds_;
-  const GridContext* result = built->get();
-  grids_by_side_.emplace(side, std::move(built).value());
-  return result;
-}
-
-std::size_t MapContext::grid_builds() const {
-  std::lock_guard<std::mutex> lock(grids_mutex_);
-  return grid_builds_;
+  return grids_by_side_.Get(side,
+                            [&] { return GridContext::Build(*net_, side); });
 }
 
 const roadnet::LandmarkTable* MapContext::LandmarksFor(
     int num_landmarks, roadnet::PathMetric metric) const {
-  const auto key = std::make_pair(num_landmarks, metric);
-  std::lock_guard<std::mutex> lock(landmarks_mutex_);
-  const auto it = landmarks_by_params_.find(key);
-  if (it != landmarks_by_params_.end()) return it->second.get();
-  auto built = std::make_unique<const roadnet::LandmarkTable>(
-      roadnet::LandmarkTable::Build(*net_, num_landmarks, metric));
-  ++landmark_builds_;
-  const roadnet::LandmarkTable* result = built.get();
-  landmarks_by_params_.emplace(key, std::move(built));
-  return result;
-}
-
-std::size_t MapContext::landmark_builds() const {
-  std::lock_guard<std::mutex> lock(landmarks_mutex_);
-  return landmark_builds_;
+  return *landmarks_by_params_.Get(
+      std::make_pair(num_landmarks, metric),
+      [&]() -> StatusOr<std::unique_ptr<const roadnet::LandmarkTable>> {
+        return std::make_unique<const roadnet::LandmarkTable>(
+            roadnet::LandmarkTable::Build(*net_, num_landmarks, metric));
+      });
 }
 
 }  // namespace rcloak::core

@@ -2,17 +2,18 @@
 //
 // Everything that is a pure function of the road map lives here exactly
 // once: the road network itself, the spatial index over segment midpoints,
-// the structural fingerprint, and the memoized RPLE transition tables
-// (a deterministic function of (network, T)). Anonymizer, Deanonymizer,
-// the anonymization server's workers, examples and benches all share one
-// context by shared_ptr/const& — nothing in this class ever mutates after
+// the structural fingerprint, and the memoized derived structures — RPLE
+// transition tables by T, grid cell indexes by side, ALT landmark tables
+// by parameters. Anonymizer, Deanonymizer, the anonymization server's
+// workers, examples and benches all share one context by
+// shared_ptr/const& — nothing in this class ever mutates after
 // construction, so no reader needs a lock on the hot path. The only
-// internal synchronization is the build-once memo for transition tables,
-// which hands out pointer-stable immutable tables.
+// internal synchronization is the one build-once memo type
+// (util::BuildOnceMemo), which hands out pointer-stable immutable values.
 //
 // Ownership rules (docs/ARCHITECTURE.md):
-//   * a MapContext either borrows the network (Create — caller keeps it
-//     alive) or owns a moved-in copy (Adopt);
+//   * a MapContext borrows the network (Create — the caller keeps it
+//     alive);
 //   * everything handed out by const accessor is valid for the lifetime of
 //     the context and safe to read from any thread;
 //   * per-request mutable state never lives here — it belongs to
@@ -20,9 +21,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "core/grid_cloak.h"
@@ -30,6 +29,7 @@
 #include "roadnet/alt_routing.h"
 #include "roadnet/road_network.h"
 #include "roadnet/spatial_index.h"
+#include "util/build_once_memo.h"
 #include "util/status.h"
 
 namespace rcloak::core {
@@ -41,9 +41,6 @@ class MapContext {
   static std::shared_ptr<const MapContext> Create(
       const roadnet::RoadNetwork& net);
 
-  // Owning constructor: the context keeps the network alive itself.
-  static std::shared_ptr<const MapContext> Adopt(roadnet::RoadNetwork net);
-
   MapContext(const MapContext&) = delete;
   MapContext& operator=(const MapContext&) = delete;
 
@@ -51,66 +48,50 @@ class MapContext {
   const roadnet::SpatialIndex& index() const noexcept { return index_; }
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
-  // The RPLE pre-assigned tables for transition-list length T. Built on
-  // first use (thread-safe, build-once per distinct T) and memoized for the
-  // lifetime of the context; the returned pointer is stable and the tables
-  // are immutable, so concurrent readers need no further synchronization.
+  // The memoized accessors below build on first use, once per key, and
+  // hand out pointers that stay valid and immutable for the lifetime of
+  // the context (util::BuildOnceMemo).
+
+  // The RPLE pre-assigned tables for transition-list length T.
   StatusOr<const TransitionTables*> TablesFor(std::uint32_t T) const;
 
   // How many table builds have run so far. Sharing tests pin this to prove
   // that co-located Anonymizer + Deanonymizer do not duplicate work.
-  std::size_t table_builds() const;
+  std::size_t table_builds() const { return tables_by_T_.builds(); }
 
   // The grid/Hilbert cell index for the non-road-constrained backend
   // (core/grid_cloak.h). side == 0 uses GridContext::DefaultSide, so both
-  // protocol sides agree without a wire field. Built on first use
-  // (thread-safe, build-once per distinct side) and memoized for the
-  // lifetime of the context; the returned pointer is stable and the grid
-  // is immutable (its own per-T table memo synchronizes internally).
+  // protocol sides agree without a wire field.
   StatusOr<const GridContext*> GridFor(std::uint32_t side = 0) const;
 
   // How many grid builds have run so far (memoization pin).
-  std::size_t grid_builds() const;
+  std::size_t grid_builds() const { return grids_by_side_.builds(); }
 
-  // The ALT landmark distance tables for (num_landmarks, metric). Built on
-  // first use (thread-safe, build-once per distinct parameter pair) and
-  // memoized for the lifetime of the context, so routing consumers (the
-  // mobility simulator, query benches) stop paying the Dijkstra sweeps per
-  // run. Construct a roadnet::AltRouter over the returned pointer.
+  // The ALT landmark distance tables for (num_landmarks, metric), memoized
+  // so routing consumers (the mobility simulator, query benches) stop
+  // paying the Dijkstra sweeps per run. Construct a roadnet::AltRouter over
+  // the returned pointer.
   const roadnet::LandmarkTable* LandmarksFor(
       int num_landmarks,
       roadnet::PathMetric metric = roadnet::PathMetric::kDistance) const;
 
   // How many landmark builds have run so far (memoization pin).
-  std::size_t landmark_builds() const;
+  std::size_t landmark_builds() const {
+    return landmarks_by_params_.builds();
+  }
 
  private:
   explicit MapContext(const roadnet::RoadNetwork& net);
-  explicit MapContext(roadnet::RoadNetwork&& net);
 
-  // Set iff the context owns the network (Adopt).
-  std::unique_ptr<const roadnet::RoadNetwork> owned_net_;
   const roadnet::RoadNetwork* net_;
   roadnet::SpatialIndex index_;
   std::uint64_t fingerprint_;
 
-  // Build-once memos; unique_ptr values keep handed-out pointers stable
-  // across rehash-free std::map growth.
-  mutable std::mutex tables_mutex_;
-  mutable std::map<std::uint32_t, std::unique_ptr<const TransitionTables>>
-      tables_by_T_;
-  mutable std::size_t table_builds_ = 0;
-
-  mutable std::mutex landmarks_mutex_;
-  mutable std::map<std::pair<int, roadnet::PathMetric>,
-                   std::unique_ptr<const roadnet::LandmarkTable>>
+  util::BuildOnceMemo<std::uint32_t, TransitionTables> tables_by_T_;
+  util::BuildOnceMemo<std::uint32_t, GridContext> grids_by_side_;
+  util::BuildOnceMemo<std::pair<int, roadnet::PathMetric>,
+                      roadnet::LandmarkTable>
       landmarks_by_params_;
-  mutable std::size_t landmark_builds_ = 0;
-
-  mutable std::mutex grids_mutex_;
-  mutable std::map<std::uint32_t, std::unique_ptr<const GridContext>>
-      grids_by_side_;
-  mutable std::size_t grid_builds_ = 0;
 };
 
 }  // namespace rcloak::core

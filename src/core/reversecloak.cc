@@ -205,6 +205,12 @@ StatusOr<CloakRegion> Deanonymizer::ReduceWith(
     RCLOAK_RETURN_IF_ERROR(algorithm->DeanonymizeLevel(
         *ctx_, artifact, session, region, key_it->second, level, record,
         prev_size));
+    if (region.size() != prev_size) {
+      return Status::DataLoss(
+          std::string(algorithm->name()) +
+          " de-anonymize: reduced region size mismatch (wrong key or "
+          "corrupt artifact)");
+    }
   }
   return region;
 }

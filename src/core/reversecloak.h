@@ -204,6 +204,7 @@ class Deanonymizer {
 
   // Shared peel loop; `session` carries prerequisites across calls (the
   // batch path reuses it, the single-shot path hands in a fresh one).
+  // Every peel must leave exactly the lower level's recorded size.
   StatusOr<CloakRegion> ReduceWith(
       const CloakedArtifact& artifact,
       const std::map<int, crypto::AccessKey>& granted_keys, int target_level,

@@ -1,13 +1,12 @@
 #include "core/rple.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <cassert>
 #include <thread>
 #include <unordered_set>
 
 #include "core/rge.h"  // SealRank / OpenSeal
-#include "core/walk_codec.h"
 
 namespace rcloak::core {
 
@@ -51,37 +50,12 @@ std::vector<SegmentId> LinkCandidates(const RoadNetwork& net,
   return out;
 }
 
-}  // namespace
+// An RPLE walk node is one segment.
+constexpr auto SegmentItself = [](SegmentId s) {
+  return std::array<SegmentId, 1>{s};
+};
 
-Status TransitionTables::ValidatePairing() const {
-  const std::size_t count = segment_count();
-  for (std::size_t s = 0; s < count; ++s) {
-    for (std::uint32_t j = 0; j < t_; ++j) {
-      const SegmentId target = ft_[s * t_ + j];
-      if (target == kInvalidSegment) {
-        return Status::Internal("FT hole at segment " + std::to_string(s));
-      }
-      if (Index(target) == s) {
-        return Status::Internal("FT self-link at segment " +
-                                std::to_string(s));
-      }
-      if (bt_[Index(target) * t_ + j] !=
-          SegmentId{static_cast<std::uint32_t>(s)}) {
-        return Status::Internal("FT/BT pairing violated at segment " +
-                                std::to_string(s) + " slot " +
-                                std::to_string(j));
-      }
-    }
-  }
-  for (std::size_t s = 0; s < count; ++s) {
-    for (std::uint32_t j = 0; j < t_; ++j) {
-      if (bt_[s * t_ + j] == kInvalidSegment) {
-        return Status::Internal("BT hole at segment " + std::to_string(s));
-      }
-    }
-  }
-  return Status::Ok();
-}
+}  // namespace
 
 StatusOr<TransitionTables> BuildTransitionTables(const RoadNetwork& net,
                                                  const SpatialIndex& index,
@@ -243,15 +217,13 @@ StatusOr<TransitionTables> BuildTransitionTables(const RoadNetwork& net,
 
   // ---- Step 2: arc coloring (Kempe chains on the bipartite tail/head
   // incidence) ------------------------------------------------------------
-  TransitionTables tables;
-  tables.t_ = T;
-  tables.ft_.assign(count * T, kInvalidSegment);
-  tables.bt_.assign(count * T, kInvalidSegment);
+  std::vector<SegmentId> ft_slots(count * T, kInvalidSegment);
+  std::vector<SegmentId> bt_slots(count * T, kInvalidSegment);
   auto ft = [&](std::size_t s, std::uint32_t c) -> SegmentId& {
-    return tables.ft_[s * T + c];
+    return ft_slots[s * T + c];
   };
   auto bt = [&](std::size_t t, std::uint32_t c) -> SegmentId& {
-    return tables.bt_[t * T + c];
+    return bt_slots[t * T + c];
   };
   auto free_ft_color = [&](std::size_t s) -> std::uint32_t {
     for (std::uint32_t c = 0; c < T; ++c) {
@@ -268,6 +240,11 @@ StatusOr<TransitionTables> BuildTransitionTables(const RoadNetwork& net,
 
   for (std::size_t s = 0; s < count; ++s) {
     for (const SegmentId t : targets[s]) {
+      // The coloring only permutes slots, so the arcs are the tables' links.
+      if (Index(t) == s) {
+        return Status::Internal("RPLE pre-assignment: self-link at segment " +
+                                std::to_string(s));
+      }
       // Common free color?
       std::uint32_t common = T;
       for (std::uint32_t c = 0; c < T; ++c) {
@@ -327,6 +304,7 @@ StatusOr<TransitionTables> BuildTransitionTables(const RoadNetwork& net,
     }
   }
 
+  TransitionTables tables(T, std::move(ft_slots), std::move(bt_slots));
   RCLOAK_RETURN_IF_ERROR(tables.ValidatePairing());
   return tables;
 }
@@ -377,58 +355,13 @@ StatusOr<LevelRecord> RpleAnonymizeLevel(
     const crypto::AccessKey& key, const std::string& context,
     int level_index, const LevelRequirement& requirement,
     RpleStats* stats) {
-  if (region.empty()) {
-    return Status::FailedPrecondition("RPLE level expansion on empty region");
-  }
-  const crypto::KeyedPrng prng(key, LevelStreamContext(context, level_index));
-  const crypto::KeyedPrng meta_prng(key,
-                                    LevelMetaContext(context, level_index));
-  const std::uint32_t T = tables.T();
-
-  const std::vector<SegmentId> region_before = region.segments_by_id();
-  const SegmentId position_before = walk_position;
-  auto rollback = [&] {
-    region = CloakRegion::FromSegments(region.network(), region_before);
-    walk_position = position_before;
-  };
-
-  std::vector<bool> added_bits;
-  std::uint64_t step = 0;
-  const std::uint64_t max_steps = WalkBudget(requirement);
-  while (!LevelSatisfied(region, users, requirement)) {
-    if (step >= max_steps) {
-      rollback();
-      return Status::ResourceExhausted(
-          "RPLE: walk budget exhausted before reaching (delta_k, delta_l)");
-    }
-    const SegmentId next =
-        tables.Forward(walk_position,
-                       static_cast<std::uint32_t>(prng.Draw(step) % T));
-    const bool is_new = !region.Contains(next);
-    if (is_new) {
-      region.Insert(next);
-    } else if (stats != nullptr) {
-      ++stats->revisits;
-    }
-    added_bits.push_back(is_new);
-    walk_position = next;
-    ++step;
-    if (stats != nullptr) ++stats->walk_steps;
-    if (is_new && region.Bounds().Diagonal() > requirement.sigma_s) {
-      rollback();
-      return Status::ResourceExhausted(
-          "RPLE: spatial tolerance sigma_s exceeded before reaching "
-          "(delta_k, delta_l)");
-    }
-  }
-
-  LevelRecord record;
-  record.region_size = static_cast<std::uint32_t>(region.size());
-  record.seal = SealRank(region, walk_position, prng);
-  record.walk_len_blinded =
-      static_cast<std::uint32_t>(step) ^
-      static_cast<std::uint32_t>(prng.Prf("walklen"));
-  record.step_bits_blinded = PackStepBits(added_bits, meta_prng);
+  const LevelStreams streams(key, context, level_index);
+  RCLOAK_ASSIGN_OR_RETURN(
+      LevelRecord record,
+      WalkForward(tables, SegmentItself, users, region, walk_position,
+                  region.segments_by_id(), walk_position, streams,
+                  requirement, "RPLE", stats));
+  record.seal = SealRank(region, walk_position, streams.prng);
   return record;
 }
 
@@ -440,35 +373,12 @@ Status RpleDeanonymizeLevel(const TransitionTables& tables,
     return Status::FailedPrecondition(
         "RPLE de-anonymize: region size does not match level record");
   }
-  const crypto::KeyedPrng prng(key, LevelStreamContext(context, level_index));
-  const crypto::KeyedPrng meta_prng(key,
-                                    LevelMetaContext(context, level_index));
-  const std::uint32_t T = tables.T();
-
-  const std::uint32_t walk_len =
-      record.walk_len_blinded ^
-      static_cast<std::uint32_t>(prng.Prf("walklen"));
-  if (walk_len == 0) return Status::Ok();
-
-  RCLOAK_ASSIGN_OR_RETURN(
-      const Bytes bits,
-      UnblindStepBits(record.step_bits_blinded, meta_prng, walk_len, "RPLE"));
-
-  RCLOAK_ASSIGN_OR_RETURN(SegmentId walk,
-                          OpenSeal(region, record.seal, prng));
-  for (std::uint64_t j = walk_len; j-- > 0;) {
-    if (StepBitAt(bits, j)) {
-      if (!region.Contains(walk)) {
-        return Status::DataLoss(
-            "RPLE de-anonymize: walk erased a non-member segment (wrong key "
-            "or corrupt artifact)");
-      }
-      region.Erase(walk);
-    }
-    walk = tables.Backward(walk,
-                           static_cast<std::uint32_t>(prng.Draw(j) % T));
-  }
-  return Status::Ok();
+  const LevelStreams streams(key, context, level_index);
+  RCLOAK_ASSIGN_OR_RETURN(const SegmentId end,
+                          OpenSeal(region, record.seal, streams.prng));
+  return WalkReverse(tables, SegmentItself, region, end, record, streams,
+                     "RPLE")
+      .status();
 }
 
 }  // namespace rcloak::core

@@ -16,7 +16,10 @@
 // whose support is the cloaking region. Revisits are allowed — the walk has
 // no data-dependent rejection, which is exactly what makes the reverse
 // replay w_j = BT[w_{j+1}][R_j mod T] exact. Which steps introduced a new
-// segment is recorded as key-blinded bits in the level record.
+// segment is recorded as key-blinded bits in the level record. The walk and
+// its replay are the ones Grid runs over cells (WalkForward / WalkReverse,
+// core/walk_codec.h); RPLE adds only its seal of the walk end (SealRank /
+// OpenSeal, core/rge.h).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +30,7 @@
 #include "core/cloak_region.h"
 #include "core/privacy_profile.h"
 #include "core/user_counter.h"
+#include "core/walk_codec.h"
 #include "crypto/keyed_prng.h"
 #include "mobility/trace.h"
 #include "roadnet/spatial_index.h"
@@ -34,35 +38,10 @@
 
 namespace rcloak::core {
 
-// Hole-free forward/backward transition tables for a road network.
-class TransitionTables {
- public:
-  std::uint32_t T() const noexcept { return t_; }
-  std::size_t segment_count() const noexcept { return ft_.size() / t_; }
-
-  SegmentId Forward(SegmentId s, std::uint32_t slot) const {
-    return ft_[roadnet::Index(s) * t_ + slot];
-  }
-  SegmentId Backward(SegmentId s, std::uint32_t slot) const {
-    return bt_[roadnet::Index(s) * t_ + slot];
-  }
-
-  // FT[s][j] = t ⟺ BT[t][j] = s, all slots filled, no self-links.
-  Status ValidatePairing() const;
-
-  // Approximate resident size (the RPLE memory-cost axis, experiment E6).
-  std::size_t MemoryBytes() const noexcept {
-    return (ft_.capacity() + bt_.capacity()) * sizeof(SegmentId);
-  }
-
- private:
-  friend StatusOr<TransitionTables> BuildTransitionTables(
-      const roadnet::RoadNetwork&, const roadnet::SpatialIndex&,
-      std::uint32_t, unsigned);
-  std::uint32_t t_ = 0;
-  std::vector<SegmentId> ft_;
-  std::vector<SegmentId> bt_;
-};
+// RPLE's walk nodes are segments: the shared walk tables over SegmentId
+// (core/walk_codec.h). BuildTransitionTables adds RPLE's own rule that no
+// slot links a segment to itself.
+using TransitionTables = WalkTables<SegmentId>;
 
 // Production pre-assignment (regularized links + arc coloring). Requires
 // segment_count > 2*T. Deterministic in (network, T): anonymizer and
@@ -97,10 +76,7 @@ GreedyPreassignResult PreassignGreedy(const roadnet::RoadNetwork& net,
                                       std::uint32_t T,
                                       std::size_t neighbor_list_cap = 0);
 
-struct RpleStats {
-  std::uint64_t walk_steps = 0;
-  std::uint64_t revisits = 0;
-};
+using RpleStats = WalkStats;
 
 // Walk-based level expansion; mirrors RgeAnonymizeLevel's contract.
 // `walk_position` is the chain seed (origin for level 1 / previous level's

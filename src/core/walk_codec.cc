@@ -37,4 +37,24 @@ StatusOr<Bytes> UnblindStepBits(const Bytes& step_bits_blinded,
   return bits;
 }
 
+template <typename Node>
+Status WalkTables<Node>::ValidatePairing() const {
+  const std::size_t count = node_count();
+  for (std::size_t n = 0; n < count; ++n) {
+    for (std::uint32_t j = 0; j < t_; ++j) {
+      const auto target = static_cast<std::size_t>(ft_[n * t_ + j]);
+      if (target >= count ||
+          static_cast<std::size_t>(bt_[target * t_ + j]) != n) {
+        return Status::Internal("FT/BT pairing violated at node " +
+                                std::to_string(n) + " slot " +
+                                std::to_string(j));
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+template class WalkTables<SegmentId>;
+template class WalkTables<std::uint32_t>;
+
 }  // namespace rcloak::core

@@ -41,7 +41,7 @@ TEST(AtlantaScaleTest, PreassignmentPairingHoldsAtPaperScale) {
   const auto tables = core::BuildTransitionTables(f.net, index, 6);
   ASSERT_TRUE(tables.ok()) << tables.status().ToString();
   EXPECT_TRUE(tables->ValidatePairing().ok());
-  EXPECT_EQ(tables->segment_count(), f.net.segment_count());
+  EXPECT_EQ(tables->node_count(), f.net.segment_count());
 }
 
 TEST(AtlantaScaleTest, PipelineBothAlgorithmsThreeLevels) {

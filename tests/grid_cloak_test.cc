@@ -230,6 +230,68 @@ TEST(GridCloakTest, WrongKeyNeverRecoversSilently) {
   EXPECT_GT(failures, 12);
 }
 
+// A level-1 region is at least the origin's whole cell; when that cell
+// alone is wider than sigma_s, level 1 fails and leaves {origin} and the
+// walk cell it was handed.
+TEST(GridCloakTest, SingleCellOverSigmaFailsAtLevelOne) {
+  const RoadNetwork net = roadnet::MakeGrid({12, 12, 100.0});
+  const auto grid = GridContext::Build(net, /*side=*/2);
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  const auto tables = (*grid)->TablesFor(6);
+  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+  const auto occupancy = OnePerSegment(net);
+  const core::SnapshotCounter users(occupancy);
+  const SegmentId origin{60};
+
+  core::CloakRegion region(net);
+  region.Insert(origin);
+  const std::uint32_t before = ((*grid)->CellOf(origin) + 1) % 4;
+  std::uint32_t walk_cell = before;
+  // A quarter of a 1,100 m map is about 550 m across.
+  const auto record = core::GridAnonymizeLevel(
+      **grid, **tables, users, region, walk_cell,
+      crypto::AccessKey::FromSeed(5), "ctx", 1, {2, 2, 300.0});
+  ASSERT_FALSE(record.ok());
+  EXPECT_EQ(record.status().code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(region.segments_by_id(), std::vector<SegmentId>{origin});
+  EXPECT_EQ(walk_cell, before);
+}
+
+// Grid's twin of RpleTest.RevisitsAreCountedAndHarmless: every step either
+// pulls in a cell or adds nothing, and the level still reduces exactly.
+TEST(GridCloakTest, RevisitsAreCountedAndHarmless) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto grid = GridContext::Build(net);
+  ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+  // Small T concentrates the walk: revisits are frequent.
+  const auto tables = (*grid)->TablesFor(2);
+  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+  const auto occupancy = OnePerSegment(net);
+  const core::SnapshotCounter users(occupancy);
+  const SegmentId origin{40};
+  const auto key = crypto::AccessKey::FromSeed(12);
+
+  core::CloakRegion region(net);
+  region.Insert(origin);
+  std::uint32_t walk_cell = (*grid)->CellOf(origin);
+  core::GridStats stats;
+  // Every user on the map: the walk must reach every occupied cell.
+  const std::uint32_t all = static_cast<std::uint32_t>(net.segment_count());
+  const auto record =
+      core::GridAnonymizeLevel(**grid, **tables, users, region, walk_cell,
+                               key, "ctx", 1, {all, 2, 1e9}, &stats);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_GT(stats.revisits, 0u);
+  EXPECT_EQ(stats.walk_steps, stats.revisits + stats.cells_added);
+
+  core::CloakRegion reduced =
+      core::CloakRegion::FromSegments(net, region.segments_by_id());
+  const Status status = core::GridDeanonymizeLevel(**grid, **tables, reduced,
+                                                   key, "ctx", 1, *record);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(reduced.segments_by_id(), std::vector<SegmentId>{origin});
+}
+
 // Golden pin for grid mode: fixed map, origin, keys -> byte-stable artifact
 // (update ONLY with a deliberate wire/algorithm version bump).
 TEST(GridGoldenTest, ArtifactBytesStableAndSelfConsistent) {

@@ -1,8 +1,11 @@
 // RPLE pre-assignment and walk-reversal tests.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
 
+#include "core/grid_cloak.h"
 #include "core/privacy_profile.h"
 #include "core/rple.h"
 #include "roadnet/generators.h"
@@ -281,6 +284,171 @@ TEST(RpleTest, WalkBudgetFailureRollsBack) {
   EXPECT_EQ(record.status().code(), ErrorCode::kResourceExhausted);
   EXPECT_EQ(region.size(), 1u);
 }
+
+// ------------------------------------------- rollback, RPLE and Grid walks
+// RPLE and Grid run the same keyed walk, so a failed level must leave the
+// region and the walk position exactly as the level found them, for both
+// backends and above level 1 too. `position` is the walk node: a segment
+// index for RPLE, a cell for Grid.
+class WalkLevels {
+ public:
+  WalkLevels(Algorithm algorithm, const RoadNetwork& net, std::uint32_t T)
+      : net_(&net) {
+    if (algorithm == Algorithm::kRple) {
+      const SpatialIndex index(net);
+      auto built = BuildTransitionTables(net, index, T);
+      EXPECT_TRUE(built.ok()) << built.status().ToString();
+      rple_ = std::make_unique<TransitionTables>(std::move(built).value());
+    } else {
+      auto built = GridContext::Build(net);
+      EXPECT_TRUE(built.ok()) << built.status().ToString();
+      grid_ = std::move(built).value();
+      auto tables = grid_->TablesFor(T);
+      EXPECT_TRUE(tables.ok()) << tables.status().ToString();
+      grid_tables_ = *tables;
+    }
+  }
+
+  // The position a level-1 walk is handed. RPLE seeds its walk with the
+  // origin; Grid moves to the origin's cell itself, so it is handed some
+  // other cell and a failed level 1 must put that one back.
+  std::uint32_t LevelOnePosition(SegmentId origin) const {
+    if (rple_ != nullptr) return roadnet::Index(origin);
+    return (grid_->CellOf(origin) + 1) % grid_->num_cells();
+  }
+
+  // Diagonal of the region a level-1 walk starts from: the origin for
+  // RPLE, the origin's whole cell for Grid.
+  double StartDiagonal(SegmentId origin) const {
+    if (rple_ != nullptr) return net_->SegmentBounds(origin).Diagonal();
+    CloakRegion cell(*net_);
+    for (const SegmentId sid : grid_->CellSegments(grid_->CellOf(origin))) {
+      cell.Insert(sid);
+    }
+    return cell.Bounds().Diagonal();
+  }
+
+  StatusOr<LevelRecord> Level(CloakRegion& region, std::uint32_t& position,
+                              const mobility::OccupancySnapshot& occupancy,
+                              int level,
+                              const LevelRequirement& requirement) const {
+    const auto key = crypto::AccessKey::FromSeed(40 + level);
+    if (rple_ != nullptr) {
+      SegmentId walk{position};
+      auto record = RpleAnonymizeLevel(*rple_, occupancy, region, walk, key,
+                                       "ctx", level, requirement);
+      position = roadnet::Index(walk);
+      return record;
+    }
+    const SnapshotCounter users(occupancy);
+    return GridAnonymizeLevel(*grid_, *grid_tables_, users, region, position,
+                              key, "ctx", level, requirement);
+  }
+
+ private:
+  const RoadNetwork* net_;
+  std::unique_ptr<TransitionTables> rple_;
+  std::unique_ptr<const GridContext> grid_;
+  const GridTransitionTables* grid_tables_ = nullptr;
+};
+
+class WalkRollbackTest : public ::testing::TestWithParam<Algorithm> {
+ protected:
+  const RoadNetwork net_ = roadnet::MakeGrid({12, 12, 100.0});
+  const WalkLevels levels_{GetParam(), net_, 6};
+  const SegmentId origin_{60};
+  const mobility::OccupancySnapshot occupancy_ = OnePerSegment(net_);
+  const mobility::OccupancySnapshot empty_{net_.segment_count()};
+
+  // Runs level 1 to success and returns its region; `position` is left
+  // at the level-1 walk end.
+  std::vector<SegmentId> LevelOne(CloakRegion& region,
+                                  std::uint32_t& position) const {
+    region.Insert(origin_);
+    position = levels_.LevelOnePosition(origin_);
+    const auto record =
+        levels_.Level(region, position, occupancy_, 1, {5, 2, 1e9});
+    EXPECT_TRUE(record.ok()) << record.status().ToString();
+    return region.segments_by_id();
+  }
+};
+
+TEST_P(WalkRollbackTest, SigmaFailureAtLevelOneLeavesTheOrigin) {
+  CloakRegion region(net_);
+  region.Insert(origin_);
+  const std::uint32_t before = levels_.LevelOnePosition(origin_);
+  std::uint32_t position = before;
+  // Any step that widens the start region breaks sigma_s; 50 users cannot
+  // be reached without one.
+  const auto record =
+      levels_.Level(region, position, occupancy_, 1,
+                    {50, 2, levels_.StartDiagonal(origin_) + 1.0});
+  ASSERT_FALSE(record.ok());
+  EXPECT_EQ(record.status().code(), ErrorCode::kResourceExhausted);
+  EXPECT_NE(record.status().message().find("sigma_s"), std::string::npos)
+      << record.status().ToString();
+  EXPECT_EQ(region.segments_by_id(), std::vector<SegmentId>{origin_});
+  EXPECT_EQ(position, before);
+}
+
+TEST_P(WalkRollbackTest, BudgetFailureAtLevelOneLeavesTheOrigin) {
+  CloakRegion region(net_);
+  region.Insert(origin_);
+  const std::uint32_t before = levels_.LevelOnePosition(origin_);
+  std::uint32_t position = before;
+  const auto record = levels_.Level(region, position, empty_, 1,
+                                    {10, 2, 1e9});  // no users anywhere
+  ASSERT_FALSE(record.ok());
+  EXPECT_EQ(record.status().code(), ErrorCode::kResourceExhausted);
+  EXPECT_NE(record.status().message().find("walk budget"), std::string::npos)
+      << record.status().ToString();
+  EXPECT_EQ(region.segments_by_id(), std::vector<SegmentId>{origin_});
+  EXPECT_EQ(position, before);
+}
+
+TEST_P(WalkRollbackTest, SigmaFailureAtLevelTwoLeavesLevelOne) {
+  CloakRegion region(net_);
+  std::uint32_t position = 0;
+  const std::vector<SegmentId> level_one = LevelOne(region, position);
+  const std::uint32_t level_one_end = position;
+  // Every user on the map is out of reach without widening level 1.
+  const auto record = levels_.Level(
+      region, position, occupancy_, 2,
+      {static_cast<std::uint32_t>(net_.segment_count()), 2,
+       region.Bounds().Diagonal() + 1.0});
+  ASSERT_FALSE(record.ok());
+  EXPECT_EQ(record.status().code(), ErrorCode::kResourceExhausted);
+  EXPECT_NE(record.status().message().find("sigma_s"), std::string::npos)
+      << record.status().ToString();
+  EXPECT_EQ(region.segments_by_id(), level_one);
+  EXPECT_EQ(position, level_one_end);
+}
+
+TEST_P(WalkRollbackTest, BudgetFailureAtLevelTwoLeavesLevelOne) {
+  CloakRegion region(net_);
+  std::uint32_t position = 0;
+  const std::vector<SegmentId> level_one = LevelOne(region, position);
+  const std::uint32_t level_one_end = position;
+  // One more user than the map holds: the walk covers everything and then
+  // runs out of steps.
+  const auto record = levels_.Level(
+      region, position, occupancy_, 2,
+      {static_cast<std::uint32_t>(net_.segment_count()) + 1, 2, 1e9});
+  ASSERT_FALSE(record.ok());
+  EXPECT_EQ(record.status().code(), ErrorCode::kResourceExhausted);
+  EXPECT_NE(record.status().message().find("walk budget"), std::string::npos)
+      << record.status().ToString();
+  EXPECT_EQ(region.segments_by_id(), level_one);
+  EXPECT_EQ(position, level_one_end);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, WalkRollbackTest,
+                         ::testing::Values(Algorithm::kRple, Algorithm::kGrid),
+                         [](const auto& info) {
+                           return info.param == Algorithm::kRple
+                                      ? std::string("Rple")
+                                      : std::string("Grid");
+                         });
 
 }  // namespace
 }  // namespace rcloak::core

@@ -179,9 +179,9 @@ TEST(TransitionTableTest, ParallelPreferencePassIsByteIdentical) {
     const auto parallel = BuildTransitionTables(net, index, T, threads);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     ASSERT_EQ(parallel->T(), serial->T());
-    ASSERT_EQ(parallel->segment_count(), serial->segment_count());
+    ASSERT_EQ(parallel->node_count(), serial->node_count());
     // FT and BT compared entry by entry == byte identity of the tables.
-    for (std::size_t s = 0; s < serial->segment_count(); ++s) {
+    for (std::size_t s = 0; s < serial->node_count(); ++s) {
       const SegmentId sid{static_cast<std::uint32_t>(s)};
       for (std::uint32_t j = 0; j < T; ++j) {
         ASSERT_EQ(parallel->Forward(sid, j), serial->Forward(sid, j))
