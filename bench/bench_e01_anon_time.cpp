@@ -8,7 +8,7 @@ using namespace rcloak::bench;
 
 int main() {
   PrintHeader("E1: anonymization time vs delta_k",
-              "Mean per-request anonymization time (ms) on the "
+              "Mean per-request anonymization time (us) on the "
               "NW-Atlanta-scale map, 10k cars, 20 origins per point.");
 
   Workload workload = MakeAtlantaWorkload();
@@ -19,10 +19,10 @@ int main() {
     return 1;
   }
 
-  TableWriter table({"delta_k", "RGE_ms", "RPLE_ms", "RandomExpand_ms",
-                     "GridCloak_ms", "RGE_fail", "RPLE_fail"});
+  TableWriter table({"delta_k", "RGE_us", "RPLE_us", "RandomExpand_us",
+                     "GridCloak_us", "RGE_fail", "RPLE_fail"});
   for (const std::uint32_t k : {5u, 10u, 20u, 40u, 80u}) {
-    Samples rge_ms, rple_ms, base_ms, grid_ms;
+    Samples rge_us, rple_us, base_us, grid_us;
     int rge_fail = 0, rple_fail = 0;
     const core::LevelRequirement requirement{k, 3, 1e9};
     int request_id = 0;
@@ -39,7 +39,7 @@ int main() {
         Stopwatch timer;
         const auto result = anonymizer.Anonymize(request, keys);
         if (result.ok()) {
-          rge_ms.Add(timer.ElapsedMillis());
+          rge_us.Add(timer.ElapsedMicros());
         } else {
           ++rge_fail;
         }
@@ -49,7 +49,7 @@ int main() {
         Stopwatch timer;
         const auto result = anonymizer.Anonymize(request, keys);
         if (result.ok()) {
-          rple_ms.Add(timer.ElapsedMillis());
+          rple_us.Add(timer.ElapsedMicros());
         } else {
           ++rple_fail;
         }
@@ -59,19 +59,19 @@ int main() {
         const auto region = baseline::RandomExpandCloak(
             workload.net, workload.occupancy, origin, requirement,
             static_cast<std::uint64_t>(request_id));
-        if (region.ok()) base_ms.Add(timer.ElapsedMillis());
+        if (region.ok()) base_us.Add(timer.ElapsedMicros());
       }
       {
         Stopwatch timer;
         const auto region = baseline::GridCloak(
             workload.net, workload.occupancy, origin, requirement);
-        if (region.ok()) grid_ms.Add(timer.ElapsedMillis());
+        if (region.ok()) grid_us.Add(timer.ElapsedMicros());
       }
     }
-    table.AddRow({TableWriter::Int(k), TableWriter::Fixed(rge_ms.Mean(), 3),
-                  TableWriter::Fixed(rple_ms.Mean(), 3),
-                  TableWriter::Fixed(base_ms.Mean(), 3),
-                  TableWriter::Fixed(grid_ms.Mean(), 3),
+    table.AddRow({TableWriter::Int(k), TableWriter::Fixed(rge_us.Mean(), 1),
+                  TableWriter::Fixed(rple_us.Mean(), 1),
+                  TableWriter::Fixed(base_us.Mean(), 1),
+                  TableWriter::Fixed(grid_us.Mean(), 1),
                   TableWriter::Int(rge_fail), TableWriter::Int(rple_fail)});
   }
   table.PrintMarkdown(std::cout);

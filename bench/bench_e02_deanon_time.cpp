@@ -9,7 +9,7 @@ using namespace rcloak::bench;
 
 int main() {
   PrintHeader("E2: de-anonymization time vs delta_k",
-              "Mean time (ms) to reduce the cloaked region back to the "
+              "Mean time (us) to reduce the cloaked region back to the "
               "exact segment (all keys granted); 20 origins per point.");
 
   Workload workload = MakeAtlantaWorkload();
@@ -25,10 +25,10 @@ int main() {
   }
 
   TableWriter table(
-      {"delta_k", "RGE_deanon_ms", "RPLE_deanon_ms", "verified"});
+      {"delta_k", "RGE_deanon_us", "RPLE_deanon_us", "verified"});
   int total_verified = 0, total_expected = 0;
   for (const std::uint32_t k : {5u, 10u, 20u, 40u, 80u}) {
-    Samples rge_ms, rple_ms;
+    Samples rge_us, rple_us;
     int verified = 0, attempts = 0;
     int request_id = 0;
     for (const auto origin : workload.origins) {
@@ -52,21 +52,21 @@ int main() {
         Stopwatch timer;
         const auto reduced =
             deanonymizer.Reduce(result->artifact, AllKeys(keys), 0);
-        const double elapsed = timer.ElapsedMillis();
+        const double elapsed = timer.ElapsedMicros();
         if (!reduced.ok()) {
           std::cerr << request.context << ": reduce failed: "
                     << reduced.status().ToString() << "\n";
           continue;
         }
-        (algorithm == core::Algorithm::kRge ? rge_ms : rple_ms).Add(elapsed);
+        (algorithm == core::Algorithm::kRge ? rge_us : rple_us).Add(elapsed);
         if (reduced->size() == 1 &&
             reduced->segments_by_id().front() == origin) {
           ++verified;
         }
       }
     }
-    table.AddRow({TableWriter::Int(k), TableWriter::Fixed(rge_ms.Mean(), 3),
-                  TableWriter::Fixed(rple_ms.Mean(), 3),
+    table.AddRow({TableWriter::Int(k), TableWriter::Fixed(rge_us.Mean(), 1),
+                  TableWriter::Fixed(rple_us.Mean(), 1),
                   TableWriter::Int(verified) + "/" +
                       TableWriter::Int(attempts)});
     total_verified += verified;

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const std::size_t num_origins =
       argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 20;
   PrintHeader("E21: grid backend vs RGE",
-              "Mean anonymize / full-reduce time (ms) and region size "
+              "Mean anonymize / full-reduce time (us) and region size "
               "(segments) per delta_k; " +
                   std::to_string(num_origins) + " origins per point.");
 
@@ -35,12 +35,12 @@ int main(int argc, char** argv) {
               << " cells occupied)\n";
   }
 
-  TableWriter table({"delta_k", "RGE_anon_ms", "Grid_anon_ms",
-                     "RGE_deanon_ms", "Grid_deanon_ms", "RGE_region",
+  TableWriter table({"delta_k", "RGE_anon_us", "Grid_anon_us",
+                     "RGE_deanon_us", "Grid_deanon_us", "RGE_region",
                      "Grid_region", "Grid_cells", "verified"});
   int total_verified = 0, total_expected = 0;
   for (const std::uint32_t k : {5u, 10u, 20u, 40u, 80u}) {
-    Samples rge_anon_ms, grid_anon_ms, rge_deanon_ms, grid_deanon_ms;
+    Samples rge_anon_us, grid_anon_us, rge_deanon_us, grid_deanon_us;
     Samples rge_region, grid_region, grid_cells;
     int verified = 0, attempts = 0;
     int request_id = 0;
@@ -56,17 +56,17 @@ int main(int argc, char** argv) {
         request.algorithm = algorithm;
         Stopwatch anon_timer;
         const auto result = anonymizer.Anonymize(request, keys);
-        const double anon_elapsed = anon_timer.ElapsedMillis();
+        const double anon_elapsed = anon_timer.ElapsedMicros();
         if (!result.ok()) continue;
         ++attempts;
         Stopwatch deanon_timer;
         const auto reduced =
             deanonymizer.Reduce(result->artifact, AllKeys(keys), 0);
-        const double deanon_elapsed = deanon_timer.ElapsedMillis();
+        const double deanon_elapsed = deanon_timer.ElapsedMicros();
         if (!reduced.ok()) continue;
         const bool is_grid = algorithm == core::Algorithm::kGrid;
-        (is_grid ? grid_anon_ms : rge_anon_ms).Add(anon_elapsed);
-        (is_grid ? grid_deanon_ms : rge_deanon_ms).Add(deanon_elapsed);
+        (is_grid ? grid_anon_us : rge_anon_us).Add(anon_elapsed);
+        (is_grid ? grid_deanon_us : rge_deanon_us).Add(deanon_elapsed);
         (is_grid ? grid_region : rge_region)
             .Add(static_cast<double>(
                 result->artifact.region_segments.size()));
@@ -81,10 +81,10 @@ int main(int argc, char** argv) {
       }
     }
     table.AddRow({TableWriter::Int(k),
-                  TableWriter::Fixed(rge_anon_ms.Mean(), 3),
-                  TableWriter::Fixed(grid_anon_ms.Mean(), 3),
-                  TableWriter::Fixed(rge_deanon_ms.Mean(), 3),
-                  TableWriter::Fixed(grid_deanon_ms.Mean(), 3),
+                  TableWriter::Fixed(rge_anon_us.Mean(), 1),
+                  TableWriter::Fixed(grid_anon_us.Mean(), 1),
+                  TableWriter::Fixed(rge_deanon_us.Mean(), 1),
+                  TableWriter::Fixed(grid_deanon_us.Mean(), 1),
                   TableWriter::Fixed(rge_region.Mean(), 1),
                   TableWriter::Fixed(grid_region.Mean(), 1),
                   TableWriter::Fixed(grid_cells.Mean(), 1),

@@ -35,6 +35,9 @@
 // --duration, or on SIGINT or SIGTERM), writes every resident session to
 // it; `restore` warm-boots a pool from the file and reports what came back.
 //
+// `--workers N` (serve, spill, restore) sets the anonymization server's
+// worker threads; the default is one per hardware thread.
+//
 // `serve --loops N` shards the front door across N event-loop threads
 // (SO_REUSEPORT kernel accept sharding; connections stay pinned to their
 // loop, so per-user streams and artifact bytes are unchanged). Composes
@@ -345,6 +348,14 @@ core::PrivacyProfile ServeProfile() {
   return core::PrivacyProfile({{8, 3, 1e9}, {25, 8, 1e9}});
 }
 
+// `--workers N`, else the library default (one per hardware thread).
+server::ServerOptions ServeServerOptions(const Args& args) {
+  server::ServerOptions options;
+  options.num_workers =
+      static_cast<int>(args.Int("workers", options.num_workers));
+  return options;
+}
+
 server::SessionPoolOptions ServePoolOptions() {
   server::SessionPoolOptions options;
   const int levels = ServeProfile().num_levels();
@@ -384,9 +395,8 @@ int Spill(const Args& args) {
   }
 
   core::Anonymizer engine(*net, std::move(occupancy));
-  server::ServerOptions server_options;
-  server_options.num_workers = static_cast<int>(args.Int("workers", 2));
-  server::AnonymizationServer anon_server(std::move(engine), server_options);
+  server::AnonymizationServer anon_server(std::move(engine),
+                                          ServeServerOptions(args));
   server::SessionPoolOptions pool_options = ServePoolOptions();
   server::ContinuousSessionPool pool(anon_server, pool_options);
   if (const auto attached = pool.AttachSpillFile(out); !attached.ok()) {
@@ -443,9 +453,8 @@ int RestoreCmd(const Args& args) {
     occupancy.Add(roadnet::SegmentId{i});
   }
   core::Anonymizer engine(*net, std::move(occupancy));
-  server::ServerOptions server_options;
-  server_options.num_workers = static_cast<int>(args.Int("workers", 2));
-  server::AnonymizationServer anon_server(std::move(engine), server_options);
+  server::AnonymizationServer anon_server(std::move(engine),
+                                          ServeServerOptions(args));
   server::SessionPoolOptions pool_options = ServePoolOptions();
   server::ContinuousSessionPool pool(anon_server, pool_options);
   if (const auto attached = pool.AttachSpillFile(path); !attached.ok()) {
@@ -487,9 +496,8 @@ int Serve(const Args& args) {
     }
   }
   core::Anonymizer engine(*net, std::move(occupancy));
-  server::ServerOptions server_options;
-  server_options.num_workers = static_cast<int>(args.Int("workers", 2));
-  server::AnonymizationServer anon_server(std::move(engine), server_options);
+  server::AnonymizationServer anon_server(std::move(engine),
+                                          ServeServerOptions(args));
   server::SessionPoolOptions pool_options;
   if (args.Has("spill")) {
     // The cold tier: budget sweeps spill to the file, reconnecting users
@@ -535,7 +543,7 @@ int Serve(const Args& args) {
   }
   std::cout << "serving on 127.0.0.1:" << front.port()
             << " (map fingerprint " << std::hex << front.map_fingerprint()
-            << std::dec << ", " << server_options.num_workers << " workers, "
+            << std::dec << ", " << anon_server.num_workers() << " workers, "
             << front.loop_count() << " loop(s)"
             << (secret.empty() ? "" : ", auth required") << ")"
             << std::endl;

@@ -387,13 +387,12 @@ std::span<const SegmentId> CloakRegion::FrontierAtLeast(
     for (SegmentId sid : fb_join_batch_) {
       fb_out_mark_[roadnet::Index(sid)] = fb_epoch_;
     }
-    const std::size_t merged_from = fb_sorted_.size();
-    fb_sorted_.insert(fb_sorted_.end(), fb_join_batch_.begin(),
-                      fb_join_batch_.end());
-    std::inplace_merge(fb_sorted_.begin(),
-                       fb_sorted_.begin() +
-                           static_cast<std::ptrdiff_t>(merged_from),
-                       fb_sorted_.end(), LengthOrder{net_});
+    // Merged into the reused scratch, then swapped in: std::inplace_merge
+    // would allocate a temporary buffer on every call.
+    fb_merged_.resize(fb_sorted_.size() + fb_join_batch_.size());
+    std::merge(fb_sorted_.begin(), fb_sorted_.end(), fb_join_batch_.begin(),
+               fb_join_batch_.end(), fb_merged_.begin(), LengthOrder{net_});
+    fb_sorted_.swap(fb_merged_);
   }
   fb_rings_out_ = rings;
   if (rings_used != nullptr) *rings_used = rings;

@@ -167,6 +167,7 @@ class CloakRegion {
   mutable std::vector<SegmentId> fb_joins_;    // pending output additions
   mutable std::vector<SegmentId> fb_removed_;  // members pending removal
   mutable std::vector<SegmentId> fb_join_batch_;  // per-call scratch
+  mutable std::vector<SegmentId> fb_merged_;      // merge scratch
   mutable std::vector<SegmentId> fb_wave_;        // BFS wave scratch
   mutable std::vector<std::uint32_t> fb_wave_dist_;
 

@@ -217,14 +217,8 @@ StatusOr<LevelRecord> GridAnonymizeLevel(
     origin_rank_in_cell = static_cast<std::uint64_t>(
         std::find(cell_segments.begin(), cell_segments.end(), origin) -
         cell_segments.begin());
+    // A cell wider than sigma_s fails the walk's first check.
     for (const SegmentId sid : cell_segments) region.Insert(sid);
-    if (region.Bounds().Diagonal() > requirement.sigma_s) {
-      region = CloakRegion::FromSegments(region.network(), region_before);
-      walk_cell = walk_cell_before;
-      return Status::ResourceExhausted(
-          "grid: a single cell already exceeds sigma_s (grid too coarse "
-          "for this spatial tolerance)");
-    }
   }
 
   StatusOr<LevelRecord> record =

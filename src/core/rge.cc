@@ -43,7 +43,17 @@ StatusOr<LevelRecord> RgeAnonymizeLevel(
   };
 
   std::uint64_t transition = 0;
-  while (!LevelSatisfied(region, users, requirement)) {
+  // Every region the level passes through must fit sigma_s, the one it
+  // starts from included: an origin wider than sigma_s is refused even
+  // when it alone satisfies (delta_k, delta_l).
+  for (;;) {
+    if (region.Bounds().Diagonal() > requirement.sigma_s) {
+      rollback();
+      return Status::ResourceExhausted(
+          "RGE: spatial tolerance sigma_s exceeded before reaching "
+          "(delta_k, delta_l)");
+    }
+    if (LevelSatisfied(region, users, requirement)) break;
     int rings = 0;
     const auto candidates = region.FrontierAtLeast(region.size(), &rings);
     if (candidates.size() < region.size()) {
@@ -67,12 +77,6 @@ StatusOr<LevelRecord> RgeAnonymizeLevel(
     region.Insert(*next);
     last_added = *next;
     ++transition;
-    if (region.Bounds().Diagonal() > requirement.sigma_s) {
-      rollback();
-      return Status::ResourceExhausted(
-          "RGE: spatial tolerance sigma_s exceeded before reaching "
-          "(delta_k, delta_l)");
-    }
   }
 
   LevelRecord record;

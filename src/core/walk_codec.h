@@ -130,11 +130,12 @@ struct WalkStats {
 // node stands for: RPLE's segment itself, a Grid cell's segments (possibly
 // none). A step is new when its node has members and the first is not yet
 // in the region (nodes are pulled in whole); then every member is
-// inserted. Exceeding sigma_s on a new step, or the WalkBudget, is
-// ResourceExhausted and restores `region_before` and `position_before`,
-// the state the level began from. On success `position` is the walk end
-// and the record lacks only the backend's seal. `what` names the backend
-// in error messages.
+// inserted. A region wider than sigma_s (the one the level starts from
+// included, even when it already satisfies the requirement), or a walk
+// past the WalkBudget, is ResourceExhausted and restores `region_before`
+// and `position_before`, the state the level began from. On success
+// `position` is the walk end and the record lacks only the backend's seal.
+// `what` names the backend in error messages.
 template <typename Node, typename Members>
 StatusOr<LevelRecord> WalkForward(const WalkTables<Node>& tables,
                                   const Members& members,
@@ -157,7 +158,11 @@ StatusOr<LevelRecord> WalkForward(const WalkTables<Node>& tables,
   };
   std::vector<bool> added_bits;
   const std::uint64_t max_steps = WalkBudget(requirement);
-  while (!LevelSatisfied(region, users, requirement)) {
+  for (;;) {
+    if (region.Bounds().Diagonal() > requirement.sigma_s) {
+      return fail("spatial tolerance sigma_s exceeded");
+    }
+    if (LevelSatisfied(region, users, requirement)) break;
     if (added_bits.size() >= max_steps) return fail("walk budget exhausted");
     const Node next = tables.Forward(
         position, static_cast<std::uint32_t>(
@@ -172,9 +177,6 @@ StatusOr<LevelRecord> WalkForward(const WalkTables<Node>& tables,
     if (stats != nullptr) {
       ++stats->walk_steps;
       if (!is_new) ++stats->revisits;
-    }
-    if (is_new && region.Bounds().Diagonal() > requirement.sigma_s) {
-      return fail("spatial tolerance sigma_s exceeded");
     }
   }
   LevelRecord record;

@@ -1,5 +1,8 @@
 #include "server/anonymization_server.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -7,13 +10,43 @@
 
 namespace rcloak::server {
 
+namespace {
+
+// Moves the calling thread onto the index-th CPU it may run on (mod their
+// count), then lifts the restriction again. A new thread starts on its
+// creator's CPU, and where the kernel does not balance load (a cpuset with
+// sched_load_balance = 0) it stays there: every worker would share one
+// CPU. Where the kernel does balance, this is only a starting point.
+void StartOnCpu(int index) {
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  const int count = CPU_COUNT(&allowed);
+  if (count < 2) return;
+  int skip = index % count;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || skip-- > 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0) {
+      pthread_setaffinity_np(pthread_self(), sizeof(allowed), &allowed);
+    }
+    return;
+  }
+}
+
+}  // namespace
+
 AnonymizationServer::AnonymizationServer(core::Anonymizer engine,
                                          const ServerOptions& options)
     : engine_(std::move(engine)), max_queue_(options.max_queue) {
   const int workers = std::max(1, options.num_workers);
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] {
+      StartOnCpu(i);
+      WorkerLoop();
+    });
   }
 }
 
@@ -28,7 +61,7 @@ AnonymizationServer::~AnonymizationServer() {
 }
 
 StatusOr<AnonymizationServer::ResultFuture> AnonymizationServer::Submit(
-    core::AnonymizeRequest request, crypto::KeyChain keys) {
+    core::AnonymizeRequest request, JobKeys keys) {
   Job job{BatchJob{std::move(request), std::move(keys)}, {}};
   auto future = job.promise.get_future();
   {
@@ -69,7 +102,8 @@ void AnonymizationServer::WorkerLoop() {
     lock.unlock();
 
     Stopwatch timer;
-    auto result = engine_.Anonymize(job.work.request, job.work.keys, session);
+    const crypto::KeyChain keys = std::move(job.work.keys).Resolve();
+    auto result = engine_.Anonymize(job.work.request, keys, session);
     const double elapsed = timer.ElapsedMillis();
     // Stats settle before the promise, so a caller that saw its result
     // also sees it counted.

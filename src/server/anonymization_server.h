@@ -2,13 +2,19 @@
 // 'Anonymizer' sends the parameters and access keys to a trusted
 // anonymization server").
 //
-// One bounded FIFO under one mutex, drained by `num_workers` threads. Each
-// worker owns a reusable EngineSession (scratch only). The engine layer
+// One bounded FIFO under one mutex, drained by `num_workers` threads, each
+// started on its own CPU of the process's affinity mask. Each worker owns
+// a reusable EngineSession (scratch only). The engine layer
 // underneath is built for this: the MapContext is immutable, Anonymize()
 // is const over shared state, and occupancy refreshes publish a new
 // snapshot epoch by atomic shared_ptr swap (SetOccupancy) — so workers
 // never contend on engine state, only on the queue lock, which each job
 // takes briefly to be pushed, popped and counted.
+//
+// A job carries its keys as a chain in hand or as a key provider and the
+// epoch to derive; the worker that runs the job resolves them, so chain
+// derivation spreads over the workers with the anonymize work instead of
+// running serially on the submitting thread.
 //
 // Determinism: jobs are pure functions of (request, keys, occupancy epoch)
 // and the per-worker sessions are scratch, so which worker runs a job, and
@@ -16,11 +22,14 @@
 // tests/server_determinism_test.cc and session_pool_test.cc).
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -30,7 +39,9 @@
 namespace rcloak::server {
 
 struct ServerOptions {
-  int num_workers = 2;
+  // One per hardware thread the host reports (at least 1).
+  int num_workers =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   // Exact bound on jobs queued and not yet taken by a worker, across all
   // workers; a submit past it fails with RESOURCE_EXHAUSTED.
   std::size_t max_queue = 1024;
@@ -49,13 +60,37 @@ struct ServerStats {
   double p95_latency_ms = 0.0;
 };
 
+// A job's access keys: a chain in hand, or a key provider and the epoch
+// to call it with. The worker that runs the job resolves them, so a
+// provider runs on a server worker, concurrently with other jobs' providers;
+// it must not wait on this server.
+class JobKeys {
+ public:
+  using Provider = std::function<crypto::KeyChain(std::uint64_t epoch)>;
+
+  JobKeys(crypto::KeyChain chain)  // NOLINT implicit
+      : chain_(std::move(chain)) {}
+  JobKeys(Provider provider, std::uint64_t epoch)
+      : provider_(std::move(provider)), epoch_(epoch) {}
+
+  // The chain in hand, else provider(epoch).
+  crypto::KeyChain Resolve() && {
+    return chain_ ? std::move(*chain_) : provider_(epoch_);
+  }
+
+ private:
+  std::optional<crypto::KeyChain> chain_;
+  Provider provider_;
+  std::uint64_t epoch_ = 0;
+};
+
 class AnonymizationServer {
  public:
   using ResultFuture = std::future<StatusOr<core::AnonymizeResult>>;
 
   struct BatchJob {
     core::AnonymizeRequest request;
-    crypto::KeyChain keys;
+    JobKeys keys;
   };
 
   // The server takes ownership of the engine. Backend tables (RPLE
@@ -72,7 +107,7 @@ class AnonymizationServer {
   // Enqueues a request; the future resolves to the artifact or the error.
   // Fails fast with RESOURCE_EXHAUSTED when the queue is full.
   StatusOr<ResultFuture> Submit(core::AnonymizeRequest request,
-                                crypto::KeyChain keys);
+                                JobKeys keys);
 
   // Submit, once per job in order: element i of the result corresponds to
   // jobs[i]. Each job takes the queue lock on its own, so workers start on

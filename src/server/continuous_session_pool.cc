@@ -503,8 +503,7 @@ void ContinuousSessionPool::RunRound(
                             Session& session, std::size_t idx,
                             const IdPositionUpdate& update,
                             PendingRecloak& recloak,
-                            core::AnonymizeRequest& request,
-                            KeyProvider& provider) -> bool {
+                            core::AnonymizeRequest& request) -> bool {
     session.last_update_s = update.now_s;
     session.referenced = true;  // second chance for the next clock lap
     shard.OccupancyRemove(session.last_segment);
@@ -537,9 +536,10 @@ void ContinuousSessionPool::RunRound(
         }
         session.recloak_pending = true;
         // Copied so the user-supplied provider runs OUTSIDE the shard
-        // lock: it may be slow (KMS round-trips) or call back into the
-        // pool, and either must not stall or deadlock the shard.
-        provider = session.key_provider;
+        // lock, on the server worker that runs the job: it may be slow
+        // (KMS round-trips) or call back into the pool, and either must
+        // not stall or deadlock the shard.
+        recloak.provider = session.key_provider;
         return true;
     }
     return false;
@@ -550,7 +550,6 @@ void ContinuousSessionPool::RunRound(
     Shard& shard = *shards_[shard_index];
     PendingRecloak recloak;
     core::AnonymizeRequest request;
-    KeyProvider provider;
     bool needs_recloak = false;
     // Requires the shard lock. Ownership gate first, with the session in
     // hand: an owned session only moves for its principal; an unowned one
@@ -568,7 +567,7 @@ void ContinuousSessionPool::RunRound(
         session.owner = update.principal;
       }
       needs_recloak = classify(shard, shard_index, session, idx, update,
-                               recloak, request, provider);
+                               recloak, request);
     };
     bool missing = false;
     {
@@ -610,8 +609,7 @@ void ContinuousSessionPool::RunRound(
       admit(*resident->first);
     }
     if (!needs_recloak) continue;
-    recloak.keys = provider(recloak.epoch);
-    jobs.push_back({std::move(request), recloak.keys});
+    jobs.push_back({std::move(request), {recloak.provider, recloak.epoch}});
     pending.push_back(std::move(recloak));
   }
   if (pending.empty()) return;
@@ -671,12 +669,14 @@ StatusOr<core::ValidityRegion> ContinuousSessionPool::ValidityRegionOf(
     return core::ValidityRegion(std::move(result.sealed_region));
   }
   // The backend sealed no inner region (it is not reversible): the keyed
-  // reduce reports why, exactly as the single-user oracle does.
+  // reduce, under the chain re-derived here, reports why, exactly as the
+  // single-user oracle does.
   RCLOAK_ASSIGN_OR_RETURN(
       const core::CloakRegion region,
       core::ComputeValidityRegion(
           core::Deanonymizer(server_->engine().context()), result.artifact,
-          recloak.keys, recloak.profile, recloak.validity_level));
+          recloak.provider(recloak.epoch), recloak.profile,
+          recloak.validity_level));
   return core::ValidityRegion(region.segments_by_id());
 }
 

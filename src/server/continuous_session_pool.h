@@ -12,11 +12,13 @@
 // never touched.
 //
 // Region exits batch into one AnonymizationServer::SubmitBatch round of
-// re-cloaks and are committed back under the shard locks. Each re-cloak
-// asks the anonymizer for its validity level's region as that level is
-// sealed (AnonymizeRequest::sealed_level), so the pool never replays a
-// fresh artifact through the keyed Deanonymizer::Reduce: the anonymizer
-// already holds every inner region, the keyed peel is for data requesters.
+// re-cloaks and are committed back under the shard locks. Each job
+// carries its session's key provider and epoch, so the server worker that
+// runs it derives the key chain. Each re-cloak asks the anonymizer for
+// its validity level's region as that level is sealed
+// (AnonymizeRequest::sealed_level), so the pool never replays a fresh
+// artifact through the keyed Deanonymizer::Reduce: the anonymizer already
+// holds every inner region, the keyed peel is for data requesters.
 //
 // Determinism: artifacts are a pure function of (request, keys, map,
 // occupancy epoch) and every policy decision is a pure function of the
@@ -394,8 +396,9 @@ class ContinuousSessionPool {
   };
 
   // A round-member re-cloak in flight between the classify and commit
-  // phases. Keys are materialized at classify time so the commit does not
-  // re-enter the user-supplied provider.
+  // phases. Its job carries a copy of `provider` and `epoch`, so the
+  // server worker derives the key chain; the commit calls `provider` again
+  // only for a backend that seals no validity region.
   struct PendingRecloak {
     std::size_t update_index = 0;
     util::UserId user;
@@ -403,7 +406,7 @@ class ContinuousSessionPool {
     std::uint64_t epoch = 0;
     int validity_level = 0;
     core::PrivacyProfile profile;
-    crypto::KeyChain keys = crypto::KeyChain::FromKeys({});
+    KeyProvider provider;
     StatusOr<core::AnonymizeResult> result = Status::Internal("not run");
   };
 

@@ -136,6 +136,27 @@ TEST(AnonymizerTest, RpleRequiresViablePreassignment) {
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
 }
 
+// An origin wider than sigma_s is refused even when it alone satisfies
+// (delta_k, delta_l): every backend checks the region a level starts from,
+// not only the ones its steps grow.
+TEST(AnonymizerTest, OriginWiderThanSigmaRefusedByEveryBackend) {
+  const RoadNetwork net = roadnet::MakeGrid({12, 12, 100.0});
+  Anonymizer anonymizer(net, OnePerSegment(net));
+  const auto keys = crypto::KeyChain::FromSeed(3, 1);
+  AnonymizeRequest request;
+  request.origin = SegmentId{60};
+  request.profile = PrivacyProfile::SingleLevel({1, 1, 10.0});
+  request.context = "edge/sigma";
+  for (const Algorithm algorithm :
+       {Algorithm::kRge, Algorithm::kRple, Algorithm::kGrid}) {
+    request.algorithm = algorithm;
+    const auto result = anonymizer.Anonymize(request, keys);
+    ASSERT_FALSE(result.ok()) << static_cast<int>(algorithm);
+    EXPECT_EQ(result.status().code(), ErrorCode::kResourceExhausted)
+        << static_cast<int>(algorithm) << ": " << result.status().ToString();
+  }
+}
+
 TEST(AnonymizerTest, SetOccupancyChangesBehaviour) {
   const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
   Anonymizer anonymizer(net, OnePerSegment(net));

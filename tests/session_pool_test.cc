@@ -11,6 +11,8 @@
 #include <filesystem>
 #include <functional>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -141,6 +143,8 @@ struct FleetSetup {
   PrivacyProfile profile = FleetProfile();
   Algorithm algorithm = Algorithm::kRge;
   core::ContinuousOptions options = FleetOptions();
+  // Called by every pool-side key derivation, on the deriving thread.
+  std::function<void()> on_key_derivation;
 };
 
 // Drives every car through its own single-user ContinuousCloak oracle and
@@ -185,9 +189,15 @@ std::map<std::string, std::vector<std::string>> RunPool(
   std::vector<util::UserId> ids(traces.num_cars);
   for (std::uint32_t car = 0; car < traces.num_cars; ++car) {
     const std::string user = "car" + std::to_string(car);
-    const auto tracked =
-        pool.Track(user, setup.profile, setup.algorithm,
-                   KeysFor(car, setup.profile.num_levels()), setup.options);
+    auto keys = KeysFor(car, setup.profile.num_levels());
+    if (setup.on_key_derivation) {
+      keys = [keys, hook = setup.on_key_derivation](std::uint64_t epoch) {
+        hook();
+        return keys(epoch);
+      };
+    }
+    const auto tracked = pool.Track(user, setup.profile, setup.algorithm,
+                                    std::move(keys), setup.options);
     EXPECT_TRUE(tracked.ok()) << tracked.status().ToString();
     if (!tracked.ok()) return {};
     ids[car] = *tracked;
@@ -237,6 +247,35 @@ TEST(SessionPoolTest, ArtifactSequencesIdenticalAcrossWorkerCounts) {
   // The fleet is RGE-only: no server built RPLE tables it never used.
   EXPECT_EQ(ctx->table_builds(), 0u);
   EXPECT_EQ(ctx->grid_builds(), 0u);
+}
+
+// A re-cloak's key chain is derived by the server worker that runs the
+// job, never by the thread that calls UpdateBatch, and per-user sequences
+// do not depend on how many workers share the derivations.
+TEST(SessionPoolTest, KeyChainsAreDerivedOnServerWorkers) {
+  const auto traces = MakeFleetTraces(/*num_cars=*/8, /*duration_s=*/45.0);
+  const auto ctx = core::MapContext::Create(traces.net);
+  const auto occupancy = OnePerSegment(traces.net);
+
+  std::mutex mutex;
+  std::set<std::thread::id> deriving_threads;
+  std::size_t derivations = 0;
+  FleetSetup setup;
+  setup.on_key_derivation = [&] {
+    std::lock_guard<std::mutex> lock(mutex);
+    deriving_threads.insert(std::this_thread::get_id());
+    ++derivations;
+  };
+  const auto single = RunPool(ctx, occupancy, traces, /*workers=*/1, setup);
+  ASSERT_EQ(single.size(), traces.num_cars);
+  for (const int workers : {2, server::ServerOptions{}.num_workers}) {
+    EXPECT_EQ(RunPool(ctx, occupancy, traces, workers, setup), single)
+        << workers << " workers";
+  }
+  std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_GT(derivations, 0u);
+  EXPECT_EQ(deriving_threads.count(std::this_thread::get_id()), 0u)
+      << "a key chain was derived on the UpdateBatch caller";
 }
 
 TEST(SessionPoolTest, InRegionUpdatesNeverTouchTheServer) {
