@@ -114,10 +114,5 @@ int main() {
                 static_cast<unsigned long long>(user_stats->recloaks),
                 user_stats->mean_validity_duration_s());
   }
-
-  // Drop sessions idle for 30 s (none here: the whole fleet just drove).
-  const std::size_t evicted = pool.EvictIdle(/*now_s=*/60.0, /*idle_s=*/30.0);
-  std::printf("evicted %zu idle sessions, %zu remain\n", evicted,
-              pool.session_count());
   return 0;
 }

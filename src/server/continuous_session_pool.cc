@@ -82,17 +82,19 @@ StatusOr<std::pair<util::UserId, bool>> ContinuousSessionPool::TrackFresh(
       ContinuousPolicy(std::string(user_id), profile, algorithm, options),
       std::move(key_provider));
   session.owner = owner;
-  // Registration counts as activity: EvictIdle must not reap a session
-  // that was tracked late in simulation time but never updated yet.
   session.last_update_s = now_s;
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   const util::UserId id = interner_.Intern(user_id);
   Shard& shard = *shards_[ShardIndexFor(id)];
   std::unique_lock<std::mutex> lock(shard.mutex);
   // No track rolls a spilled user's epoch back: a live record blocks it.
   const bool inserted = shard.sessions.Find(id) == nullptr &&
                         (spill_ == nullptr || !spill_->Contains(id));
-  if (inserted) InsertLocked(shard, id, std::move(session));
+  if (inserted) {
+    // A provider parked for a record that compaction dropped as rotten
+    // must not outlive it: a later spill would keep it over this one's.
+    shard.parked_keys.Erase(id);
+    InsertLocked(shard, id, std::move(session));
+  }
   lock.unlock();
   // A track flood can pass the budget without a single update.
   if (inserted) MaybeSweep();
@@ -118,11 +120,8 @@ StatusOr<util::UserId> ContinuousSessionPool::FindOrTrack(
     core::Algorithm algorithm, const KeyProviderFactory& keys,
     const core::ContinuousOptions& options, double now_s,
     std::uint64_t owner) {
-  {
-    std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-    const util::UserId known = interner_.Find(user_id);
-    if (StateOf(known) != UserState::kUntracked) return known;
-  }
+  const util::UserId known = interner_.Find(user_id);
+  if (StateOf(known) != UserState::kUntracked) return known;
   const KeyProviderFactory& factory =
       options_.key_provider_factory ? options_.key_provider_factory : keys;
   RCLOAK_ASSIGN_OR_RETURN(const auto tracked,
@@ -133,7 +132,6 @@ StatusOr<util::UserId> ContinuousSessionPool::FindOrTrack(
 
 StatusOr<util::UserId> ContinuousSessionPool::UserIdOf(
     std::string_view user_id) const {
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   const util::UserId id = interner_.Find(user_id);
   if (!id.valid()) {
     return Status::NotFound("untracked user: " + std::string(user_id));
@@ -141,74 +139,9 @@ StatusOr<util::UserId> ContinuousSessionPool::UserIdOf(
   return id;
 }
 
-bool ContinuousSessionPool::Evict(std::string_view user_id) {
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-  const util::UserId id = interner_.Find(user_id);
-  if (!id.valid()) return false;
-  Shard& shard = *shards_[ShardIndexFor(id)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (Session* session = shard.sessions.Find(id)) {
-    shard.RetireSession(*session);
-    shard.OccupancyRemove(session->last_segment);
-    shard.resident_bytes -= session->mem_bytes;
-    shard.sessions.Erase(id);
-  } else {
-    // A spilled user goes with its record and parked provider. Its per-user
-    // statistics were never in the live counters, so nothing is retired.
-    if (spill_ == nullptr || !spill_->Erase(id)) return false;
-    shard.parked_keys.Erase(id);
-  }
-  ++shard.evicted;
-  NoteDepartedLocked(shard, id);
-  return true;
-}
-
-std::size_t ContinuousSessionPool::EvictIdle(double now_s, double idle_s) {
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-  std::size_t evicted = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    evicted += shard->sessions.EraseIf(
-        [&](util::UserId id, Session& session) {
-          if (now_s - session.last_update_s <= idle_s) return false;
-          shard->RetireSession(session);
-          shard->OccupancyRemove(session.last_segment);
-          shard->resident_bytes -= session.mem_bytes;
-          ++shard->evicted;
-          ++shard->evicted_idle;
-          NoteDepartedLocked(*shard, id);
-          return true;
-        });
-  }
-  return evicted;
-}
-
-void ContinuousSessionPool::NoteDepartedLocked(Shard& shard,
-                                               util::UserId user) {
-  shard.departed.push_back(user);
-  departures_.store(true);
-}
-
-void ContinuousSessionPool::ReleaseDeparted() {
-  if (!departures_.exchange(false)) return;
-  std::unique_lock<std::shared_mutex> cold(cold_mutex_);
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const util::UserId id : std::exchange(shard->departed, {})) {
-      if (shard->sessions.Find(id) != nullptr) continue;
-      if (spill_ != nullptr && spill_->Contains(id)) continue;
-      // A provider parked for a record that compaction dropped as rotten
-      // must not reach the next user interned under this handle.
-      shard->parked_keys.Erase(id);
-      interner_.Release(id);
-    }
-  }
-}
-
 // ---- cold tier ------------------------------------------------------------
 
 Status ContinuousSessionPool::AttachSpillFile(const std::string& path) {
-  std::unique_lock<std::shared_mutex> cold(cold_mutex_);
   if (spill_ != nullptr) {
     return Status::FailedPrecondition("spill file already attached");
   }
@@ -233,7 +166,6 @@ ContinuousSessionPool::UserState ContinuousSessionPool::StateOf(
 StatusOr<ContinuousSessionPool::UserState> ContinuousSessionPool::StateOf(
     util::UserId user, std::uint64_t principal) const {
   if (!user.valid()) return UserState::kUntracked;
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   const Shard& shard = *shards_[ShardIndexFor(user)];
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -320,7 +252,6 @@ ContinuousSessionPool::InsertRestoredLocked(Shard& shard, util::UserId id,
     }
     return restored.status();
   }
-  if (!spill_->Contains(id)) return Status::NotFound("spill record evicted");
   if (!restored->key_provider) {
     KeyProvider* parked = shard.parked_keys.Find(id);
     if (parked == nullptr) {
@@ -419,7 +350,6 @@ StatusOr<std::size_t> ContinuousSessionPool::SpillAllToFile() {
   if (spill_ == nullptr) {
     return Status::FailedPrecondition("no spill file attached");
   }
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   std::size_t written = 0;
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
@@ -438,7 +368,6 @@ StatusOr<std::size_t> ContinuousSessionPool::RestoreAllFromFile() {
   if (spill_ == nullptr) {
     return Status::FailedPrecondition("no spill file attached");
   }
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   std::size_t restored = 0;
   for (const util::UserId user : spill_->LiveUsers()) {
     // Warm-boot tooling restores every record regardless of owner (the
@@ -459,7 +388,6 @@ StatusOr<std::size_t> ContinuousSessionPool::OwnedSpillRecords() const {
   if (spill_ == nullptr) {
     return Status::FailedPrecondition("no spill file attached");
   }
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   std::size_t owned = 0;
   for (const util::UserId user : spill_->LiveUsers()) {
     const auto owner = ReadSpilledOwner(user);
@@ -645,8 +573,8 @@ void ContinuousSessionPool::RunRound(
     auto artifact = std::make_shared<const core::CloakedArtifact>(
         std::move(recloak.result).value().artifact);
     results[idx] = artifact;
-    // Gone only if explicitly evicted or spilled meanwhile: the clock
-    // sweep skips sessions with a re-cloak pending.
+    // Gone only if SpillAllToFile spilled it meanwhile: the clock sweep
+    // skips sessions with a re-cloak pending.
     if (session == nullptr) continue;
     if (session->policy.next_epoch() != recloak.epoch) continue;  // raced
     shard.resident_bytes -= session->mem_bytes;
@@ -681,7 +609,7 @@ StatusOr<core::ValidityRegion> ContinuousSessionPool::ValidityRegionOf(
 }
 
 std::vector<StatusOr<ContinuousSessionPool::SharedArtifact>>
-ContinuousSessionPool::RunRounds(
+ContinuousSessionPool::UpdateBatch(
     const std::vector<IdPositionUpdate>& updates) {
   std::vector<StatusOr<SharedArtifact>> results;
   results.reserve(updates.size());
@@ -730,19 +658,7 @@ ContinuousSessionPool::RunRounds(
     }
     remaining = std::move(deferred);
   }
-  return results;
-}
-
-std::vector<StatusOr<ContinuousSessionPool::SharedArtifact>>
-ContinuousSessionPool::UpdateBatch(
-    const std::vector<IdPositionUpdate>& updates) {
-  std::vector<StatusOr<SharedArtifact>> results;
-  {
-    std::shared_lock<std::shared_mutex> cold(cold_mutex_);
-    results = RunRounds(updates);
-    MaybeSweep();
-  }
-  ReleaseDeparted();
+  MaybeSweep();
   // A failed compaction leaves the dead bytes for the next batch to retry.
   if (spill_ != nullptr) {
     (void)spill_->CompactIfDue(options_.spill_compact_dead_fraction);
@@ -774,7 +690,6 @@ StatusOr<std::uint64_t> ContinuousSessionPool::UserEpoch(
 
 StatusOr<std::uint64_t> ContinuousSessionPool::UserEpoch(
     std::string_view user_id) const {
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   const util::UserId id = interner_.Find(user_id);
   if (!id.valid()) {
     return Status::NotFound("untracked user: " + std::string(user_id));
@@ -784,7 +699,6 @@ StatusOr<std::uint64_t> ContinuousSessionPool::UserEpoch(
 
 StatusOr<core::ContinuousStats> ContinuousSessionPool::UserStats(
     std::string_view user_id) const {
-  std::shared_lock<std::shared_mutex> cold(cold_mutex_);
   const util::UserId id = interner_.Find(user_id);
   if (!id.valid()) {
     return Status::NotFound("untracked user: " + std::string(user_id));

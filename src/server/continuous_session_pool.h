@@ -37,7 +37,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -74,7 +73,7 @@ struct SessionPoolOptions {
   // Re-derives the key schedule for sessions restored on miss. When set,
   // budget spills do not park providers in memory (the factory is the
   // source of truth — required for spill files attached from an earlier
-  // run); when unset, the evicted session's provider is parked until the
+  // run); when unset, the spilled session's provider is parked until the
   // user returns.
   KeyProviderFactory key_provider_factory;
 };
@@ -91,19 +90,10 @@ struct SessionCounters {
   // Updates (and restore-on-miss adoptions) refused because the session is
   // owned by a different principal.
   std::uint64_t ownership_rejected = 0;
-  std::uint64_t evicted = 0;
-  // Subset of `evicted` reaped by EvictIdle (vs explicit Evict).
-  std::uint64_t evicted_idle = 0;
   // Sessions written to / read back from the spill file. A spilled
-  // session's per-user statistics travel in its record, so they are NOT
-  // folded into the retired_* counters.
+  // session's per-user statistics travel in its record.
   std::uint64_t spilled = 0;
   std::uint64_t restored = 0;
-  // Lifetime totals folded in from evicted sessions at eviction time, so
-  // dropping a session never silently discards its per-user statistics.
-  std::uint64_t retired_updates = 0;
-  std::uint64_t retired_recloaks = 0;
-  std::uint64_t retired_throttled_stale = 0;
   // ---- cold tier ---------------------------------------------------------
   // Subset of `spilled` written to the spill file by the clock sweep.
   std::uint64_t budget_spilled = 0;
@@ -111,7 +101,8 @@ struct SessionCounters {
   std::uint64_t restored_on_miss = 0;
   // Spilled records that could not come back (rotted on disk, no key
   // source). The update gets the restore's own status; the record stays,
-  // locking the user out until Evict (a fresh track would reuse contexts).
+  // locking the user out (a fresh track would reuse contexts): a rotten
+  // record until compaction drops it, a record with no key source for good.
   // A restore that loses to a concurrent restore of the same user serves
   // the session that went in and counts nothing.
   std::uint64_t restore_failures = 0;
@@ -177,12 +168,11 @@ class ContinuousSessionPool {
   // Registers a user session and returns its stable id handle. Fails with
   // kFailedPrecondition if the user is resident or live in the spill file
   // (a fresh session would restart its epoch chain). `now_s` is the
-  // registration time on the update clock: EvictIdle measures idleness
-  // against it until the first position update lands. `owner` binds the
-  // session to an authenticated principal (net::PrincipalToken): updates
-  // and adoptions under a different principal are refused with
-  // kPermissionDenied; 0 (default) leaves the session unowned — any caller
-  // may drive it, and the first non-zero principal to update it claims it.
+  // registration time on the update clock. `owner` binds the session to an
+  // authenticated principal (net::PrincipalToken): updates and adoptions
+  // under a different principal are refused with kPermissionDenied; 0
+  // (default) leaves the session unowned — any caller may drive it, and
+  // the first non-zero principal to update it claims it.
   StatusOr<util::UserId> Track(std::string_view user_id,
                                core::PrivacyProfile profile,
                                core::Algorithm algorithm,
@@ -203,25 +193,11 @@ class ContinuousSessionPool {
                                      const core::ContinuousOptions& options,
                                      double now_s, std::uint64_t owner);
 
-  // The id handle for a user known to this pool; kNotFound otherwise. A
-  // handle stays stable for as long as the user is resident or spilled in
-  // the attached file. Once an Evict or EvictIdle leaves the user neither,
-  // the next UpdateBatch releases its name: the handle may be recycled, and
-  // a user that returns is interned afresh.
+  // The id handle for a user known to this pool; kNotFound otherwise.
+  // Handles are never recycled: a tracked user stays resident or spilled
+  // for the life of the pool and its spill file, because a user that
+  // started over would restart its epoch chain and reuse request contexts.
   StatusOr<util::UserId> UserIdOf(std::string_view user_id) const;
-
-  // Removes a user session, resident or spilled (a spilled user's record
-  // and parked key provider go with it); false if the user was neither.
-  // The user's name is released at the end of the next UpdateBatch unless a
-  // Track revived it in the meantime.
-  bool Evict(std::string_view user_id);
-
-  // Evicts every session whose last update is older than `idle_s` seconds
-  // before `now_s`; returns how many were evicted. The reaped sessions'
-  // per-user statistics are folded into the per-shard retired_* counters
-  // (visible via stats()) rather than dropped, and each eviction bumps the
-  // shard's evicted + evicted_idle counters.
-  std::size_t EvictIdle(double now_s, double idle_s);
 
   // ---- cold tier ---------------------------------------------------------
   // A spill record holds a session's complete policy state — epoch chain,
@@ -233,12 +209,13 @@ class ContinuousSessionPool {
   enum class UserState : std::uint8_t { kUntracked, kResident, kSpilled };
 
   // Creates or opens the spill file at `path` and activates the cold tier:
-  // budget-driven clock eviction sweeps spill into it, and an update for a
+  // budget-driven clock sweeps spill into it, and an update for a
   // spilled user restores transparently inside UpdateBatch. An existing
   // file must carry this pool's map fingerprint; its records' names are
   // re-interned so spilled users keep resolvable handles across runs
   // (restore-on-miss then needs options.key_provider_factory). At most one
-  // file per pool; attach before concurrent use.
+  // file per pool; attach before concurrent use (nothing guards spill_
+  // against a concurrent reader).
   Status AttachSpillFile(const std::string& path);
 
   // Resident / spilled / untracked, for one handle. A swept victim is in
@@ -296,8 +273,8 @@ class ContinuousSessionPool {
   // validity region), and commits. Element i of the result is the
   // artifact in force for updates[i] (freshly re-cloaked if the user left
   // its validity region), served as a shared reference; an invalid or
-  // unknown handle is kNotFound. Every call, an empty batch included, ends
-  // by releasing the names of users evicted since the last call.
+  // unknown handle is kNotFound. After the rounds it runs the clock sweep
+  // and, when due, compacts the spill file.
   std::vector<StatusOr<SharedArtifact>> UpdateBatch(
       const std::vector<IdPositionUpdate>& updates);
 
@@ -365,8 +342,6 @@ class ContinuousSessionPool {
     // Key providers of budget-spilled sessions, parked so restore-on-miss
     // can resume them. Empty when options.key_provider_factory is set.
     util::IdMap<KeyProvider> parked_keys;
-    // Users evicted from this shard since the last ReleaseDeparted.
-    std::vector<util::UserId> departed;
 
     // Per-segment user counts over THIS shard's sessions (one entry per
     // network segment, sized at pool construction). Maintained under
@@ -384,14 +359,6 @@ class ContinuousSessionPool {
       if (index < occupancy.size() && occupancy[index] > 0) {
         --occupancy[index];
       }
-    }
-
-    // Folds a departing session's lifetime stats into the retired
-    // counters; call under `mutex` before erasing the session.
-    void RetireSession(const Session& session) {
-      retired_updates += session.policy.stats().updates;
-      retired_recloaks += session.policy.stats().recloaks;
-      retired_throttled_stale += session.policy.stats().throttled_stale;
     }
   };
 
@@ -419,8 +386,9 @@ class ContinuousSessionPool {
   Session* InsertLocked(Shard& shard, util::UserId id, Session session);
 
   // The insert path of Track and FindOrTrack: builds the session outside
-  // every lock and inserts it through InsertLocked. Returns the handle and
-  // whether the session went in.
+  // every lock and inserts it through InsertLocked unless the user is
+  // resident or live in the spill file. A fresh session's provider replaces
+  // any parked one. Returns the handle and whether the session went in.
   StatusOr<std::pair<util::UserId, bool>> TrackFresh(
       std::string_view user_id, const core::PrivacyProfile& profile,
       core::Algorithm algorithm, KeyProvider key_provider,
@@ -440,15 +408,8 @@ class ContinuousSessionPool {
   StatusOr<core::ValidityRegion> ValidityRegionOf(
       PendingRecloak& recloak) const;
 
-  // Splits a batch into rounds and runs them; callers hold cold_mutex_
-  // (shared).
-  std::vector<StatusOr<SharedArtifact>> RunRounds(
-      const std::vector<IdPositionUpdate>& updates);
-
-  // ---- cold tier internals (callers hold cold_mutex_ shared unless
-  // noted) -----------------------------------------------------------------
-  // Lock order: cold_mutex_ -> shard.mutex -> spill file mutex ->
-  // interner mutex.
+  // ---- cold tier internals ---------------------------------------------
+  // Lock order: shard.mutex -> spill file mutex -> interner mutex.
 
   // Heap behind one session: the policy state (artifact, region, stats)
   // plus provider storage. The struct itself rides in the shard table.
@@ -474,15 +435,14 @@ class ContinuousSessionPool {
   // one place restore_failures is counted. A session already resident (a
   // concurrent restore won) is returned, not inserted, and nothing is
   // counted; else a failed restore returns its status (counted when it is
-  // rot), and a record gone since the read (an Evict won) is NotFound. The
-  // key source is chosen here: the factory's provider, else the one parked
-  // at spill time, taken only by the insert; with neither,
+  // rot). The key source is chosen here: the factory's provider, else the
+  // one parked at spill time, taken only by the insert; with neither,
   // FailedPrecondition, counted. Returns the resident session and whether
   // it is the restored one, which supersedes its record.
   StatusOr<std::pair<Session*, bool>> InsertRestoredLocked(
       Shard& shard, util::UserId id, StatusOr<Session> restored);
 
-  // Clock/second-chance eviction until the accounting is back under
+  // Clock/second-chance spilling until the accounting is back under
   // budget (bounded by two laps — every referenced bit gets one pass of
   // grace; if the resident floor is above budget the sweep yields).
   void MaybeSweep();
@@ -496,30 +456,17 @@ class ContinuousSessionPool {
   Status SpillVictimsLocked(Shard& shard,
                             const std::vector<util::UserId>& victims);
 
-  // Requires shard.mutex. Records an evicted user for ReleaseDeparted.
-  void NoteDepartedLocked(Shard& shard, util::UserId user);
-  // Takes cold_mutex_ unique once any user departed, then releases the
-  // name of each departed user that is still neither resident nor live in
-  // the spill file (a Track may have revived it), with its parked key
-  // provider. Called with no pool lock held.
-  void ReleaseDeparted();
-
   AnonymizationServer* server_;
   SessionPoolOptions options_;
   util::StringInterner interner_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   // ---- cold tier ----
-  // Guards names: anything that interns or uses handles takes it shared;
-  // only AttachSpillFile and ReleaseDeparted take it unique, so a name
-  // cannot be released between its intern and the session insert it backs.
-  mutable std::shared_mutex cold_mutex_;
-  std::unique_ptr<store::SpillFile> spill_;  // set once by AttachSpillFile
+  // Set once by AttachSpillFile, before concurrent use.
+  std::unique_ptr<store::SpillFile> spill_;
   std::atomic<std::size_t> memory_budget_bytes_{0};
   std::atomic<std::size_t> sweep_shard_{0};
   std::atomic<std::uint64_t> sweeps_{0};
-  // Set after an eviction lands in a shard's `departed` list.
-  std::atomic<bool> departures_{false};
 
   mutable std::mutex latency_mutex_;
   Samples update_latency_ms_;

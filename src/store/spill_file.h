@@ -1,4 +1,4 @@
-// Batched append-only spill file: the cold tier's on-disk home for evicted
+// Batched append-only spill file: the cold tier's on-disk home for spilled
 // continuous sessions (server/continuous_session_pool.h drives it).
 //
 // On-disk layout (all integers little-endian):
@@ -15,7 +15,7 @@
 // writes the policy bytes after it. The file header holds the map
 // fingerprint and the payload the user's name, so the state writes neither.
 //
-// Records are group-appended — one write per eviction sweep — and indexed
+// Records are group-appended — one write per clock-sweep step — and indexed
 // in memory by interned UserId → {offset, length}. A later record for the
 // same user supersedes the earlier one (last-write-wins on scan); the
 // superseded bytes are dead until compaction. Attach() scans an existing
@@ -29,9 +29,9 @@
 // Compact() rewrites live records into a temp file and atomically renames
 // it over the old one, dropping dead bytes; on a file with no dead bytes it
 // returns at once. A live record that rotted on disk since it was written
-// is dropped by the rewrite. Its user's name stays interned until that
-// user returns: the session pool releases a name only when it evicts the
-// user, so a later Track reuses the name and that user's eviction frees it.
+// is dropped by the rewrite. Its user's name stays interned (the interner
+// never releases a name); the session pool then counts the user as
+// untracked, so a later Track reuses the name and handle.
 //
 // Thread safety: internally synchronized (one mutex); safe to call from
 // concurrent shard sweeps and restore-on-miss reads. CompactIfDue and

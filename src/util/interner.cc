@@ -26,18 +26,6 @@ UserId StringInterner::FindLocked(std::string_view s,
   return kInvalidUserId;
 }
 
-std::size_t StringInterner::SlotOfLocked(UserId id) const {
-  if (slots_.empty() || !id.valid() || id.value >= names_.size()) {
-    return kNoSlot;
-  }
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t index = HashBytes(names_[id.value]) & mask;
-       slots_[index] != kEmptySlot; index = (index + 1) & mask) {
-    if (slots_[index] == id.value) return index;
-  }
-  return kNoSlot;
-}
-
 UserId StringInterner::Find(std::string_view s) const {
   const std::uint64_t hash = HashBytes(s);
   std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -55,18 +43,9 @@ UserId StringInterner::Intern(std::string_view s) {
   // Re-probe: another thread may have interned it between the locks.
   const UserId existing = FindLocked(s, hash);
   if (existing.valid()) return existing;
-  GrowLocked(live_count_ + 1);
-  std::uint32_t entry_index;
-  if (!free_entries_.empty()) {
-    entry_index = free_entries_.back();
-    free_entries_.pop_back();
-  } else {
-    entry_index = static_cast<std::uint32_t>(names_.size());
-    names_.emplace_back();
-  }
-  names_[entry_index].assign(s);
-  name_heap_bytes_ += NameHeapBytes(names_[entry_index]);
-  ++live_count_;
+  GrowLocked(names_.size() + 1);
+  const auto entry_index = static_cast<std::uint32_t>(names_.size());
+  name_heap_bytes_ += NameHeapBytes(names_.emplace_back(s));
   const std::size_t mask = slots_.size() - 1;
   std::size_t index = hash & mask;
   while (slots_[index] != kEmptySlot) index = (index + 1) & mask;
@@ -80,29 +59,15 @@ std::string StringInterner::NameCopyOf(UserId id) const {
   return names_[id.value];
 }
 
-bool StringInterner::Release(UserId id) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  const std::size_t slot = SlotOfLocked(id);
-  if (slot == kNoSlot) return false;
-  EraseSlotLocked(slot);
-  std::string& name = names_[id.value];
-  name_heap_bytes_ -= NameHeapBytes(name);
-  std::string().swap(name);  // gives a long name's heap back
-  free_entries_.push_back(id.value);
-  --live_count_;
-  return true;
-}
-
 std::size_t StringInterner::size() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  return live_count_;
+  return names_.size();
 }
 
 std::size_t StringInterner::memory_bytes() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   return name_heap_bytes_ + slots_.capacity() * sizeof(std::uint32_t) +
-         names_.capacity() * sizeof(std::string) +
-         free_entries_.capacity() * sizeof(std::uint32_t);
+         names_.capacity() * sizeof(std::string);
 }
 
 void StringInterner::GrowLocked(std::size_t min_entries) {
@@ -118,22 +83,6 @@ void StringInterner::GrowLocked(std::size_t min_entries) {
     while (slots_[index] != kEmptySlot) index = (index + 1) & mask;
     slots_[index] = entry_index;
   }
-}
-
-void StringInterner::EraseSlotLocked(std::size_t hole) {
-  // Backward-shift delete: pull each later member of the probe run into
-  // the hole unless its home slot lies after the hole, so every lookup
-  // still reaches its entry before an empty slot.
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t next = (hole + 1) & mask; slots_[next] != kEmptySlot;
-       next = (next + 1) & mask) {
-    const std::size_t home = HashBytes(names_[slots_[next]]) & mask;
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      slots_[hole] = slots_[next];
-      hole = next;
-    }
-  }
-  slots_[hole] = kEmptySlot;
 }
 
 }  // namespace rcloak::util

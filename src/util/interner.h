@@ -9,13 +9,10 @@
 // up to 15 bytes live inline in the entry and the caller's buffer is never
 // referenced after Intern returns.
 //
-// Names die with their users: Release(id) frees one entry, removes its
-// slot with a backward-shift delete and recycles the handle for a later
-// Intern. The session pool releases a user's name once that user is
-// neither resident nor live in its spill file, so churned users do not
-// grow the interner. A handle is stable for as long as its name is not
-// released; a user that returns after its release is interned afresh,
-// possibly under a different handle.
+// Handles are stable for the life of the interner: no entry is ever
+// released or recycled. The session pool never forgets a tracked user (a
+// user that started over would reuse its request contexts), so it never
+// needs to give a name back.
 //
 // IdMap is the companion table: open addressing (linear probing, power-of-
 // two capacity, tombstoned erase) keyed by UserId, so a session lookup is
@@ -79,45 +76,31 @@ class StringInterner {
   // already-interned case taken by Track retries stays read-mostly).
   UserId Intern(std::string_view s);
 
-  // Lookup only; kInvalidUserId when `s` is not interned (never was, or
-  // its name was released). Shared lock — this is the per-update boundary
-  // hit.
+  // Lookup only; kInvalidUserId when `s` is not interned. Shared lock —
+  // this is the per-update boundary hit.
   UserId Find(std::string_view s) const;
 
   // A copy of the name behind `id`, taken under the interner lock. Empty
-  // for an invalid, released or out-of-range id.
+  // for an invalid or out-of-range id.
   std::string NameCopyOf(UserId id) const;
 
-  // Frees the entry behind `id`: its name stops resolving and a later
-  // Intern may reuse the handle. Returns false (and does nothing) for an
-  // invalid, released or out-of-range id.
-  bool Release(UserId id);
-
-  // Live (unreleased) entry count.
+  // Interned name count.
   std::size_t size() const;
 
-  // Slot table, entries, free list and the heap of names too long to live
-  // inline — the interner's contribution to the pool memory budget.
+  // Slot table, entries and the heap of names too long to live inline —
+  // the interner's contribution to the pool memory budget.
   std::size_t memory_bytes() const;
 
  private:
   static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-  // All require mutex_ held (shared suffices for the const ones).
+  // All require mutex_ held (shared suffices for the const one).
   UserId FindLocked(std::string_view s, std::uint64_t hash) const;
-  // The slot holding `id`, or kNoSlot when `id` is not interned.
-  std::size_t SlotOfLocked(UserId id) const;
   void GrowLocked(std::size_t min_entries);
-  void EraseSlotLocked(std::size_t hole);
 
   mutable std::shared_mutex mutex_;
-  // Entry index or kEmptySlot. An entry is live exactly while a slot
-  // holds it.
-  std::vector<std::uint32_t> slots_;
-  std::vector<std::string> names_;  // by handle; "" once released
-  std::vector<std::uint32_t> free_entries_;  // released handles, reusable
-  std::size_t live_count_ = 0;
+  std::vector<std::uint32_t> slots_;  // entry index or kEmptySlot
+  std::vector<std::string> names_;    // by handle
   std::size_t name_heap_bytes_ = 0;  // heap behind names not stored inline
 };
 
@@ -185,23 +168,6 @@ class IdMap {
     for (const Slot& slot : slots_) {
       if (slot.value) fn(UserId{slot.key}, *slot.value);
     }
-  }
-
-  // Erases every entry for which pred(UserId, Value&) returns true;
-  // returns how many went.
-  template <typename Pred>
-  std::size_t EraseIf(Pred&& pred) {
-    std::size_t erased = 0;
-    for (Slot& slot : slots_) {
-      if (slot.value && pred(UserId{slot.key}, *slot.value)) {
-        slot.value.reset();
-        slot.key = kTombstoneKey;
-        --size_;
-        ++tombstones_;
-        ++erased;
-      }
-    }
-    return erased;
   }
 
   // Clock-sweep support: visits up to `limit` live entries in slot order
