@@ -23,6 +23,7 @@ CloakRegion CloakRegion::FromSegments(const roadnet::RoadNetwork& net,
       region.segments_.end());
   for (SegmentId sid : region.segments_) {
     region.member_[roadnet::Index(sid)] = 1;
+    region.ranked_.Set(net.LengthRank(sid));
   }
   region.bounds_dirty_ = !region.segments_.empty();
   return region;
@@ -34,15 +35,9 @@ void CloakRegion::Insert(SegmentId id) {
   const auto it =
       std::lower_bound(segments_.begin(), segments_.end(), id, IdLess{});
   segments_.insert(it, id);
-  if (!length_dirty_) {
-    const auto pos = std::lower_bound(by_length_.begin(), by_length_.end(),
-                                      id, LengthOrder{net_});
-    by_length_.insert(pos, id);
-  }
-  if (frontier_enabled_) {
-    FrontierInsertDeltas(id);
-    if (fb_live_) FallbackOnInsert(id);
-  }
+  ranked_.Set(RankOf(id));
+  length_dirty_ = true;
+  if (frontier_enabled_) FrontierInsertDeltas(id);
   if (!bounds_dirty_) bounds_.Extend(net_->SegmentBounds(id));
   if (user_cache_occ_ != nullptr) {
     if (user_cache_stamp_ == user_cache_occ_->stamp()) {
@@ -59,16 +54,10 @@ void CloakRegion::Erase(SegmentId id) {
   const auto it =
       std::lower_bound(segments_.begin(), segments_.end(), id, IdLess{});
   segments_.erase(it);
-  if (!length_dirty_) {
-    const auto pos = std::lower_bound(by_length_.begin(), by_length_.end(),
-                                      id, LengthOrder{net_});
-    assert(pos != by_length_.end() && *pos == id);
-    by_length_.erase(pos);
-  }
+  ranked_.Reset(RankOf(id));
+  length_dirty_ = true;
   if (frontier_enabled_) FrontierEraseDeltas(id);
-  // Distances can grow after an erase; the carried fallback only models
-  // shrinkage, so it rebuilds on next use.
-  fb_live_ = false;
+  if (fb_live_) FallbackOnErase(id);
   if (segments_.empty()) {
     bounds_ = geo::BoundingBox{};
     bounds_dirty_ = false;
@@ -85,24 +74,38 @@ void CloakRegion::Erase(SegmentId id) {
 }
 
 void CloakRegion::Clear() {
-  for (SegmentId sid : segments_) member_[roadnet::Index(sid)] = 0;
+  for (SegmentId sid : segments_) {
+    member_[roadnet::Index(sid)] = 0;
+    // The members' neighbours hold the only nonzero adjacency counters, so
+    // zeroing them keeps the frontier engine enabled over an empty region.
+    if (frontier_enabled_) {
+      net_->ForEachAdjacentSegment(sid, [&](SegmentId adj) {
+        adjacent_members_[roadnet::Index(adj)] = 0;
+      });
+    }
+  }
   segments_.clear();
-  by_length_.clear();
+  ranked_.Clear();
   length_dirty_ = true;
-  // Adjacency counters are stale once members vanish wholesale; disable the
-  // frontier engine and let EnsureFrontier rebuild it lazily on next use.
-  frontier_enabled_ = false;
-  frontier_.clear();
+  frontier_.Clear();
   fb_live_ = false;
   bounds_ = geo::BoundingBox{};
   bounds_dirty_ = false;
   user_cache_occ_ = nullptr;
 }
 
+void CloakRegion::FillFromRanks(const RankBitset& bits,
+                                std::vector<SegmentId>& out) const {
+  out.clear();
+  out.reserve(bits.count());
+  bits.ForEach([&](std::uint32_t rank) {
+    out.push_back(net_->SegmentAtLengthRank(rank));
+  });
+}
+
 const std::vector<SegmentId>& CloakRegion::LengthSorted() const {
   if (length_dirty_) {
-    by_length_ = segments_;
-    std::sort(by_length_.begin(), by_length_.end(), LengthOrder{net_});
+    FillFromRanks(ranked_, by_length_);
     length_dirty_ = false;
   }
   return by_length_;
@@ -110,65 +113,61 @@ const std::vector<SegmentId>& CloakRegion::LengthSorted() const {
 
 std::size_t CloakRegion::LengthRankOf(SegmentId id) const {
   if (!Contains(id)) return size();
-  const auto& sorted = LengthSorted();
-  const auto pos = std::lower_bound(sorted.begin(), sorted.end(), id,
-                                    LengthOrder{net_});
-  assert(pos != sorted.end() && *pos == id);
-  return static_cast<std::size_t>(pos - sorted.begin());
+  return ranked_.Rank(RankOf(id));
 }
 
 void CloakRegion::EnsureFrontier() const {
   if (frontier_enabled_) return;
   adjacent_members_.assign(net_->segment_count(), 0);
-  frontier_.clear();
+  frontier_ = RankBitset(net_->segment_count());
   for (SegmentId sid : segments_) {
     net_->ForEachAdjacentSegment(sid, [&](SegmentId adj) {
       if (++adjacent_members_[roadnet::Index(adj)] == 1 && !Contains(adj)) {
-        frontier_.push_back(adj);
+        frontier_.Set(RankOf(adj));
       }
     });
   }
-  std::sort(frontier_.begin(), frontier_.end(), LengthOrder{net_});
   frontier_enabled_ = true;
 }
 
 void CloakRegion::FrontierInsertDeltas(SegmentId id) {
-  // `id` is already a member: drop it from the frontier if it was there.
-  if (adjacent_members_[roadnet::Index(id)] > 0) {
-    const auto pos = std::lower_bound(frontier_.begin(), frontier_.end(), id,
-                                      LengthOrder{net_});
-    if (pos != frontier_.end() && *pos == id) frontier_.erase(pos);
+  // `id` is already a member: drop it from the frontier and the fallback
+  // if it was there.
+  frontier_.Reset(RankOf(id));
+  if (fb_live_) {
+    FallbackRetire(id);
+    fb_out_.Reset(RankOf(id));
+    fb_wave_.clear();
   }
   net_->ForEachAdjacentSegment(id, [&](SegmentId adj) {
     if (++adjacent_members_[roadnet::Index(adj)] == 1 && !Contains(adj)) {
-      const auto pos = std::lower_bound(frontier_.begin(), frontier_.end(),
-                                        adj, LengthOrder{net_});
-      frontier_.insert(pos, adj);
-      // New ring-1 segments join the fallback output on its next call.
-      if (fb_live_) fb_joins_.push_back(adj);
+      frontier_.Set(RankOf(adj));
+      if (fb_live_) {
+        // adj moved into ring 1, which lies inside every fallback radius;
+        // its distance shrank, so the fallback's wave starts from it.
+        FallbackRetire(adj);
+        fb_out_.Set(RankOf(adj));
+        fb_wave_.push_back(adj);
+      }
     }
   });
+  if (fb_live_) FallbackWave();
 }
 
 void CloakRegion::FrontierEraseDeltas(SegmentId id) {
   // `id` is no longer a member: retract its adjacency contributions.
   net_->ForEachAdjacentSegment(id, [&](SegmentId adj) {
     if (--adjacent_members_[roadnet::Index(adj)] == 0 && !Contains(adj)) {
-      const auto pos = std::lower_bound(frontier_.begin(), frontier_.end(),
-                                        adj, LengthOrder{net_});
-      if (pos != frontier_.end() && *pos == adj) frontier_.erase(pos);
+      frontier_.Reset(RankOf(adj));
     }
   });
-  if (adjacent_members_[roadnet::Index(id)] > 0) {
-    const auto pos = std::lower_bound(frontier_.begin(), frontier_.end(), id,
-                                      LengthOrder{net_});
-    frontier_.insert(pos, id);
-  }
+  if (adjacent_members_[roadnet::Index(id)] > 0) frontier_.Set(RankOf(id));
 }
 
 const std::vector<SegmentId>& CloakRegion::Frontier() const {
   EnsureFrontier();
-  return frontier_;
+  FillFromRanks(frontier_, frontier_list_);
+  return frontier_list_;
 }
 
 namespace {
@@ -179,32 +178,24 @@ std::uint32_t CloakRegion::FallbackDist(SegmentId id) const noexcept {
   const std::uint32_t i = roadnet::Index(id);
   if (member_[i] != 0) return 0;
   if (adjacent_members_[i] > 0) return 1;
-  if (fb_dist_mark_[i] == fb_epoch_) return fb_dist_[i];
+  if (fb_dist_[i].epoch == fb_epoch_) return fb_dist_[i].dist;
   return kFbUnknown;
 }
 
 void CloakRegion::FallbackReset() const {
   if (fb_dist_.size() != net_->segment_count()) {
-    fb_dist_.assign(net_->segment_count(), 0);
-    fb_dist_mark_.assign(net_->segment_count(), 0);
-    fb_out_mark_.assign(net_->segment_count(), 0);
+    fb_dist_.assign(net_->segment_count(), FbDist{});
     fb_epoch_ = 0;
   }
   if (++fb_epoch_ == 0) {  // epoch wrap: clear stale marks
-    std::fill(fb_dist_mark_.begin(), fb_dist_mark_.end(), 0);
-    std::fill(fb_out_mark_.begin(), fb_out_mark_.end(), 0);
+    std::fill(fb_dist_.begin(), fb_dist_.end(), FbDist{});
     fb_epoch_ = 1;
   }
   // Ring storage beyond fb_rings_built_ is stale, never cleared: GrowRing
   // overwrites a slot before the ring becomes visible again.
   fb_rings_built_ = 1;
   fb_rings_out_ = 1;
-  fb_sorted_ = frontier_;
-  for (SegmentId sid : frontier_) {
-    fb_out_mark_[roadnet::Index(sid)] = fb_epoch_;
-  }
-  fb_joins_.clear();
-  fb_removed_.clear();
+  fb_out_.CopyFrom(frontier_);
   fb_live_ = true;
 }
 
@@ -220,14 +211,16 @@ std::size_t CloakRegion::FallbackGrowRing() const {
     net_->ForEachAdjacentSegment(v, [&](SegmentId w) {
       const std::uint32_t wi = roadnet::Index(w);
       if (member_[wi] != 0 || adjacent_members_[wi] > 0) return;
-      if (fb_dist_mark_[wi] == fb_epoch_) return;  // already at a dist < r
-      fb_dist_[wi] = static_cast<std::uint32_t>(r);
-      fb_dist_mark_[wi] = fb_epoch_;
+      if (fb_dist_[wi].epoch == fb_epoch_) return;  // already at a dist < r
+      fb_dist_[wi].dist = static_cast<std::uint32_t>(r);
+      fb_dist_[wi].epoch = fb_epoch_;
       ring.push_back(w);
     });
   };
   if (fb_rings_built_ == 1) {
-    for (SegmentId v : frontier_) scan_source(v);
+    frontier_.ForEach([&](std::uint32_t rank) {
+      scan_source(net_->SegmentAtLengthRank(rank));
+    });
   } else {
     // Live entries of the current outermost ring are the BFS sources.
     for (SegmentId v : fb_rings_[static_cast<std::size_t>(
@@ -242,83 +235,156 @@ std::size_t CloakRegion::FallbackGrowRing() const {
   return ring.size();
 }
 
-void CloakRegion::FallbackOnInsert(SegmentId id) {
-  const std::uint32_t i = roadnet::Index(id);
-  auto retire_ring_slot = [&](std::uint32_t seg) {
-    if (fb_dist_mark_[seg] == fb_epoch_) {
-      --fb_ring_count_[fb_dist_[seg] - 2];
-      fb_dist_mark_[seg] = 0;
-    }
-  };
-  // `id` is a member now: retire its ring slot and queue its removal from
-  // the merged output.
-  retire_ring_slot(i);
-  if (fb_out_mark_[i] == fb_epoch_) {
-    fb_out_mark_[i] = 0;
-    fb_removed_.push_back(id);
+void CloakRegion::FallbackRetire(SegmentId id) noexcept {
+  FbDist& slot = fb_dist_[roadnet::Index(id)];
+  if (slot.epoch == fb_epoch_) {
+    --fb_ring_count_[slot.dist - 2];
+    slot.epoch = 0;
   }
-  // Decrease-only BFS wave from the new member: a segment's distance to
-  // the region shrinks iff its distance to `id` is smaller, and the wave
-  // visits exactly those segments (bounded by the built horizon — deeper
-  // distances are unknown by invariant and stay unknown).
-  fb_wave_.clear();
-  fb_wave_dist_.clear();
-  net_->ForEachAdjacentSegment(id, [&](SegmentId v) {
-    const std::uint32_t vi = roadnet::Index(v);
-    if (member_[vi] != 0) return;
-    // Adjacency counters already include `id`: a second member neighbour
-    // means v was ring-1 before this insert, so nothing shrank.
-    if (adjacent_members_[vi] >= 2) return;
-    retire_ring_slot(vi);  // v moved into ring 1 (frontier hook queued it)
-    fb_wave_.push_back(v);
-    fb_wave_dist_.push_back(1);
-  });
+}
+
+void CloakRegion::FallbackWave() {
+  // Decrease-only BFS wave from the segments that just moved into ring 1:
+  // a segment's distance to the region shrinks iff its distance to the
+  // new member is smaller, and the wave visits exactly those segments
+  // (bounded by the built horizon — deeper distances are unknown by
+  // invariant and stay unknown). BFS order reaches each segment first at
+  // its final distance, so FallbackDist of a queued segment is the
+  // distance it was queued at.
   for (std::size_t head = 0; head < fb_wave_.size(); ++head) {
-    const SegmentId v = fb_wave_[head];
-    const std::uint32_t cand = fb_wave_dist_[head] + 1;
+    const std::uint32_t cand = FallbackDist(fb_wave_[head]) + 1;
     if (cand > static_cast<std::uint32_t>(fb_rings_built_)) continue;
-    net_->ForEachAdjacentSegment(v, [&](SegmentId w) {
+    net_->ForEachAdjacentSegment(fb_wave_[head], [&](SegmentId w) {
       const std::uint32_t wi = roadnet::Index(w);
       if (member_[wi] != 0 || adjacent_members_[wi] > 0) return;
-      const std::uint32_t old = fb_dist_mark_[wi] == fb_epoch_
-                                    ? fb_dist_[wi]
-                                    : kFbUnknown;
+      FbDist& slot = fb_dist_[wi];
+      const std::uint32_t old = slot.epoch == fb_epoch_ ? slot.dist : kFbUnknown;
       if (cand >= old) return;
       if (old != kFbUnknown) --fb_ring_count_[old - 2];
-      fb_dist_[wi] = cand;
-      fb_dist_mark_[wi] = fb_epoch_;
+      slot = {fb_epoch_, cand};
       ++fb_ring_count_[cand - 2];
       fb_rings_[cand - 2].push_back(w);
-      if (fb_out_mark_[wi] != fb_epoch_) fb_joins_.push_back(w);
+      if (cand <= static_cast<std::uint32_t>(fb_rings_out_)) {
+        fb_out_.Set(RankOf(w));
+      }
       fb_wave_.push_back(w);
-      fb_wave_dist_.push_back(cand);
     });
   }
 }
 
-std::span<const SegmentId> CloakRegion::FrontierAtLeast(
-    std::size_t min_size, int* rings_used) const {
+void CloakRegion::FallbackOnErase(SegmentId id) {
+  // Distances to the region only grow, and only for the segments that had
+  // a shortest way to the region through `id`: every other segment keeps
+  // one that avoids it, and with it its distance. Those segments form a
+  // BFS tree from `id` whose every hop adds exactly one to the old
+  // distance, at most fb_rings_built_ deep. Only that ball is recomputed:
+  // a BFS inside it, seeded from ring 1 and from the distances just
+  // outside it.
+  const auto horizon = static_cast<std::uint32_t>(fb_rings_built_);
+  if (++fb_visit_ == 0) {  // stamp wrap: clear stale stamps
+    for (FbDist& slot : fb_dist_) slot.visit = 0;
+    fb_visit_ = 1;
+  }
+  const auto in_ball = [&](SegmentId s) {
+    return fb_dist_[roadnet::Index(s)].visit == fb_visit_;
+  };
+  fb_ball_.assign(1, id);
+  fb_dist_[roadnet::Index(id)].visit = fb_visit_;
+  for (std::size_t begin = 0, depth = 0; depth < horizon; ++depth) {
+    const std::size_t end = fb_ball_.size();
+    for (std::size_t k = begin; k < end; ++k) {
+      net_->ForEachAdjacentSegment(fb_ball_[k], [&](SegmentId w) {
+        if (member_[roadnet::Index(w)] != 0 || in_ball(w)) return;
+        // Every neighbour of `id` was at distance 1 through it; deeper, a
+        // way through `id` reaches w at depth + 1 only if that was its
+        // distance.
+        if (depth > 0 && FallbackDist(w) != depth + 1) return;
+        fb_dist_[roadnet::Index(w)].visit = fb_visit_;
+        fb_ball_.push_back(w);
+      });
+    }
+    begin = end;
+  }
+
+  // Retire the ball's distances, remembering which ring list holds each.
+  fb_ball_old_.resize(fb_ball_.size());
+  for (std::size_t k = 0; k < fb_ball_.size(); ++k) {
+    FbDist& slot = fb_dist_[roadnet::Index(fb_ball_[k])];
+    fb_ball_old_[k] = slot.epoch == fb_epoch_ ? slot.dist : 0;
+    FallbackRetire(fb_ball_[k]);
+  }
+  // Seed every ball segment with its best way out of the ball, then relax
+  // inside it in distance order (.dist holds the tentative distance).
+  fb_buckets_.resize(horizon + 1);
+  for (auto& bucket : fb_buckets_) bucket.clear();
+  for (const SegmentId s : fb_ball_) {
+    std::uint32_t best = kFbUnknown;
+    if (adjacent_members_[roadnet::Index(s)] > 0) {
+      best = 1;
+    } else {
+      net_->ForEachAdjacentSegment(s, [&](SegmentId t) {
+        if (in_ball(t)) return;
+        const std::uint32_t d = FallbackDist(t);
+        if (d != kFbUnknown) best = std::min(best, d + 1);
+      });
+    }
+    fb_dist_[roadnet::Index(s)].dist = best;
+    if (best <= horizon) fb_buckets_[best].push_back(s);
+  }
+  for (std::uint32_t d = 1; d < horizon; ++d) {
+    for (const SegmentId s : fb_buckets_[d]) {
+      if (fb_dist_[roadnet::Index(s)].dist != d) continue;  // improved
+      net_->ForEachAdjacentSegment(s, [&](SegmentId u) {
+        FbDist& slot = fb_dist_[roadnet::Index(u)];
+        if (slot.visit != fb_visit_ || slot.dist <= d + 1) return;
+        slot.dist = d + 1;
+        fb_buckets_[d + 1].push_back(u);
+      });
+    }
+  }
+
+  // Publish: ring slots and counts, ring lists, and the output radius.
+  for (std::size_t k = 0; k < fb_ball_.size(); ++k) {
+    const SegmentId s = fb_ball_[k];
+    FbDist& slot = fb_dist_[roadnet::Index(s)];
+    const std::uint32_t d =
+        adjacent_members_[roadnet::Index(s)] > 0 ? 1 : slot.dist;
+    if (d >= 2 && d <= horizon) {
+      slot.epoch = fb_epoch_;
+      ++fb_ring_count_[d - 2];
+      if (fb_ball_old_[k] != d) fb_rings_[d - 2].push_back(s);
+    }
+    if (d <= static_cast<std::uint32_t>(fb_rings_out_)) {
+      fb_out_.Set(RankOf(s));
+    } else {
+      fb_out_.Reset(RankOf(s));
+    }
+  }
+}
+
+const RankBitset& CloakRegion::RankedCandidates(std::size_t min_size,
+                                                int* rings_used) const {
   assert(!segments_.empty() && "frontier of empty region");
   EnsureFrontier();
   const std::size_t target = std::max<std::size_t>(min_size, 1);
   if (frontier_.empty()) {
     if (rings_used != nullptr) *rings_used = 0;
-    return {};
+    return frontier_;
   }
-  if (frontier_.size() >= target) {
+  if (frontier_.count() >= target) {
     if (rings_used != nullptr) *rings_used = 1;
     return frontier_;
   }
 
   // Ring-1 is too small: serve from the carried multi-ring structure,
-  // (re)building it only after an invalidating Erase/Clear.
+  // (re)building it only after a Clear.
   if (!fb_live_) FallbackReset();
 
   // How many rings the target needs, growing the horizon as required.
   // Ring counts are exact, so interior rings can never be empty while a
   // deeper ring is populated; an empty next ring means the component is
   // exhausted (matching the from-scratch BFS).
-  std::size_t cum = frontier_.size();
+  std::size_t cum = frontier_.count();
   int rings = 1;
   while (cum < target) {
     if (rings + 1 > fb_rings_built_) {
@@ -331,72 +397,33 @@ std::span<const SegmentId> CloakRegion::FrontierAtLeast(
     cum += count;
   }
 
-  // Reconcile the merged output. Members leave point-wise; a shrunk
-  // radius filters one pass (and re-queues nothing — deeper rings stay
-  // materialized for the next growth).
-  if (rings < fb_rings_out_) {
-    fb_removed_.clear();  // the filter drops members as well
-    std::size_t kept = 0;
-    for (SegmentId sid : fb_sorted_) {
-      const std::uint32_t dist = FallbackDist(sid);
-      if (dist >= 1 && dist <= static_cast<std::uint32_t>(rings)) {
-        fb_sorted_[kept++] = sid;
-      } else {
-        fb_out_mark_[roadnet::Index(sid)] = 0;
+  // Move the output radius. Every segment at distance r >= 2 sits in ring
+  // list r, so walking the lists between the old and the new radius finds
+  // exactly the segments that cross it; deeper rings stay materialized
+  // for the next growth.
+  for (int r = rings + 1; r <= fb_rings_out_; ++r) {
+    for (SegmentId sid : fb_rings_[static_cast<std::size_t>(r - 2)]) {
+      if (FallbackDist(sid) > static_cast<std::uint32_t>(rings)) {
+        fb_out_.Reset(RankOf(sid));
       }
     }
-    fb_sorted_.resize(kept);
-  } else {
-    for (SegmentId sid : fb_removed_) {
-      const auto pos = std::lower_bound(fb_sorted_.begin(), fb_sorted_.end(),
-                                        sid, LengthOrder{net_});
-      assert(pos != fb_sorted_.end() && *pos == sid);
-      fb_sorted_.erase(pos);
-    }
-    fb_removed_.clear();
   }
-
-  // Joins: wave-discovered / new ring-1 segments, plus whole rings that
-  // moved inside the output radius.
-  fb_join_batch_.clear();
-  for (SegmentId sid : fb_joins_) {
-    const std::uint32_t i = roadnet::Index(sid);
-    if (member_[i] != 0 || fb_out_mark_[i] == fb_epoch_) continue;
-    const std::uint32_t dist = FallbackDist(sid);
-    // Too-deep nodes are dropped here; their ring list re-surfaces them
-    // if the radius ever grows past them.
-    if (dist <= static_cast<std::uint32_t>(rings)) {
-      fb_join_batch_.push_back(sid);
-    }
-  }
-  fb_joins_.clear();
   for (int r = std::max(fb_rings_out_ + 1, 2); r <= rings; ++r) {
     for (SegmentId sid : fb_rings_[static_cast<std::size_t>(r - 2)]) {
-      if (FallbackDist(sid) == static_cast<std::uint32_t>(r) &&
-          fb_out_mark_[roadnet::Index(sid)] != fb_epoch_) {
-        fb_join_batch_.push_back(sid);
+      if (FallbackDist(sid) == static_cast<std::uint32_t>(r)) {
+        fb_out_.Set(RankOf(sid));
       }
     }
-  }
-  if (!fb_join_batch_.empty()) {
-    std::sort(fb_join_batch_.begin(), fb_join_batch_.end(),
-              LengthOrder{net_});
-    fb_join_batch_.erase(
-        std::unique(fb_join_batch_.begin(), fb_join_batch_.end()),
-        fb_join_batch_.end());
-    for (SegmentId sid : fb_join_batch_) {
-      fb_out_mark_[roadnet::Index(sid)] = fb_epoch_;
-    }
-    // Merged into the reused scratch, then swapped in: std::inplace_merge
-    // would allocate a temporary buffer on every call.
-    fb_merged_.resize(fb_sorted_.size() + fb_join_batch_.size());
-    std::merge(fb_sorted_.begin(), fb_sorted_.end(), fb_join_batch_.begin(),
-               fb_join_batch_.end(), fb_merged_.begin(), LengthOrder{net_});
-    fb_sorted_.swap(fb_merged_);
   }
   fb_rings_out_ = rings;
   if (rings_used != nullptr) *rings_used = rings;
-  return fb_sorted_;
+  return fb_out_;
+}
+
+std::span<const SegmentId> CloakRegion::FrontierAtLeast(
+    std::size_t min_size, int* rings_used) const {
+  FillFromRanks(RankedCandidates(min_size, rings_used), candidates_list_);
+  return candidates_list_;
 }
 
 std::uint64_t CloakRegion::UserCount(

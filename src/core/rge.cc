@@ -8,6 +8,45 @@
 
 namespace rcloak::core {
 
+namespace {
+
+// One step of the table over the region's rows and the candidate columns
+// `cols` (both length-rank bitsets, TransitionTable's closed form):
+// forward from the last-added segment's row to the column to add next...
+StatusOr<SegmentId> ForwardStep(const CloakRegion& region,
+                                const RankBitset& cols, SegmentId last_added,
+                                std::uint64_t draw) {
+  if (!region.Contains(last_added)) {
+    return Status::InvalidArgument("segment is not a table row");
+  }
+  const roadnet::RoadNetwork& net = region.network();
+  const std::size_t row =
+      region.RankedMembers().Rank(net.LengthRank(last_added));
+  return net.SegmentAtLengthRank(
+      cols.Select(TransitionPartner(row, draw, cols.count())));
+}
+
+// ...and backward from the last-removed segment's column to the row added
+// just before it.
+StatusOr<SegmentId> BackwardStep(const CloakRegion& region,
+                                 const RankBitset& cols,
+                                 SegmentId last_removed, std::uint64_t draw) {
+  const roadnet::RoadNetwork& net = region.network();
+  const std::uint32_t rank = net.LengthRank(last_removed);
+  if (!cols.Test(rank)) {
+    return Status::InvalidArgument("segment is not a table column");
+  }
+  const std::size_t row =
+      TransitionPartner(cols.Rank(rank), draw, cols.count());
+  if (row >= region.size()) {
+    return Status::DataLoss(
+        "backward transition resolves to no row: artifact/key mismatch");
+  }
+  return net.SegmentAtLengthRank(region.RankedMembers().Select(row));
+}
+
+}  // namespace
+
 std::uint64_t SealRank(const CloakRegion& region, SegmentId member,
                        const crypto::KeyedPrng& prng) {
   const std::uint64_t rank = region.LengthRankOf(member);
@@ -22,7 +61,8 @@ StatusOr<SegmentId> OpenSeal(const CloakRegion& region, std::uint64_t seal,
   if (seal >= n) return Status::DataLoss("seal out of range");
   const std::uint64_t blind = prng.Prf("seal") % n;
   const std::uint64_t rank = (seal + n - blind) % n;
-  return region.LengthSorted()[static_cast<std::size_t>(rank)];
+  return region.network().SegmentAtLengthRank(
+      region.RankedMembers().Select(static_cast<std::size_t>(rank)));
 }
 
 StatusOr<LevelRecord> RgeAnonymizeLevel(
@@ -55,8 +95,9 @@ StatusOr<LevelRecord> RgeAnonymizeLevel(
     }
     if (LevelSatisfied(region, users, requirement)) break;
     int rings = 0;
-    const auto candidates = region.FrontierAtLeast(region.size(), &rings);
-    if (candidates.size() < region.size()) {
+    const RankBitset& candidates =
+        region.RankedCandidates(region.size(), &rings);
+    if (candidates.count() < region.size()) {
       rollback();
       return Status::ResourceExhausted(
           "RGE: candidate set cannot reach region size (component too "
@@ -67,9 +108,8 @@ StatusOr<LevelRecord> RgeAnonymizeLevel(
       if (rings > 1) ++stats->ring_fallbacks;
       stats->max_rings = std::max(stats->max_rings, rings);
     }
-    const TransitionTableView table(region.LengthSorted(), candidates,
-                                    region.network());
-    const auto next = table.Forward(last_added, prng.Draw(transition));
+    const auto next =
+        ForwardStep(region, candidates, last_added, prng.Draw(transition));
     if (!next.ok()) {
       rollback();
       return next.status();
@@ -111,14 +151,13 @@ Status RgeDeanonymizeLevel(CloakRegion& region, const crypto::AccessKey& key,
     }
     region.Erase(current);
     if (j == 1) break;  // λ_0 (the lower level's chain seed) is not needed
-    const auto candidates = region.FrontierAtLeast(region.size(), nullptr);
-    if (candidates.size() < region.size()) {
+    const RankBitset& candidates = region.RankedCandidates(region.size());
+    if (candidates.count() < region.size()) {
       return Status::DataLoss(
           "RGE de-anonymize: candidate set shrank below region size");
     }
-    const TransitionTableView table(region.LengthSorted(), candidates,
-                                    region.network());
-    RCLOAK_ASSIGN_OR_RETURN(current, table.Backward(current, prng.Draw(j - 1)));
+    RCLOAK_ASSIGN_OR_RETURN(
+        current, BackwardStep(region, candidates, current, prng.Draw(j - 1)));
   }
   return Status::Ok();
 }

@@ -6,59 +6,6 @@
 
 namespace rcloak::core {
 
-namespace {
-
-// O(log n) rank lookup in a (length, id)-sorted span.
-std::size_t SortedIndexOf(std::span<const SegmentId> sorted, SegmentId id,
-                          const roadnet::RoadNetwork& net) {
-  const auto it =
-      std::lower_bound(sorted.begin(), sorted.end(), id, LengthOrder{&net});
-  if (it == sorted.end() || *it != id) return sorted.size();
-  return static_cast<std::size_t>(it - sorted.begin());
-}
-
-}  // namespace
-
-TransitionTableView::TransitionTableView(std::span<const SegmentId> rows,
-                                         std::span<const SegmentId> cols,
-                                         const roadnet::RoadNetwork& net)
-    : rows_(rows), cols_(cols), net_(&net) {
-  assert(!cols_.empty() && "transition table needs candidates");
-  assert(rows_.size() <= cols_.size() &&
-         "collision-free regime requires |CloakA| <= |CanA| "
-         "(use FrontierAtLeast)");
-}
-
-StatusOr<SegmentId> TransitionTableView::Forward(SegmentId last_added,
-                                                 std::uint64_t draw) const {
-  const std::size_t row = SortedIndexOf(rows_, last_added, *net_);
-  if (row == rows_.size()) {
-    return Status::InvalidArgument("segment is not a table row");
-  }
-  const std::size_t m = cols_.size();
-  const std::size_t pick = static_cast<std::size_t>(draw % m);
-  // Column j with (row + j) mod m == pick.
-  const std::size_t col = (pick + m - row % m) % m;
-  return cols_[col];
-}
-
-StatusOr<SegmentId> TransitionTableView::Backward(SegmentId last_removed,
-                                                  std::uint64_t draw) const {
-  const std::size_t col = SortedIndexOf(cols_, last_removed, *net_);
-  if (col == cols_.size()) {
-    return Status::InvalidArgument("segment is not a table column");
-  }
-  const std::size_t m = cols_.size();
-  const std::size_t pick = static_cast<std::size_t>(draw % m);
-  // Row i with (i + col) mod m == pick; unique because |rows| <= m.
-  const std::size_t row = (pick + m - col % m) % m;
-  if (row >= rows_.size()) {
-    return Status::DataLoss(
-        "backward transition resolves to no row: artifact/key mismatch");
-  }
-  return rows_[row];
-}
-
 TransitionTable::TransitionTable(std::vector<SegmentId> rows,
                                  std::vector<SegmentId> cols)
     : rows_(std::move(rows)), cols_(std::move(cols)) {
@@ -87,20 +34,14 @@ StatusOr<std::size_t> TransitionTable::ColIndexOf(SegmentId id) const {
 StatusOr<SegmentId> TransitionTable::Forward(SegmentId last_added,
                                              std::uint64_t draw) const {
   RCLOAK_ASSIGN_OR_RETURN(const std::size_t row, RowIndexOf(last_added));
-  const std::size_t m = cols_.size();
-  const std::size_t pick = static_cast<std::size_t>(draw % m);
-  // Column j with (row + j) mod m == pick.
-  const std::size_t col = (pick + m - row % m) % m;
-  return cols_[col];
+  return cols_[TransitionPartner(row, draw, cols_.size())];
 }
 
 StatusOr<SegmentId> TransitionTable::Backward(SegmentId last_removed,
                                               std::uint64_t draw) const {
   RCLOAK_ASSIGN_OR_RETURN(const std::size_t col, ColIndexOf(last_removed));
-  const std::size_t m = cols_.size();
-  const std::size_t pick = static_cast<std::size_t>(draw % m);
-  // Row i with (i + col) mod m == pick; unique because |rows| <= m.
-  const std::size_t row = (pick + m - col % m) % m;
+  // Unique because |rows| <= |cols|.
+  const std::size_t row = TransitionPartner(col, draw, cols_.size());
   if (row >= rows_.size()) {
     return Status::DataLoss(
         "backward transition resolves to no row: artifact/key mismatch");

@@ -13,14 +13,16 @@
 // Both directions share one table, which is what makes the expansion
 // reversible.
 //
-// The closed forms below avoid materializing the table; Materialize() is
-// provided for tests, worked examples and the Fig. 2 rendering, and is
-// verified equivalent by unit tests.
+// The closed form below avoids materializing the table. The RGE hot path
+// (rge.cc) applies it to the region's rank bitsets directly — a row index
+// is a Rank, a column's segment a Select — so no table is ever built there.
+// TransitionTable holds explicit rows and columns for tests, worked
+// examples and the Fig. 2 rendering; Materialize() is verified equivalent
+// to the closed form by unit tests.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <vector>
 
 #include "core/cloak_region.h"
@@ -28,31 +30,15 @@
 
 namespace rcloak::core {
 
-// Non-owning view of one RGE transition table, used on the hot expansion
-// path. Rows and cols must already be sorted by (length, id) — exactly what
-// CloakRegion::LengthSorted() and FrontierAtLeast() produce — which lets
-// index lookups run as O(log n) binary searches instead of linear scans,
-// and lets the per-step table "build" degenerate to storing two spans.
-// Semantics are identical to TransitionTable (same closed forms, same
-// error messages); the equivalence is unit-tested.
-class TransitionTableView {
- public:
-  TransitionTableView(std::span<const SegmentId> rows,
-                      std::span<const SegmentId> cols,
-                      const roadnet::RoadNetwork& net);
-
-  std::size_t row_count() const noexcept { return rows_.size(); }
-  std::size_t col_count() const noexcept { return cols_.size(); }
-
-  StatusOr<SegmentId> Forward(SegmentId last_added, std::uint64_t draw) const;
-  StatusOr<SegmentId> Backward(SegmentId last_removed,
-                               std::uint64_t draw) const;
-
- private:
-  std::span<const SegmentId> rows_;
-  std::span<const SegmentId> cols_;
-  const roadnet::RoadNetwork* net_;
-};
+// The closed form shared by both directions of a table with `m` columns:
+// the column of row `index` whose value is the pick draw mod m (forward),
+// or — the table being symmetric in row and column index — the row of
+// column `index` with that value (backward).
+inline std::size_t TransitionPartner(std::size_t index, std::uint64_t draw,
+                                     std::size_t m) {
+  const std::size_t pick = static_cast<std::size_t>(draw % m);
+  return (pick + m - index % m) % m;
+}
 
 class TransitionTable {
  public:

@@ -436,7 +436,7 @@ void NetServer::HandlePositionUpdate(Loop& lp, Connection& conn,
         return DeterministicKeyProvider(options_.key_seed_base, name,
                                         options_.profile.num_levels());
       },
-      options_.continuous, decoded->now_s, conn.principal);
+      options_.continuous, conn.principal);
   if (!user.ok()) {
     SendError(conn, decoded->seq, user.status().code(),
               user.status().message());

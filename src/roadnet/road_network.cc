@@ -128,6 +128,33 @@ RoadNetwork RoadNetwork::Builder::Build() {
   for (const auto& segment : net.segments_) {
     net.total_length_ += segment.length;
   }
+  const std::size_t n = net.segments_.size();
+  net.adjacency_offset_.reserve(n + 1);
+  net.adjacency_offset_.push_back(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const SegmentId id{static_cast<std::uint32_t>(i)};
+    const Segment& s = net.segments_[i];
+    for (SegmentId other : net.junction(s.a).incident) {
+      if (other != id) net.adjacency_.push_back(other);
+    }
+    for (SegmentId other : net.junction(s.b).incident) {
+      // A neighbour incident to both endpoints was already listed via a.
+      if (other != id && !net.segment(other).Touches(s.a)) {
+        net.adjacency_.push_back(other);
+      }
+    }
+    net.adjacency_offset_.push_back(
+        static_cast<std::uint32_t>(net.adjacency_.size()));
+  }
+  net.by_length_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    net.by_length_[i] = SegmentId{static_cast<std::uint32_t>(i)};
+  }
+  std::sort(net.by_length_.begin(), net.by_length_.end(), LengthOrder{&net});
+  net.length_rank_.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    net.length_rank_[Index(net.by_length_[r])] = static_cast<std::uint32_t>(r);
+  }
   return net;
 }
 

@@ -93,24 +93,28 @@ class RoadNetwork {
 
   // Allocation-free visitor over the same set as AdjacentSegments (each
   // neighbour exactly once, in unspecified order). The hot path of the
-  // incremental cloak-region frontier.
+  // incremental cloak-region frontier, so Build() flattens every
+  // segment's neighbours into one contiguous array.
   template <typename Fn>
   void ForEachAdjacentSegment(SegmentId id, Fn&& fn) const {
-    const Segment& s = segment(id);
-    for (SegmentId other : junction(s.a).incident) {
-      if (other != id) fn(other);
-    }
-    if (s.b == s.a) return;
-    for (SegmentId other : junction(s.b).incident) {
-      if (other == id) continue;
-      // A neighbour incident to both endpoints was already visited via a.
-      if (segment(other).Touches(s.a)) continue;
-      fn(other);
+    const std::uint32_t end = adjacency_offset_[Index(id) + 1];
+    for (std::uint32_t k = adjacency_offset_[Index(id)]; k < end; ++k) {
+      fn(adjacency_[k]);
     }
   }
 
   // True if the two distinct segments share at least one junction.
   bool AreAdjacent(SegmentId x, SegmentId y) const;
+
+  // Dense rank of a segment in the canonical (length, id) order
+  // (LengthOrder below), and its inverse. Built once by Builder::Build; the
+  // cloak region keeps its length-ordered views as bitsets over this rank.
+  std::uint32_t LengthRank(SegmentId id) const {
+    return length_rank_[Index(id)];
+  }
+  SegmentId SegmentAtLengthRank(std::uint32_t rank) const {
+    return by_length_[rank];
+  }
 
   geo::BoundingBox bounds() const noexcept { return bounds_; }
   double total_length() const noexcept { return total_length_; }
@@ -126,8 +130,29 @@ class RoadNetwork {
   friend class Builder;
   std::vector<Junction> junctions_;
   std::vector<Segment> segments_;
+  // Segment i's neighbours are adjacency_[adjacency_offset_[i] ..
+  // adjacency_offset_[i + 1]).
+  std::vector<std::uint32_t> adjacency_offset_;
+  std::vector<SegmentId> adjacency_;
+  std::vector<std::uint32_t> length_rank_;  // segment index -> rank
+  std::vector<SegmentId> by_length_;        // rank -> segment
   geo::BoundingBox bounds_;
   double total_length_ = 0.0;
+};
+
+// Canonical segment ordering used for every transition-table row/column:
+// ascending (length, id). The id tiebreak makes the order total and
+// deterministic on maps with equal-length segments (e.g. perfect grids).
+// Defined on the segment lengths themselves; RoadNetwork::LengthRank is
+// derived from it.
+struct LengthOrder {
+  const RoadNetwork* net;
+  bool operator()(SegmentId x, SegmentId y) const {
+    const double lx = net->segment(x).length;
+    const double ly = net->segment(y).length;
+    if (lx != ly) return lx < ly;
+    return Index(x) < Index(y);
+  }
 };
 
 class RoadNetwork::Builder {

@@ -72,8 +72,7 @@ ContinuousSessionPool::Session* ContinuousSessionPool::InsertLocked(
 StatusOr<std::pair<util::UserId, bool>> ContinuousSessionPool::TrackFresh(
     std::string_view user_id, const core::PrivacyProfile& profile,
     core::Algorithm algorithm, KeyProvider key_provider,
-    const core::ContinuousOptions& options, double now_s,
-    std::uint64_t owner) {
+    const core::ContinuousOptions& options, std::uint64_t owner) {
   RCLOAK_RETURN_IF_ERROR(profile.Validate());
   if (!key_provider) {
     return Status::InvalidArgument("track: key provider must be callable");
@@ -82,7 +81,6 @@ StatusOr<std::pair<util::UserId, bool>> ContinuousSessionPool::TrackFresh(
       ContinuousPolicy(std::string(user_id), profile, algorithm, options),
       std::move(key_provider));
   session.owner = owner;
-  session.last_update_s = now_s;
   const util::UserId id = interner_.Intern(user_id);
   Shard& shard = *shards_[ShardIndexFor(id)];
   std::unique_lock<std::mutex> lock(shard.mutex);
@@ -104,11 +102,11 @@ StatusOr<std::pair<util::UserId, bool>> ContinuousSessionPool::TrackFresh(
 StatusOr<util::UserId> ContinuousSessionPool::Track(
     std::string_view user_id, core::PrivacyProfile profile,
     core::Algorithm algorithm, KeyProvider key_provider,
-    const core::ContinuousOptions& options, double now_s,
+    const core::ContinuousOptions& options, double /*now_s*/,
     std::uint64_t owner) {
   RCLOAK_ASSIGN_OR_RETURN(const auto tracked,
                           TrackFresh(user_id, profile, algorithm,
-                                     std::move(key_provider), options, now_s,
+                                     std::move(key_provider), options,
                                      owner));
   if (tracked.second) return tracked.first;
   return Status::FailedPrecondition("track: user already tracked: " +
@@ -118,15 +116,14 @@ StatusOr<util::UserId> ContinuousSessionPool::Track(
 StatusOr<util::UserId> ContinuousSessionPool::FindOrTrack(
     std::string_view user_id, const core::PrivacyProfile& profile,
     core::Algorithm algorithm, const KeyProviderFactory& keys,
-    const core::ContinuousOptions& options, double now_s,
-    std::uint64_t owner) {
+    const core::ContinuousOptions& options, std::uint64_t owner) {
   const util::UserId known = interner_.Find(user_id);
   if (StateOf(known) != UserState::kUntracked) return known;
   const KeyProviderFactory& factory =
       options_.key_provider_factory ? options_.key_provider_factory : keys;
   RCLOAK_ASSIGN_OR_RETURN(const auto tracked,
                           TrackFresh(user_id, profile, algorithm,
-                                     factory(user_id), options, now_s, owner));
+                                     factory(user_id), options, owner));
   return tracked.first;
 }
 
@@ -230,7 +227,6 @@ ContinuousSessionPool::RestoreFromSpill(util::UserId user,
                                          ? options_.key_provider_factory(name)
                                          : KeyProvider());
   session.owner = head.owner;
-  session.last_update_s = head.last_update_s;
   session.last_segment = roadnet::SegmentId{head.last_segment};
   {
     std::lock_guard<std::mutex> lock(latency_mutex_);
@@ -273,8 +269,8 @@ Status ContinuousSessionPool::SpillVictimsLocked(
   for (const util::UserId id : victims) {
     const Session& session = *shard.sessions.Find(id);
     Bytes state;
-    store::PutSpillHead(state, {session.owner, session.last_update_s,
-                                roadnet::Index(session.last_segment)});
+    store::PutSpillHead(state,
+                        {session.owner, roadnet::Index(session.last_segment)});
     session.policy.Serialize(state);
     batch.push_back({id, std::move(state)});
   }
@@ -432,7 +428,6 @@ void ContinuousSessionPool::RunRound(
                             const IdPositionUpdate& update,
                             PendingRecloak& recloak,
                             core::AnonymizeRequest& request) -> bool {
-    session.last_update_s = update.now_s;
     session.referenced = true;  // second chance for the next clock lap
     shard.OccupancyRemove(session.last_segment);
     session.last_segment = update.segment;

@@ -167,8 +167,9 @@ class ContinuousSessionPool {
 
   // Registers a user session and returns its stable id handle. Fails with
   // kFailedPrecondition if the user is resident or live in the spill file
-  // (a fresh session would restart its epoch chain). `now_s` is the
-  // registration time on the update clock. `owner` binds the session to an
+  // (a fresh session would restart its epoch chain). `now_s` is unused: a
+  // session keeps no clock of its own (each update carries its time); the
+  // parameter stays for existing callers. `owner` binds the session to an
   // authenticated principal (net::PrincipalToken): updates and adoptions
   // under a different principal are refused with kPermissionDenied; 0
   // (default) leaves the session unowned — any caller may drive it, and
@@ -191,7 +192,7 @@ class ContinuousSessionPool {
                                      core::Algorithm algorithm,
                                      const KeyProviderFactory& keys,
                                      const core::ContinuousOptions& options,
-                                     double now_s, std::uint64_t owner);
+                                     std::uint64_t owner);
 
   // The id handle for a user known to this pool; kNotFound otherwise.
   // Handles are never recycled: a tracked user stays resident or spilled
@@ -315,7 +316,6 @@ class ContinuousSessionPool {
     // carried through spill records, claimed by the first non-zero
     // principal to update an unowned session.
     std::uint64_t owner = 0;
-    double last_update_s = 0.0;
     // Last reported position (BuildOccupancy); invalid until the first
     // update lands.
     roadnet::SegmentId last_segment = roadnet::kInvalidSegment;
@@ -392,8 +392,7 @@ class ContinuousSessionPool {
   StatusOr<std::pair<util::UserId, bool>> TrackFresh(
       std::string_view user_id, const core::PrivacyProfile& profile,
       core::Algorithm algorithm, KeyProvider key_provider,
-      const core::ContinuousOptions& options, double now_s,
-      std::uint64_t owner);
+      const core::ContinuousOptions& options, std::uint64_t owner);
 
   // Runs one round (at most one update per user) end to end: classify,
   // batch re-cloak, commit.

@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -18,7 +17,7 @@ namespace {
 constexpr char kMagic[4] = {'R', 'C', 'S', 'F'};
 // The only format version of a spill file, its records' state bytes
 // included: bump it on any layout change of either.
-constexpr std::uint8_t kFormatVersion = 2;
+constexpr std::uint8_t kFormatVersion = 3;
 constexpr std::uint64_t kHeaderSize = 4 + 1 + 8;
 constexpr std::uint64_t kRecordHeader = 4 + 8;  // payload_len + checksum
 // A length prefix beyond this is corruption, not a record: nothing after
@@ -117,7 +116,6 @@ bool ParsePayload(const Bytes& payload, std::string_view* name,
 
 void PutSpillHead(Bytes& state, const SpillHead& head) {
   PutU64le(state, head.owner);
-  PutU64le(state, std::bit_cast<std::uint64_t>(head.last_update_s));
   PutVarint(state, head.last_segment);
 }
 
@@ -131,16 +129,14 @@ StatusOr<std::uint64_t> SpillOwnerOf(const Bytes& state) {
 StatusOr<SpillHead> ParseSpillHead(const Bytes& state, std::size_t* offset) {
   *offset = 0;
   const auto owner = GetU64le(state, offset);
-  const auto clock_bits = GetU64le(state, offset);
   const auto segment = GetVarint(state, offset);
-  if (!owner || !clock_bits || !segment) {
+  if (!owner || !segment) {
     return Status::DataLoss("spilled session truncated");
   }
   if (*segment > std::numeric_limits<std::uint32_t>::max()) {
     return Status::DataLoss("spilled session: segment id out of range");
   }
-  return SpillHead{*owner, std::bit_cast<double>(*clock_bits),
-                   static_cast<std::uint32_t>(*segment)};
+  return SpillHead{*owner, static_cast<std::uint32_t>(*segment)};
 }
 
 StatusOr<std::unique_ptr<SpillFile>> SpillFile::Attach(

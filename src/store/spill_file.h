@@ -3,11 +3,10 @@
 //
 // On-disk layout (all integers little-endian):
 //
-//   header   "RCSF" | u8 version (=2) | u64 map fingerprint
+//   header   "RCSF" | u8 version (=3) | u64 map fingerprint
 //   record   u32 payload_len | u64 fnv1a64(payload) | payload
 //   payload  varint name_len | name bytes | varint state_len | state bytes
-//   state    u64le owner | f64 last_update_s | varint last_segment |
-//            policy bytes
+//   state    u64le owner | varint last_segment | policy bytes
 //
 // The header's version is the only format version: it covers the state
 // bytes too, and Attach refuses a file of any other version without
@@ -71,7 +70,6 @@ struct SpillFileStats {
 // offset 0, so an ownership check reads 8 bytes and never parses the rest.
 struct SpillHead {
   std::uint64_t owner = 0;  // principal token, 0 = unowned
-  double last_update_s = 0.0;
   std::uint32_t last_segment = 0;  // road-network segment index
 };
 

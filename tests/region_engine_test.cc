@@ -1,12 +1,14 @@
 // Region-engine equivalence: the incremental CloakRegion (bitmap
-// membership, dirty-flagged length cache, adjacency-delta frontier, running
-// user count, incremental bounds) must be observationally identical to the
+// membership, length order and candidate sets as rank bitsets over the
+// map's length rank, adjacency-delta frontier, running user count,
+// incremental bounds) must be observationally identical to the
 // from-scratch reference implementation it replaced. The reference below is
-// a faithful port of the seed-era CloakRegion; the property tests drive
-// both through randomized insert/erase sequences and compare every derived
-// view, and the algorithm-level tests prove the RGE fast path (span-based
-// TransitionTableView over maintained caches) produces bit-identical sealed
-// artifacts and de-anonymization output.
+// a faithful port of the seed-era CloakRegion, ordered by LengthOrder on
+// the segment lengths themselves (never by the precomputed rank); the
+// property tests drive both through randomized insert/erase sequences and
+// compare every derived view, and the algorithm-level tests prove the RGE
+// fast path (Rank and Select on the region's bitsets) produces
+// bit-identical sealed artifacts and de-anonymization output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -247,6 +249,70 @@ TEST(RegionEngineEquivalence, CarriedRingFallbackMatchesFromScratch) {
       const SegmentId next = expected[rng.NextBounded(expected.size())];
       carried.Insert(next);
       naive.Insert(next);
+    }
+  }
+}
+
+// The de-anonymization access pattern: a region grown with the fallback
+// live is peeled one member at a time, FrontierAtLeast running after every
+// erase, with a few re-inserts mixed in. The carried fallback repairs the
+// distances an erase can grow instead of rebuilding; every output must
+// match the naive reference and a from-scratch region.
+TEST(RegionEngineEquivalence, CarriedRingFallbackSurvivesErase) {
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    const RoadNetwork net = MakeNetworkFor(seed);
+    Xoshiro256 rng(300 + seed);
+    CloakRegion carried(net);
+    NaiveRegion naive(net);
+    std::vector<SegmentId> added;
+    const SegmentId origin{static_cast<std::uint32_t>(
+        rng.NextBounded(net.segment_count()))};
+    carried.Insert(origin);
+    naive.Insert(origin);
+    added.push_back(origin);
+    for (int step = 0; step < 40; ++step) {
+      const auto grown = naive.FrontierAtLeast(naive.size() + 1, nullptr);
+      (void)carried.FrontierAtLeast(carried.size() + 1, nullptr);
+      if (grown.empty()) break;
+      const SegmentId next = grown[rng.NextBounded(grown.size())];
+      carried.Insert(next);
+      naive.Insert(next);
+      added.push_back(next);
+    }
+    while (added.size() > 1) {
+      // Mostly the last-added member (a keyed peel), sometimes any member,
+      // and now and then a re-insert of a frontier segment.
+      const std::size_t pick = rng.NextBounded(4) == 0
+                                   ? rng.NextBounded(added.size())
+                                   : added.size() - 1;
+      const SegmentId gone = added[pick];
+      added.erase(added.begin() + static_cast<std::ptrdiff_t>(pick));
+      carried.Erase(gone);
+      naive.Erase(gone);
+      if (rng.NextBounded(6) == 0) {
+        const auto ring1 = naive.FrontierAtLeast(0, nullptr);
+        if (!ring1.empty()) {
+          const SegmentId back = ring1[rng.NextBounded(ring1.size())];
+          carried.Insert(back);
+          naive.Insert(back);
+          added.push_back(back);
+        }
+      }
+      CloakRegion fresh =
+          CloakRegion::FromSegments(net, carried.segments_by_id());
+      for (const std::size_t min_size :
+           {carried.size(), carried.size() * 2 + 5}) {
+        int carried_rings = -1, naive_rings = -1, fresh_rings = -1;
+        const auto got = carried.FrontierAtLeast(min_size, &carried_rings);
+        const std::vector<SegmentId> carried_out(got.begin(), got.end());
+        const auto fresh_out = fresh.FrontierAtLeast(min_size, &fresh_rings);
+        ASSERT_EQ(carried_out, naive.FrontierAtLeast(min_size, &naive_rings))
+            << "seed " << seed << " size " << carried.size();
+        ASSERT_EQ(carried_out,
+                  std::vector<SegmentId>(fresh_out.begin(), fresh_out.end()));
+        ASSERT_EQ(carried_rings, naive_rings);
+        ASSERT_EQ(carried_rings, fresh_rings);
+      }
     }
   }
 }

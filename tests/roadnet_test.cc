@@ -129,6 +129,49 @@ TEST(GeneratorsTest, AtlantaProfileMatchesPaperScale) {
   EXPECT_NEAR(stats.avg_degree, 2.63, 0.4);
 }
 
+// The length rank every cloak-region view is indexed by must be exactly
+// the (length, id) sort: a rank built without the id tiebreak would
+// reorder equal-length segments (every segment of a perfect grid).
+void ExpectLengthRankIsLengthIdSort(const RoadNetwork& net) {
+  std::vector<std::pair<double, std::uint32_t>> expected;
+  for (std::uint32_t i = 0; i < net.segment_count(); ++i) {
+    expected.emplace_back(net.segment(SegmentId{i}).length, i);
+  }
+  std::sort(expected.begin(), expected.end());
+  for (std::uint32_t r = 0; r < expected.size(); ++r) {
+    const SegmentId sid{expected[r].second};
+    ASSERT_EQ(net.SegmentAtLengthRank(r), sid) << "rank " << r;
+    ASSERT_EQ(net.LengthRank(sid), r) << "segment " << expected[r].second;
+  }
+}
+
+TEST(GeneratorsTest, LengthRankIsTheLengthIdSortOnEveryGenerator) {
+  const RoadNetwork grid = MakeGrid({7, 9, 100.0});
+  // A perfect grid's segments all tie on length: the id alone orders them.
+  for (std::uint32_t i = 1; i < grid.segment_count(); ++i) {
+    ASSERT_EQ(grid.segment(SegmentId{i}).length,
+              grid.segment(SegmentId{0}).length);
+  }
+  ExpectLengthRankIsLengthIdSort(grid);
+  PerturbedGridOptions perturbed;
+  perturbed.rows = 12;
+  perturbed.cols = 12;
+  perturbed.seed = 5;
+  ExpectLengthRankIsLengthIdSort(MakePerturbedGrid(perturbed));
+  ExpectLengthRankIsLengthIdSort(MakePerturbedGrid(AtlantaNwProfile()));
+  ExpectLengthRankIsLengthIdSort(MakeRadial({3, 8, 100.0, 1}));
+  ExpectLengthRankIsLengthIdSort(MakeTriangleFixture());
+  ExpectLengthRankIsLengthIdSort(MakePaperFigure1Like());
+  ExpectLengthRankIsLengthIdSort(MakeLine(40));
+  ExpectLengthRankIsLengthIdSort(MakeCycle(30));
+  // A map read back from disk builds its rank too.
+  std::stringstream stream;
+  WriteNetwork(stream, MakePerturbedGrid(perturbed));
+  const auto loaded = ReadNetwork(stream);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectLengthRankIsLengthIdSort(*loaded);
+}
+
 TEST(GeneratorsTest, RadialStructure) {
   const RoadNetwork net = MakeRadial({3, 8, 100.0, 1});
   EXPECT_EQ(net.junction_count(), 1u + 3u * 8u);

@@ -727,9 +727,9 @@ TEST(SessionPoolTest, TamperedSpillRecordsFailClosed) {
     ASSERT_TRUE(state.ok()) << state.status().ToString();
     good = std::move(*state);
   }
-  // Record layout: u64 owner | f64 clock | varint segment (7: one byte) |
-  // u8 algorithm | ... — the algorithm byte is at offset 17.
-  constexpr std::size_t kAlgorithmOffset = 17;
+  // Record layout: u64 owner | varint segment (7: one byte) |
+  // u8 algorithm | ... — the algorithm byte is at offset 9.
+  constexpr std::size_t kAlgorithmOffset = 9;
   ASSERT_GT(good.size(), kAlgorithmOffset);
   ASSERT_EQ(good[kAlgorithmOffset], static_cast<std::uint8_t>(Algorithm::kRge));
 
@@ -878,7 +878,7 @@ TEST(SessionPoolTest, FindOrTrackRaceResolvesToOneOwnedSession) {
       while (!go.load()) std::this_thread::yield();
       handles[static_cast<std::size_t>(i)] =
           pool.FindOrTrack("car0", FleetProfile(), Algorithm::kRge, keys,
-                           FleetOptions(), 0.0, principal(i));
+                           FleetOptions(), principal(i));
     });
   }
   go.store(true);
@@ -1482,7 +1482,7 @@ TEST(SessionPoolTest, NoRequestContextRepeats) {
       const auto id =
           pool.FindOrTrack(user_of(static_cast<int>(fleet.size())),
                            FleetProfile(), Algorithm::kRge, CarKeys,
-                           FleetOptions(), tick, 0);
+                           FleetOptions(), 0);
       ASSERT_TRUE(id.ok()) << id.status().ToString();
       fleet.push_back(*id);
     }
@@ -1493,7 +1493,7 @@ TEST(SessionPoolTest, NoRequestContextRepeats) {
       const auto state = pool.StateOf(fleet[car]);
       const auto found = pool.FindOrTrack(user, FleetProfile(),
                                           Algorithm::kRge, CarKeys,
-                                          FleetOptions(), tick, 0);
+                                          FleetOptions(), 0);
       ASSERT_TRUE(found.ok()) << found.status().ToString();
       EXPECT_EQ(*found, fleet[car]);
       EXPECT_EQ(pool.Track(user, FleetProfile(), Algorithm::kRge,

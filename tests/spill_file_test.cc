@@ -6,7 +6,6 @@
 // under the TSAN CI job.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -312,16 +311,15 @@ TEST(SpillFileTest, CompactDropsDeadBytesAndSurvivesReattach) {
 
 // The head of a record's state bytes is pinned byte for byte: the file's
 // version covers it, so any change to this layout must bump the version.
-TEST(SpillHeadTest, LayoutIsOwnerClockSegment) {
-  const SpillHead head{0x0102030405060708ull, 12.5, 300};
+TEST(SpillHeadTest, LayoutIsOwnerSegment) {
+  const SpillHead head{0x0102030405060708ull, 300};
   Bytes encoded;
   PutSpillHead(encoded, head);
   Bytes expected;
   PutU64le(expected, head.owner);
-  PutU64le(expected, std::bit_cast<std::uint64_t>(head.last_update_s));
   PutVarint(expected, head.last_segment);
   EXPECT_EQ(encoded, expected);
-  ASSERT_EQ(encoded.size(), 8u + 8u + 2u);
+  ASSERT_EQ(encoded.size(), 8u + 2u);
 
   // Policy bytes follow the head untouched.
   encoded.push_back(0xAB);
@@ -329,7 +327,6 @@ TEST(SpillHeadTest, LayoutIsOwnerClockSegment) {
   const auto parsed = ParseSpillHead(encoded, &offset);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->owner, head.owner);
-  EXPECT_EQ(parsed->last_update_s, head.last_update_s);
   EXPECT_EQ(parsed->last_segment, head.last_segment);
   EXPECT_EQ(offset, expected.size());
   EXPECT_EQ(*SpillOwnerOf(encoded), head.owner);
@@ -337,7 +334,7 @@ TEST(SpillHeadTest, LayoutIsOwnerClockSegment) {
 
 TEST(SpillHeadTest, ShortHeadsAreDataLoss) {
   Bytes encoded;
-  PutSpillHead(encoded, {42, 1.0, 300});
+  PutSpillHead(encoded, {42, 300});
   for (std::size_t size = 0; size < encoded.size(); ++size) {
     SCOPED_TRACE(size);
     const Bytes prefix(encoded.begin(),
@@ -356,7 +353,6 @@ TEST(SpillHeadTest, ShortHeadsAreDataLoss) {
 TEST(SpillHeadTest, SegmentPastThirtyTwoBitsIsDataLoss) {
   Bytes state;
   PutU64le(state, 42);
-  PutU64le(state, std::bit_cast<std::uint64_t>(1.0));
   PutVarint(state, std::uint64_t{1} << 32);
   std::size_t offset = 0;
   EXPECT_EQ(ParseSpillHead(state, &offset).status().code(),

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <set>
 #include <sstream>
 
 #include "util/bytes.h"
+#include "util/rank_bitset.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -11,6 +14,81 @@
 
 namespace rcloak {
 namespace {
+
+// -------------------------------------------------------------- RankBitset
+// Rank, Select and iteration against a std::set over the same universe,
+// through random flips, Clear and CopyFrom. The probed positions include
+// the word and Fenwick-block edges 0, 63, 64, 511, 512 and the last rank.
+void ExpectMatchesSet(const RankBitset& bits, const std::set<std::uint32_t>& set,
+                      std::size_t universe) {
+  ASSERT_EQ(bits.count(), set.size());
+  std::vector<std::uint32_t> iterated;
+  bits.ForEach([&](std::uint32_t i) { iterated.push_back(i); });
+  ASSERT_EQ(iterated, std::vector<std::uint32_t>(set.begin(), set.end()));
+  std::size_t k = 0;
+  for (const std::uint32_t i : set) {
+    ASSERT_EQ(bits.Select(k), i) << "select " << k;
+    ASSERT_EQ(bits.Rank(i), k) << "rank " << i;
+    ++k;
+  }
+  std::vector<std::uint32_t> probes = {0, 63, 64, 511, 512,
+                                       static_cast<std::uint32_t>(universe - 1),
+                                       static_cast<std::uint32_t>(universe)};
+  for (std::uint32_t i = 0; i <= universe; i += 37) probes.push_back(i);
+  for (const std::uint32_t i : probes) {
+    if (i > universe) continue;
+    const auto expected =
+        static_cast<std::size_t>(std::distance(set.begin(), set.lower_bound(i)));
+    ASSERT_EQ(bits.Rank(i), expected) << "rank " << i;
+    if (i < universe) ASSERT_EQ(bits.Test(i), set.count(i) == 1) << i;
+  }
+}
+
+TEST(RankBitsetTest, RankSelectAndIterationMatchASet) {
+  for (const std::size_t universe : {std::size_t{1}, std::size_t{64},
+                                     std::size_t{513}, std::size_t{1000},
+                                     std::size_t{9187}}) {
+    Xoshiro256 rng(universe);
+    RankBitset bits(universe);
+    std::set<std::uint32_t> set;
+    // The edge ranks, set and cleared first.
+    for (const std::uint32_t i :
+         {0u, 63u, 64u, 511u, 512u, static_cast<std::uint32_t>(universe - 1)}) {
+      if (i >= universe) continue;
+      bits.Set(i);
+      set.insert(i);
+    }
+    ExpectMatchesSet(bits, set, universe);
+    for (int round = 0; round < 6; ++round) {
+      // Sparse rounds leave most words untouched, dense rounds most words
+      // dirty: Clear and CopyFrom take both of their paths.
+      const std::size_t flips = round % 2 == 0 ? 8 : universe * 2;
+      for (std::size_t f = 0; f < flips; ++f) {
+        const auto i = static_cast<std::uint32_t>(rng.NextBounded(universe));
+        if (rng.NextBounded(3) == 0) {
+          bits.Reset(i);
+          set.erase(i);
+        } else {
+          bits.Set(i);  // a repeated Set is a no-op
+          set.insert(i);
+        }
+      }
+      ExpectMatchesSet(bits, set, universe);
+      RankBitset copy(universe);
+      copy.Set(static_cast<std::uint32_t>(universe - 1));
+      copy.CopyFrom(bits);
+      ExpectMatchesSet(copy, set, universe);
+      RankBitset unsized;
+      unsized.CopyFrom(bits);
+      ExpectMatchesSet(unsized, set, universe);
+      if (round % 2 == 0) {
+        bits.Clear();
+        set.clear();
+        ExpectMatchesSet(bits, set, universe);
+      }
+    }
+  }
+}
 
 // ------------------------------------------------------------------ Status
 TEST(StatusTest, OkByDefault) {
