@@ -1,5 +1,7 @@
 // E13 — Crypto/PRNG microbenchmarks (google-benchmark): the per-transition
-// draw cost bounds how cheap a cloaking step can be.
+// draw cost bounds how cheap a cloaking step can be, and the SHA-256
+// compression bounds every key chain, KeyedPrng context and HMAC. The
+// context line "sha256_compression" names the compression Sha256 runs.
 #include <benchmark/benchmark.h>
 
 #include "crypto/chacha20.h"
@@ -21,6 +23,27 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
+
+// One 64-byte block through each compression: the portable one and the
+// one Sha256 runs here (the same function where the CPU lacks the SHA
+// extensions).
+void Compress(benchmark::State& state, sha256::Compression compress) {
+  std::uint32_t words[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  std::uint8_t block[64] = {};
+  for (auto _ : state) {
+    compress(words, block);
+    benchmark::DoNotOptimize(words);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+void BM_Sha256CompressPortable(benchmark::State& state) {
+  Compress(state, &sha256::CompressPortable);
+}
+BENCHMARK(BM_Sha256CompressPortable);
+void BM_Sha256CompressActive(benchmark::State& state) {
+  Compress(state, sha256::ActiveCompression());
+}
+BENCHMARK(BM_Sha256CompressActive);
 
 void BM_HmacSha256(benchmark::State& state) {
   const Bytes key(32, 0x11);
@@ -104,6 +127,8 @@ void BM_KeyedPrngRandomAccessDraws(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyedPrngRandomAccessDraws);
 
+// One per level per request: the context's nonce and PRF key are one
+// SHA-256 over (label, key, context), two compressions.
 void BM_KeyedPrngConstruction(benchmark::State& state) {
   const AccessKey key = AccessKey::FromSeed(2);
   int i = 0;
@@ -115,4 +140,12 @@ BENCHMARK(BM_KeyedPrngConstruction);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("sha256_compression",
+                              sha256::ActiveCompressionName());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

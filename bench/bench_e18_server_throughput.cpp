@@ -1,11 +1,13 @@
 // E18 — Anonymization-server throughput vs. worker count (one shared job
 // queue, per-worker sessions over one shared MapContext). Expectation:
 // scaling with worker count up to core count for the CPU-bound RGE
-// workload. Two submission paths are swept: per-request Submit and
-// SubmitBatch.
+// workload. Three submission paths are swept: per-request Submit,
+// SubmitBatch (futures) and RunBatch (one blocking call, the session
+// pool's path).
 //
 // Usage: bench_e18 [workers...]   (default sweep: 1 2 4 8)
 #include <cstdlib>
+#include <string_view>
 
 #include "bench/common.h"
 #include "bench/json_report.h"
@@ -38,7 +40,8 @@ int main(int argc, char** argv) {
   PrintHeader("E18: server throughput vs workers",
               "400 requests (delta_k=40, RGE) through the worker-pool "
               "server on the atlanta workload; wall time and "
-              "requests/s for per-request Submit and SubmitBatch.");
+              "requests/s for per-request Submit, SubmitBatch and "
+              "RunBatch.");
 
   std::vector<int> worker_counts;
   for (int a = 1; a < argc; ++a) {
@@ -58,37 +61,43 @@ int main(int argc, char** argv) {
   report.MetaInt("jobs", kJobs);
   report.Meta("workload", "atlanta");
   for (const int workers : worker_counts) {
-    for (const bool batch : {false, true}) {
+    for (const char* mode : {"submit", "batch", "run_batch"}) {
       core::Anonymizer engine(ctx, workload.occupancy);
       server::ServerOptions options;
       options.num_workers = workers;
       options.max_queue = 4096;
       server::AnonymizationServer server(std::move(engine), options);
-      const char* mode = batch ? "batch" : "submit";
+      const std::string_view path = mode;
 
       std::vector<server::AnonymizationServer::ResultFuture> futures;
       futures.reserve(kJobs);
+      int ok = 0;
       Stopwatch wall;
-      if (batch) {
+      if (path == "submit") {
+        for (int i = 0; i < kJobs; ++i) {
+          auto submitted = server.Submit(
+              MakeRequest(workload, workers, i, mode), MakeKeys(i));
+          if (submitted.ok()) futures.push_back(std::move(*submitted));
+        }
+      } else {
         std::vector<server::AnonymizationServer::BatchJob> jobs;
         jobs.reserve(kJobs);
         for (int i = 0; i < kJobs; ++i) {
           jobs.push_back(
               {MakeRequest(workload, workers, i, mode), MakeKeys(i)});
         }
-        for (auto& submitted : server.SubmitBatch(std::move(jobs))) {
-          if (submitted.ok()) futures.push_back(std::move(*submitted));
-        }
-      } else {
-        for (int i = 0; i < kJobs; ++i) {
-          auto submitted = server.Submit(
-              MakeRequest(workload, workers, i, mode), MakeKeys(i));
-          if (submitted.ok()) futures.push_back(std::move(*submitted));
+        if (path == "batch") {
+          for (auto& submitted : server.SubmitBatch(std::move(jobs))) {
+            if (submitted.ok()) futures.push_back(std::move(*submitted));
+          }
+        } else {
+          for (const auto& result : server.RunBatch(std::move(jobs))) {
+            if (result.ok()) ++ok;
+          }
         }
       }
       server.Drain();
       const double wall_ms = wall.ElapsedMillis();
-      int ok = 0;
       for (auto& f : futures) {
         if (f.get().ok()) ++ok;
       }

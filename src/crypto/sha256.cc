@@ -3,6 +3,14 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#define RCLOAK_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#else
+#define RCLOAK_SHA256_X86 0
+#endif
+
 namespace rcloak::crypto {
 
 namespace {
@@ -34,14 +42,10 @@ inline std::uint32_t Rotr(std::uint32_t x, int n) noexcept {
 
 }  // namespace
 
-void Sha256::Reset() noexcept {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  bit_count_ = 0;
-  buffer_len_ = 0;
-}
+namespace sha256 {
 
-void Sha256::ProcessBlock(const std::uint8_t* block) noexcept {
+void CompressPortable(std::uint32_t* state,
+                      const std::uint8_t* block) noexcept {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
@@ -57,8 +61,8 @@ void Sha256::ProcessBlock(const std::uint8_t* block) noexcept {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
@@ -77,14 +81,121 @@ void Sha256::ProcessBlock(const std::uint8_t* block) noexcept {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if RCLOAK_SHA256_X86
+
+namespace {
+
+// FIPS 180-4 on the SHA extensions (Intel's SHA-NI, AMD Zen): each
+// SHA256RNDS2 runs two rounds on the state held as (A,B,E,F) and
+// (C,D,G,H) halves, SHA256MSG1/MSG2 extend the message schedule four
+// words at a time. Group g runs rounds 4g..4g+3 on schedule words held in
+// msg[g % 4]; it finishes the words of group g + 1 (g in 3..14) and starts
+// those of group g + 3 (g in 1..12).
+__attribute__((target("sha,ssse3,sse4.1"))) void CompressX86Sha(
+    std::uint32_t* state, const std::uint8_t* block) noexcept {
+  // Big-endian message words to lanes.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  const __m128i abef_in = _mm_alignr_epi8(cdab, efgh, 8);
+  const __m128i cdgh_in = _mm_blend_epi16(efgh, cdab, 0xF0);
+  __m128i abef = abef_in;
+  __m128i cdgh = cdgh_in;
+
+  __m128i msg[4];
+  for (int g = 0; g < 4; ++g) {
+    msg[g] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)),
+        byte_swap);
+  }
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    __m128i wk = _mm_add_epi32(
+        msg[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                        kRoundConstants.data() + 4 * g)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    if (g >= 3 && g <= 14) {
+      __m128i& next = msg[(g + 1) % 4];
+      next = _mm_add_epi32(
+          next, _mm_alignr_epi8(msg[g % 4], msg[(g + 3) % 4], 4));
+      next = _mm_sha256msg2_epu32(next, msg[g % 4]);
+    }
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    if (g >= 1 && g <= 12) {
+      msg[(g + 3) % 4] = _mm_sha256msg1_epu32(msg[(g + 3) % 4], msg[g % 4]);
+    }
+  }
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+// CPUID: leaf 7 EBX bit 29 (SHA), leaf 1 ECX SSSE3 and SSE4.1.
+bool CpuHasShaExtensions() noexcept {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_SHA) != 0;
+}
+
+}  // namespace
+
+Compression AcceleratedCompression() noexcept {
+  static const bool present = CpuHasShaExtensions();
+  return present ? &CompressX86Sha : nullptr;
+}
+
+#else
+
+Compression AcceleratedCompression() noexcept { return nullptr; }
+
+#endif
+
+Compression ActiveCompression() noexcept {
+  static const Compression active =
+      AcceleratedCompression() != nullptr ? AcceleratedCompression()
+                                          : &CompressPortable;
+  return active;
+}
+
+const char* ActiveCompressionName() noexcept {
+  return ActiveCompression() == &CompressPortable ? "portable"
+                                                  : "x86 SHA extensions";
+}
+
+}  // namespace sha256
+
+void Sha256::Reset() noexcept {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  bit_count_ = 0;
+  buffer_len_ = 0;
+}
+
+void Sha256::ProcessBlock(const std::uint8_t* block) noexcept {
+  sha256::ActiveCompression()(state_.data(), block);
 }
 
 void Sha256::Update(const std::uint8_t* data, std::size_t len) noexcept {

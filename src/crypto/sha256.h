@@ -1,6 +1,6 @@
 // SHA-256 (FIPS 180-4), implemented from scratch — the reproduction has no
 // external crypto dependency. Used by HMAC/HKDF for the ReverseCloak key
-// hierarchy.
+// hierarchy, by every KeyedPrng context and by the handshake's HMACs.
 #pragma once
 
 #include <array>
@@ -12,6 +12,26 @@
 #include "util/status.h"
 
 namespace rcloak::crypto {
+
+// The block compression under Sha256: one 64-byte block into an 8-word
+// state. Two implementations compute the same function: the portable one,
+// and one on the x86 SHA extensions that Sha256 picks once, from CPUID,
+// where the CPU has them. Exposed so tests and benches can compare the two.
+namespace sha256 {
+
+using Compression = void (*)(std::uint32_t* state,
+                             const std::uint8_t* block) noexcept;
+
+// FIPS 180-4 in portable C++; the only path on other CPUs.
+void CompressPortable(std::uint32_t* state, const std::uint8_t* block) noexcept;
+// The SHA-extension compression, or nullptr where the CPU (or a non-x86-64
+// build) has none.
+Compression AcceleratedCompression() noexcept;
+// The compression Sha256 runs, and its name for reports.
+Compression ActiveCompression() noexcept;
+const char* ActiveCompressionName() noexcept;
+
+}  // namespace sha256
 
 class Sha256 {
  public:

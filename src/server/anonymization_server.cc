@@ -50,44 +50,95 @@ AnonymizationServer::AnonymizationServer(core::Anonymizer engine,
   }
 }
 
-AnonymizationServer::~AnonymizationServer() {
+AnonymizationServer::~AnonymizationServer() { Shutdown(); }
+
+void AnonymizationServer::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     shutting_down_ = true;
   }
   queue_cv_.notify_all();
   // Workers exit only on an empty queue, so every accepted job resolves.
-  for (auto& worker : workers_) worker.join();
+  for (auto& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
 }
 
-StatusOr<AnonymizationServer::ResultFuture> AnonymizationServer::Submit(
-    core::AnonymizeRequest request, JobKeys keys) {
-  Job job{BatchJob{std::move(request), std::move(keys)}, {}};
-  auto future = job.promise.get_future();
+std::size_t AnonymizationServer::Enqueue(Job* jobs, std::size_t count,
+                                         Status& refusal) {
+  std::size_t admitted = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (shutting_down_) {
-      return Status::FailedPrecondition("server is shutting down");
+      refusal = Status::FailedPrecondition("server is shutting down");
+      return 0;
     }
-    if (queue_.size() >= max_queue_) {
-      ++rejected_;
-      return Status::ResourceExhausted("anonymization queue full");
+    admitted = std::min(count, max_queue_ - queue_.size());
+    for (std::size_t i = 0; i < admitted; ++i) {
+      queue_.push_back(std::move(jobs[i]));
     }
-    queue_.push_back(std::move(job));
-    ++accepted_;
+    accepted_ += admitted;
+    rejected_ += count - admitted;
   }
-  queue_cv_.notify_one();
-  return future;
+  if (admitted < count) {
+    refusal = Status::ResourceExhausted("anonymization queue full");
+  }
+  if (admitted == 1) {
+    queue_cv_.notify_one();
+  } else if (admitted > 1) {
+    queue_cv_.notify_all();
+  }
+  return admitted;
+}
+
+std::vector<StatusOr<core::AnonymizeResult>> AnonymizationServer::RunBatch(
+    std::vector<BatchJob> jobs) {
+  std::vector<StatusOr<core::AnonymizeResult>> results(
+      jobs.size(), Status::Internal("not run"));
+  if (jobs.empty()) return results;
+  Countdown countdown;
+  std::vector<Job> queued(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    queued[i].work = &jobs[i];
+    queued[i].slot = &results[i];
+    queued[i].countdown = &countdown;
+  }
+  // Every job counts until the refused tail is known, so no worker can
+  // reach zero before the caller waits on the admitted ones.
+  countdown.remaining = jobs.size();
+  Status refusal;
+  const std::size_t admitted = Enqueue(queued.data(), queued.size(), refusal);
+  for (std::size_t i = admitted; i < jobs.size(); ++i) results[i] = refusal;
+
+  std::unique_lock<std::mutex> lock(mutex_);
+  countdown.remaining -= jobs.size() - admitted;
+  countdown.done.wait(lock, [&] { return countdown.remaining == 0; });
+  return results;
 }
 
 std::vector<StatusOr<AnonymizationServer::ResultFuture>>
 AnonymizationServer::SubmitBatch(std::vector<BatchJob> jobs) {
+  // Promises and futures are made before the lock is taken.
   std::vector<StatusOr<ResultFuture>> results;
   results.reserve(jobs.size());
-  for (BatchJob& job : jobs) {
-    results.push_back(Submit(std::move(job.request), std::move(job.keys)));
+  std::vector<Job> queued(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    queued[i].submitted =
+        std::make_unique<Submitted>(Submitted{std::move(jobs[i]), {}});
+    queued[i].work = &queued[i].submitted->work;
+    results.emplace_back(queued[i].submitted->promise.get_future());
   }
+  Status refusal;
+  const std::size_t admitted = Enqueue(queued.data(), queued.size(), refusal);
+  for (std::size_t i = admitted; i < results.size(); ++i) results[i] = refusal;
   return results;
+}
+
+StatusOr<AnonymizationServer::ResultFuture> AnonymizationServer::Submit(
+    core::AnonymizeRequest request, JobKeys keys) {
+  std::vector<BatchJob> jobs;
+  jobs.push_back({std::move(request), std::move(keys)});
+  return std::move(SubmitBatch(std::move(jobs)).front());
 }
 
 void AnonymizationServer::WorkerLoop() {
@@ -102,18 +153,22 @@ void AnonymizationServer::WorkerLoop() {
     lock.unlock();
 
     Stopwatch timer;
-    const crypto::KeyChain keys = std::move(job.work.keys).Resolve();
-    auto result = engine_.Anonymize(job.work.request, keys, session);
+    const crypto::KeyChain keys = std::move(job.work->keys).Resolve();
+    auto result = engine_.Anonymize(job.work->request, keys, session);
     const double elapsed = timer.ElapsedMillis();
-    // Stats settle before the promise, so a caller that saw its result
-    // also sees it counted.
+
+    // One lock per job: settle it, then pop the next at the loop's head.
+    // Stats settle before the result is handed over, so a caller that saw
+    // its result also sees it counted.
     lock.lock();
     latency_ms_.Add(elapsed);
     ++(result.ok() ? succeeded_ : failed_);
-    lock.unlock();
-    job.promise.set_value(std::move(result));
-
-    lock.lock();
+    if (job.slot != nullptr) {
+      *job.slot = std::move(result);
+      if (--job.countdown->remaining == 0) job.countdown->done.notify_one();
+    } else {
+      job.submitted->promise.set_value(std::move(result));
+    }
     if (--in_flight_ == 0 && queue_.empty()) drain_cv_.notify_all();
   }
 }

@@ -8,8 +8,10 @@
 // underneath is built for this: the MapContext is immutable, Anonymize()
 // is const over shared state, and occupancy refreshes publish a new
 // snapshot epoch by atomic shared_ptr swap (SetOccupancy) — so workers
-// never contend on engine state, only on the queue lock, which each job
-// takes briefly to be pushed, popped and counted.
+// never contend on engine state, only on the queue lock. A caller takes
+// that lock once to queue a whole batch and wakes the workers once; a
+// worker takes it once per job, to settle the finished job and pop the
+// next. RunBatch's caller then sleeps until the last of its jobs is done.
 //
 // A job carries its keys as a chain in hand or as a key provider and the
 // epoch to derive; the worker that runs the job resolves them, so chain
@@ -28,6 +30,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -98,20 +101,31 @@ class AnonymizationServer {
   // needs them; racing workers build each once (MapContext memos).
   // NetServer::Start builds its configured backend's tables up front.
   AnonymizationServer(core::Anonymizer engine, const ServerOptions& options);
-  // Runs every queued job to completion, then joins the workers.
+  // Shutdown(): runs every queued job to completion, then joins the
+  // workers.
   ~AnonymizationServer();
 
   AnonymizationServer(const AnonymizationServer&) = delete;
   AnonymizationServer& operator=(const AnonymizationServer&) = delete;
 
+  // Runs `jobs` and returns when every one is done: element i of the result
+  // is jobs[i]'s artifact or error. The whole batch is queued under one lock
+  // and the caller sleeps once; results go straight into the returned
+  // vector. Jobs past the queue's room fail RESOURCE_EXHAUSTED (the tail
+  // of the batch, each counted in rejected_queue_full); after Shutdown
+  // every job fails FAILED_PRECONDITION. Must not be called from a key
+  // provider.
+  std::vector<StatusOr<core::AnonymizeResult>> RunBatch(
+      std::vector<BatchJob> jobs);
+
   // Enqueues a request; the future resolves to the artifact or the error.
-  // Fails fast with RESOURCE_EXHAUSTED when the queue is full.
+  // Fails fast with RESOURCE_EXHAUSTED when the queue is full, and with
+  // FAILED_PRECONDITION after Shutdown.
   StatusOr<ResultFuture> Submit(core::AnonymizeRequest request,
                                 JobKeys keys);
 
-  // Submit, once per job in order: element i of the result corresponds to
-  // jobs[i]. Each job takes the queue lock on its own, so workers start on
-  // the head of the batch while the tail is still being queued.
+  // Submit for each job, queued under one lock: element i of the result
+  // corresponds to jobs[i], and the refusals are RunBatch's.
   std::vector<StatusOr<ResultFuture>> SubmitBatch(std::vector<BatchJob> jobs);
 
   // Compatibility shim, serial: perfbench still calls it. Element i is
@@ -132,17 +146,41 @@ class AnonymizationServer {
   // Blocks until the queue drains and in-flight jobs finish.
   void Drain();
 
+  // Stops admitting jobs, runs every queued job to completion and joins
+  // the workers. Idempotent; call it from one thread.
+  void Shutdown();
+
   ServerStats stats() const;
 
   int num_workers() const noexcept { return static_cast<int>(workers_.size()); }
   const core::Anonymizer& engine() const noexcept { return engine_; }
 
  private:
-  struct Job {
+  // A RunBatch call's jobs still to finish (guarded by mutex_); the worker
+  // that finishes the last one wakes the caller.
+  struct Countdown {
+    std::size_t remaining = 0;
+    std::condition_variable done;
+  };
+  // A Submit'd job, owned by the server until a worker resolves it.
+  struct Submitted {
     BatchJob work;
     std::promise<StatusOr<core::AnonymizeResult>> promise;
   };
+  // One queue entry. A RunBatch job stays in its caller's vector and its
+  // result goes to the caller's slot; a Submit'd one resolves its promise.
+  struct Job {
+    BatchJob* work = nullptr;
+    StatusOr<core::AnonymizeResult>* slot = nullptr;
+    Countdown* countdown = nullptr;
+    std::unique_ptr<Submitted> submitted;
+  };
 
+  // The one admission routine: queues jobs[0, count) in order under one
+  // lock while the server runs and the queue has room, then wakes the
+  // workers once. Returns how many went in; the status of the refused
+  // tail goes to `refusal`.
+  std::size_t Enqueue(Job* jobs, std::size_t count, Status& refusal);
   void WorkerLoop();
 
   core::Anonymizer engine_;

@@ -538,22 +538,17 @@ void ContinuousSessionPool::RunRound(
   if (pending.empty()) return;
 
   // ---- phase 2: one server batch for every region exit -------------------
-  auto futures = server_->SubmitBatch(std::move(jobs));
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!futures[i].ok()) {
-      pending[i].result = futures[i].status();
-      continue;
-    }
-    pending[i].result = futures[i]->get();
-  }
+  std::vector<StatusOr<core::AnonymizeResult>> recloaked =
+      server_->RunBatch(std::move(jobs));
 
   // ---- phase 3: commit under the shard locks -----------------------------
-  for (PendingRecloak& recloak : pending) {
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    PendingRecloak& recloak = pending[i];
+    StatusOr<core::AnonymizeResult>& result = recloaked[i];
     const std::size_t idx = recloak.update_index;
     StatusOr<core::ValidityRegion> region =
-        recloak.result.ok() ? ValidityRegionOf(recloak)
-                            : StatusOr<core::ValidityRegion>(
-                                  recloak.result.status());
+        result.ok() ? ValidityRegionOf(recloak, *result)
+                    : StatusOr<core::ValidityRegion>(result.status());
     Shard& shard = *shards_[recloak.shard];
     std::lock_guard<std::mutex> lock(shard.mutex);
     Session* session = shard.sessions.Find(recloak.user);
@@ -566,7 +561,7 @@ void ContinuousSessionPool::RunRound(
     // One wrapping shared between the serve result and the committed
     // session state.
     auto artifact = std::make_shared<const core::CloakedArtifact>(
-        std::move(recloak.result).value().artifact);
+        std::move(result).value().artifact);
     results[idx] = artifact;
     // Gone only if SpillAllToFile spilled it meanwhile: the clock sweep
     // skips sessions with a re-cloak pending.
@@ -583,8 +578,7 @@ void ContinuousSessionPool::RunRound(
 }
 
 StatusOr<core::ValidityRegion> ContinuousSessionPool::ValidityRegionOf(
-    PendingRecloak& recloak) const {
-  core::AnonymizeResult& result = *recloak.result;
+    const PendingRecloak& recloak, core::AnonymizeResult& result) const {
   if (recloak.validity_level == recloak.profile.num_levels()) {
     return core::ValidityRegion(result.artifact.region_segments);
   }

@@ -11,8 +11,9 @@
 // entirely in its shard — policy check plus artifact copy, the engine is
 // never touched.
 //
-// Region exits batch into one AnonymizationServer::SubmitBatch round of
-// re-cloaks and are committed back under the shard locks. Each job
+// Region exits batch into one AnonymizationServer::RunBatch round of
+// re-cloaks (one queue lock, one wake, one wait, no promise per job) and
+// are committed back under the shard locks. Each job
 // carries its session's key provider and epoch, so the server worker that
 // runs it derives the key chain. Each re-cloak asks the anonymizer for
 // its validity level's region as that level is sealed
@@ -374,7 +375,6 @@ class ContinuousSessionPool {
     int validity_level = 0;
     core::PrivacyProfile profile;
     KeyProvider provider;
-    StatusOr<core::AnonymizeResult> result = Status::Internal("not run");
   };
 
   std::size_t ShardIndexFor(util::UserId user) const noexcept {
@@ -401,11 +401,11 @@ class ContinuousSessionPool {
                 std::vector<StatusOr<SharedArtifact>>& results);
 
   // A successful re-cloak's validity region: the published region at the
-  // outermost level, else the one the anonymizer sealed (moved out). A
-  // backend that seals none (not reversible) gets the keyed reduce, which
-  // fails exactly as the single-user oracle's does.
+  // outermost level, else the one the anonymizer sealed (moved out of
+  // `result`). A backend that seals none (not reversible) gets the keyed
+  // reduce, which fails exactly as the single-user oracle's does.
   StatusOr<core::ValidityRegion> ValidityRegionOf(
-      PendingRecloak& recloak) const;
+      const PendingRecloak& recloak, core::AnonymizeResult& result) const;
 
   // ---- cold tier internals ---------------------------------------------
   // Lock order: shard.mutex -> spill file mutex -> interner mutex.

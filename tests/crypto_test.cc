@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <cstring>
+#include <random>
 #include <set>
 #include <string>
 #include <utility>
@@ -85,6 +87,49 @@ TEST(Sha256Test, PaddingBoundaries) {
     for (const char c : msg) incremental.Update(std::string_view(&c, 1));
     EXPECT_EQ(DigestHex(incremental.Finish()), hex) << len << " bytes";
   }
+}
+
+// Sha256 runs the SHA-extension compression wherever the CPU has it, so
+// the vectors in this file check the path that runs here; the log names it.
+TEST(Sha256Test, RunsTheAcceleratedCompressionWhereAvailable) {
+  std::printf("SHA-256 compression: %s\n", sha256::ActiveCompressionName());
+  const sha256::Compression expected =
+      sha256::AcceleratedCompression() != nullptr
+          ? sha256::AcceleratedCompression()
+          : &sha256::CompressPortable;
+  EXPECT_EQ(sha256::ActiveCompression(), expected);
+}
+
+// The two compressions are one function: seeded random states and blocks,
+// plus the all-zero and all-one corners, give the same state out of both.
+TEST(Sha256Test, AcceleratedCompressionMatchesPortable) {
+  const sha256::Compression accelerated = sha256::AcceleratedCompression();
+  if (accelerated == nullptr) {
+    GTEST_SKIP() << "no SHA extensions on this CPU: only the portable "
+                    "compression runs";
+  }
+  std::mt19937_64 rng(0x5a256);
+  constexpr int kPairs = 100000;
+  int mismatches = 0;
+  for (int pair = 0; pair < kPairs + 2; ++pair) {
+    std::array<std::uint32_t, 8> state{};
+    std::array<std::uint8_t, 64> block{};
+    if (pair < kPairs) {
+      for (auto& word : state) word = static_cast<std::uint32_t>(rng());
+      for (auto& byte : block) byte = static_cast<std::uint8_t>(rng());
+    } else if (pair == kPairs + 1) {
+      state.fill(0xffffffffu);
+      block.fill(0xff);
+    }
+    auto portable = state;
+    auto fast = state;
+    sha256::CompressPortable(portable.data(), block.data());
+    accelerated(fast.data(), block.data());
+    if (portable != fast && ++mismatches <= 3) {
+      ADD_FAILURE() << "compressions differ on pair " << pair;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << kPairs + 2 << " pairs";
 }
 
 // RFC 4231 test case 2.

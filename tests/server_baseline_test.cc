@@ -1,6 +1,9 @@
 // Anonymization-server (worker pool) and XStar-baseline tests.
 #include <gtest/gtest.h>
 
+#include <future>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/random_expand.h"
@@ -284,6 +287,124 @@ TEST(ServerTest, MaxQueueIsExactTotalBound) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.accepted, 10u);
   EXPECT_EQ(stats.rejected_queue_full, 0u);
+}
+
+AnonymizeRequest BoundRequest(int i) {
+  AnonymizeRequest request;
+  request.origin = SegmentId{static_cast<std::uint32_t>(i)};
+  request.profile = PrivacyProfile::SingleLevel({30, 3, 1e9});
+  request.context = "room/" + std::to_string(i);
+  return request;
+}
+
+// RunBatch admits its batch under one lock: with two of four queue places
+// taken, a batch of five gets its first two jobs in, and the other three
+// fail RESOURCE_EXHAUSTED, each counted once. The one worker is held inside
+// a key provider so the queue's fill is known when the batch arrives.
+TEST(ServerTest, RunBatchPastTheQueueRoomFailsExactlyItsTail) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  core::Anonymizer engine(net, OnePerSegment(net));
+  server::ServerOptions options;
+  options.num_workers = 1;
+  options.max_queue = 4;
+  server::AnonymizationServer server(std::move(engine), options);
+
+  std::promise<void> started;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  server::JobKeys held_keys(
+      [&](std::uint64_t) {
+        started.set_value();
+        released.wait();
+        return crypto::KeyChain::FromSeed(1, 1);
+      },
+      0);
+  auto held = server.Submit(BoundRequest(0), std::move(held_keys));
+  ASSERT_TRUE(held.ok());
+  started.get_future().wait();  // the worker holds job 0; the queue is empty
+  std::vector<server::AnonymizationServer::BatchJob> queued;
+  for (int i = 1; i <= 2; ++i) {
+    queued.push_back({BoundRequest(i), crypto::KeyChain::FromSeed(1, 1)});
+  }
+  auto queued_futures = server.SubmitBatch(std::move(queued));
+
+  // Let the worker go once the batch below has been admitted.
+  std::thread releaser([&] {
+    while (server.stats().rejected_queue_full < 3) std::this_thread::yield();
+    release.set_value();
+  });
+  std::vector<server::AnonymizationServer::BatchJob> batch;
+  for (int i = 3; i < 8; ++i) {
+    batch.push_back({BoundRequest(i), crypto::KeyChain::FromSeed(1, 1)});
+  }
+  const auto results = server.RunBatch(std::move(batch));
+  releaser.join();
+
+  ASSERT_EQ(results.size(), 5u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (i < 2) {
+      EXPECT_TRUE(results[i].ok()) << i << ": "
+                                   << results[i].status().ToString();
+    } else {
+      ASSERT_FALSE(results[i].ok()) << i;
+      EXPECT_EQ(results[i].status().code(), ErrorCode::kResourceExhausted)
+          << i;
+    }
+  }
+  EXPECT_TRUE(held->get().ok());
+  for (auto& submitted : queued_futures) {
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    EXPECT_TRUE(submitted->get().ok());
+  }
+  server.Drain();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.accepted, 5u);
+  EXPECT_EQ(stats.rejected_queue_full, 3u);
+  EXPECT_EQ(stats.succeeded, 5u);
+}
+
+// Shutdown runs what was queued, then refuses every entry point's jobs
+// with FAILED_PRECONDITION; a refusal after shutdown is not a full queue.
+TEST(ServerTest, EveryJobFailsAfterShutdown) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  core::Anonymizer engine(net, OnePerSegment(net));
+  server::ServerOptions options;
+  options.num_workers = 2;
+  server::AnonymizationServer server(std::move(engine), options);
+
+  std::vector<server::AnonymizationServer::BatchJob> before;
+  for (int i = 0; i < 3; ++i) {
+    before.push_back({BoundRequest(i), crypto::KeyChain::FromSeed(1, 1)});
+  }
+  auto futures = server.SubmitBatch(std::move(before));
+  server.Shutdown();
+  for (auto& submitted : futures) {
+    ASSERT_TRUE(submitted.ok());
+    EXPECT_TRUE(submitted->get().ok());
+  }
+
+  std::vector<server::AnonymizationServer::BatchJob> after;
+  for (int i = 3; i < 6; ++i) {
+    after.push_back({BoundRequest(i), crypto::KeyChain::FromSeed(1, 1)});
+  }
+  for (const auto& result : server.RunBatch(std::move(after))) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), ErrorCode::kFailedPrecondition);
+  }
+  const auto single =
+      server.Submit(BoundRequest(6), crypto::KeyChain::FromSeed(1, 1));
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.status().code(), ErrorCode::kFailedPrecondition);
+  std::vector<server::AnonymizationServer::BatchJob> late;
+  late.push_back({BoundRequest(7), crypto::KeyChain::FromSeed(1, 1)});
+  for (const auto& submitted : server.SubmitBatch(std::move(late))) {
+    ASSERT_FALSE(submitted.ok());
+    EXPECT_EQ(submitted.status().code(), ErrorCode::kFailedPrecondition);
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.accepted, 3u);
+  EXPECT_EQ(stats.rejected_queue_full, 0u);
+  EXPECT_EQ(stats.succeeded, 3u);
 }
 
 TEST(ServerTest, FailingRequestsReportedNotDropped) {

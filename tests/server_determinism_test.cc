@@ -2,7 +2,8 @@
 // must be bit-identical (by SHA-256) for any worker count — workers share
 // one immutable MapContext and pin one occupancy epoch per request, so
 // which worker takes a job from the queue must not leak into artifacts.
-// Also covers the SubmitBatch path and the atomic occupancy epoch swap.
+// Also covers the SubmitBatch and RunBatch paths and the atomic occupancy
+// epoch swap.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -183,6 +184,49 @@ TEST(ServerDeterminismTest, SubmitBatchMatchesSubmit) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kJobs));
   EXPECT_EQ(stats.succeeded, static_cast<std::uint64_t>(kJobs));
+}
+
+// RunBatch writes each job's result into the caller's vector in job order:
+// the artifacts are Submit's, byte for byte, at one worker, at three and
+// at the default count (one per hardware thread).
+TEST(ServerDeterminismTest, RunBatchMatchesSubmit) {
+  const RoadNetwork net = roadnet::MakeGrid({12, 12, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  const auto occupancy = OnePerSegment(net);
+  constexpr int kJobs = 24;
+
+  const auto submitted = RunServer(ctx, occupancy, /*workers=*/1, kJobs);
+  ASSERT_EQ(submitted.size(), static_cast<std::size_t>(kJobs));
+  for (const int workers : {1, 3, server::ServerOptions{}.num_workers}) {
+    core::Anonymizer engine(ctx, occupancy, /*rple_T=*/4);
+    server::ServerOptions options;
+    options.num_workers = workers;
+    server::AnonymizationServer server(std::move(engine), options);
+    std::vector<server::AnonymizationServer::BatchJob> batch;
+    for (int i = 0; i < kJobs; ++i) {
+      batch.push_back({FixedRequest(net, i), FixedKeys(i)});
+    }
+    const auto results = server.RunBatch(std::move(batch));
+    ASSERT_EQ(results.size(), static_cast<std::size_t>(kJobs));
+    for (int i = 0; i < kJobs; ++i) {
+      const auto& result = results[static_cast<std::size_t>(i)];
+      ASSERT_TRUE(result.ok()) << i << ": " << result.status().ToString();
+      EXPECT_EQ(ArtifactSha256(result->artifact), submitted.at(i))
+          << workers << " workers, job " << i;
+    }
+    // Every job settled before RunBatch returned.
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kJobs));
+    EXPECT_EQ(stats.succeeded, static_cast<std::uint64_t>(kJobs));
+  }
+}
+
+TEST(ServerDeterminismTest, EmptyRunBatchReturnsEmpty) {
+  const RoadNetwork net = roadnet::MakeGrid({8, 8, 100.0});
+  core::Anonymizer engine(net, OnePerSegment(net));
+  server::AnonymizationServer server(std::move(engine), {});
+  EXPECT_TRUE(server.RunBatch({}).empty());
+  EXPECT_EQ(server.stats().accepted, 0u);
 }
 
 TEST(ServerDeterminismTest, OccupancyEpochSwapTakesEffect) {
