@@ -173,12 +173,17 @@ Compression AcceleratedCompression() noexcept { return nullptr; }
 
 #endif
 
+namespace {
+
+// Picked once: the SHA extensions where present, else the portable code.
 Compression ActiveCompression() noexcept {
   static const Compression active =
       AcceleratedCompression() != nullptr ? AcceleratedCompression()
                                           : &CompressPortable;
   return active;
 }
+
+}  // namespace
 
 const char* ActiveCompressionName() noexcept {
   return ActiveCompression() == &CompressPortable ? "portable"

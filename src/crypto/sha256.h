@@ -27,8 +27,7 @@ void CompressPortable(std::uint32_t* state, const std::uint8_t* block) noexcept;
 // The SHA-extension compression, or nullptr where the CPU (or a non-x86-64
 // build) has none.
 Compression AcceleratedCompression() noexcept;
-// The compression Sha256 runs, and its name for reports.
-Compression ActiveCompression() noexcept;
+// The name of the compression Sha256 runs, for reports.
 const char* ActiveCompressionName() noexcept;
 
 }  // namespace sha256

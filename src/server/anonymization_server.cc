@@ -50,44 +50,62 @@ AnonymizationServer::AnonymizationServer(core::Anonymizer engine,
   }
 }
 
-AnonymizationServer::~AnonymizationServer() { Shutdown(); }
+AnonymizationServer::~AnonymizationServer() {
+  StopAdmitting();
+  // Workers exit only on an empty queue, so every accepted job resolves.
+  for (auto& worker : workers_) worker.join();
+}
 
-void AnonymizationServer::Shutdown() {
+void AnonymizationServer::StopAdmitting() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     shutting_down_ = true;
   }
   queue_cv_.notify_all();
-  // Workers exit only on an empty queue, so every accepted job resolves.
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
+  room_cv_.notify_all();
 }
 
 std::size_t AnonymizationServer::Enqueue(Job* jobs, std::size_t count,
-                                         Status& refusal) {
+                                         bool wait_for_room, Status& refusal) {
+  const auto wake = [this](std::size_t queued) {
+    if (queued == 1) {
+      queue_cv_.notify_one();
+    } else if (queued > 1) {
+      queue_cv_.notify_all();
+    }
+  };
   std::size_t admitted = 0;
+  std::size_t unwoken = 0;  // queued since the workers were last woken
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (shutting_down_) {
-      refusal = Status::FailedPrecondition("server is shutting down");
-      return 0;
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      if (shutting_down_) {
+        refusal = Status::FailedPrecondition("server is shutting down");
+        break;
+      }
+      const std::size_t take =
+          std::min(count - admitted, max_queue_ - queue_.size());
+      for (std::size_t i = admitted; i < admitted + take; ++i) {
+        queue_.push_back(std::move(jobs[i]));
+      }
+      admitted += take;
+      unwoken += take;
+      accepted_ += take;
+      if (admitted == count) break;
+      // A queue with no places at all never makes room.
+      if (!wait_for_room || max_queue_ == 0) {
+        rejected_ += count - admitted;
+        refusal = Status::ResourceExhausted("anonymization queue full");
+        break;
+      }
+      wake(unwoken);
+      unwoken = 0;
+      room_cv_.wait(lock, [this] {
+        return shutting_down_ || queue_.size() < max_queue_;
+      });
     }
-    admitted = std::min(count, max_queue_ - queue_.size());
-    for (std::size_t i = 0; i < admitted; ++i) {
-      queue_.push_back(std::move(jobs[i]));
-    }
-    accepted_ += admitted;
-    rejected_ += count - admitted;
   }
-  if (admitted < count) {
-    refusal = Status::ResourceExhausted("anonymization queue full");
-  }
-  if (admitted == 1) {
-    queue_cv_.notify_one();
-  } else if (admitted > 1) {
-    queue_cv_.notify_all();
-  }
+  wake(unwoken);
   return admitted;
 }
 
@@ -107,7 +125,8 @@ std::vector<StatusOr<core::AnonymizeResult>> AnonymizationServer::RunBatch(
   // reach zero before the caller waits on the admitted ones.
   countdown.remaining = jobs.size();
   Status refusal;
-  const std::size_t admitted = Enqueue(queued.data(), queued.size(), refusal);
+  const std::size_t admitted =
+      Enqueue(queued.data(), queued.size(), /*wait_for_room=*/true, refusal);
   for (std::size_t i = admitted; i < jobs.size(); ++i) results[i] = refusal;
 
   std::unique_lock<std::mutex> lock(mutex_);
@@ -129,7 +148,8 @@ AnonymizationServer::SubmitBatch(std::vector<BatchJob> jobs) {
     results.emplace_back(queued[i].submitted->promise.get_future());
   }
   Status refusal;
-  const std::size_t admitted = Enqueue(queued.data(), queued.size(), refusal);
+  const std::size_t admitted =
+      Enqueue(queued.data(), queued.size(), /*wait_for_room=*/false, refusal);
   for (std::size_t i = admitted; i < results.size(); ++i) results[i] = refusal;
   return results;
 }
@@ -151,6 +171,7 @@ void AnonymizationServer::WorkerLoop() {
     queue_.pop_front();
     ++in_flight_;
     lock.unlock();
+    room_cv_.notify_one();  // a RunBatch caller may wait for this place
 
     Stopwatch timer;
     const crypto::KeyChain keys = std::move(job.work->keys).Resolve();

@@ -9,9 +9,10 @@
 // is const over shared state, and occupancy refreshes publish a new
 // snapshot epoch by atomic shared_ptr swap (SetOccupancy) — so workers
 // never contend on engine state, only on the queue lock. A caller takes
-// that lock once to queue a whole batch and wakes the workers once; a
-// worker takes it once per job, to settle the finished job and pop the
-// next. RunBatch's caller then sleeps until the last of its jobs is done.
+// that lock once to queue a batch that fits the queue's room and wakes the
+// workers once; a worker takes it once per job, to settle the finished job
+// and pop the next. RunBatch's caller then sleeps until the last of its
+// jobs is done.
 //
 // A job carries its keys as a chain in hand or as a key provider and the
 // epoch to derive; the worker that runs the job resolves them, so chain
@@ -101,31 +102,31 @@ class AnonymizationServer {
   // needs them; racing workers build each once (MapContext memos).
   // NetServer::Start builds its configured backend's tables up front.
   AnonymizationServer(core::Anonymizer engine, const ServerOptions& options);
-  // Shutdown(): runs every queued job to completion, then joins the
-  // workers.
+  // Runs every queued job to completion, then joins the workers.
   ~AnonymizationServer();
 
   AnonymizationServer(const AnonymizationServer&) = delete;
   AnonymizationServer& operator=(const AnonymizationServer&) = delete;
 
   // Runs `jobs` and returns when every one is done: element i of the result
-  // is jobs[i]'s artifact or error. The whole batch is queued under one lock
-  // and the caller sleeps once; results go straight into the returned
-  // vector. Jobs past the queue's room fail RESOURCE_EXHAUSTED (the tail
-  // of the batch, each counted in rejected_queue_full); after Shutdown
-  // every job fails FAILED_PRECONDITION. Must not be called from a key
+  // is jobs[i]'s artifact or error; results go straight into the returned
+  // vector. What fits in the queue's room is queued under one lock and the
+  // workers are woken once; past the room, the caller waits for places as
+  // workers take jobs instead of refusing (max_queue stays exact), then
+  // sleeps once until the last job is done. Must not be called from a key
   // provider.
   std::vector<StatusOr<core::AnonymizeResult>> RunBatch(
       std::vector<BatchJob> jobs);
 
   // Enqueues a request; the future resolves to the artifact or the error.
-  // Fails fast with RESOURCE_EXHAUSTED when the queue is full, and with
-  // FAILED_PRECONDITION after Shutdown.
+  // Fails fast with RESOURCE_EXHAUSTED when the queue is full.
   StatusOr<ResultFuture> Submit(core::AnonymizeRequest request,
                                 JobKeys keys);
 
   // Submit for each job, queued under one lock: element i of the result
-  // corresponds to jobs[i], and the refusals are RunBatch's.
+  // corresponds to jobs[i]. Jobs past the queue's room fail fast with
+  // RESOURCE_EXHAUSTED (the tail of the batch, each counted in
+  // rejected_queue_full).
   std::vector<StatusOr<ResultFuture>> SubmitBatch(std::vector<BatchJob> jobs);
 
   // Compatibility shim, serial: perfbench still calls it. Element i is
@@ -145,10 +146,6 @@ class AnonymizationServer {
 
   // Blocks until the queue drains and in-flight jobs finish.
   void Drain();
-
-  // Stops admitting jobs, runs every queued job to completion and joins
-  // the workers. Idempotent; call it from one thread.
-  void Shutdown();
 
   ServerStats stats() const;
 
@@ -176,11 +173,19 @@ class AnonymizationServer {
     std::unique_ptr<Submitted> submitted;
   };
 
+  friend struct AnonymizationServerTestPeer;  // reaches StopAdmitting
+
   // The one admission routine: queues jobs[0, count) in order under one
   // lock while the server runs and the queue has room, then wakes the
-  // workers once. Returns how many went in; the status of the refused
-  // tail goes to `refusal`.
-  std::size_t Enqueue(Job* jobs, std::size_t count, Status& refusal);
+  // workers once. Past the room it fails the tail fast, or with
+  // `wait_for_room` waits for places and queues the rest as they free up.
+  // Returns how many went in; the status of the refused tail goes to
+  // `refusal`.
+  std::size_t Enqueue(Job* jobs, std::size_t count, bool wait_for_room,
+                      Status& refusal);
+  // From here on every job fails FAILED_PRECONDITION; the workers exit
+  // once the queue is empty. The destructor's first step.
+  void StopAdmitting();
   void WorkerLoop();
 
   core::Anonymizer engine_;
@@ -188,6 +193,7 @@ class AnonymizationServer {
 
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;
+  std::condition_variable room_cv_;  // a worker took a job off the queue
   std::condition_variable drain_cv_;
   std::deque<Job> queue_;
   std::size_t in_flight_ = 0;  // taken by a worker, not yet finished

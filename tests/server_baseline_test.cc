@@ -1,6 +1,7 @@
 // Anonymization-server (worker pool) and XStar-baseline tests.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <string>
 #include <thread>
@@ -297,11 +298,56 @@ AnonymizeRequest BoundRequest(int i) {
   return request;
 }
 
-// RunBatch admits its batch under one lock: with two of four queue places
-// taken, a batch of five gets its first two jobs in, and the other three
-// fail RESOURCE_EXHAUSTED, each counted once. The one worker is held inside
-// a key provider so the queue's fill is known when the batch arrives.
-TEST(ServerTest, RunBatchPastTheQueueRoomFailsExactlyItsTail) {
+// Holds a server's one worker inside a key provider, so the queue's fill
+// is known while it waits: the constructor submits the held job and
+// returns once the worker runs it; Release() (or the destructor) lets it
+// finish.
+class HeldWorker {
+ public:
+  explicit HeldWorker(server::AnonymizationServer& server) {
+    server::JobKeys keys(
+        [this](std::uint64_t) {
+          started_.set_value();
+          released_.wait();
+          return crypto::KeyChain::FromSeed(1, 1);
+        },
+        0);
+    auto held = server.Submit(BoundRequest(0), std::move(keys));
+    EXPECT_TRUE(held.ok());
+    if (held.ok()) held_ = std::move(*held);
+    started_.get_future().wait();  // the worker holds job 0
+  }
+  ~HeldWorker() {
+    if (!released_flag_) Release();
+  }
+  void Release() {
+    released_flag_ = true;
+    release_.set_value();
+  }
+  bool HeldJobSucceeded() { return held_.valid() && held_.get().ok(); }
+
+ private:
+  std::atomic<bool> released_flag_{false};
+  std::promise<void> started_;
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+  server::AnonymizationServer::ResultFuture held_;
+};
+
+std::vector<server::AnonymizationServer::BatchJob> BoundBatch(int first,
+                                                              int end) {
+  std::vector<server::AnonymizationServer::BatchJob> batch;
+  for (int i = first; i < end; ++i) {
+    batch.push_back({BoundRequest(i), crypto::KeyChain::FromSeed(1, 1)});
+  }
+  return batch;
+}
+
+// SubmitBatch admits its batch under one lock and fails fast past the
+// room: with two of four queue places taken, a batch of five gets its
+// first two jobs in, and the other three fail RESOURCE_EXHAUSTED, each
+// counted once.
+TEST(ServerTest, SubmitBatchPastTheQueueRoomFailsExactlyItsTail) {
   const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
   core::Anonymizer engine(net, OnePerSegment(net));
   server::ServerOptions options;
@@ -309,50 +355,24 @@ TEST(ServerTest, RunBatchPastTheQueueRoomFailsExactlyItsTail) {
   options.max_queue = 4;
   server::AnonymizationServer server(std::move(engine), options);
 
-  std::promise<void> started;
-  std::promise<void> release;
-  const std::shared_future<void> released = release.get_future().share();
-  server::JobKeys held_keys(
-      [&](std::uint64_t) {
-        started.set_value();
-        released.wait();
-        return crypto::KeyChain::FromSeed(1, 1);
-      },
-      0);
-  auto held = server.Submit(BoundRequest(0), std::move(held_keys));
-  ASSERT_TRUE(held.ok());
-  started.get_future().wait();  // the worker holds job 0; the queue is empty
-  std::vector<server::AnonymizationServer::BatchJob> queued;
-  for (int i = 1; i <= 2; ++i) {
-    queued.push_back({BoundRequest(i), crypto::KeyChain::FromSeed(1, 1)});
-  }
-  auto queued_futures = server.SubmitBatch(std::move(queued));
+  HeldWorker held(server);
+  auto queued = server.SubmitBatch(BoundBatch(1, 3));
+  auto batch = server.SubmitBatch(BoundBatch(3, 8));
+  held.Release();
 
-  // Let the worker go once the batch below has been admitted.
-  std::thread releaser([&] {
-    while (server.stats().rejected_queue_full < 3) std::this_thread::yield();
-    release.set_value();
-  });
-  std::vector<server::AnonymizationServer::BatchJob> batch;
-  for (int i = 3; i < 8; ++i) {
-    batch.push_back({BoundRequest(i), crypto::KeyChain::FromSeed(1, 1)});
-  }
-  const auto results = server.RunBatch(std::move(batch));
-  releaser.join();
-
-  ASSERT_EQ(results.size(), 5u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
+  ASSERT_EQ(batch.size(), 5u);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     if (i < 2) {
-      EXPECT_TRUE(results[i].ok()) << i << ": "
-                                   << results[i].status().ToString();
+      ASSERT_TRUE(batch[i].ok()) << i << ": " << batch[i].status().ToString();
+      EXPECT_TRUE(batch[i]->get().ok()) << i;
     } else {
-      ASSERT_FALSE(results[i].ok()) << i;
-      EXPECT_EQ(results[i].status().code(), ErrorCode::kResourceExhausted)
+      ASSERT_FALSE(batch[i].ok()) << i;
+      EXPECT_EQ(batch[i].status().code(), ErrorCode::kResourceExhausted)
           << i;
     }
   }
-  EXPECT_TRUE(held->get().ok());
-  for (auto& submitted : queued_futures) {
+  EXPECT_TRUE(held.HeldJobSucceeded());
+  for (auto& submitted : queued) {
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
     EXPECT_TRUE(submitted->get().ok());
   }
@@ -363,48 +383,101 @@ TEST(ServerTest, RunBatchPastTheQueueRoomFailsExactlyItsTail) {
   EXPECT_EQ(stats.succeeded, 5u);
 }
 
-// Shutdown runs what was queued, then refuses every entry point's jobs
-// with FAILED_PRECONDITION; a refusal after shutdown is not a full queue.
+// RunBatch waits for room instead of refusing: with two of four queue
+// places taken, a batch of eight queues its first two jobs, then the rest
+// as the worker frees places, and every job runs. Nothing is refused.
+TEST(ServerTest, RunBatchWaitsForQueueRoom) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  core::Anonymizer engine(net, OnePerSegment(net));
+  server::ServerOptions options;
+  options.num_workers = 1;
+  options.max_queue = 4;
+  server::AnonymizationServer server(std::move(engine), options);
+
+  HeldWorker held(server);
+  auto queued = server.SubmitBatch(BoundBatch(1, 3));
+  // Let the worker go once the batch below has filled the queue.
+  std::thread releaser([&] {
+    while (server.stats().accepted < 5) std::this_thread::yield();
+    held.Release();
+  });
+  const auto results = server.RunBatch(BoundBatch(3, 11));
+  releaser.join();
+
+  ASSERT_EQ(results.size(), 8u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i].ok()) << i << ": "
+                                 << results[i].status().ToString();
+  }
+  EXPECT_TRUE(held.HeldJobSucceeded());
+  for (auto& submitted : queued) {
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    EXPECT_TRUE(submitted->get().ok());
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.accepted, 11u);
+  EXPECT_EQ(stats.rejected_queue_full, 0u);
+  EXPECT_EQ(stats.succeeded, 11u);
+}
+
+}  // namespace
+
+namespace server {
+// Reaches the shutdown the destructor starts with, so a test can submit
+// to a server that has stopped admitting and is still alive.
+struct AnonymizationServerTestPeer {
+  static void StopAdmitting(AnonymizationServer& server) {
+    server.StopAdmitting();
+  }
+};
+}  // namespace server
+
+namespace {
+
+// Once shutdown starts, what was queued still runs and every entry
+// point's jobs fail FAILED_PRECONDITION; a refusal after shutdown is not a
+// full queue. A RunBatch waiting for room fails its unqueued tail.
 TEST(ServerTest, EveryJobFailsAfterShutdown) {
   const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
   core::Anonymizer engine(net, OnePerSegment(net));
   server::ServerOptions options;
-  options.num_workers = 2;
+  options.num_workers = 1;
+  options.max_queue = 1;
   server::AnonymizationServer server(std::move(engine), options);
 
-  std::vector<server::AnonymizationServer::BatchJob> before;
-  for (int i = 0; i < 3; ++i) {
-    before.push_back({BoundRequest(i), crypto::KeyChain::FromSeed(1, 1)});
-  }
-  auto futures = server.SubmitBatch(std::move(before));
-  server.Shutdown();
-  for (auto& submitted : futures) {
-    ASSERT_TRUE(submitted.ok());
-    EXPECT_TRUE(submitted->get().ok());
-  }
+  HeldWorker held(server);
+  std::vector<StatusOr<core::AnonymizeResult>> waited;
+  std::thread waiter([&] { waited = server.RunBatch(BoundBatch(1, 4)); });
+  while (server.stats().accepted < 2) std::this_thread::yield();
+  server::AnonymizationServerTestPeer::StopAdmitting(server);
+  held.Release();
+  waiter.join();
 
-  std::vector<server::AnonymizationServer::BatchJob> after;
-  for (int i = 3; i < 6; ++i) {
-    after.push_back({BoundRequest(i), crypto::KeyChain::FromSeed(1, 1)});
+  ASSERT_EQ(waited.size(), 3u);
+  EXPECT_TRUE(waited[0].ok()) << waited[0].status().ToString();
+  for (std::size_t i = 1; i < waited.size(); ++i) {
+    ASSERT_FALSE(waited[i].ok()) << i;
+    EXPECT_EQ(waited[i].status().code(), ErrorCode::kFailedPrecondition)
+        << i;
   }
-  for (const auto& result : server.RunBatch(std::move(after))) {
+  EXPECT_TRUE(held.HeldJobSucceeded());
+
+  for (const auto& result : server.RunBatch(BoundBatch(4, 7))) {
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), ErrorCode::kFailedPrecondition);
   }
   const auto single =
-      server.Submit(BoundRequest(6), crypto::KeyChain::FromSeed(1, 1));
+      server.Submit(BoundRequest(7), crypto::KeyChain::FromSeed(1, 1));
   ASSERT_FALSE(single.ok());
   EXPECT_EQ(single.status().code(), ErrorCode::kFailedPrecondition);
-  std::vector<server::AnonymizationServer::BatchJob> late;
-  late.push_back({BoundRequest(7), crypto::KeyChain::FromSeed(1, 1)});
-  for (const auto& submitted : server.SubmitBatch(std::move(late))) {
+  for (const auto& submitted : server.SubmitBatch(BoundBatch(8, 9))) {
     ASSERT_FALSE(submitted.ok());
     EXPECT_EQ(submitted.status().code(), ErrorCode::kFailedPrecondition);
   }
   const auto stats = server.stats();
-  EXPECT_EQ(stats.accepted, 3u);
+  EXPECT_EQ(stats.accepted, 2u);
   EXPECT_EQ(stats.rejected_queue_full, 0u);
-  EXPECT_EQ(stats.succeeded, 3u);
+  EXPECT_EQ(stats.succeeded, 2u);
 }
 
 TEST(ServerTest, FailingRequestsReportedNotDropped) {
