@@ -1,9 +1,10 @@
 // E23 — The networked front door, end to end: N loopback TCP connections
 // each carrying U users stream framed position updates at the NetServer,
 // whose event loop batches every tick's decoded frames into one
-// ContinuousSessionPool::UpdateBatch and fans the artifact replies back
-// out as shared encoded buffers (one EncodeArtifact per artifact, zero
-// body copies per connection).
+// ContinuousSessionPool::UpdateBatch and streams the artifact replies back
+// as the pool hands them over, each the bytes its session keeps with the
+// artifact (one EncodeArtifact per artifact, on the server worker that cut
+// it; zero body copies per connection).
 //
 // Measured per worker count:
 //   * end-to-end updates/s over the wire (framing + epoll + batch + reply)
@@ -12,8 +13,8 @@
 //   * p50/p95/p99 reply latency, measured from the moment a connection's
 //     tick burst is flushed to the moment each of its replies is read back
 //     (pipelined: one driver thread, U updates in flight per connection);
-//   * server-side counters: re-cloaks, per-tick batch sizes, the
-//     encoded-artifact cache hit rate and entry count, backpressure events.
+//   * server-side counters: re-cloaks, per-tick batch sizes, wire bytes,
+//     auth outcomes.
 //
 // --verify pins the wire against the in-process twin: every reply's
 // artifact bytes must equal EncodeArtifact of the twin pool's artifact for
@@ -141,7 +142,7 @@ int main(int argc, char** argv) {
           std::to_string(ticks) + " ticks = " +
           std::to_string(total_updates) +
           " updates per worker count; end-to-end wire updates/s vs the "
-          "same fleet in-process, pipelined reply latency, batch/cache "
+          "same fleet in-process, pipelined reply latency, batch "
           "counters" +
           (verify ? "; every reply byte-compared against the twin pool"
                   : "") +
@@ -172,7 +173,7 @@ int main(int argc, char** argv) {
   TableWriter table({"workers", "loops", "conns", "updates",
                      "wire_upd_per_s", "inproc_upd_per_s", "wire_tax",
                      "p50_ms", "p95_ms", "p99_ms", "recloaks",
-                     "max_batch", "cache_hit_rate"});
+                     "max_batch"});
   JsonReport report("e23");
   report.MetaInt("connections", connections);
   report.MetaInt("users_per_conn", users_per_conn);
@@ -368,8 +369,6 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(wire_failed));
         return 1;
       }
-      const std::uint64_t cache_total =
-          net_stats.artifact_cache_hits + net_stats.artifact_cache_misses;
       table.AddRow(
           {TableWriter::Int(workers), TableWriter::Int(loops),
            TableWriter::Int(connections),
@@ -383,13 +382,7 @@ int main(int argc, char** argv) {
            TableWriter::Fixed(latency_ms.Percentile(95), 3),
            TableWriter::Fixed(latency_ms.Percentile(99), 3),
            TableWriter::Int(static_cast<long long>(pool_stats.recloaks)),
-           TableWriter::Int(static_cast<long long>(net_stats.largest_batch)),
-           TableWriter::Fixed(cache_total
-                                  ? static_cast<double>(
-                                        net_stats.artifact_cache_hits) /
-                                        static_cast<double>(cache_total)
-                                  : 0.0,
-                              3)});
+           TableWriter::Int(static_cast<long long>(net_stats.largest_batch))});
       auto& row = report.AddRow();
       row.Int("workers", workers)
           .Int("loops", loops)
@@ -403,12 +396,6 @@ int main(int argc, char** argv) {
           .Int("batches", static_cast<long long>(net_stats.batches))
           .Int("largest_batch",
                static_cast<long long>(net_stats.largest_batch))
-          .Int("artifact_cache_hits",
-               static_cast<long long>(net_stats.artifact_cache_hits))
-          .Int("artifact_cache_misses",
-               static_cast<long long>(net_stats.artifact_cache_misses))
-          .Int("artifact_cache_entries",
-               static_cast<long long>(net_stats.artifact_cache_entries))
           .Int("bytes_in", static_cast<long long>(net_stats.bytes_in))
           .Int("bytes_out", static_cast<long long>(net_stats.bytes_out))
           .Int("auth_ok", static_cast<long long>(net_stats.auth_ok))

@@ -1,6 +1,7 @@
 #include "core/artifact.h"
 
 #include <cstring>
+#include <utility>
 
 #include "core/algorithm.h"
 #include "crypto/siphash.h"
@@ -81,6 +82,12 @@ Bytes EncodeArtifact(const CloakedArtifact& artifact) {
     prev = id;
   }
   return out;
+}
+
+SharedEncodedArtifact KeepEncoded(CloakedArtifact artifact) {
+  Bytes wire = EncodeArtifact(artifact);
+  return std::make_shared<const EncodedArtifact>(
+      EncodedArtifact{std::move(artifact), std::move(wire)});
 }
 
 StatusOr<CloakedArtifact> DecodeArtifact(const Bytes& data) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,5 +78,30 @@ std::uint64_t FingerprintNetwork(const roadnet::RoadNetwork& net);
 // Binary codec. Encode never fails; Decode validates structure.
 Bytes EncodeArtifact(const CloakedArtifact& artifact);
 StatusOr<CloakedArtifact> DecodeArtifact(const Bytes& data);
+
+// An artifact kept together with its EncodeArtifact bytes, in one
+// allocation: a continuous session's artifact in force is encoded once
+// and every reply sends `wire` by reference. ArtifactOf and WireOf hand
+// out aliasing references that share the allocation's ownership.
+struct EncodedArtifact {
+  CloakedArtifact artifact;
+  Bytes wire;  // EncodeArtifact(artifact)
+};
+using SharedEncodedArtifact = std::shared_ptr<const EncodedArtifact>;
+
+// Encodes `artifact` and keeps both in one allocation.
+SharedEncodedArtifact KeepEncoded(CloakedArtifact artifact);
+
+// Null for a null `encoded`.
+inline std::shared_ptr<const CloakedArtifact> ArtifactOf(
+    const SharedEncodedArtifact& encoded) {
+  if (encoded == nullptr) return nullptr;
+  return {encoded, &encoded->artifact};
+}
+inline std::shared_ptr<const Bytes> WireOf(
+    const SharedEncodedArtifact& encoded) {
+  if (encoded == nullptr) return nullptr;
+  return {encoded, &encoded->wire};
+}
 
 }  // namespace rcloak::core

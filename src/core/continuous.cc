@@ -36,7 +36,7 @@ StatusOr<CloakedArtifact> ContinuousCloak::Update(
   switch (policy_.OnUpdate(now_s, current_segment)) {
     case ContinuousPolicy::Action::kServe:
     case ContinuousPolicy::Action::kServeStale:
-      return *policy_.artifact();
+      return policy_.encoded()->artifact;
     case ContinuousPolicy::Action::kRecloak:
       break;
   }
@@ -58,7 +58,7 @@ StatusOr<CloakedArtifact> ContinuousCloak::Update(
 
   policy_.CommitRecloak(now_s, std::move(result).value().artifact,
                         std::move(region).value());
-  return *policy_.artifact();
+  return policy_.encoded()->artifact;
 }
 
 }  // namespace rcloak::core

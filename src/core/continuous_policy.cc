@@ -48,7 +48,7 @@ std::string ContinuousPolicy::EpochContext(std::uint64_t epoch) const {
 ContinuousPolicy::Action ContinuousPolicy::OnUpdate(
     double now_s, roadnet::SegmentId current_segment) {
   ++stats_.updates;
-  const bool have = artifact_ != nullptr;
+  const bool have = encoded_ != nullptr;
   const bool inside =
       have && validity_region_ && validity_region_->Contains(current_segment);
   if (inside) return Action::kServe;
@@ -66,19 +66,18 @@ void ContinuousPolicy::CommitRecloak(double now_s, CloakedArtifact artifact,
                                      CloakRegion validity_region) {
   // Keep only the segment set: the CloakRegion engine state (bitmap,
   // frontier caches) is per-network-sized and dies here.
-  CommitRecloak(now_s,
-                std::make_shared<const CloakedArtifact>(std::move(artifact)),
+  CommitRecloak(now_s, KeepEncoded(std::move(artifact)),
                 ValidityRegion(validity_region.segments_by_id()));
 }
 
-void ContinuousPolicy::CommitRecloak(
-    double now_s, std::shared_ptr<const CloakedArtifact> artifact,
-    ValidityRegion validity_region) {
-  if (artifact_) {
+void ContinuousPolicy::CommitRecloak(double now_s,
+                                     SharedEncodedArtifact artifact,
+                                     ValidityRegion validity_region) {
+  if (encoded_) {
     stats_.validity_duration_total_s += now_s - artifact_created_s_;
   }
   ++epoch_;
-  artifact_ = std::move(artifact);
+  encoded_ = std::move(artifact);
   validity_region_ = std::move(validity_region);
   artifact_created_s_ = now_s;
   stats_.last_recloak_time_s = now_s;
@@ -97,11 +96,10 @@ void ContinuousPolicy::Serialize(Bytes& out) const {
   PutVarint(out, static_cast<std::uint64_t>(options_.validity_level));
   PutDouble(out, options_.min_recloak_interval_s);
   PutVarint(out, epoch_);
-  out.push_back(artifact_ ? 1 : 0);
-  if (artifact_) {
-    const Bytes encoded = EncodeArtifact(*artifact_);
-    PutVarint(out, encoded.size());
-    out.insert(out.end(), encoded.begin(), encoded.end());
+  out.push_back(encoded_ ? 1 : 0);
+  if (encoded_) {
+    PutVarint(out, encoded_->wire.size());
+    out.insert(out.end(), encoded_->wire.begin(), encoded_->wire.end());
   }
   out.push_back(validity_region_ ? 1 : 0);
   if (validity_region_) {
@@ -168,8 +166,9 @@ StatusOr<ContinuousPolicy> ContinuousPolicy::Deserialize(
                                            offset + *artifact_size));
     offset += *artifact_size;
     RCLOAK_ASSIGN_OR_RETURN(auto artifact, DecodeArtifact(encoded));
-    policy.artifact_ =
-        std::make_shared<const CloakedArtifact>(std::move(artifact));
+    // Re-encoded, not `encoded` verbatim: the record's bytes are only
+    // trusted to decode.
+    policy.encoded_ = KeepEncoded(std::move(artifact));
   }
   if (offset >= data.size()) return Truncated();
   if (data[offset++] != 0) {
@@ -215,14 +214,15 @@ std::size_t ContinuousPolicy::MemoryFootprint() const noexcept {
   bytes += user_id_.capacity();
   bytes += static_cast<std::size_t>(profile_.num_levels()) *
            sizeof(LevelRequirement);
-  if (artifact_) {
+  if (encoded_) {
+    const CloakedArtifact& artifact = encoded_->artifact;
     bytes += sizeof(CloakedArtifact);
-    bytes += artifact_->context.capacity();
-    bytes += artifact_->levels.capacity() * sizeof(LevelRecord);
-    for (const LevelRecord& level : artifact_->levels) {
+    bytes += artifact.context.capacity();
+    bytes += artifact.levels.capacity() * sizeof(LevelRecord);
+    for (const LevelRecord& level : artifact.levels) {
       bytes += level.step_bits_blinded.capacity();
     }
-    bytes += artifact_->region_segments.capacity() * sizeof(SegmentId);
+    bytes += artifact.region_segments.capacity() * sizeof(SegmentId);
   }
   if (validity_region_) bytes += validity_region_->memory_bytes();
   return bytes;

@@ -129,15 +129,15 @@ class ContinuousPolicy {
   }
 
   // Installs the artifact cut for `next_epoch()` and its validity region,
-  // advancing the epoch and the re-cloak statistics. The shared overload
-  // adopts an already-wrapped artifact without re-copying and a region
-  // already reduced to its segment set (the session pool shares one
-  // wrapping between the commit and the serve result, and hands in the
-  // region the anonymizer sealed, so no per-network CloakRegion is built).
+  // advancing the epoch and the re-cloak statistics. The first overload
+  // encodes the artifact. The second adopts an artifact already kept with
+  // its bytes and a region already reduced to its segment set (the session
+  // pool shares one allocation between the commit and the serve result,
+  // and hands in the region the anonymizer sealed, so no per-network
+  // CloakRegion is built).
   void CommitRecloak(double now_s, CloakedArtifact artifact,
                      CloakRegion validity_region);
-  void CommitRecloak(double now_s,
-                     std::shared_ptr<const CloakedArtifact> artifact,
+  void CommitRecloak(double now_s, SharedEncodedArtifact artifact,
                      ValidityRegion validity_region);
 
   // Spill/restore: appends the complete session state — algorithm,
@@ -149,13 +149,16 @@ class ContinuousPolicy {
   // version and no user id: they are the tail of a spill record, whose
   // file header holds the format version and whose payload holds the
   // name. Key material is deliberately NOT serialized: the caller
-  // re-supplies its KeyProvider on restore.
+  // re-supplies its KeyProvider on restore. The artifact goes out as the
+  // bytes kept with it.
   void Serialize(Bytes& out) const;
   // Parses data[offset, end) — the policy bytes must run to the end of
   // `data` — in place. `user_id` is the name the spill record stores.
   // `net` rebuilds the validity region (regions are stored as segment
   // lists) and must be the network the artifact was cut on. Truncation,
   // trailing bytes and an unknown algorithm id all fail with a Status.
+  // The decoded artifact is re-encoded, so the bytes the restored session
+  // keeps (and serves) are canonical whatever the record held.
   static StatusOr<ContinuousPolicy> Deserialize(
       std::string user_id, const Bytes& data, std::size_t offset,
       const roadnet::RoadNetwork& net);
@@ -165,17 +168,21 @@ class ContinuousPolicy {
   Algorithm algorithm() const noexcept { return algorithm_; }
   const ContinuousOptions& options() const noexcept { return options_; }
   std::uint64_t epoch() const noexcept { return epoch_; }
-  // The artifact in force (null before the first successful re-cloak),
-  // shared immutably: the steady-state serve path hands out refcounted
-  // references instead of deep-copying level records and segment lists on
-  // every in-region update.
-  const std::shared_ptr<const CloakedArtifact>& artifact() const noexcept {
-    return artifact_;
+  // The artifact in force with its bytes (null before the first
+  // successful re-cloak), shared immutably: the steady-state serve path
+  // hands out refcounted references instead of deep-copying level records
+  // and segment lists, or encoding, on every in-region update.
+  const SharedEncodedArtifact& encoded() const noexcept { return encoded_; }
+  // The artifact in force alone, aliasing encoded().
+  std::shared_ptr<const CloakedArtifact> artifact() const {
+    return ArtifactOf(encoded_);
   }
   const ContinuousStats& stats() const noexcept { return stats_; }
 
   // Approximate heap footprint of the session state this policy retains —
-  // identity, profile, artifact in force, validity region.
+  // identity, profile, artifact in force, validity region. The artifact's
+  // kept bytes are not counted: they sat outside the pool's budget in the
+  // front door's encode cache before the session kept them.
   // An estimate for the session pool's memory-budget accounting, not
   // malloc truth.
   std::size_t MemoryFootprint() const noexcept;
@@ -190,7 +197,7 @@ class ContinuousPolicy {
   ContinuousOptions options_;
 
   std::uint64_t epoch_ = 0;
-  std::shared_ptr<const CloakedArtifact> artifact_;
+  SharedEncodedArtifact encoded_;
   std::optional<ValidityRegion> validity_region_;
   double artifact_created_s_ = 0.0;
   ContinuousStats stats_;

@@ -71,6 +71,9 @@ struct AnonymizeResult {
   // was requested or the backend is not reversible (there is no keyed
   // reduce for it to stand in for).
   std::vector<SegmentId> sealed_region;
+  // EncodeArtifact(artifact), written by the server::AnonymizationServer
+  // worker that ran the job; empty from Anonymize itself.
+  Bytes wire;
 };
 
 class Anonymizer {

@@ -137,9 +137,6 @@ NetServerStats NetServer::SnapshotLoop(const Loop& lp) const {
   out.reduce_in_tick = get(s.reduce_in_tick);
   out.batches = get(s.batches);
   out.largest_batch = get(s.largest_batch);
-  out.artifact_cache_hits = get(s.artifact_cache_hits);
-  out.artifact_cache_misses = get(s.artifact_cache_misses);
-  out.artifact_cache_entries = get(s.artifact_cache_entries);
   out.reads_paused = get(s.reads_paused);
   out.reads_resumed = get(s.reads_resumed);
   return out;
@@ -171,9 +168,6 @@ NetServerStats NetServer::stats() const {
     // A batch never spans loops, so the fleet-wide largest single batch is
     // the max, not the sum.
     total.largest_batch = std::max(total.largest_batch, s.largest_batch);
-    total.artifact_cache_hits += s.artifact_cache_hits;
-    total.artifact_cache_misses += s.artifact_cache_misses;
-    total.artifact_cache_entries += s.artifact_cache_entries;
     total.reads_paused += s.reads_paused;
     total.reads_resumed += s.reads_resumed;
   }
@@ -191,13 +185,7 @@ void NetServer::LoopMain(Loop& lp) {
   while (running_.load(std::memory_order_acquire)) {
     lp.loop.PollOnce(kPollTimeoutMs);
     if (!lp.tick_updates.empty()) DispatchBatch(lp);
-    if (!lp.tick_touched.empty()) {
-      for (const std::uint64_t conn_id : lp.tick_touched) {
-        const auto it = lp.connections.find(conn_id);
-        if (it != lp.connections.end()) FlushAndUpdate(lp, *it->second);
-      }
-      lp.tick_touched.clear();
-    }
+    FlushConnections(lp, lp.tick_touched);
   }
   // Shutdown: drop every connection (queued bytes are best-effort flushed).
   std::vector<std::uint64_t> ids;
@@ -482,16 +470,6 @@ void NetServer::HandleReduceRequest(Loop& lp, Connection& conn,
   conn.CountFrameOut();
 }
 
-std::shared_ptr<const Bytes> NetServer::EncodeShared(
-    Loop& lp, const server::ContinuousSessionPool::SharedArtifact& artifact) {
-  auto lookup = lp.encode_cache.Encode(artifact);
-  Bump(lookup.hit ? lp.stats.artifact_cache_hits
-                  : lp.stats.artifact_cache_misses);
-  lp.stats.artifact_cache_entries.store(lp.encode_cache.size(),
-                                        std::memory_order_relaxed);
-  return std::move(lookup.wire);
-}
-
 void NetServer::DispatchBatch(Loop& lp) {
   std::vector<server::ContinuousSessionPool::IdPositionUpdate> updates;
   updates.reserve(lp.tick_updates.size());
@@ -502,30 +480,40 @@ void NetServer::DispatchBatch(Loop& lp) {
   // and per-user purity make the concurrent rounds safe and the replies
   // byte-exact (a user's stream arrives on one pinned connection, so its
   // updates never straddle two loops' batches out of order).
-  const auto results = pool_->UpdateBatch(updates);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const PendingUpdate& pending = lp.tick_updates[i];
-    const auto it = lp.connections.find(pending.conn_id);
-    if (it == lp.connections.end()) continue;  // dropped mid-tick
-    Connection& conn = *it->second;
-    if (results[i].ok()) {
-      const auto wire = EncodeShared(lp, results[i].value());
-      conn.QueueOwned(ArtifactReplyPrefix(pending.seq, wire->size()));
-      conn.QueueShared(wire);
-      conn.CountFrameOut();
-    } else if (results[i].status().code() == ErrorCode::kPermissionDenied) {
-      // An ownership refusal answers with an ERROR frame, like the front
-      // door's other refusals; a failed update rides in its reply.
-      Bump(lp.stats.ownership_rejected);
-      SendError(conn, pending.seq, ErrorCode::kPermissionDenied,
-                results[i].status().message());
-    } else {
-      Bytes out;
-      AppendArtifactError(out, pending.seq, results[i].status());
-      conn.QueueOwned(std::move(out));
-      conn.CountFrameOut();
-    }
-  }
+  pool_->UpdateBatch(
+      updates,
+      [this, &lp](
+          std::size_t first,
+          std::span<const StatusOr<core::SharedEncodedArtifact>> results) {
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          const PendingUpdate& pending = lp.tick_updates[first + i];
+          const auto it = lp.connections.find(pending.conn_id);
+          if (it == lp.connections.end()) continue;  // dropped mid-tick
+          Connection& conn = *it->second;
+          lp.replied.push_back(pending.conn_id);
+          if (results[i].ok()) {
+            const core::SharedEncodedArtifact& artifact = *results[i];
+            conn.QueueOwned(
+                ArtifactReplyPrefix(pending.seq, artifact->wire.size()));
+            conn.QueueShared(core::WireOf(artifact));
+            conn.CountFrameOut();
+          } else if (results[i].status().code() ==
+                     ErrorCode::kPermissionDenied) {
+            // An ownership refusal answers with an ERROR frame, like the
+            // front door's other refusals; a failed update rides in its
+            // reply.
+            Bump(lp.stats.ownership_rejected);
+            SendError(conn, pending.seq, ErrorCode::kPermissionDenied,
+                      results[i].status().message());
+          } else {
+            Bytes out;
+            AppendArtifactError(out, pending.seq, results[i].status());
+            conn.QueueOwned(std::move(out));
+            conn.CountFrameOut();
+          }
+        }
+        FlushConnections(lp, lp.replied);
+      });
   Bump(lp.stats.batches);
   if (lp.tick_updates.size() >
       lp.stats.largest_batch.load(std::memory_order_relaxed)) {
@@ -533,6 +521,18 @@ void NetServer::DispatchBatch(Loop& lp) {
                                  std::memory_order_relaxed);
   }
   lp.tick_updates.clear();
+}
+
+void NetServer::FlushConnections(Loop& lp,
+                                 std::vector<std::uint64_t>& conn_ids) {
+  std::sort(conn_ids.begin(), conn_ids.end());
+  conn_ids.erase(std::unique(conn_ids.begin(), conn_ids.end()),
+                 conn_ids.end());
+  for (const std::uint64_t conn_id : conn_ids) {
+    const auto it = lp.connections.find(conn_id);
+    if (it != lp.connections.end()) FlushAndUpdate(lp, *it->second);
+  }
+  conn_ids.clear();
 }
 
 void NetServer::UpdateInterest(Loop& lp, Connection& conn, bool want_write) {

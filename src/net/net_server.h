@@ -7,8 +7,8 @@
 //   * N independent loops (`loop_threads`). Each loop owns its own epoll
 //     fd, eventfd wakeup, acceptor on a shared SO_REUSEPORT listening
 //     socket (the kernel shards incoming connections across the loops),
-//     connection map, frame-reassembly buffers, tick accumulator,
-//     artifact-encode cache and reduce Deanonymizer session. Zero
+//     connection map, frame-reassembly buffers, tick accumulator and
+//     reduce Deanonymizer session. Zero
 //     cross-loop locks: a connection is pinned to the loop that accepted
 //     it for its whole lifetime, so a user's update stream (one
 //     connection) stays ordered and its artifact bytes stay byte-identical
@@ -25,11 +25,16 @@
 //     view into the frame payload, resolved by one FindOrTrack call (a
 //     shared-lock find for a known user), and the update travels as
 //     IdPositionUpdate — no std::string materializes per update.
-//   * Zero-copy replies. An artifact in force is EncodeArtifact'd once
-//     per loop into a refcounted buffer (EncodeCache: keyed by artifact
-//     identity, dead entries swept in O(1) amortized per miss) and queued
-//     BY REFERENCE on every connection it is served to; the vectored write
-//     joins the owned frame prefix and the shared body on the wire.
+//   * Zero-copy replies, streamed. An artifact is encoded once, by the
+//     server worker that cut it, and its session keeps the bytes beside
+//     it (core::EncodedArtifact). The pool hands the tick's results to
+//     the loop in input order as they become final, in-region ones once
+//     the re-cloak round is queued and re-cloaks as each finished prefix
+//     of the round commits; the loop queues each reply's kept bytes BY
+//     REFERENCE on its connection and flushes every connection that part
+//     touched, so early replies leave while later re-cloaks still run.
+//     The vectored write joins the owned frame prefix and the shared body
+//     on the wire.
 //   * Syscall batching: reads drain to EAGAIN, writes go through
 //     sendmsg(iovec[64]), EPOLLOUT is registered only while a write queue
 //     is non-empty.
@@ -68,7 +73,6 @@
 #include <vector>
 
 #include "net/connection.h"
-#include "net/encode_cache.h"
 #include "net/event_loop.h"
 #include "net/frame_codec.h"
 #include "server/continuous_session_pool.h"
@@ -143,12 +147,11 @@ struct NetServerStats {
   // largest single-tick batch handed to the pool (max over loops).
   std::uint64_t batches = 0;
   std::uint64_t largest_batch = 0;
-  // Reply encode cache: hits serve a shared buffer, misses encode once.
+  // Compatibility fields, always 0: replies send the bytes each session
+  // keeps with its artifact, so there is no encode cache. Kept because
+  // perfbench reports them.
   std::uint64_t artifact_cache_hits = 0;
   std::uint64_t artifact_cache_misses = 0;
-  // Gauge: entries the encode caches hold right now, live and not yet
-  // swept. Per loop it stays within max(4096, 1.25x the live artifacts its
-  // last sweep kept); see net/encode_cache.h.
   std::uint64_t artifact_cache_entries = 0;
   std::uint64_t reads_paused = 0;
   std::uint64_t reads_resumed = 0;
@@ -214,9 +217,6 @@ class NetServer {
     std::atomic<std::uint64_t> reduce_in_tick{0};
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> largest_batch{0};
-    std::atomic<std::uint64_t> artifact_cache_hits{0};
-    std::atomic<std::uint64_t> artifact_cache_misses{0};
-    std::atomic<std::uint64_t> artifact_cache_entries{0};
     std::atomic<std::uint64_t> reads_paused{0};
     std::atomic<std::uint64_t> reads_resumed{0};
   };
@@ -245,7 +245,8 @@ class NetServer {
         connections;
     std::vector<PendingUpdate> tick_updates;
     std::vector<std::uint64_t> tick_touched;
-    EncodeCache encode_cache;
+    // Connections the replies of one streamed part of the tick went to.
+    std::vector<std::uint64_t> replied;
     // Per-loop reduce session: REDUCE_REQUEST runs inline on the loop
     // thread, so each loop carries its own context-sharing Deanonymizer.
     core::Deanonymizer deanonymizer;
@@ -266,15 +267,16 @@ class NetServer {
   void HandleAuth(Loop& lp, Connection& conn, const Bytes& payload);
   void HandlePositionUpdate(Loop& lp, Connection& conn, const Bytes& payload);
   void HandleReduceRequest(Loop& lp, Connection& conn, const Bytes& payload);
-  // End-of-tick: one pool.UpdateBatch over lp.tick_updates, replies queued
-  // per connection, every touched connection flushed once.
+  // End-of-tick: one pool.UpdateBatch over lp.tick_updates. Each part of
+  // the results the pool streams back is queued per connection and every
+  // connection it touched is flushed before the pool goes on.
   void DispatchBatch(Loop& lp);
+  // FlushAndUpdate on each listed connection still open, once each; clears
+  // the list.
+  void FlushConnections(Loop& lp, std::vector<std::uint64_t>& conn_ids);
   // Flush + EPOLLOUT/backpressure bookkeeping for one connection.
   void FlushAndUpdate(Loop& lp, Connection& conn);
   void UpdateInterest(Loop& lp, Connection& conn, bool want_write);
-  // Shared encode of the artifact in force (cache hit on identity).
-  std::shared_ptr<const Bytes> EncodeShared(
-      Loop& lp, const server::ContinuousSessionPool::SharedArtifact& artifact);
   void SendError(Connection& conn, std::uint32_t seq, ErrorCode code,
                  std::string message);
   enum class CloseReason : std::uint8_t { kPeer, kError, kBackpressure };

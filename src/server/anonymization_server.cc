@@ -110,29 +110,45 @@ std::size_t AnonymizationServer::Enqueue(Job* jobs, std::size_t count,
 }
 
 std::vector<StatusOr<core::AnonymizeResult>> AnonymizationServer::RunBatch(
-    std::vector<BatchJob> jobs) {
+    std::vector<BatchJob> jobs, const PrefixSink& on_prefix) {
+  const std::size_t count = jobs.size();
   std::vector<StatusOr<core::AnonymizeResult>> results(
-      jobs.size(), Status::Internal("not run"));
-  if (jobs.empty()) return results;
-  Countdown countdown;
-  std::vector<Job> queued(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+      count, Status::Internal("not run"));
+  if (count == 0) return results;
+  const std::size_t share = (count + kPrefixShares - 1) / kPrefixShares;
+  Round round;
+  round.done.assign(count, 0);
+  std::vector<Job> queued(count);
+  for (std::size_t i = 0; i < count; ++i) {
     queued[i].work = &jobs[i];
     queued[i].slot = &results[i];
-    queued[i].countdown = &countdown;
+    queued[i].round = &round;
+    queued[i].index = i;
   }
-  // Every job counts until the refused tail is known, so no worker can
-  // reach zero before the caller waits on the admitted ones.
-  countdown.remaining = jobs.size();
+  // Workers may finish jobs while the rest are still being queued; the
+  // caller reports that prefix once the whole round is in.
+  round.wake_at = count;
   Status refusal;
   const std::size_t admitted =
-      Enqueue(queued.data(), queued.size(), /*wait_for_room=*/true, refusal);
-  for (std::size_t i = admitted; i < jobs.size(); ++i) results[i] = refusal;
+      Enqueue(queued.data(), count, /*wait_for_room=*/true, refusal);
+  for (std::size_t i = admitted; i < count; ++i) results[i] = refusal;
 
+  std::size_t reported = 0;
   std::unique_lock<std::mutex> lock(mutex_);
-  countdown.remaining -= jobs.size() - admitted;
-  countdown.done.wait(lock, [&] { return countdown.remaining == 0; });
-  return results;
+  for (std::size_t i = admitted; i < count; ++i) round.done[i] = 1;
+  round.Advance();
+  for (;;) {
+    const std::size_t to = round.finished;
+    round.wake_at = std::min(count, (to / share + 1) * share);
+    if (on_prefix) {
+      lock.unlock();
+      on_prefix(reported, std::span(results).subspan(reported, to - reported));
+      lock.lock();
+    }
+    reported = to;
+    if (reported == count) return results;
+    round.advanced.wait(lock, [&] { return round.finished >= round.wake_at; });
+  }
 }
 
 std::vector<StatusOr<AnonymizationServer::ResultFuture>>
@@ -177,6 +193,7 @@ void AnonymizationServer::WorkerLoop() {
     const crypto::KeyChain keys = std::move(job.work->keys).Resolve();
     auto result = engine_.Anonymize(job.work->request, keys, session);
     const double elapsed = timer.ElapsedMillis();
+    if (result.ok()) result->wire = core::EncodeArtifact(result->artifact);
 
     // One lock per job: settle it, then pop the next at the loop's head.
     // Stats settle before the result is handed over, so a caller that saw
@@ -184,9 +201,15 @@ void AnonymizationServer::WorkerLoop() {
     lock.lock();
     latency_ms_.Add(elapsed);
     ++(result.ok() ? succeeded_ : failed_);
-    if (job.slot != nullptr) {
+    if (job.round != nullptr) {
       *job.slot = std::move(result);
-      if (--job.countdown->remaining == 0) job.countdown->done.notify_one();
+      Round& round = *job.round;
+      round.done[job.index] = 1;
+      const std::size_t before = round.finished;
+      round.Advance();
+      if (before < round.wake_at && round.finished >= round.wake_at) {
+        round.advanced.notify_one();
+      }
     } else {
       job.submitted->promise.set_value(std::move(result));
     }

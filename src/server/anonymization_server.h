@@ -11,13 +11,17 @@
 // never contend on engine state, only on the queue lock. A caller takes
 // that lock once to queue a batch that fits the queue's room and wakes the
 // workers once; a worker takes it once per job, to settle the finished job
-// and pop the next. RunBatch's caller then sleeps until the last of its
-// jobs is done.
+// and pop the next. RunBatch's caller then sleeps while its round runs and
+// wakes once per eighth of the round (kPrefixShares) to take the prefix
+// of jobs finished since, so it can use early results while later jobs
+// still run.
 //
 // A job carries its keys as a chain in hand or as a key provider and the
 // epoch to derive; the worker that runs the job resolves them, so chain
 // derivation spreads over the workers with the anonymize work instead of
-// running serially on the submitting thread.
+// running serially on the submitting thread. The same worker encodes the
+// artifact it cut (AnonymizeResult::wire), so the artifact's one encode
+// runs on the workers too.
 //
 // Determinism: jobs are pure functions of (request, keys, occupancy epoch)
 // and the per-worker sessions are scratch, so which worker runs a job, and
@@ -34,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -97,6 +102,16 @@ class AnonymizationServer {
     JobKeys keys;
   };
 
+  // Receives results [first, first + finished.size()) of a RunBatch round,
+  // all final; it may move them out.
+  using PrefixSink = std::function<void(
+      std::size_t first,
+      std::span<StatusOr<core::AnonymizeResult>> finished)>;
+
+  // RunBatch wakes its caller each time the finished prefix of the round
+  // passes another 1/kPrefixShares of it (rounded up to whole jobs).
+  static constexpr std::size_t kPrefixShares = 8;
+
   // The server takes ownership of the engine. Backend tables (RPLE
   // pre-assignment, the grid index) are built on the first request that
   // needs them; racing workers build each once (MapContext memos).
@@ -109,14 +124,20 @@ class AnonymizationServer {
   AnonymizationServer& operator=(const AnonymizationServer&) = delete;
 
   // Runs `jobs` and returns when every one is done: element i of the result
-  // is jobs[i]'s artifact or error; results go straight into the returned
-  // vector. What fits in the queue's room is queued under one lock and the
-  // workers are woken once; past the room, the caller waits for places as
-  // workers take jobs instead of refusing (max_queue stays exact), then
-  // sleeps once until the last job is done. Must not be called from a key
-  // provider.
+  // is jobs[i]'s artifact (with its bytes in `wire`) or error; results go
+  // straight into the returned vector. What fits in the queue's room is
+  // queued under one lock and the workers are woken once; past the room,
+  // the caller waits for places as workers take jobs instead of refusing
+  // (max_queue stays exact).
+  //
+  // On the calling thread, `on_prefix` (when set) gets each newly finished
+  // prefix of the round, in order, once: first as soon as the round is
+  // queued (whatever finished by then, possibly nothing), then every time
+  // the prefix has grown by a share (kPrefixShares), and last up to the
+  // end. No lock is held while it runs. Elements it moved from are
+  // returned moved-from. Must not be called from a key provider.
   std::vector<StatusOr<core::AnonymizeResult>> RunBatch(
-      std::vector<BatchJob> jobs);
+      std::vector<BatchJob> jobs, const PrefixSink& on_prefix = {});
 
   // Enqueues a request; the future resolves to the artifact or the error.
   // Fails fast with RESOURCE_EXHAUSTED when the queue is full.
@@ -153,11 +174,19 @@ class AnonymizationServer {
   const core::Anonymizer& engine() const noexcept { return engine_; }
 
  private:
-  // A RunBatch call's jobs still to finish (guarded by mutex_); the worker
-  // that finishes the last one wakes the caller.
-  struct Countdown {
-    std::size_t remaining = 0;
-    std::condition_variable done;
+  // A RunBatch call's progress (guarded by mutex_): which jobs are done and
+  // how far the done prefix reaches. The worker that moves `finished` to or
+  // past `wake_at` wakes the caller.
+  struct Round {
+    std::vector<char> done;
+    std::size_t finished = 0;  // jobs [0, finished) are all done
+    std::size_t wake_at = 0;
+    std::condition_variable advanced;
+
+    // Moves `finished` over the done jobs after it.
+    void Advance() {
+      while (finished < done.size() && done[finished] != 0) ++finished;
+    }
   };
   // A Submit'd job, owned by the server until a worker resolves it.
   struct Submitted {
@@ -165,11 +194,13 @@ class AnonymizationServer {
     std::promise<StatusOr<core::AnonymizeResult>> promise;
   };
   // One queue entry. A RunBatch job stays in its caller's vector and its
-  // result goes to the caller's slot; a Submit'd one resolves its promise.
+  // result goes to the caller's slot, job `index` of `round`; a Submit'd
+  // one resolves its promise.
   struct Job {
     BatchJob* work = nullptr;
     StatusOr<core::AnonymizeResult>* slot = nullptr;
-    Countdown* countdown = nullptr;
+    Round* round = nullptr;
+    std::size_t index = 0;
     std::unique_ptr<Submitted> submitted;
   };
 

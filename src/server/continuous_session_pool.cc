@@ -414,10 +414,28 @@ std::size_t ContinuousSessionPool::memory_bytes() const {
 
 // ---- update path ----------------------------------------------------------
 
+ContinuousSessionPool::BatchResults::BatchResults(std::size_t count)
+    : results_(count, Status::Internal("batch update not visited")),
+      final_(count, 0) {}
+
+void ContinuousSessionPool::BatchResults::Set(
+    std::size_t i, StatusOr<core::SharedEncodedArtifact> result) {
+  results_[i] = std::move(result);
+  final_[i] = 1;
+}
+
+void ContinuousSessionPool::BatchResults::Emit(const ResultSink& sink) {
+  const std::size_t first = emitted_;
+  while (emitted_ < final_.size() && final_[emitted_] != 0) ++emitted_;
+  if (emitted_ == first) return;
+  sink(first, std::span<const StatusOr<core::SharedEncodedArtifact>>(
+                  results_.data() + first, emitted_ - first));
+}
+
 void ContinuousSessionPool::RunRound(
     const std::vector<IdPositionUpdate>& updates,
-    const std::vector<std::size_t>& round,
-    std::vector<StatusOr<SharedArtifact>>& results) {
+    const std::vector<std::size_t>& round, BatchResults& results,
+    const ResultSink& sink) {
   // ---- phase 1: classify under the shard locks; no engine work ----------
   std::vector<PendingRecloak> pending;
   std::vector<AnonymizationServer::BatchJob> jobs;
@@ -436,11 +454,11 @@ void ContinuousSessionPool::RunRound(
       case ContinuousPolicy::Action::kServe:
         ++shard.served_in_region;
         // Refcount bump only — the in-region path allocates nothing.
-        results[idx] = session.policy.artifact();
+        results.Set(idx, session.policy.encoded());
         return false;
       case ContinuousPolicy::Action::kServeStale:
         ++shard.throttled_stale;
-        results[idx] = session.policy.artifact();
+        results.Set(idx, session.policy.encoded());
         return false;
       case ContinuousPolicy::Action::kRecloak:
         recloak.update_index = idx;
@@ -481,9 +499,9 @@ void ContinuousSessionPool::RunRound(
     const auto admit = [&](Session& session) {
       if (OwnedByOther(session.owner, update.principal)) {
         ++shard.ownership_rejected;
-        results[idx] = Status::PermissionDenied(
-            "user is owned by a different principal: " +
-            interner_.NameCopyOf(update.user));
+        results.Set(idx, Status::PermissionDenied(
+                             "user is owned by a different principal: " +
+                             interner_.NameCopyOf(update.user)));
         return;
       }
       if (session.owner == 0 && update.principal != 0) {
@@ -521,10 +539,10 @@ void ContinuousSessionPool::RunRound(
         if (code == ErrorCode::kPermissionDenied) ++shard.ownership_rejected;
         if (code == ErrorCode::kNotFound) {
           ++shard.unknown_user;
-          results[idx] = Status::NotFound("untracked user: " +
-                                          interner_.NameCopyOf(update.user));
+          results.Set(idx, Status::NotFound("untracked user: " +
+                                            interner_.NameCopyOf(update.user)));
         } else {
-          results[idx] = resident.status();
+          results.Set(idx, resident.status());
         }
         continue;
       }
@@ -535,16 +553,17 @@ void ContinuousSessionPool::RunRound(
     jobs.push_back({std::move(request), {recloak.provider, recloak.epoch}});
     pending.push_back(std::move(recloak));
   }
-  if (pending.empty()) return;
+  if (pending.empty()) {
+    results.Emit(sink);
+    return;
+  }
 
-  // ---- phase 2: one server batch for every region exit -------------------
-  std::vector<StatusOr<core::AnonymizeResult>> recloaked =
-      server_->RunBatch(std::move(jobs));
-
-  // ---- phase 3: commit under the shard locks -----------------------------
-  for (std::size_t i = 0; i < pending.size(); ++i) {
+  // ---- phase 2: one server round for every region exit; each finished
+  // prefix is committed under the shard locks and emitted as it comes,
+  // the in-region results first, once the round is queued -------------------
+  const auto commit = [&](std::size_t i,
+                          StatusOr<core::AnonymizeResult>& result) {
     PendingRecloak& recloak = pending[i];
-    StatusOr<core::AnonymizeResult>& result = recloaked[i];
     const std::size_t idx = recloak.update_index;
     StatusOr<core::ValidityRegion> region =
         result.ok() ? ValidityRegionOf(recloak, *result)
@@ -555,18 +574,19 @@ void ContinuousSessionPool::RunRound(
     if (session != nullptr) session->recloak_pending = false;
     if (!region.ok()) {
       ++shard.recloak_failures;
-      results[idx] = region.status();
-      continue;
+      results.Set(idx, region.status());
+      return;
     }
-    // One wrapping shared between the serve result and the committed
-    // session state.
-    auto artifact = std::make_shared<const core::CloakedArtifact>(
-        std::move(result).value().artifact);
-    results[idx] = artifact;
+    // One allocation, the worker's bytes beside the artifact, shared
+    // between the serve result and the committed session state.
+    auto artifact = std::make_shared<const core::EncodedArtifact>(
+        core::EncodedArtifact{std::move(result->artifact),
+                              std::move(result->wire)});
+    results.Set(idx, artifact);
     // Gone only if SpillAllToFile spilled it meanwhile: the clock sweep
     // skips sessions with a re-cloak pending.
-    if (session == nullptr) continue;
-    if (session->policy.next_epoch() != recloak.epoch) continue;  // raced
+    if (session == nullptr) return;
+    if (session->policy.next_epoch() != recloak.epoch) return;  // raced
     shard.resident_bytes -= session->mem_bytes;
     session->policy.CommitRecloak(updates[idx].now_s, std::move(artifact),
                                   std::move(region).value());
@@ -574,7 +594,16 @@ void ContinuousSessionPool::RunRound(
     shard.resident_bytes += session->mem_bytes;
     session->referenced = true;
     ++shard.recloaks;
-  }
+  };
+  server_->RunBatch(
+      std::move(jobs),
+      [&](std::size_t first,
+          std::span<StatusOr<core::AnonymizeResult>> finished) {
+        for (std::size_t i = 0; i < finished.size(); ++i) {
+          commit(first + i, finished[i]);
+        }
+        results.Emit(sink);
+      });
 }
 
 StatusOr<core::ValidityRegion> ContinuousSessionPool::ValidityRegionOf(
@@ -597,14 +626,9 @@ StatusOr<core::ValidityRegion> ContinuousSessionPool::ValidityRegionOf(
   return core::ValidityRegion(region.segments_by_id());
 }
 
-std::vector<StatusOr<ContinuousSessionPool::SharedArtifact>>
-ContinuousSessionPool::UpdateBatch(
-    const std::vector<IdPositionUpdate>& updates) {
-  std::vector<StatusOr<SharedArtifact>> results;
-  results.reserve(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    results.emplace_back(Status::Internal("batch update not visited"));
-  }
+void ContinuousSessionPool::UpdateBatch(
+    const std::vector<IdPositionUpdate>& updates, const ResultSink& sink) {
+  BatchResults results(updates.size());
   std::vector<std::size_t> remaining;
   remaining.reserve(updates.size());
   for (std::size_t i = 0; i < updates.size(); ++i) {
@@ -618,7 +642,7 @@ ContinuousSessionPool::UpdateBatch(
     std::lock_guard<std::mutex> lock(shard.mutex);
     ++shard.updates;
     ++shard.unknown_user;
-    results[i] = Status::NotFound("untracked user");
+    results.Set(i, Status::NotFound("untracked user"));
   }
 
   // A round holds at most one update per user, preserving input order, so
@@ -635,7 +659,7 @@ ContinuousSessionPool::UpdateBatch(
       }
     }
     Stopwatch timer;
-    RunRound(updates, round, results);
+    RunRound(updates, round, results, sink);
     const double per_update_ms =
         round.empty() ? 0.0 : timer.ElapsedMillis() /
                                   static_cast<double>(round.size());
@@ -647,12 +671,30 @@ ContinuousSessionPool::UpdateBatch(
     }
     remaining = std::move(deferred);
   }
+  results.Emit(sink);  // a batch of invalid handles runs no round
   MaybeSweep();
   // A failed compaction leaves the dead bytes for the next batch to retry.
   if (spill_ != nullptr) {
     (void)spill_->CompactIfDue(options_.spill_compact_dead_fraction);
   }
-  return results;
+}
+
+std::vector<StatusOr<ContinuousSessionPool::SharedArtifact>>
+ContinuousSessionPool::UpdateBatch(
+    const std::vector<IdPositionUpdate>& updates) {
+  std::vector<StatusOr<SharedArtifact>> artifacts;
+  artifacts.reserve(updates.size());
+  using Results = std::span<const StatusOr<core::SharedEncodedArtifact>>;
+  UpdateBatch(updates, [&artifacts](std::size_t, Results results) {
+    for (const auto& result : results) {
+      if (result.ok()) {
+        artifacts.emplace_back(core::ArtifactOf(*result));
+      } else {
+        artifacts.emplace_back(result.status());
+      }
+    }
+  });
+  return artifacts;
 }
 
 mobility::OccupancySnapshot ContinuousSessionPool::BuildOccupancy() const {

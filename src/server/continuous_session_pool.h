@@ -12,10 +12,16 @@
 // never touched.
 //
 // Region exits batch into one AnonymizationServer::RunBatch round of
-// re-cloaks (one queue lock, one wake, one wait, no promise per job) and
-// are committed back under the shard locks. Each job
-// carries its session's key provider and epoch, so the server worker that
-// runs it derives the key chain. Each re-cloak asks the anonymizer for
+// re-cloaks (one queue lock, no promise per job) and are committed back
+// under the shard locks as each finished prefix of the round comes in,
+// while the later jobs still run. Each job carries its session's key
+// provider and epoch, so the server worker that runs it derives the key
+// chain, and that worker encodes the artifact it cut: a session keeps its
+// artifact in force together with those bytes (core::EncodedArtifact), so
+// an artifact is encoded once however often it is served. Results go to
+// the caller's sink in input order as they become final, so the front
+// door can send a round's first replies before its last re-cloak is cut.
+// Each re-cloak asks the anonymizer for
 // its validity level's region as that level is sealed
 // (AnonymizeRequest::sealed_level), so the pool never replays a fresh
 // artifact through the keyed Deanonymizer::Reduce: the anonymizer already
@@ -38,6 +44,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -145,6 +152,11 @@ class ContinuousSessionPool {
   // state in-region path never deep-copies level records or segment lists
   // (and so never allocates). Callers needing an owned copy dereference.
   using SharedArtifact = std::shared_ptr<const core::CloakedArtifact>;
+  // Receives results [first, first + results.size()) of an UpdateBatch
+  // call, each final: the artifact in force with its bytes, or the error.
+  using ResultSink = std::function<void(
+      std::size_t first,
+      std::span<const StatusOr<core::SharedEncodedArtifact>> results)>;
 
   // One position update, keyed by the UserId handle Track or FindOrTrack
   // returned (or UserIdOf looks up once).
@@ -271,12 +283,21 @@ class ContinuousSessionPool {
   }
 
   // The update path: classifies every update under its shard lock,
-  // re-cloaks all region exits in one server batch (each sealing its own
-  // validity region), and commits. Element i of the result is the
-  // artifact in force for updates[i] (freshly re-cloaked if the user left
-  // its validity region), served as a shared reference; an invalid or
-  // unknown handle is kNotFound. After the rounds it runs the clock sweep
-  // and, when due, compacts the spill file.
+  // re-cloaks all region exits in one server round (each sealing its own
+  // validity region), and commits them as the round's finished prefixes
+  // come in. Result i is the artifact in force for updates[i] (freshly
+  // re-cloaked if the user left its validity region) with its bytes,
+  // served as a shared reference; an invalid or unknown handle is
+  // kNotFound. `sink` gets every result once, in input order, as soon as
+  // it and all before it are final: an update served in region goes out
+  // once its round's re-cloaks are queued, a re-cloak once its prefix of
+  // the round is committed. The sink runs on the calling thread with no
+  // pool or server lock held (it may call back into the pool, but not
+  // UpdateBatch for the same users). After the last result has gone, the
+  // call runs the clock sweep and, when due, compacts the spill file.
+  void UpdateBatch(const std::vector<IdPositionUpdate>& updates,
+                   const ResultSink& sink);
+  // The same, collected: element i is result i, as the artifact alone.
   std::vector<StatusOr<SharedArtifact>> UpdateBatch(
       const std::vector<IdPositionUpdate>& updates);
 
@@ -394,11 +415,27 @@ class ContinuousSessionPool {
       core::Algorithm algorithm, KeyProvider key_provider,
       const core::ContinuousOptions& options, std::uint64_t owner);
 
+  // One UpdateBatch call's results. Set makes result i final; Emit hands
+  // the sink every final result past the cursor, up to the first one
+  // still open, so the sink sees input order.
+  class BatchResults {
+   public:
+    explicit BatchResults(std::size_t count);
+    void Set(std::size_t i, StatusOr<core::SharedEncodedArtifact> result);
+    void Emit(const ResultSink& sink);
+
+   private:
+    std::vector<StatusOr<core::SharedEncodedArtifact>> results_;
+    std::vector<char> final_;
+    std::size_t emitted_ = 0;
+  };
+
   // Runs one round (at most one update per user) end to end: classify,
-  // batch re-cloak, commit.
+  // batch re-cloak, commit, each finished prefix of the round committed
+  // and emitted while the rest of the round runs.
   void RunRound(const std::vector<IdPositionUpdate>& updates,
-                const std::vector<std::size_t>& round,
-                std::vector<StatusOr<SharedArtifact>>& results);
+                const std::vector<std::size_t>& round, BatchResults& results,
+                const ResultSink& sink);
 
   // A successful re-cloak's validity region: the published region at the
   // outermost level, else the one the anonymizer sealed (moved out of

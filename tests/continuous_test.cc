@@ -198,9 +198,8 @@ TEST(ContinuousPolicyTest, StateStaysBoundedAcrossCommits) {
   request.context = "dora/epoch-1";
   auto result = anonymizer.Anonymize(request, crypto::KeyChain::FromSeed(5, 2));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const auto artifact =
-      std::make_shared<const CloakedArtifact>(std::move(result->artifact));
-  const ValidityRegion region(artifact->region_segments);
+  const auto artifact = KeepEncoded(std::move(result->artifact));
+  const ValidityRegion region(artifact->artifact.region_segments);
 
   ContinuousPolicy policy("dora", profile, Algorithm::kRge);
   struct Snapshot {
@@ -244,7 +243,9 @@ TEST(ContinuousPolicyTest, StateStaysBoundedAcrossCommits) {
   EXPECT_EQ(restored->epoch(), policy.epoch());
   EXPECT_EQ(restored->stats().mean_validity_duration_s(),
             policy.stats().mean_validity_duration_s());
-  EXPECT_EQ(EncodeArtifact(*restored->artifact()), EncodeArtifact(*artifact));
+  EXPECT_EQ(EncodeArtifact(*restored->artifact()),
+            EncodeArtifact(artifact->artifact));
+  EXPECT_EQ(restored->encoded()->wire, artifact->wire);
   Bytes again;
   restored->Serialize(again);
   EXPECT_EQ(again, state);

@@ -10,15 +10,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "crypto/sha256.h"
 #include "net/client.h"
-#include "net/encode_cache.h"
 #include "net/net_server.h"
 #include "roadnet/generators.h"
 #include "store/spill_file.h"
@@ -285,76 +286,6 @@ TEST(FrameCodecTest, TruncatedPayloadsRejected) {
   EXPECT_FALSE(net::DecodeError({0x00}).ok());
 }
 
-// -------------------------------------------------------- encode cache
-
-// The cache keys on the artifact's address but holds it weakly: a new
-// artifact placed at a dead one's address while the dead one's entry is
-// still in the table must miss and be encoded afresh, never served the old
-// bytes.
-TEST(EncodeCacheTest, HitRequiresTheSameLiveArtifact) {
-  net::EncodeCache cache;
-  alignas(core::CloakedArtifact) unsigned char
-      storage[sizeof(core::CloakedArtifact)];
-  const auto place = [&storage](std::string context) {
-    auto* artifact = new (storage) core::CloakedArtifact();
-    artifact->context = std::move(context);
-    return std::shared_ptr<const core::CloakedArtifact>(
-        artifact,
-        [](const core::CloakedArtifact* dead) { dead->~CloakedArtifact(); });
-  };
-
-  auto first = place("first");
-  const auto encoded = cache.Encode(first);
-  EXPECT_FALSE(encoded.hit);
-  EXPECT_EQ(*encoded.wire, core::EncodeArtifact(*first));
-  EXPECT_TRUE(cache.Encode(first).hit);
-  const core::CloakedArtifact* address = first.get();
-  first.reset();
-
-  auto second = place("second");
-  ASSERT_EQ(second.get(), address);
-  const auto reused = cache.Encode(second);
-  EXPECT_FALSE(reused.hit);
-  EXPECT_EQ(*reused.wire, core::EncodeArtifact(*second));
-  EXPECT_NE(*reused.wire, *encoded.wire);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.Encode(second).hit);
-}
-
-// Dead entries wait for the sweep trigger instead of being swept on every
-// miss: the first sweep fires at the floor, and each sweep re-arms the
-// trigger at kept + kept / 4.
-TEST(EncodeCacheTest, SweepsDeadEntriesOnAnAmortizedSchedule) {
-  using net::EncodeCache;
-  EncodeCache cache;
-  std::vector<std::shared_ptr<const core::CloakedArtifact>> live;
-  int minted = 0;
-  const auto add = [&] {
-    auto artifact = std::make_shared<core::CloakedArtifact>();
-    artifact->context = std::to_string(minted++);
-    live.push_back(artifact);
-    EXPECT_FALSE(cache.Encode(live.back()).hit);
-  };
-  for (std::size_t i = 0; i < EncodeCache::kPruneFloor; ++i) add();
-  EXPECT_EQ(cache.size(), EncodeCache::kPruneFloor);
-
-  // At the floor the next miss sweeps; everything is alive, so the
-  // trigger moves to 4096 + 1024.
-  add();
-  EXPECT_EQ(cache.size(), 4097u);
-  live.erase(live.begin(), live.begin() + 2000);  // 2000 entries go stale
-  while (cache.size() < 5120u) add();
-  EXPECT_EQ(cache.size(), 5120u);  // nothing swept below the trigger
-
-  // At the trigger the stale entries go: 3120 kept + the new one.
-  add();
-  EXPECT_EQ(live.size(), 3121u);
-  EXPECT_EQ(cache.size(), 3121u);
-  // 3120 kept is under the floor, so the next sweep waits for 4096.
-  while (cache.size() < EncodeCache::kPruneFloor) add();
-  EXPECT_EQ(cache.size(), EncodeCache::kPruneFloor);
-}
-
 // ------------------------------------------------------------ loopback
 
 struct LoopbackRig {
@@ -537,15 +468,13 @@ TEST(NetServerTest, WireArtifactsByteIdenticalToDirectPool) {
 }
 
 // The reply encode cache past its 4096-entry prune floor: one loop serves
-// 6000 live artifacts (one per user), then two churn ticks move every user
-// far away so most re-cloak and their old artifacts die. Every reply must
-// equal the in-process pool's bytes, every distinct artifact must be
-// encoded exactly once, and the table must stay within live + live/4 +
-// 4096 entries throughout. The churn frees artifact blocks whose stale
-// entries the amortized prune leaves in the table for a while, so new
-// artifacts land at addresses the table still holds: a hit that trusted
-// the address without the weak_ptr identity check would serve old bytes.
-TEST(NetServerTest, EncodeCachePastPruneFloorByteIdenticalAndBounded) {
+// 6000 live artifacts (one per user, past 4096 live artifacts on one
+// loop), then two churn ticks move every user far away so most re-cloak
+// and their old artifacts die. Every reply must equal the in-process
+// pool's bytes: each session sends the bytes kept with its artifact in
+// force, so a reply can never carry a dead artifact's bytes, however many
+// artifacts live or die.
+TEST(NetServerTest, RepliesByteIdenticalPast4096LiveArtifacts) {
   const RoadNetwork net = roadnet::MakeGrid({20, 20, 100.0});
   constexpr std::uint32_t kUsers = 6000;
   constexpr int kTicks = 3;
@@ -586,20 +515,10 @@ TEST(NetServerTest, EncodeCachePastPruneFloorByteIdenticalAndBounded) {
         wire_seqs[u].push_back(sha);
         distinct.insert(sha);
       }
-      // Every user served so far holds exactly one live artifact.
-      const std::uint64_t live = t == 0 ? end : kUsers;
-      EXPECT_LE(rig.front->stats().artifact_cache_entries,
-                live + live / 4 + 4096)
-          << "tick " << t << " after user " << end;
     }
   }
   rig.front->Stop();
-  const auto stats = rig.front->stats();
-  EXPECT_EQ(stats.artifact_cache_misses, distinct.size());
-  EXPECT_EQ(stats.artifact_cache_hits + stats.artifact_cache_misses,
-            std::uint64_t{kUsers} * kTicks);
-  // The churn really did outgrow the bound: without pruning, the table
-  // would hold every artifact ever served.
+  // The churn really did cut more artifacts than ever lived at once.
   EXPECT_GT(distinct.size(), kUsers + kUsers / 4 + 4096);
 
   const net::NetServerOptions defaults;
@@ -631,6 +550,80 @@ TEST(NetServerTest, EncodeCachePastPruneFloorByteIdenticalAndBounded) {
     }
   }
   EXPECT_EQ(wire_seqs, direct_seqs);
+}
+
+// A round's replies leave as its finished prefixes commit. The last of a
+// connection's first sightings is held in its key provider, so the last
+// job of the tick's re-cloak round cannot finish; the replies to the
+// updates before it must reach the client anyway, before the held job is
+// let go.
+TEST(NetServerTest, RepliesLeaveWhileALaterJobOfTheRoundRuns) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  constexpr std::uint32_t kUsers = 16;  // the last one is held
+  const std::string held = "held";
+  const net::NetServerOptions defaults;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  const auto ctx = core::MapContext::Create(net);
+  AnonymizationServer server(core::Anonymizer(ctx, OnePerSegment(net)),
+                             server::ServerOptions{});
+  server::SessionPoolOptions pool_options;
+  pool_options.key_provider_factory = [&](std::string_view name) {
+    auto keys = net::DeterministicKeyProvider(
+        defaults.key_seed_base, name, defaults.profile.num_levels());
+    if (name != held) return keys;
+    return core::ContinuousCloak::KeyProvider(
+        [keys, released](std::uint64_t epoch) {
+          released.wait();
+          return keys(epoch);
+        });
+  };
+  ContinuousSessionPool pool(server, pool_options);
+  net::NetServer front(pool);
+  ASSERT_TRUE(front.Start().ok());
+  // Lets the held job go on every way out of the test, before the front
+  // door (whose loop waits on the round) stops.
+  struct Releaser {
+    std::promise<void>* release;
+    bool done = false;
+    void Release() {
+      if (!std::exchange(done, true)) release->set_value();
+    }
+    ~Releaser() { Release(); }
+  } releaser{&release};
+
+  auto client = net::Client::Connect("127.0.0.1", front.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Hello(front.map_fingerprint()).ok());
+  for (std::uint32_t u = 0; u < kUsers; ++u) {
+    client->QueuePositionUpdate(
+        u, u + 1 == kUsers ? held : "s" + std::to_string(u), 0.0,
+        SegmentId{u * 5});
+  }
+  ASSERT_TRUE(client->Flush().ok());
+
+  std::atomic<bool> let_go{false};
+  auto first = std::async(std::launch::async, [&] {
+    auto reply = client->ReadArtifactReply();
+    return std::make_pair(std::move(reply), !let_go.load());
+  });
+  const bool arrived = first.wait_for(std::chrono::seconds(10)) ==
+                       std::future_status::ready;
+  let_go = true;
+  releaser.Release();
+  const auto [reply, while_held] = first.get();
+  EXPECT_TRUE(arrived) << "no reply within 10 s while the last job was held";
+  EXPECT_TRUE(while_held);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->seq, 0u);
+  for (std::uint32_t u = 1; u < kUsers; ++u) {
+    const auto next = client->ReadArtifactReply();
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_EQ(next->seq, u);
+  }
+  front.Stop();
+  // One tick carried every update, so the held job shared the round.
+  EXPECT_EQ(front.stats().largest_batch, kUsers);
 }
 
 // The traffic counters are bumped where bytes and frames move, not summed

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baseline/random_expand.h"
@@ -418,6 +421,68 @@ TEST(ServerTest, RunBatchWaitsForQueueRoom) {
   EXPECT_EQ(stats.accepted, 11u);
   EXPECT_EQ(stats.rejected_queue_full, 0u);
   EXPECT_EQ(stats.succeeded, 11u);
+}
+
+// RunBatch hands its caller each finished prefix of the round, in order
+// and once: with job 0 held in its key provider no job is reported until
+// job 0 finishes, however many later jobs are done; the prefixes are
+// contiguous, cover the round exactly once and wake the caller at most
+// once per share; and each result carries its artifact's bytes.
+TEST(ServerTest, RunBatchReportsFinishedPrefixesInOrder) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  constexpr int kJobs = 40;
+  for (const int workers : {1, 3, server::ServerOptions{}.num_workers}) {
+    SCOPED_TRACE(workers);
+    server::ServerOptions options;
+    options.num_workers = workers;
+    server::AnonymizationServer server(
+        core::Anonymizer(net, OnePerSegment(net)), options);
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    std::atomic<bool> let_go{false};
+    auto jobs = BoundBatch(0, kJobs);
+    jobs[0].keys = server::JobKeys(
+        [released](std::uint64_t) {
+          released.wait();
+          return crypto::KeyChain::FromSeed(1, 1);
+        },
+        0);
+    // Job 0 goes once every job the other workers can run is done.
+    std::thread releaser([&] {
+      const std::uint64_t others = workers > 1 ? kJobs - 1 : 0;
+      while (server.stats().succeeded < others) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      let_go = true;
+      release.set_value();
+    });
+    std::vector<std::pair<std::size_t, std::size_t>> prefixes;
+    bool reported_while_held = false;
+    const auto results = server.RunBatch(
+        std::move(jobs),
+        [&](std::size_t first,
+            std::span<StatusOr<core::AnonymizeResult>> finished) {
+          if (!finished.empty() && !let_go) reported_while_held = true;
+          prefixes.emplace_back(first, finished.size());
+          for (const auto& result : finished) {
+            ASSERT_TRUE(result.ok()) << result.status().ToString();
+            EXPECT_EQ(result->wire, core::EncodeArtifact(result->artifact));
+          }
+        });
+    releaser.join();
+
+    EXPECT_FALSE(reported_while_held);
+    std::size_t next = 0;
+    for (const auto& [first, size] : prefixes) {
+      EXPECT_EQ(first, next);
+      next = first + size;
+    }
+    EXPECT_EQ(next, std::size_t{kJobs});
+    // The call once the round is queued, then one per share at most.
+    EXPECT_LE(prefixes.size(),
+              server::AnonymizationServer::kPrefixShares + 1);
+    ASSERT_EQ(results.size(), std::size_t{kJobs});
+    for (const auto& result : results) EXPECT_TRUE(result.ok());
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -708,13 +709,15 @@ TEST(SessionPoolTest, TamperedSpillRecordsFailClosed) {
     return pool;
   };
   std::remove(good_path.c_str());
+  Bytes canonical;  // car0's artifact as EncodeArtifact writes it
   {
     auto pool = make_pool(good_path);
     const auto car0 = pool->Track("car0", FleetProfile(), Algorithm::kRge,
                                   CarKeys("car0"), FleetOptions(), 0.0, kOwner);
     ASSERT_TRUE(car0.ok());
-    ASSERT_TRUE(
-        pool->UpdateBatch({{*car0, 1.0, SegmentId{7}, kOwner}})[0].ok());
+    const auto served = pool->UpdateBatch({{*car0, 1.0, SegmentId{7}, kOwner}});
+    ASSERT_TRUE(served[0].ok());
+    canonical = core::EncodeArtifact(**served[0]);
     ASSERT_EQ(*pool->SpillAllToFile(), 1u);
   }
   Bytes good;
@@ -806,8 +809,182 @@ TEST(SessionPoolTest, TamperedSpillRecordsFailClosed) {
     EXPECT_EQ(stats.restored, 0u);
     EXPECT_EQ(pool->session_count(), 0u);
   }
+
+  // An artifact that decodes but is not in canonical form: its T varint
+  // (0 for RGE) is rewritten in two bytes. The restore succeeds, and the
+  // session serves the canonical bytes of what it decoded, never the
+  // record's bytes verbatim.
+  const auto at = std::search(good.begin(), good.end(), canonical.begin(),
+                              canonical.end());
+  ASSERT_NE(at, good.end());
+  Bytes length;
+  PutVarint(length, canonical.size());
+  const auto length_at = at - static_cast<std::ptrdiff_t>(length.size());
+  ASSERT_TRUE(std::equal(length.begin(), length.end(), length_at));
+  const auto decoded = core::DecodeArtifact(canonical);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_LT(decoded->context.size(), 0x80u);  // a one-byte length varint
+  // magic (4) | version | algorithm | context length | context |
+  // fingerprint (8) | T
+  const std::size_t t_offset = 4 + 1 + 1 + 1 + decoded->context.size() + 8;
+  ASSERT_EQ(canonical[t_offset], 0x00);
+  Bytes loose = canonical;
+  loose[t_offset] = 0x80;
+  loose.insert(loose.begin() + static_cast<std::ptrdiff_t>(t_offset) + 1,
+               0x00);
+  const auto loose_decoded = core::DecodeArtifact(loose);
+  ASSERT_TRUE(loose_decoded.ok()) << loose_decoded.status().ToString();
+  ASSERT_EQ(core::EncodeArtifact(*loose_decoded), canonical);
+  Bytes record(good.begin(), length_at);
+  PutVarint(record, loose.size());
+  record.insert(record.end(), loose.begin(), loose.end());
+  record.insert(record.end(),
+                at + static_cast<std::ptrdiff_t>(canonical.size()), good.end());
+  std::filesystem::copy_file(good_path, path,
+                             std::filesystem::copy_options::overwrite_existing);
+  {
+    util::StringInterner interner;
+    auto file = store::SpillFile::Attach(path, ctx->fingerprint(), interner);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_TRUE((*file)->AppendBatch({{interner.Find("car0"), record}}).ok());
+  }
+  {
+    auto pool = make_pool(path);
+    const util::UserId car0 = IdOf(*pool, "car0");
+    std::vector<Bytes> wires;
+    pool->UpdateBatch(
+        {{car0, 2.0, SegmentId{7}, kOwner}},
+        [&](std::size_t,
+            std::span<const StatusOr<core::SharedEncodedArtifact>> results) {
+          for (const auto& result : results) {
+            ASSERT_TRUE(result.ok()) << result.status().ToString();
+            wires.push_back((*result)->wire);
+          }
+        });
+    ASSERT_EQ(wires.size(), 1u);
+    EXPECT_EQ(wires[0], canonical);
+    EXPECT_NE(wires[0], loose);
+    EXPECT_EQ(pool->stats().restored_on_miss, 1u);
+  }
   std::remove(path.c_str());
   std::remove(good_path.c_str());
+}
+
+// The streamed UpdateBatch hands its sink every result once, in input
+// order, with no pool lock held (the sink reads the pool's stats), and
+// each result is the one the collected form returns: the same artifact
+// bytes, by SHA-256, or the same error. The mixed batch covers in-region
+// updates, re-cloaks, a user updated twice (its second update runs in a
+// second round), a never-tracked user, an ownership refusal and a
+// restore-on-miss.
+TEST(SessionPoolTest, StreamedResultsMatchTheBatch) {
+  const RoadNetwork net = roadnet::MakeGrid({10, 10, 100.0});
+  const auto ctx = core::MapContext::Create(net);
+  AnonymizationServer server(core::Anonymizer(ctx, OnePerSegment(net)), {});
+  constexpr std::uint64_t kOwner = 42;
+  constexpr std::uint64_t kStranger = 7;
+  using Update = ContinuousSessionPool::IdPositionUpdate;
+  // Per result: the SHA-256 of its artifact bytes, or its error code.
+  using Outcomes = std::vector<std::string>;
+  const auto outcome_of = [](const StatusOr<Bytes>& wire) {
+    if (!wire.ok()) {
+      return "error " +
+             std::to_string(static_cast<int>(wire.status().code()));
+    }
+    const auto digest = crypto::Sha256::Hash(*wire);
+    return ToHex(Bytes(digest.begin(), digest.end()));
+  };
+  // Sets up one pool and feeds it the same batches through `drive`.
+  const auto run = [&](const std::string& path, const auto& drive) {
+    RemoveSpillFile(path);
+    server::SessionPoolOptions options;
+    options.key_provider_factory = CarKeys;
+    ContinuousSessionPool pool(server, options);
+    EXPECT_TRUE(pool.AttachSpillFile(path).ok());
+    const auto track = [&](const std::string& user, std::uint64_t owner) {
+      const auto id = pool.Track(user, FleetProfile(), Algorithm::kRge,
+                                 CarKeys(user), FleetOptions(), 0.0, owner);
+      EXPECT_TRUE(id.ok()) << id.status().ToString();
+      return id.ok() ? *id : util::kInvalidUserId;
+    };
+    const util::UserId spilled = track("car9", 0);
+    Outcomes outcomes =
+        drive(pool, std::vector<Update>{{spilled, 1.0, SegmentId{40}}});
+    EXPECT_EQ(*pool.SpillAllToFile(), 1u);
+    std::vector<util::UserId> car;
+    for (int u = 0; u < 4; ++u) {
+      car.push_back(track("car" + std::to_string(u), 0));
+    }
+    const util::UserId owned = track("car7", kOwner);
+    std::vector<Update> first;
+    for (int u = 0; u < 4; ++u) {
+      first.push_back(
+          {car[u], 1.0, SegmentId{static_cast<std::uint32_t>(5 + u)}});
+    }
+    first.push_back({owned, 1.0, SegmentId{11}, kOwner});
+    for (auto& outcome : drive(pool, first)) outcomes.push_back(outcome);
+    const std::vector<Update> mixed = {
+        {car[1], 2.0, SegmentId{90}},               // re-cloak
+        {car[0], 2.0, SegmentId{5}},                // in region
+        {util::kInvalidUserId, 2.0, SegmentId{3}},  // never tracked
+        {car[2], 2.0, SegmentId{80}},               // re-cloak
+        {owned, 2.0, SegmentId{11}, kStranger},     // refused
+        {spilled, 2.0, SegmentId{40}},              // restore-on-miss
+        {car[2], 3.0, SegmentId{20}},               // second round
+        {car[3], 2.0, SegmentId{8}},                // in region
+    };
+    for (auto& outcome : drive(pool, mixed)) outcomes.push_back(outcome);
+    const auto stats = pool.stats();
+    EXPECT_EQ(stats.restored_on_miss, 1u);
+    EXPECT_EQ(stats.ownership_rejected, 1u);
+    EXPECT_EQ(stats.unknown_user, 1u);
+    EXPECT_GE(stats.served_in_region, 2u);
+    RemoveSpillFile(path);
+    return outcomes;
+  };
+
+  const Outcomes collected = run(
+      "session_pool_stream_batch.rcsf",
+      [&](ContinuousSessionPool& pool, const std::vector<Update>& batch) {
+        Outcomes outcomes;
+        for (const auto& result : pool.UpdateBatch(batch)) {
+          outcomes.push_back(outcome_of(
+              result.ok() ? StatusOr<Bytes>(core::EncodeArtifact(**result))
+                          : StatusOr<Bytes>(result.status())));
+        }
+        return outcomes;
+      });
+  const Outcomes streamed = run(
+      "session_pool_stream_sink.rcsf",
+      [&](ContinuousSessionPool& pool, const std::vector<Update>& batch) {
+        Outcomes outcomes;
+        pool.UpdateBatch(
+            batch,
+            [&](std::size_t first,
+                std::span<const StatusOr<core::SharedEncodedArtifact>>
+                    results) {
+              EXPECT_EQ(first, outcomes.size());  // in order, each once
+              (void)pool.stats();  // deadlocks if a pool lock is held
+              for (const auto& result : results) {
+                if (result.ok()) {
+                  EXPECT_EQ((*result)->wire,
+                            core::EncodeArtifact((*result)->artifact));
+                }
+                outcomes.push_back(outcome_of(
+                    result.ok() ? StatusOr<Bytes>((*result)->wire)
+                                : StatusOr<Bytes>(result.status())));
+              }
+            });
+        EXPECT_EQ(outcomes.size(), batch.size());
+        return outcomes;
+      });
+  ASSERT_EQ(collected.size(), 1u + 5u + 8u);
+  EXPECT_EQ(streamed, collected);
+  // The refusal and the never-tracked user answer as errors; the rest
+  // carry artifacts.
+  EXPECT_EQ(collected[6 + 2].rfind("error", 0), 0u);
+  EXPECT_EQ(collected[6 + 4].rfind("error", 0), 0u);
+  EXPECT_NE(collected[6 + 5].rfind("error", 0), 0u);
 }
 
 // Track must not roll a spilled user back: a fresh session would restart
